@@ -24,7 +24,7 @@
 //! same class and execute in lexicographic order), which the test-suite
 //! verifies.
 
-use rcp_codegen::{Phase, Schedule, WorkItem};
+use rcp_codegen::{Phase, PointExpander, Schedule, WorkItem};
 use rcp_depend::{distance_set, DependenceAnalysis, Granularity};
 use rcp_intlin::{add, is_lex_positive, neg, sub, IVec};
 use rcp_presburger::{DenseRelation, DenseSet};
@@ -166,10 +166,8 @@ pub fn pdm_schedule(
         let root = find(&mut parent, k);
         classes.entry(root).or_default().push(p.clone());
     }
-    let stmts = analysis.program.statements();
-    let to_item = |p: &IVec| WorkItem {
-        instances: stmts.iter().map(|info| (info.id, p.clone())).collect(),
-    };
+    let expander = PointExpander::new(analysis, &[]);
+    let to_item = |p: &IVec| expander.item(p);
     let chains: Vec<Vec<WorkItem>> = classes
         .values()
         .map(|pts| {

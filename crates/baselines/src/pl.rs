@@ -9,7 +9,7 @@
 //! original method cannot be applied and the loop stays sequential — which
 //! is exactly why PL is the weakest line of Figure 3 (Example 1).
 
-use rcp_codegen::{Phase, Schedule, WorkItem};
+use rcp_codegen::{Phase, PointExpander, Schedule, WorkItem};
 use rcp_depend::{classify_uniformity, distance_set, DependenceAnalysis, Uniformity};
 use rcp_intlin::{add, IVec};
 use rcp_presburger::{DenseRelation, DenseSet};
@@ -23,10 +23,8 @@ pub fn pl_schedule(
     rd: &DenseRelation,
     name: &str,
 ) -> Schedule {
-    let stmts = analysis.program.statements();
-    let to_item = |p: &IVec| WorkItem {
-        instances: stmts.iter().map(|info| (info.id, p.clone())).collect(),
-    };
+    let expander = PointExpander::new(analysis, &[]);
+    let to_item = |p: &IVec| expander.item(p);
     match classify_uniformity(rd, phi) {
         Uniformity::Independent => {
             // no dependences at all: a single DOALL

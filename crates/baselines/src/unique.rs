@@ -17,7 +17,7 @@
 //! compares against: more, smaller phases than the recurrence-chain
 //! partitioning (5 vs 3 on Example 2), with one sequential set.
 
-use rcp_codegen::{Phase, Schedule, WorkItem};
+use rcp_codegen::{Phase, PointExpander, Schedule, WorkItem};
 use rcp_depend::DependenceAnalysis;
 use rcp_intlin::IVec;
 use rcp_loopir::AccessKind;
@@ -149,10 +149,8 @@ pub fn unique_sets_schedule(
         return None;
     }
 
-    let stmts = analysis.program.statements();
-    let to_item = |p: &IVec| WorkItem {
-        instances: stmts.iter().map(|info| (info.id, p.clone())).collect(),
-    };
+    let expander = PointExpander::new(analysis, &[]);
+    let to_item = |p: &IVec| expander.item(p);
     let mut phases = Vec::new();
     for k in order {
         let role = class_ids[k];

@@ -25,8 +25,8 @@
 
 use rcp_bench::baseline::diff_against_baseline;
 use rcp_bench::experiments::{
-    analysis_pipeline, calibrated_model, corpus_table, ex1_partition, ex2_facts, ex3_facts,
-    ex4_dataflow, fig1_dependences, fig2_chains, fig3_ex1, fig3_ex2, fig3_ex3, fig3_ex4,
+    ablation, analysis_pipeline, calibrated_model, corpus_table, ex1_partition, ex2_facts,
+    ex3_facts, ex4_dataflow, fig1_dependences, fig2_chains, fig3_ex1, fig3_ex2, fig3_ex3, fig3_ex4,
     fuzz_experiment, guard_overhead, loop_corpus, measured_speedups, scaling_experiment,
     server_experiment, symbolic_experiment, theorem1_table, trace_overhead, ExperimentReport,
 };
@@ -121,6 +121,11 @@ fn main() {
             "fig3-ex4",
             false,
             Box::new(move || fig3_ex4(&model, cholesky, threads)),
+        ),
+        exp(
+            "ablation",
+            false,
+            Box::new(move || ablation(&model, 60, 80, threads)),
         ),
         exp("theorem1", false, Box::new(theorem1_table)),
         exp("corpus", false, Box::new(loop_corpus)),

@@ -18,8 +18,8 @@ use crate::speedup::{phases_speedup, PhaseShape, SpeedupFigure, SpeedupSeries};
 use rcp_baselines::doacross_plan;
 use rcp_codegen::{generate_listing, Schedule};
 use rcp_core::{
-    concrete_partition, dataflow_stage_sizes, longest_chain, monotonic_chains, symbolic_plan,
-    ConcretePartition, DenseThreeSet,
+    concrete_partition, concrete_partition_from_dense, dataflow_partition, dataflow_stage_sizes,
+    longest_chain, monotonic_chains, symbolic_plan, ConcretePartition, DenseThreeSet,
 };
 use rcp_depend::{trace_dependence_graph, DependenceAnalysis, Granularity};
 use rcp_json::{json, Json, ToJson};
@@ -616,14 +616,58 @@ pub fn measured_speedups(
     )
 }
 
+/// One load → analyze → partition run of example 1 on one thread, the
+/// workload the `guard` and `trace` overhead gates time; `budget` sets an
+/// unbounded session work budget, which installs a guard per stage.
+fn example1_pipeline(n1: i64, n2: i64, budget: bool) {
+    let mut config = Config::new()
+        .with_param("N1", n1)
+        .with_param("N2", n2)
+        .with_threads(1);
+    if budget {
+        config = config.with_work_budget(u64::MAX);
+    }
+    let stage = Session::with_config(config)
+        .load(example1())
+        .expect("example 1 loads")
+        .partition()
+        .expect("example 1 partitions");
+    std::hint::black_box(stage.partition().stats());
+}
+
+/// The work units one warm [`example1_pipeline`] run charges, read from a
+/// thread-scoped counting guard.  The caches are reset and warmed by one
+/// run first, so the count is deterministic and matches the warm runs the
+/// gates time.  The counted run has no session budget: a budgeted session
+/// installs its own guard per stage, so an outer guard would count
+/// nothing, while without one the same checkpoints charge the outer
+/// guard.  Panics on a zero count, so an overhead gate can never pass by
+/// measuring nothing.
+fn pipeline_ticks(n1: i64, n2: i64) -> u64 {
+    use rcp_guard::{BudgetSpec, Guard};
+    rcp_intlin::reset_solver_cache();
+    rcp_presburger::reset_emptiness_cache();
+    example1_pipeline(n1, n2, false);
+    let counter = Guard::new(BudgetSpec::default());
+    let ticks = rcp_guard::scope(&counter, || {
+        example1_pipeline(n1, n2, false);
+        counter.work_spent()
+    });
+    assert!(
+        ticks > 0,
+        "the pipeline charged no work units: the overhead gate would measure nothing"
+    );
+    ticks
+}
+
 /// E-GUARD — budget-check overhead of the guarded session pipeline.
 ///
 /// A/B wall-clock differencing cannot resolve a sub-1% effect on a shared
 /// single-CPU runner, so the overhead is computed analytically from two
 /// stable measurements: the cost of one `rcp_guard::tick` checkpoint (a
 /// tight-loop microbenchmark against a live guard) and the exact number of
-/// work units one load → analyze → partition run charges (read back from
-/// the guard's own counter, deterministic).  Overhead is then
+/// work units one load → analyze → partition run charges
+/// (`pipeline_ticks`, deterministic).  Overhead is then
 /// `ticks × per-tick cost / pipeline time`.
 ///
 /// The series payload carries the throughput ratio
@@ -637,38 +681,19 @@ pub fn guard_overhead(quick: bool) -> ExperimentReport {
     let (n1, n2) = if quick { (30, 30) } else { (60, 60) };
     let passes = if quick { 7 } else { 11 };
 
-    let pipeline = || {
-        let config = Config::new()
-            .with_param("N1", n1)
-            .with_param("N2", n2)
-            .with_threads(1)
-            .with_work_budget(u64::MAX);
-        let session = Session::with_config(config);
-        let stage = session
-            .load(example1())
-            .expect("example 1 loads")
-            .partition()
-            .expect("example 1 partitions");
-        std::hint::black_box(stage.partition().stats());
-    };
+    // 1. How many work units one pipeline run charges — deterministic for
+    //    a fixed workload.
+    let ticks = pipeline_ticks(n1, n2);
 
-    // 1. How many work units one pipeline run charges, from the guard's
-    //    own counter — deterministic for a fixed workload.
-    let counter = Guard::new(BudgetSpec::default());
-    let ticks = rcp_guard::scope(&counter, || {
-        pipeline();
-        counter.work_spent()
-    });
-
-    // 2. The wall-clock of one pipeline run (best-of-`passes` minimum;
-    //    noise is strictly additive).  The budget is live here too, so the
+    // 2. The wall-clock of one pipeline run with a live session budget
+    //    (best-of-`passes` minimum; noise is strictly additive).  The
     //    measured time already *contains* the checkpoint cost — the
     //    overhead estimate errs high, never low.
-    pipeline();
+    example1_pipeline(n1, n2, true);
     let pipeline_ms = (0..passes)
         .map(|_| {
             let start = Instant::now();
-            pipeline();
+            example1_pipeline(n1, n2, true);
             start.elapsed().as_secs_f64() * 1e3
         })
         .fold(f64::INFINITY, f64::min);
@@ -726,8 +751,7 @@ pub fn guard_overhead(quick: bool) -> ExperimentReport {
 /// sub-1% effect on a shared runner, so the overhead is computed
 /// analytically: the number of instrumentation events one load → analyze
 /// → partition run fires (span entries counted exactly from one traced
-/// run; checkpoint loads bounded above by the work-unit total of a
-/// thread-scoped guard, so concurrent activity cannot leak in and the
+/// run; checkpoint loads bounded above by `pipeline_ticks`, so the
 /// estimate errs high, never low) times the microbenched cost of one
 /// *disabled* `span!` site, over the pipeline wall clock with tracing
 /// off — the shipped default.
@@ -737,36 +761,12 @@ pub fn guard_overhead(quick: bool) -> ExperimentReport {
 /// than 1%, so the committed `BENCH_results.json` baseline turns
 /// instrumentation-cost creep into a CI regression.
 pub fn trace_overhead(quick: bool) -> ExperimentReport {
-    use rcp_guard::{BudgetSpec, Guard};
-
     let (n1, n2) = if quick { (30, 30) } else { (60, 60) };
     let passes = if quick { 7 } else { 11 };
 
-    let pipeline = |budget: bool| {
-        let mut config = Config::new()
-            .with_param("N1", n1)
-            .with_param("N2", n2)
-            .with_threads(1);
-        if budget {
-            config = config.with_work_budget(u64::MAX);
-        }
-        let session = Session::with_config(config);
-        let stage = session
-            .load(example1())
-            .expect("example 1 loads")
-            .partition()
-            .expect("example 1 partitions");
-        std::hint::black_box(stage.partition().stats());
-    };
-
     // 1a. Checkpoint loads per run, bounded above by the work units one
-    //     run charges (bulk charges tick once but count per unit): read
-    //     from a thread-scoped guard, deterministic for a fixed workload.
-    let counter = Guard::new(BudgetSpec::default());
-    let ticks = rcp_guard::scope(&counter, || {
-        pipeline(true);
-        counter.work_spent()
-    });
+    //     run charges (bulk charges tick once but count per unit).
+    let ticks = pipeline_ticks(n1, n2);
 
     // 1b. Span entries per run, counted exactly from one traced run (the
     //     workload is single-threaded, so the count is deterministic).
@@ -778,19 +778,23 @@ pub fn trace_overhead(quick: bool) -> ExperimentReport {
     }
     rcp_trace::reset_spans();
     rcp_trace::set_enabled(true);
-    pipeline(false);
+    example1_pipeline(n1, n2, false);
     rcp_trace::set_enabled(false);
     let spans = span_count(&rcp_trace::span_tree());
     rcp_trace::reset_spans();
+    assert!(
+        spans > 0,
+        "the traced pipeline fired no span: the gate would measure nothing"
+    );
     let events = ticks + spans;
 
     // 2. The wall clock of one pipeline run with tracing disabled — the
     //    shipped default (best-of-`passes` minimum; noise is additive).
-    pipeline(false);
+    example1_pipeline(n1, n2, false);
     let pipeline_ms = (0..passes)
         .map(|_| {
             let start = Instant::now();
-            pipeline(false);
+            example1_pipeline(n1, n2, false);
             start.elapsed().as_secs_f64() * 1e3
         })
         .fold(f64::INFINITY, f64::min);
@@ -1212,6 +1216,60 @@ pub fn scaling_experiment(quick: bool) -> ExperimentReport {
         "Pair-space screening on full statement-level Cholesky (NMAT up to 250)",
         text,
         json!(rows),
+    )
+}
+
+/// E-ABL — ablation of the paper's contribution on example 1: the
+/// three-set partition with WHILE recurrence chains against pure
+/// successive dataflow partitioning of the same loop — barrier phases,
+/// critical path in work items, and modelled speedup at `threads`.
+pub fn ablation(model: &CostModel, n1: i64, n2: i64, threads: usize) -> ExperimentReport {
+    let analysis = DependenceAnalysis::loop_level(&example1());
+    let (phi, rel) = analysis.bind_params(&[n1, n2]);
+    let phi = DenseSet::from_union(&phi);
+    let rd = DenseRelation::from_relation(&rel);
+    let rec = concrete_partition_from_dense(&analysis, &phi, &rd);
+    let dataflow = ConcretePartition::Dataflow {
+        stages: dataflow_partition(&phi, &rd),
+    };
+    let schedules = [
+        ("REC", Schedule::from_partition(&analysis, &rec, "rec")),
+        (
+            "pure-dataflow",
+            Schedule::from_partition(&analysis, &dataflow, "dataflow"),
+        ),
+    ];
+    let mut text = format!(
+        "example 1, N1={n1}, N2={n2}\n{:<14} {:>7} {:>14}  modelled {threads}-thread speedup\n",
+        "scheme", "phases", "critical path"
+    );
+    let mut series = Vec::new();
+    for (name, schedule) in &schedules {
+        let speedup = model.speedup(schedule, threads);
+        text.push_str(&format!(
+            "{:<14} {:>7} {:>14}  {:.2}x\n",
+            name,
+            schedule.n_phases(),
+            schedule.critical_path(),
+            speedup
+        ));
+        series.push(json!({
+            "scheme": *name,
+            "phases": schedule.n_phases(),
+            "critical_path": schedule.critical_path(),
+            "speedup": speedup,
+        }));
+    }
+    let data = json!({
+        "workload": format!("example 1, N1={n1}, N2={n2}"),
+        "threads": threads,
+        "schemes": series,
+    });
+    ExperimentReport::new(
+        "ablation",
+        "Ablation: recurrence chains vs pure dataflow partitioning (example 1)",
+        text,
+        data,
     )
 }
 
@@ -2070,6 +2128,18 @@ mod tests {
         }
         // Paper scale is present and completed.
         assert!(rows.iter().any(|r| r["nmat"].as_i64() == Some(250)));
+    }
+
+    #[test]
+    fn ablation_reports_both_schemes() {
+        let report = ablation(&CostModel::default(), 20, 30, 4);
+        let schemes = report.data["schemes"].as_array().unwrap();
+        let names: Vec<_> = schemes.iter().map(|s| s["scheme"].as_str()).collect();
+        assert_eq!(names, [Some("REC"), Some("pure-dataflow")]);
+        for scheme in schemes {
+            assert!(scheme["phases"].as_u64().unwrap() > 0);
+            assert!(scheme["speedup"].as_f64().unwrap() > 1.0);
+        }
     }
 
     #[test]

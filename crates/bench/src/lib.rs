@@ -12,8 +12,9 @@
 //! * [`selection`] — experiment-selector resolution for `paper_results`
 //!   (duplicate ids collapse, unknown ids are rejected with the registry).
 //! * the `paper_results` binary drives everything and is what EXPERIMENTS.md
-//!   records; `cargo bench` runs the Criterion micro-benchmarks measuring
-//!   the cost of the analyses and partitioning algorithms themselves.
+//!   records.  The per-layer cost of the analyses, partitioning and
+//!   schedule construction themselves is measured by the repository
+//!   benchmark under `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

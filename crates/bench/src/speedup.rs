@@ -9,7 +9,9 @@
 
 use rcp_codegen::Schedule;
 use rcp_json::{json, Json};
-use rcp_runtime::{execute_sequential, makespan, CostModel, Kernel, ParallelExecutor};
+use rcp_runtime::{
+    execute_sequential, makespan, CostModel, Kernel, ParallelExecutor, Verification,
+};
 use std::time::Instant;
 
 /// One curve of a speedup plot.
@@ -155,11 +157,12 @@ impl MeasuredSeries {
 /// Every timing is the best of `reps` runs (minimum is the standard
 /// estimator for wall-clock microbenchmarks — noise is strictly additive).
 /// Verification per thread count: one untimed execution runs with race
-/// detection on, and every timed execution's store is compared bit-for-bit
-/// against the sequential store (the comparison happens outside the timed
-/// window).  Timed runs themselves use the trusted-schedule fast path, so
-/// a race that only manifests under a timed run's interleaving shows up as
-/// a store mismatch rather than a reported race.  Both executors get a
+/// detection on, and every execution is checked against the sequential
+/// store by [`Verification::check`], bit for bit (the check happens
+/// outside the timed window).  Timed runs themselves use the
+/// trusted-schedule fast path, so a race that only manifests under a timed
+/// run's interleaving shows up as a store mismatch rather than a reported
+/// race.  Both executors get a
 /// cost model calibrated from the sequential measurement itself, so the
 /// sequential-fallback decision reflects this machine's real per-instance
 /// cost: schedules too small to amortise pool overhead run inline and the
@@ -200,7 +203,7 @@ pub fn measured_speedup(
         let checked = ParallelExecutor::new(threads)
             .with_cost_model(model)
             .execute(parallel, kernel);
-        verified &= checked.race_free() && reference.diff(&checked.store, 0.0).is_empty();
+        verified &= Verification::check(&reference, &checked).passed();
         // …then timed runs on the trusted-schedule fast path (no per-unit
         // race bookkeeping — the configuration real production use would
         // pick once a schedule is validated).
@@ -215,7 +218,7 @@ pub fn measured_speedup(
             let _ = time_sequential(&mut sequential_ns);
             let result = executor.execute(parallel, kernel);
             best = best.min(result.total_time.as_nanos() as f64);
-            verified &= reference.diff(&result.store, 0.0).is_empty();
+            verified &= Verification::check(&reference, &result).passed();
         }
         parallel_ns.push(best);
     }

@@ -1330,7 +1330,11 @@ END
         assert_eq!(r.data["clean"].as_bool(), Some(true));
         assert_eq!(r.data["count"].as_u64(), Some(5));
         assert_eq!(r.data["seed"].as_str(), Some("0xc0ffee"));
-        assert_eq!(r.data["schemes"].as_array().unwrap().len(), 6);
+        // One row per registry scheme plus the plan-instantiate oracle.
+        assert_eq!(
+            r.data["schemes"].as_array().unwrap().len(),
+            rcp_session::scheme_names().len() + 1
+        );
     }
 
     #[test]

@@ -16,4 +16,4 @@ pub mod loopgen;
 pub mod schedule;
 
 pub use loopgen::{doall_nest, doall_nests, generate_listing, while_chain_subroutine};
-pub use schedule::{point_to_item, Phase, Schedule, WorkItem};
+pub use schedule::{Phase, PointExpander, Schedule, WorkItem};

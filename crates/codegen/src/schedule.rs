@@ -8,9 +8,9 @@
 //! into the speedup curves of Figure 3.
 
 use rcp_core::ConcretePartition;
-use rcp_depend::{DependenceAnalysis, Granularity};
+use rcp_depend::{DependenceAnalysis, Granularity, LoopView};
 use rcp_intlin::IVec;
-use rcp_loopir::Program;
+use rcp_loopir::{LoopGroup, Program, UnifiedDecoder};
 use rcp_presburger::DenseSet;
 
 /// One unit of scheduled work: a list of statement instances executed
@@ -98,20 +98,14 @@ impl Schedule {
     }
 
     /// The fully sequential schedule of a program at concrete parameter
-    /// values: every statement instance in lexicographic (program) order as
-    /// one chain.
-    // Panic-hygiene allow: points enumerated from the program's own unified
-    // space always decode back to instances of that program.
-    #[allow(clippy::expect_used)]
+    /// values: every statement instance in program order, as listed by the
+    /// loop interpreter ([`Program::enumerate_instances`]), as one chain.
     pub fn sequential(program: &Program, params: &[i64]) -> Schedule {
-        let phi = program.unified_iteration_space().bind_params(params);
-        let mut items = Vec::new();
-        for point in phi.enumerate() {
-            let (stmt, indices) = program
-                .decode_instance(&point)
-                .expect("phi point decodes to an instance");
-            items.push(WorkItem::single(stmt, indices));
-        }
+        let items = program
+            .enumerate_instances(params)
+            .into_iter()
+            .map(|(stmt, indices)| WorkItem::single(stmt, indices))
+            .collect();
         Schedule {
             name: format!("{}-sequential", program.name),
             phases: vec![Phase::ChainSet(vec![items])],
@@ -145,7 +139,8 @@ impl Schedule {
         params: &[i64],
         name: &str,
     ) -> Schedule {
-        let to_item = |point: &IVec| point_to_item(analysis, params, point);
+        let expander = PointExpander::new(analysis, params);
+        let to_item = |point: &IVec| expander.item(point);
         let mut phases = Vec::new();
         match partition {
             ConcretePartition::RecurrenceChains { p1, chains, p3, .. } => {
@@ -200,13 +195,11 @@ impl Schedule {
     /// Builds a one-phase DOALL schedule from a dense set of points (used by
     /// baseline schemes; direct views only).
     pub fn doall_phase(analysis: &DependenceAnalysis, points: &DenseSet, name: &str) -> Schedule {
+        let expander = PointExpander::new(analysis, &[]);
         Schedule {
             name: name.to_string(),
             phases: vec![Phase::Doall(
-                points
-                    .iter()
-                    .map(|p| point_to_item(analysis, &[], p))
-                    .collect(),
+                points.iter().map(|p| expander.item(p)).collect(),
             )],
         }
     }
@@ -243,25 +236,22 @@ impl Schedule {
     }
 
     /// Checks that this schedule executes exactly the same statement
-    /// instances as the sequential schedule of the program (each exactly
-    /// once).  Returns violated invariants.
+    /// instances as the program in sequential order (each exactly once).
+    /// Returns violated invariants.
     pub fn validate_coverage(&self, program: &Program, params: &[i64]) -> Vec<String> {
         use std::collections::BTreeMap;
-        let mut expected: BTreeMap<(usize, IVec), usize> = BTreeMap::new();
+        let mut scheduled: BTreeMap<(usize, IVec), usize> = BTreeMap::new();
         for item in self.all_items() {
             for inst in &item.instances {
-                *expected.entry(inst.clone()).or_insert(0) += 1;
+                *scheduled.entry(inst.clone()).or_insert(0) += 1;
             }
+        }
+        let mut reference: BTreeMap<(usize, IVec), usize> = BTreeMap::new();
+        for inst in program.enumerate_instances(params) {
+            *reference.entry(inst).or_insert(0) += 1;
         }
         let mut problems = Vec::new();
-        let seq = Schedule::sequential(program, params);
-        let mut reference: BTreeMap<(usize, IVec), usize> = BTreeMap::new();
-        for item in seq.all_items() {
-            for inst in &item.instances {
-                *reference.entry(inst.clone()).or_insert(0) += 1;
-            }
-        }
-        for (inst, &count) in &expected {
+        for (inst, &count) in &scheduled {
             match reference.get(inst) {
                 None => problems.push(format!("instance {:?} is not part of the program", inst)),
                 Some(&c) if c != count => problems.push(format!(
@@ -272,7 +262,7 @@ impl Schedule {
             }
         }
         for inst in reference.keys() {
-            if !expected.contains_key(inst) {
+            if !scheduled.contains_key(inst) {
                 problems.push(format!("instance {:?} is never scheduled", inst));
             }
         }
@@ -292,50 +282,81 @@ impl Schedule {
     }
 }
 
-/// Expands one partition point into a work item according to the analysis
+/// Expands partition points into work items according to the analysis
 /// granularity and view: a loop-level point becomes all statements of the
 /// nest at those indices, an aggregated point the whole body of one prefix
-/// iteration, a statement-level point a single instance.  Public because
-/// structural schedule checks (the differential fuzzer's dependence-respect
-/// oracle) need the same point-to-instances expansion the schedules were
-/// built with.
-// Panic-hygiene allow: partition points come from the same analysis the
-// expansion consults, so the group/instance lookups are invariants.
-#[allow(clippy::expect_used)]
-pub fn point_to_item(analysis: &DependenceAnalysis, params: &[i64], point: &IVec) -> WorkItem {
-    match (analysis.granularity, &analysis.view) {
-        (Granularity::LoopLevel, rcp_depend::LoopView::Groups(groups)) => {
-            // An aggregated point is (group, prefix iteration, padding):
-            // it executes the whole body of that prefix iteration in
-            // program order.
-            let group = groups
-                .iter()
-                .find(|g| g.group as i64 == point[0])
-                .expect("aggregated point names a loop group");
-            let prefix: IVec = point[1..1 + group.depth()].to_vec();
-            WorkItem {
-                instances: analysis
-                    .program
-                    .enumerate_group_instances(group, &prefix, params),
+/// iteration, a statement-level point a single instance.
+///
+/// Build one per schedule: construction reads the program tree once, so
+/// [`Self::item`] never re-walks it per point.  Public because structural
+/// schedule checks (the differential fuzzer's dependence-respect oracle)
+/// need the same point-to-instances expansion the schedules were built
+/// with.
+pub struct PointExpander<'a> {
+    program: &'a Program,
+    params: &'a [i64],
+    expansion: Expansion<'a>,
+}
+
+enum Expansion<'a> {
+    /// Aggregated loop-level points `(group, prefix iteration, padding)`.
+    Groups(&'a [LoopGroup]),
+    /// Loop-level points of a perfect nest with this many statements.
+    Nest(usize),
+    /// Statement-level points of the unified space.
+    Unified(UnifiedDecoder),
+}
+
+impl<'a> PointExpander<'a> {
+    /// The expander of `analysis`'s points at the parameter values
+    /// `params`, which aggregated points need to expand their inner loops
+    /// (unused for direct views).
+    pub fn new(analysis: &'a DependenceAnalysis, params: &'a [i64]) -> Self {
+        let program = &analysis.program;
+        let expansion = match (analysis.granularity, &analysis.view) {
+            (Granularity::LoopLevel, LoopView::Groups(groups)) => Expansion::Groups(groups),
+            (Granularity::LoopLevel, LoopView::Direct) => {
+                Expansion::Nest(program.statements().len())
             }
+            (Granularity::StatementLevel, _) => Expansion::Unified(program.unified_decoder()),
+        };
+        PointExpander {
+            program,
+            params,
+            expansion,
         }
-        (Granularity::LoopLevel, _) => {
-            // A loop-level point is an iteration of the perfect nest: all
-            // statements of the nest execute at these indices, in order.
-            let instances = analysis
-                .program
-                .statements()
-                .iter()
-                .map(|info| (info.id, point.clone()))
-                .collect();
-            WorkItem { instances }
-        }
-        (Granularity::StatementLevel, _) => {
-            let (stmt, indices) = analysis
-                .program
-                .decode_instance(point)
-                .expect("partition point decodes to a statement instance");
-            WorkItem::single(stmt, indices)
+    }
+
+    /// The work item of one partition point.
+    // Panic-hygiene allow: partition points come from the same analysis the
+    // expander was built from, so the group/instance lookups are invariants.
+    #[allow(clippy::expect_used)]
+    pub fn item(&self, point: &IVec) -> WorkItem {
+        match &self.expansion {
+            Expansion::Groups(groups) => {
+                // An aggregated point executes the whole body of one
+                // prefix iteration in program order.
+                let group = groups
+                    .iter()
+                    .find(|g| g.group as i64 == point[0])
+                    .expect("aggregated point names a loop group");
+                let prefix = &point[1..1 + group.depth()];
+                WorkItem {
+                    instances: self
+                        .program
+                        .enumerate_group_instances(group, prefix, self.params),
+                }
+            }
+            // All statements of the nest execute at these indices, in order.
+            Expansion::Nest(statements) => WorkItem {
+                instances: (0..*statements).map(|id| (id, point.clone())).collect(),
+            },
+            Expansion::Unified(decoder) => {
+                let (stmt, indices) = decoder
+                    .decode(point)
+                    .expect("partition point decodes to a statement instance");
+                WorkItem::single(stmt, indices)
+            }
         }
     }
 }

@@ -30,7 +30,7 @@
 use std::time::{Duration, Instant};
 
 use rcp_loopir::Program;
-use rcp_runtime::{execute_sequential, ArrayStore, RefKernel};
+use rcp_runtime::{execute_sequential, ArrayStore, RefKernel, Verification};
 use rcp_session::{Config, Session};
 use rcp_workloads::BUNDLED_LOOPS;
 
@@ -294,15 +294,11 @@ fn drive(program: &Program, params: &[(String, i64)], reference: &ArrayStore) ->
             ChaosVerdict::TypedError(e.to_string())
         }
         Ok(result) => {
-            let mismatches = reference.diff(&result.store, 0.0);
-            if !mismatches.is_empty() || !result.races.is_empty() {
-                ChaosVerdict::Failed(format!(
-                    "{} store mismatch(es), {} race(s) vs the reference under an injected fault",
-                    mismatches.len(),
-                    result.races.len()
-                ))
-            } else {
+            let check = Verification::check(reference, &result);
+            if check.passed() {
                 ChaosVerdict::Passed
+            } else {
+                ChaosVerdict::Failed(format!("{check} vs the reference under an injected fault"))
             }
         }
     }

@@ -17,23 +17,23 @@
 //!    published scheme drops or duplicates work.
 //!
 //! 2. **Execution.**  Structurally sound schedules are executed at 1, 2 and
-//!    4 threads and their stores diffed against the sequential store with
-//!    tolerance **zero**.  Any mismatch or detected write-write race is a
-//!    [`Verdict::Discrepancy`].  This still catches genuine analysis bugs:
-//!    if the dependence analysis misses an edge, the schedule passes the
-//!    structural check *against the wrong `Rd`* but the executed store
-//!    diverges from sequential.
+//!    4 threads and checked against the sequential store by
+//!    [`Verification::check`]: bit for bit, race free.  Any mismatch or
+//!    detected write-write race is a [`Verdict::Discrepancy`].  This still
+//!    catches genuine analysis bugs: if the dependence analysis misses an
+//!    edge, the schedule passes the structural check *against the wrong
+//!    `Rd`* but the executed store diverges from sequential.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use rcp_codegen::{point_to_item, Phase, Schedule};
+use rcp_codegen::{Phase, PointExpander, Schedule};
 use rcp_core::{concrete_partition, symbolic_plan};
 use rcp_depend::DependenceAnalysis;
 use rcp_intlin::IVec;
 use rcp_loopir::Program;
 use rcp_presburger::DenseRelation;
-use rcp_runtime::{execute_schedule, execute_sequential, RefKernel};
+use rcp_runtime::{execute_schedule, execute_sequential, RefKernel, Verification};
 use rcp_session::{scheme_names, Config, RcpError, Session};
 
 use crate::generator::generate;
@@ -136,6 +136,7 @@ pub fn ordering_violations(
             }
         }
     }
+    let expander = PointExpander::new(analysis, params);
     let mut violations = 0;
     for (src, dst) in rd.iter() {
         if src == dst {
@@ -143,8 +144,8 @@ pub fn ordering_violations(
             // execution inside a work item.
             continue;
         }
-        let src_item = point_to_item(analysis, params, src);
-        let dst_item = point_to_item(analysis, params, dst);
+        let src_item = expander.item(src);
+        let dst_item = expander.item(dst);
         for si in &src_item.instances {
             for di in &dst_item.instances {
                 if si == di {
@@ -205,17 +206,15 @@ pub fn run_case(program: &Program, params: &[(String, i64)]) -> Result<CaseResul
                     } else {
                         let mut verdict = Verdict::Passed;
                         for threads in FUZZ_THREADS {
-                            let result = execute_schedule(schedule, &kernel, threads);
-                            let mismatches = reference.diff(&result.store, 0.0);
-                            if !mismatches.is_empty() || !result.races.is_empty() {
+                            let check = Verification::check(
+                                &reference,
+                                &execute_schedule(schedule, &kernel, threads),
+                            );
+                            if !check.passed() {
                                 verdict = Verdict::Discrepancy(Discrepancy {
                                     scheme: scheme.to_string(),
                                     threads,
-                                    detail: format!(
-                                        "{} store mismatch(es), {} race(s) vs sequential",
-                                        mismatches.len(),
-                                        result.races.len()
-                                    ),
+                                    detail: format!("{check} vs sequential"),
                                 });
                                 break;
                             }

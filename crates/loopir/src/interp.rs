@@ -1,13 +1,14 @@
 //! Direct interpretation of a loop nest: enumerate statement instances in
 //! program (sequential) order.
 //!
-//! The symbolic route — enumerate the unified statement-level iteration
-//! space and decode each point — is exact but pays the cost of the integer
-//! set machinery.  For large concrete workloads (the Cholesky kernel runs
-//! close to a million statement instances at the paper's parameters) this
-//! module walks the loop tree directly, evaluating the affine bounds with
-//! the symbolic parameters bound to concrete values.  The two routes are
-//! cross-checked in the test-suite.
+//! This is the one builder of program order: the sequential reference
+//! schedule and the schedule coverage check both take their instances
+//! from [`Program::enumerate_instances`], which walks the loop tree with
+//! the symbolic parameters bound to concrete values.  The statement-level
+//! analysis builds `Φ` as the unified space instead; the test-suite
+//! checks on every bundled kernel and on generated nests that the
+//! unified space, enumerated lexicographically and decoded, lists the
+//! same instances in the same order.
 
 use crate::expr::LinExpr;
 use crate::program::{Node, Program};
@@ -168,10 +169,11 @@ mod tests {
         let direct = p.enumerate_instances(&params);
         // route 2: unified space enumeration + decode
         let phi = p.unified_iteration_space().bind_params(&params);
+        let decoder = p.unified_decoder();
         let decoded: Vec<(usize, Vec<i64>)> = phi
             .enumerate()
             .into_iter()
-            .map(|pt| p.decode_instance(&pt).expect("decodes"))
+            .map(|pt| decoder.decode(&pt).expect("decodes"))
             .collect();
         assert_eq!(direct.len(), decoded.len());
         // Same multiset; the unified enumeration is lexicographic, which is

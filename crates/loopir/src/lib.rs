@@ -57,4 +57,4 @@ pub use program::{
     build, AccessKind, ArrayRef, Loop, LoopGroup, Node, Program, Statement, StatementInfo,
     UnboundVariable,
 };
-pub use spaces::AccessMap;
+pub use spaces::{AccessMap, UnifiedDecoder};

@@ -54,6 +54,39 @@ impl AccessMap {
     }
 }
 
+/// The statement position table of a program's unified space, built by
+/// [`Program::unified_decoder`]: decodes points without re-walking the
+/// program tree per point.
+#[derive(Clone, Debug)]
+pub struct UnifiedDecoder {
+    /// Dimension of the unified space, `2·D + 1`.
+    dim: usize,
+    /// The position vector `(s₀, …, s_l)` of each statement, by id.
+    positions: Vec<Vec<i64>>,
+}
+
+impl UnifiedDecoder {
+    /// Decodes a unified index vector into `(statement id, loop index
+    /// values)`.  Returns `None` when the point does not correspond to any
+    /// statement of the program.
+    pub fn decode(&self, point: &[i64]) -> Option<(usize, IVec)> {
+        assert_eq!(point.len(), self.dim, "unified point arity mismatch");
+        self.positions
+            .iter()
+            .enumerate()
+            .find_map(|(id, positions)| {
+                let depth = positions.len() - 1;
+                // Position dims must match, padding dims must be zero.
+                let matches = positions
+                    .iter()
+                    .enumerate()
+                    .all(|(k, &p)| point[2 * k] == p)
+                    && point[2 * depth + 1..].iter().all(|&x| x == 0);
+                matches.then(|| (id, (0..depth).map(|k| point[2 * k + 1]).collect()))
+            })
+    }
+}
+
 impl Program {
     /// The loop-level space of a perfect nest: one dimension per loop index
     /// plus the program parameters.
@@ -161,37 +194,16 @@ impl Program {
         point
     }
 
-    /// Decodes a unified index vector back into `(statement id, loop index
-    /// values)`.  Returns `None` when the point does not correspond to any
-    /// statement of the program.
-    pub fn decode_instance(&self, point: &[i64]) -> Option<(usize, IVec)> {
-        assert_eq!(
-            point.len(),
-            self.unified_dim(),
-            "unified point arity mismatch"
-        );
-        let max_depth = self.max_depth();
-        for info in self.statements() {
-            let depth = info.depth();
-            // position dims must match
-            let positions_match = info
-                .positions
-                .iter()
-                .enumerate()
-                .all(|(k, &p)| point[2 * k] == p);
-            if !positions_match {
-                continue;
-            }
-            // padding dims must be zero
-            let padding_zero =
-                (depth + 1..=max_depth).all(|k| point[2 * k - 1] == 0 && point[2 * k] == 0);
-            if !padding_zero {
-                continue;
-            }
-            let indices: IVec = (0..depth).map(|k| point[2 * k + 1]).collect();
-            return Some((info.id, indices));
+    /// The statement position table that decodes unified index vectors
+    /// back into statement instances (see [`UnifiedDecoder`]).  Build it
+    /// once per schedule or check: each build walks the program tree.
+    pub fn unified_decoder(&self) -> UnifiedDecoder {
+        let statements = self.statements();
+        let max_depth = statements.iter().map(|s| s.depth()).max().unwrap_or(0);
+        UnifiedDecoder {
+            dim: 2 * max_depth + 1,
+            positions: statements.into_iter().map(|s| s.positions).collect(),
         }
-        None
     }
 
     /// The statement-local iteration set: the membership constraints of
@@ -441,14 +453,15 @@ mod tests {
         let pt = p.encode_instance(s1, &[3, 1, 2]);
         assert_eq!(pt, vec![1, 3, 1, 1, 1, 2, 1]);
         assert!(set1.contains(&pt, &[]));
-        assert_eq!(p.decode_instance(&pt), Some((0, vec![3, 1, 2])));
+        let decoder = p.unified_decoder();
+        assert_eq!(decoder.decode(&pt), Some((0, vec![3, 1, 2])));
         let pt2 = p.encode_instance(s2, &[3, 1]);
         assert_eq!(pt2, vec![1, 3, 1, 1, 2, 0, 0]);
-        assert_eq!(p.decode_instance(&pt2), Some((1, vec![3, 1])));
+        assert_eq!(decoder.decode(&pt2), Some((1, vec![3, 1])));
         // lexicographic order encodes program order: S1(3,1,*) before S2(3,1)
         assert!(pt < pt2);
         // a nonsense point decodes to nothing
-        assert_eq!(p.decode_instance(&[9, 1, 1, 1, 1, 1, 1]), None);
+        assert_eq!(decoder.decode(&[9, 1, 1, 1, 1, 1, 1]), None);
     }
 
     #[test]

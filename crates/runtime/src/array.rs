@@ -112,8 +112,12 @@ impl ArrayStore {
     }
 
     /// Compares two stores element-wise; returns the mismatching
-    /// `(array, index, left, right)` tuples (with a small absolute
-    /// tolerance for floating-point accumulation differences).
+    /// `(array, index, left, right)` tuples, those whose values differ by
+    /// more than the absolute `tolerance` (a NaN matches only the same
+    /// bit pattern).  Schedule verification passes
+    /// 0.0 ([`crate::Verification::check`]): a legal schedule computes
+    /// every element with the same operations in the same order as the
+    /// sequential run, so its store matches bit for bit.
     pub fn diff(&self, other: &ArrayStore, tolerance: f64) -> Vec<(String, IVec, f64, f64)> {
         let mut mismatches = Vec::new();
         let mut names: Vec<&String> = self.arrays.keys().chain(other.arrays.keys()).collect();
@@ -130,7 +134,10 @@ impl ArrayStore {
             for idx in indices {
                 let a = left.get(idx);
                 let b = right.get(idx);
-                if (a - b).abs() > tolerance {
+                // A NaN matches only its own bit pattern: the difference
+                // test alone would let it pass.
+                let differ = (a - b).abs() > tolerance || a.is_nan() || b.is_nan();
+                if differ && a.to_bits() != b.to_bits() {
                     mismatches.push((name.clone(), idx.clone(), a, b));
                 }
             }
@@ -256,10 +263,15 @@ mod tests {
         let d = a.diff(&b, 1e-9);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].1, vec![2]);
-        // within tolerance
+        // within tolerance, but not bit for bit
         let mut c = ArrayStore::new();
         c.set("x", &[1], 1.0 + 1e-12);
         assert!(a.diff(&c, 1e-9).is_empty());
+        assert_eq!(a.diff(&c, 0.0).len(), 1);
+        // a NaN matches only itself
+        c.set("x", &[1], f64::NAN);
+        assert_eq!(a.diff(&c, 1e-9).len(), 1);
+        assert!(c.diff(&c, 0.0).is_empty());
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   merges are sharded per-array over the pool, and a cost-model-driven
 //!   sequential fallback (see [`ParallelExecutor::with_sequential_fallback`])
 //!   runs schedules too small to amortise pool overhead inline instead.
-//! * [`verify_schedule`] compares the parallel result against the
-//!   sequential result element-wise.
+//! * [`verify_schedule`] checks the parallel result against the
+//!   sequential result bit for bit ([`Verification::check`]).
 //!
 //! The thread pool is built on `std::thread::scope` with a shared atomic
 //! work queue (dynamic self-scheduling, like OpenMP `schedule(dynamic)`).
@@ -711,8 +711,8 @@ fn run_item(item: &WorkItem, kernel: &dyn Kernel, store: &mut ArrayStore) {
     }
 }
 
-/// The result of verifying a parallel schedule against the sequential
-/// reference.
+/// The verdict on one execution against the sequential reference, built
+/// by [`Verification::check`] — the one verification contract.
 #[derive(Debug)]
 pub struct Verification {
     /// Element-wise mismatches `(array, index, sequential, parallel)`.
@@ -722,15 +722,37 @@ pub struct Verification {
 }
 
 impl Verification {
-    /// True when the parallel execution is equivalent to the sequential one
-    /// and race free.
+    /// Checks one execution against the sequential reference store.  The
+    /// contract is bit for bit (tolerance 0.0) and race free: a legal
+    /// schedule reorders no dependent pair, so its store equals the
+    /// sequential one exactly, and any difference is a miscompile.
+    pub fn check(reference: &ArrayStore, result: &ExecutionResult) -> Verification {
+        Verification {
+            mismatches: reference.diff(&result.store, 0.0),
+            races: result.races.clone(),
+        }
+    }
+
+    /// True when the execution is equivalent to the sequential one and
+    /// race free.
     pub fn passed(&self) -> bool {
         self.mismatches.is_empty() && self.races.is_empty()
     }
 }
 
-/// Runs both the sequential reference and the parallel schedule and compares
-/// the resulting array stores.
+impl std::fmt::Display for Verification {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} store mismatch(es), {} race(s)",
+            self.mismatches.len(),
+            self.races.len()
+        )
+    }
+}
+
+/// Runs the sequential reference and the parallel schedule and checks the
+/// parallel execution against it ([`Verification::check`]).
 pub fn verify_schedule(
     sequential: &Schedule,
     parallel: &Schedule,
@@ -738,11 +760,7 @@ pub fn verify_schedule(
     n_threads: usize,
 ) -> Verification {
     let reference = execute_sequential(sequential, kernel);
-    let result = execute_schedule(parallel, kernel, n_threads);
-    Verification {
-        mismatches: reference.diff(&result.store, 1e-9),
-        races: result.races,
-    }
+    Verification::check(&reference, &execute_schedule(parallel, kernel, n_threads))
 }
 
 #[cfg(test)]
@@ -925,8 +943,7 @@ mod tests {
         let kernel = RefKernel::new(&p);
         let a = execute_sequential(&seq, &kernel);
         let b = ParallelExecutor::new(4).execute(&seq, &kernel);
-        assert!(a.diff(&b.store, 0.0).is_empty());
-        assert!(b.race_free());
+        assert!(Verification::check(&a, &b).passed());
         // Opting out restores the pool path.
         assert!(ParallelExecutor::new(4)
             .with_sequential_fallback(false)
@@ -971,7 +988,6 @@ mod tests {
         let kernel = RefKernel::new(&p);
         let a = execute_sequential(&seq, &kernel);
         let b = execute_schedule(&seq, &kernel, 1);
-        assert!(a.diff(&b.store, 1e-12).is_empty());
-        assert!(b.race_free());
+        assert!(Verification::check(&a, &b).passed());
     }
 }

@@ -571,7 +571,7 @@ pub fn scheduled_for(analyzed: &Analyzed) -> Result<rcp_session::Scheduled, RcpE
 
 /// The `run` report of an already-analysed program at the given parameter
 /// overrides: executes the schedule of the configured scheme and verifies
-/// it element-for-element against the sequential reference.
+/// it bit for bit against the sequential reference.
 pub fn run_report(analyzed: &Analyzed, overrides: &[(String, i64)]) -> Result<Report, RcpError> {
     let scheduled = analyzed.partition_with(overrides)?.schedule()?;
     let program = analyzed.program();
@@ -613,7 +613,7 @@ pub fn run_report(analyzed: &Analyzed, overrides: &[(String, i64)]) -> Result<Re
 }
 
 /// `rcp run`: executes the schedule of the configured scheme and verifies
-/// it element-for-element against the sequential reference.
+/// it bit for bit against the sequential reference.
 pub fn cmd_run(source: &str, origin: &str, opts: &Options) -> Result<Report, RcpError> {
     let analyzed = opts.session().parse(source, origin)?;
     run_report(&analyzed, &[])

@@ -48,7 +48,7 @@ pub use api::{
 
 use std::collections::VecDeque;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -676,6 +676,19 @@ pub struct Server {
     workers: Vec<JoinHandle<()>>,
 }
 
+/// Closes a connection whose request was never read.  Closing a socket
+/// with unread input makes the kernel answer with a reset, which can
+/// destroy the response before the client reads it.  So the write side is
+/// half-closed first and the client's bytes are discarded until it closes
+/// its side — bounded in time and size, because the accept thread waits
+/// here.
+fn linger_close(stream: TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let mut unread = std::io::Read::take(&stream, 64 * 1024);
+    let _ = std::io::copy(&mut unread, &mut std::io::sink());
+}
+
 impl Server {
     /// Binds and starts serving; returns once the listener is live (the
     /// bound address is [`Server::addr`], useful with port `0`).
@@ -718,7 +731,7 @@ impl Server {
                             Ok(()) => {}
                             Err((admission, mut stream)) => {
                                 // Overload answers inline from the accept
-                                // thread, without reading the request: a
+                                // thread, without parsing the request: a
                                 // typed body, never a silently dropped
                                 // connection.
                                 rcp_trace::counter("serve.requests.rejected").inc();
@@ -728,6 +741,7 @@ impl Server {
                                 };
                                 let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
                                 let _ = error_body(status, message).write_to(&mut stream);
+                                linger_close(stream);
                             }
                         }
                     }

@@ -918,7 +918,9 @@ impl Scheduled {
         self.inner.pipeline.as_ref()
     }
 
-    /// The sequential reference schedule (built once, then shared).
+    /// The sequential reference schedule: every statement instance in
+    /// program order, as the loop interpreter lists them (built once, then
+    /// shared).
     pub fn sequential(&self) -> &Schedule {
         self.inner.sequential.get_or_init(|| {
             Schedule::sequential(
@@ -933,9 +935,9 @@ impl Scheduled {
         RefKernel::new(self.inner.partitioned.runtime_program())
     }
 
-    /// Executes the parallel schedule and verifies it element-for-element
-    /// (and race-freedom) against the sequential reference, on the
-    /// configured thread count.
+    /// Executes the parallel schedule on the configured thread count and
+    /// checks it against the sequential reference, bit for bit and race
+    /// free ([`rcp_runtime::Verification::check`]).
     pub fn verify(&self) -> Verification {
         let _span = rcp_trace::span!("session.run");
         let kernel = self.kernel();

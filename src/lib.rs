@@ -101,7 +101,7 @@ pub mod prelude {
     pub use rcp_loopir::{ArrayRef, Program};
     pub use rcp_runtime::{
         execute_schedule, execute_sequential, verify_schedule, ArrayStore, CostModel,
-        ParallelExecutor, RefKernel,
+        ParallelExecutor, RefKernel, Verification,
     };
     pub use rcp_session::{
         registry, scheme_names, Analyzed, Config, DegradationLevel, DegradationReport,

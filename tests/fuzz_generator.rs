@@ -3,11 +3,15 @@
 //! the analysis), and generation plus the whole campaign are deterministic
 //! from the seed.
 
+mod common;
+
+use common::assert_interpreter_matches_unified_space;
 use recurrence_chains::fuzz::{case_seed, generate, run_campaign, CampaignConfig};
 use recurrence_chains::lang::{parse_program, pretty};
 
 /// Satellite property: `parse(pretty(generate(seed))) ==
-/// canonicalize(generate(seed))` over 200 seeds.
+/// canonicalize(generate(seed))` over 200 seeds, and the interpreter
+/// agrees with the unified space on each at its binding.
 #[test]
 fn generator_emits_only_parseable_canonical_programs() {
     for seed in 0..200u64 {
@@ -24,6 +28,11 @@ fn generator_emits_only_parseable_canonical_programs() {
         case.program
             .check_variables()
             .unwrap_or_else(|e| panic!("seed {seed}: unbound variable: {e}"));
+        assert_interpreter_matches_unified_space(
+            &case.program,
+            &case.values(),
+            &format!("seed {seed}"),
+        );
     }
 }
 

@@ -10,6 +10,9 @@
 //! this degenerates to `parse(pretty(p)) == p`, and canonical sources
 //! are fixed points of `pretty ∘ parse`.
 
+mod common;
+
+use common::assert_interpreter_matches_unified_space;
 use recurrence_chains::lang::{parse_program, pretty, SourcePos};
 use recurrence_chains::loopir::{Node, Program};
 use recurrence_chains::workloads::{self, SmallRng, BUNDLED_LOOPS};
@@ -145,6 +148,8 @@ fn bundled_sources_are_canonical_fixed_points() {
     for bundled in BUNDLED_LOOPS {
         let program = bundled.program();
         assert_round_trips(&program);
+        let values: Vec<i64> = bundled.survey_params.iter().map(|(_, v)| *v).collect();
+        assert_interpreter_matches_unified_space(&program, &values, bundled.name);
     }
 }
 

@@ -89,7 +89,9 @@ fn lu_partitions_validly_at_loop_granularity() {
 
 #[test]
 fn aggregated_schedules_match_sequential_at_every_thread_count() {
-    use recurrence_chains::runtime::{execute_schedule, execute_sequential, RefKernel};
+    use recurrence_chains::runtime::{
+        execute_schedule, execute_sequential, RefKernel, Verification,
+    };
     for (name, params) in [
         ("mvt", vec![("N", 5)]),
         ("jacobi1d", vec![("TSTEPS", 4), ("N", 10)]),
@@ -108,12 +110,11 @@ fn aggregated_schedules_match_sequential_at_every_thread_count() {
         );
         let reference = execute_sequential(&sequential, &kernel);
         for threads in [1usize, 2, 4] {
-            let result = execute_schedule(scheduled.schedule(), &kernel, threads);
-            assert!(result.races.is_empty(), "{name}: races at {threads}");
-            assert!(
-                reference.diff(&result.store, 1e-9).is_empty(),
-                "{name}: stores diverge at {threads} threads"
+            let check = Verification::check(
+                &reference,
+                &execute_schedule(scheduled.schedule(), &kernel, threads),
             );
+            assert!(check.passed(), "{name}: {check} at {threads} threads");
         }
     }
 }

@@ -164,15 +164,10 @@ fn parallel_executor_is_bit_identical_on_the_corpus() {
         let reference = execute_sequential(&sequential, &kernel);
         for (threads, min_batch) in [(1, 1), (2, 1), (3, 4), (4, 1024)] {
             let executor = ParallelExecutor::new(threads).with_min_batch_instances(min_batch);
-            let result = executor.execute(&schedule, &kernel);
+            let check = Verification::check(&reference, &executor.execute(&schedule, &kernel));
             assert!(
-                result.race_free(),
-                "corpus case {case}: race with {threads} threads"
-            );
-            // Bit-identical: zero tolerance in the comparison.
-            assert!(
-                reference.diff(&result.store, 0.0).is_empty(),
-                "corpus case {case}: parallel result differs with {threads} threads"
+                check.passed(),
+                "corpus case {case}: {check} with {threads} threads"
             );
             executed += 1;
         }

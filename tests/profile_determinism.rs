@@ -13,6 +13,18 @@
 use rcp_json::Json;
 use recurrence_chains::cli::{run_command, scrub_profile, Options};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
+
+/// Each profiled run resets and reads the process-global trace registry,
+/// so the tests of this file hold this lock across their profiled calls:
+/// under the parallel test runner they would otherwise count each other's
+/// spans and counters.
+fn trace_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A test that panicked while holding the lock leaves nothing to repair:
+    // every profiled run starts by resetting the registry.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn example1() -> (String, String) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/loops/example1.loop");
@@ -48,8 +60,13 @@ fn profiled_analyze() -> Json {
 
 #[test]
 fn scrubbed_profiles_are_identical_across_runs_and_match_the_golden() {
-    let first = scrub_profile(&profiled_analyze());
-    let second = scrub_profile(&profiled_analyze());
+    let (first, second) = {
+        let _lock = trace_lock();
+        (
+            scrub_profile(&profiled_analyze()),
+            scrub_profile(&profiled_analyze()),
+        )
+    };
     assert_eq!(
         first.pretty(),
         second.pretty(),
@@ -79,7 +96,10 @@ fn scrubbed_profiles_are_identical_across_runs_and_match_the_golden() {
 
 #[test]
 fn scrub_only_touches_wall_ms() {
-    let profile = profiled_analyze();
+    let profile = {
+        let _lock = trace_lock();
+        profiled_analyze()
+    };
     let scrubbed = scrub_profile(&profile);
     // Counters and gauges survive scrubbing bit-for-bit.
     for section in ["counters", "gauges"] {

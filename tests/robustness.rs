@@ -181,7 +181,7 @@ fn a_bounded_session_walks_the_ladder_and_stays_sound() {
         .execute_checked()
         .unwrap();
     assert!(
-        degraded.diff(&exact.store, 0.0).is_empty(),
+        Verification::check(&degraded, &exact).passed(),
         "the sequential rung must be bit-identical to the exact run"
     );
 }

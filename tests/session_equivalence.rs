@@ -16,7 +16,7 @@ use recurrence_chains::core::{concrete_partition_from_dense, ConcretePartition};
 use recurrence_chains::depend::{DependenceAnalysis, Granularity};
 use recurrence_chains::loopir::Program;
 use recurrence_chains::presburger::{DenseRelation, DenseSet};
-use recurrence_chains::runtime::{execute_schedule, execute_sequential, RefKernel};
+use recurrence_chains::runtime::{execute_schedule, execute_sequential, RefKernel, Verification};
 use recurrence_chains::session::{Config, Session};
 use recurrence_chains::workloads::{
     example1, example2, example3, example4_cholesky, figure2, random_nest, SmallRng,
@@ -138,15 +138,11 @@ fn assert_equivalent(name: &str, program: &Program, values: &[(&str, i64)]) {
     let sequential = Schedule::sequential(stage.runtime_program(), stage.runtime_values());
     let reference = execute_sequential(&sequential, &kernel);
     for threads in [1usize, 2, 4] {
-        let result = execute_schedule(scheduled.schedule(), &kernel, threads);
-        assert!(
-            result.races.is_empty(),
-            "{name}: races at {threads} threads"
+        let check = Verification::check(
+            &reference,
+            &execute_schedule(scheduled.schedule(), &kernel, threads),
         );
-        assert!(
-            reference.diff(&result.store, 1e-9).is_empty(),
-            "{name}: stores diverge at {threads} threads"
-        );
+        assert!(check.passed(), "{name}: {check} at {threads} threads");
     }
 }
 

@@ -14,7 +14,7 @@ use recurrence_chains::codegen::Schedule;
 use recurrence_chains::core::{concrete_partition, symbolic_plan};
 use recurrence_chains::depend::DependenceAnalysis;
 use recurrence_chains::loopir::Program;
-use recurrence_chains::runtime::{execute_schedule, execute_sequential, RefKernel};
+use recurrence_chains::runtime::{execute_schedule, execute_sequential, RefKernel, Verification};
 use recurrence_chains::session::{Config, Session};
 use recurrence_chains::workloads::{
     example1, example2, example3, random_nest, uniform_chain, SmallRng,
@@ -70,14 +70,13 @@ fn assert_replay_identical(name: &str, program: &Program, values: &[(&str, i64)]
     let sequential = Schedule::sequential(stage.runtime_program(), stage.runtime_values());
     let reference = execute_sequential(&sequential, &kernel);
     for threads in [1usize, 2, 4] {
-        let result = execute_schedule(scheduled.schedule(), &kernel, threads);
-        assert!(
-            result.races.is_empty(),
-            "{name} at {values:?}: races at {threads} threads"
+        let check = Verification::check(
+            &reference,
+            &execute_schedule(scheduled.schedule(), &kernel, threads),
         );
         assert!(
-            reference.diff(&result.store, 0.0).is_empty(),
-            "{name} at {values:?}: stores diverge at {threads} threads"
+            check.passed(),
+            "{name} at {values:?}: {check} at {threads} threads"
         );
     }
 }
