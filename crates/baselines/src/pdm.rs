@@ -124,6 +124,38 @@ fn is_non_negative_combination(target: &IVec, vectors: &[&IVec]) -> bool {
     rec(target, vectors, 64)
 }
 
+/// The classes of `phi` connected by the given offsets (`i ~ i + v` for
+/// every offset `v`), as point ids of `phi`: each class in increasing id
+/// (lexicographic) order, the classes in the order of their union-find
+/// roots.
+pub(crate) fn offset_classes(phi: &DenseSet, offsets: &[IVec]) -> Vec<Vec<usize>> {
+    let mut parent: Vec<usize> = (0..phi.len()).collect();
+    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
+        if parent[x] != x {
+            let root = find(parent, parent[x]);
+            parent[x] = root;
+        }
+        parent[x]
+    }
+    for (k, p) in phi.iter().enumerate() {
+        for v in offsets {
+            if let Some(j) = phi.index_of(&add(p, v)) {
+                let a = find(&mut parent, k);
+                let b = find(&mut parent, j);
+                if a != b {
+                    parent[a] = b;
+                }
+            }
+        }
+    }
+    let mut classes: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for k in 0..phi.len() {
+        let root = find(&mut parent, k);
+        classes.entry(root).or_default().push(k);
+    }
+    classes.into_values().collect()
+}
+
 /// The PDM partitioning of a loop: iterations grouped into lattice classes,
 /// each class a sequential chain, all classes in parallel.
 pub fn pdm_schedule(
@@ -138,43 +170,10 @@ pub fn pdm_schedule(
         "the PDM baseline operates on perfect loop nests"
     );
     let pdm = PseudoDistanceMatrix::from_distances(&distance_set(rd));
-    // Union-find over iterations: connect i with i + v for every PDM vector.
-    let points: Vec<IVec> = phi.iter().cloned().collect();
-    let index: BTreeMap<IVec, usize> = points.iter().cloned().zip(0..).collect();
-    let mut parent: Vec<usize> = (0..points.len()).collect();
-    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-        if parent[x] != x {
-            let root = find(parent, parent[x]);
-            parent[x] = root;
-        }
-        parent[x]
-    }
-    for (k, p) in points.iter().enumerate() {
-        for vdist in &pdm.vectors {
-            let q = add(p, vdist);
-            if let Some(&j) = index.get(&q) {
-                let a = find(&mut parent, k);
-                let b = find(&mut parent, j);
-                if a != b {
-                    parent[a] = b;
-                }
-            }
-        }
-    }
-    let mut classes: BTreeMap<usize, Vec<IVec>> = BTreeMap::new();
-    for (k, p) in points.iter().enumerate() {
-        let root = find(&mut parent, k);
-        classes.entry(root).or_default().push(p.clone());
-    }
     let expander = PointExpander::new(analysis, &[]);
-    let to_item = |p: &IVec| expander.item(p);
-    let chains: Vec<Vec<WorkItem>> = classes
-        .values()
-        .map(|pts| {
-            let mut sorted = pts.clone();
-            sorted.sort();
-            sorted.iter().map(to_item).collect()
-        })
+    let chains: Vec<Vec<WorkItem>> = offset_classes(phi, &pdm.vectors)
+        .iter()
+        .map(|ids| ids.iter().map(|&k| expander.item(phi.point(k))).collect())
         .collect();
     let schedule = Schedule {
         name: name.to_string(),

@@ -9,11 +9,10 @@
 //! original method cannot be applied and the loop stays sequential — which
 //! is exactly why PL is the weakest line of Figure 3 (Example 1).
 
+use crate::pdm::offset_classes;
 use rcp_codegen::{Phase, PointExpander, Schedule, WorkItem};
 use rcp_depend::{classify_uniformity, distance_set, DependenceAnalysis, Uniformity};
-use rcp_intlin::{add, IVec};
 use rcp_presburger::{DenseRelation, DenseSet};
-use std::collections::BTreeMap;
 
 /// The PL partitioning: independent chains for uniform loops, the original
 /// sequential order otherwise.
@@ -24,7 +23,7 @@ pub fn pl_schedule(
     name: &str,
 ) -> Schedule {
     let expander = PointExpander::new(analysis, &[]);
-    let to_item = |p: &IVec| expander.item(p);
+    let to_item = |p: &[i64]| expander.item(p);
     match classify_uniformity(rd, phi) {
         Uniformity::Independent => {
             // no dependences at all: a single DOALL
@@ -35,41 +34,9 @@ pub fn pl_schedule(
         }
         Uniformity::Uniform => {
             // group iterations into classes connected by the true distances
-            let distances = distance_set(rd);
-            let points: Vec<IVec> = phi.iter().cloned().collect();
-            let index: BTreeMap<IVec, usize> = points.iter().cloned().zip(0..).collect();
-            let mut parent: Vec<usize> = (0..points.len()).collect();
-            fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-                if parent[x] != x {
-                    let root = find(parent, parent[x]);
-                    parent[x] = root;
-                }
-                parent[x]
-            }
-            for (k, p) in points.iter().enumerate() {
-                for d in &distances {
-                    let q = add(p, d);
-                    if let Some(&j) = index.get(&q) {
-                        let a = find(&mut parent, k);
-                        let b = find(&mut parent, j);
-                        if a != b {
-                            parent[a] = b;
-                        }
-                    }
-                }
-            }
-            let mut classes: BTreeMap<usize, Vec<IVec>> = BTreeMap::new();
-            for (k, p) in points.iter().enumerate() {
-                let root = find(&mut parent, k);
-                classes.entry(root).or_default().push(p.clone());
-            }
-            let chains: Vec<Vec<WorkItem>> = classes
-                .values()
-                .map(|pts| {
-                    let mut sorted = pts.clone();
-                    sorted.sort();
-                    sorted.iter().map(to_item).collect()
-                })
+            let chains: Vec<Vec<WorkItem>> = offset_classes(phi, &distance_set(rd))
+                .iter()
+                .map(|ids| ids.iter().map(|&k| to_item(phi.point(k))).collect())
                 .collect();
             Schedule {
                 name: name.to_string(),

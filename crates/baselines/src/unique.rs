@@ -19,7 +19,6 @@
 
 use rcp_codegen::{Phase, PointExpander, Schedule, WorkItem};
 use rcp_depend::DependenceAnalysis;
-use rcp_intlin::IVec;
 use rcp_loopir::AccessKind;
 use rcp_presburger::{DenseRelation, DenseSet};
 use std::collections::BTreeMap;
@@ -41,10 +40,6 @@ struct Role {
 /// sets exists and the published scheme does not apply (differential
 /// fuzzing surfaced such nests; they previously tripped an internal
 /// assertion).
-// Panic-hygiene allow: `roles` was seeded with every point of `phi` and
-// `rd.iter()` only yields endpoints inside `phi`, so the lookups are
-// invariants.
-#[allow(clippy::unwrap_used)]
 pub fn unique_sets_schedule(
     analysis: &DependenceAnalysis,
     phi: &DenseSet,
@@ -61,9 +56,13 @@ pub fn unique_sets_schedule(
         .iter()
         .find(|r| r.kind == AccessKind::Write)
         .map(|r| analysis.program.loop_access(info, r));
-    let mut roles: BTreeMap<IVec, Role> =
-        phi.iter().map(|p| (p.clone(), Role::default())).collect();
-    for (src, dst) in rd.iter() {
+    // Roles and classes are kept per point id of `phi`; `rd` lies inside
+    // `phi`, so every dependence is an edge between two ids.
+    let pairs = rd.edges_within(phi);
+    let mut roles = vec![Role::default(); phi.len()];
+    for &(s, d) in &pairs {
+        let (s, d) = (s as usize, d as usize);
+        let (src, dst) = (phi.point(s), phi.point(d));
         // The dependence is a flow dependence when the source's write maps to
         // the same element as the sink's read; with a single pair the source
         // of a forward dependence acts as writer iff its write address equals
@@ -85,33 +84,34 @@ pub fn unique_sets_schedule(
             })
             .unwrap_or(false);
         if is_flow {
-            roles.get_mut(src).unwrap().flow_source = true;
-            roles.get_mut(dst).unwrap().flow_sink = true;
+            roles[s].flow_source = true;
+            roles[d].flow_sink = true;
         } else {
-            roles.get_mut(src).unwrap().anti_source = true;
-            roles.get_mut(dst).unwrap().anti_sink = true;
+            roles[s].anti_source = true;
+            roles[d].anti_sink = true;
         }
     }
     // Group iterations by role signature; iterations with no role form the
     // "independent" class scheduled first.
-    let mut classes: BTreeMap<Role, Vec<IVec>> = BTreeMap::new();
-    for (p, role) in &roles {
-        classes.entry(*role).or_default().push(p.clone());
+    let mut classes: BTreeMap<Role, Vec<usize>> = BTreeMap::new();
+    for (p, role) in roles.iter().enumerate() {
+        classes.entry(*role).or_default().push(p);
     }
     // Topological ordering of the classes: a class must run after another if
     // any dependence points from the other into it.
     let class_ids: Vec<Role> = classes.keys().copied().collect();
-    let class_of: BTreeMap<IVec, usize> = classes
-        .iter()
-        .enumerate()
-        .flat_map(|(k, (_, pts))| pts.iter().map(move |p| (p.clone(), k)))
-        .collect();
+    let mut class_of = vec![0usize; phi.len()];
+    for (k, ids) in classes.values().enumerate() {
+        for &p in ids {
+            class_of[p] = k;
+        }
+    }
     let n = class_ids.len();
     let mut edges = vec![vec![false; n]; n];
     let mut internal = vec![false; n];
-    for (src, dst) in rd.iter() {
-        let a = class_of[src];
-        let b = class_of[dst];
+    for &(src, dst) in &pairs {
+        let a = class_of[src as usize];
+        let b = class_of[dst as usize];
         if a == b {
             internal[a] = true;
         } else {
@@ -150,13 +150,13 @@ pub fn unique_sets_schedule(
     }
 
     let expander = PointExpander::new(analysis, &[]);
-    let to_item = |p: &IVec| expander.item(p);
     let mut phases = Vec::new();
     for k in order {
-        let role = class_ids[k];
-        let mut pts = classes[&role].clone();
-        pts.sort();
-        let items: Vec<WorkItem> = pts.iter().map(to_item).collect();
+        // Each class lists its ids in increasing (lexicographic) order.
+        let items: Vec<WorkItem> = classes[&class_ids[k]]
+            .iter()
+            .map(|&p| expander.item(phi.point(p)))
+            .collect();
         if internal[k] {
             // sequential unique set
             phases.push(Phase::ChainSet(vec![items]));
@@ -195,7 +195,7 @@ mod tests {
         );
         assert_eq!(schedule.n_items(), 144);
         // dependences never point backwards across the phase sequence
-        let mut phase_of: BTreeMap<IVec, usize> = BTreeMap::new();
+        let mut phase_of: BTreeMap<Vec<i64>, usize> = BTreeMap::new();
         for (k, phase) in schedule.phases.iter().enumerate() {
             let items: Vec<&WorkItem> = match phase {
                 Phase::Doall(items) => items.iter().collect(),

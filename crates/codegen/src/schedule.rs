@@ -140,7 +140,7 @@ impl Schedule {
         name: &str,
     ) -> Schedule {
         let expander = PointExpander::new(analysis, params);
-        let to_item = |point: &IVec| expander.item(point);
+        let to_item = |point: &[i64]| expander.item(point);
         let mut phases = Vec::new();
         match partition {
             ConcretePartition::RecurrenceChains { p1, chains, p3, .. } => {
@@ -151,7 +151,7 @@ impl Schedule {
                     phases.push(Phase::ChainSet(
                         chains
                             .iter()
-                            .map(|c| c.iterations.iter().map(to_item).collect())
+                            .map(|c| c.iterations.iter().map(|p| to_item(p)).collect())
                             .collect(),
                     ));
                 }
@@ -331,7 +331,7 @@ impl<'a> PointExpander<'a> {
     // Panic-hygiene allow: partition points come from the same analysis the
     // expander was built from, so the group/instance lookups are invariants.
     #[allow(clippy::expect_used)]
-    pub fn item(&self, point: &IVec) -> WorkItem {
+    pub fn item(&self, point: &[i64]) -> WorkItem {
         match &self.expansion {
             Expansion::Groups(groups) => {
                 // An aggregated point executes the whole body of one
@@ -349,7 +349,7 @@ impl<'a> PointExpander<'a> {
             }
             // All statements of the nest execute at these indices, in order.
             Expansion::Nest(statements) => WorkItem {
-                instances: (0..*statements).map(|id| (id, point.clone())).collect(),
+                instances: (0..*statements).map(|id| (id, point.to_vec())).collect(),
             },
             Expansion::Unified(decoder) => {
                 let (stmt, indices) = decoder

@@ -292,7 +292,28 @@ impl PlanInstance {
     /// [`PlanUnavailable::InstantiationInvalid`] when the chains fail
     /// validation at this binding.
     pub fn materialise(&self) -> Result<ConcretePartition, PlanUnavailable> {
-        let dense = self.partition.to_dense();
+        // For instantiable plans `P1`, `P2`, `P3` partition `Φ` exactly and
+        // `W ⊆ P2` (see the validation note below).  Each bound piece costs
+        // a compiled scan, so of `P1` and `P3` only the one with fewer
+        // pieces is enumerated; the other is `Φ` minus the rest.  `W` is
+        // read off `P2` by piece membership.
+        let part = &self.partition;
+        let p2 = DenseSet::from_union(&part.p2);
+        let rest = |known: &DenseSet| {
+            DenseSet::from_union(&self.phi)
+                .subtract(known)
+                .subtract(&p2)
+        };
+        let (p1, p3) = if part.p1.n_pieces() <= part.p3.n_pieces() {
+            let p1 = DenseSet::from_union(&part.p1);
+            let p3 = rest(&p1);
+            (p1, p3)
+        } else {
+            let p3 = DenseSet::from_union(&part.p3);
+            (rest(&p3), p3)
+        };
+        let w = p2.subset((0..p2.len()).filter(|&id| part.w.contains(p2.point(id), &[])));
+        let dense = DenseThreeSet { p1, p2, p3, w };
 
         // The WHILE chain walk of `chains_in_intermediate`, with the dense
         // relation's successor lookup replaced by the recurrence maps: the
@@ -319,7 +340,7 @@ impl PlanInstance {
         let mut chains = Vec::new();
         for start in dense.w.iter() {
             let mut chain = Vec::new();
-            let mut current = start.clone();
+            let mut current = start.to_vec();
             loop {
                 if !dense.p2.contains(&current) {
                     break;
@@ -370,17 +391,20 @@ impl PlanInstance {
         if let Some(problem) = crate::chains::validate_chain_cover(chains, &dense.p2).pop() {
             return Some(problem);
         }
-        let mut owner: std::collections::HashMap<&rcp_intlin::IVec, usize> =
-            std::collections::HashMap::new();
+        // The chains cover P2 exactly once, so every chain iteration has a
+        // P2 id and an owning chain.
+        let mut owner = vec![0usize; dense.p2.len()];
         for (k, c) in chains.iter().enumerate() {
             for it in &c.iterations {
-                owner.insert(it, k);
+                if let Some(id) = dense.p2.index_of(it) {
+                    owner[id] = k;
+                }
             }
         }
         for (k, c) in chains.iter().enumerate() {
             for it in &c.iterations {
                 for succ in successors(it) {
-                    if let Some(&other) = owner.get(&succ) {
+                    if let Some(other) = dense.p2.index_of(&succ).map(|id| owner[id]) {
                         if other != k {
                             return Some(format!(
                                 "dependence {:?} -> {:?} crosses chains {k} and {other}",
@@ -498,22 +522,32 @@ impl ConcretePartition {
                     }
                 }
                 // Dependences between different chains are not allowed
-                // (Lemma 1 guarantees disjoint chains).
-                let mut owner: std::collections::HashMap<&rcp_intlin::IVec, usize> =
-                    std::collections::HashMap::new();
+                // (Lemma 1 guarantees disjoint chains).  Owners are kept
+                // per point id of the chain iterations (the last chain
+                // listing a point owns it).
+                let on_chains = DenseSet::from_points(
+                    phi.dim(),
+                    chains
+                        .iter()
+                        .flat_map(|c| &c.iterations)
+                        .filter(|it| it.len() == phi.dim()),
+                );
+                let mut owner = vec![0usize; on_chains.len()];
                 for (k, c) in chains.iter().enumerate() {
                     for it in &c.iterations {
-                        owner.insert(it, k);
+                        if let Some(id) = on_chains.index_of(it) {
+                            owner[id] = k;
+                        }
                     }
                 }
-                for (src, dst) in rd.iter() {
-                    if let (Some(a), Some(b)) = (owner.get(src), owner.get(dst)) {
-                        if a != b {
-                            problems.push(format!(
-                                "dependence {:?} -> {:?} crosses chains {a} and {b}",
-                                src, dst
-                            ));
-                        }
+                for (src, dst) in rd.edges_within(&on_chains) {
+                    let (a, b) = (owner[src as usize], owner[dst as usize]);
+                    if a != b {
+                        problems.push(format!(
+                            "dependence {:?} -> {:?} crosses chains {a} and {b}",
+                            on_chains.point(src as usize),
+                            on_chains.point(dst as usize)
+                        ));
                     }
                 }
                 if p1 != &three_set.p1 || p3 != &three_set.p3 {

@@ -58,16 +58,13 @@ pub fn chains_in_intermediate(part: &DenseThreeSet, rd: &DenseRelation) -> Vec<C
     let mut chains = Vec::new();
     for start in part.w.iter() {
         let mut chain = Vec::new();
-        let mut current = start.clone();
-        loop {
-            if !part.p2.contains(&current) {
-                break;
-            }
-            chain.push(current.clone());
+        let mut current = start;
+        while part.p2.contains(current) {
+            chain.push(current.to_vec());
             // Unique successor inside the dependence relation.
-            let succs = rd.successors(&current);
-            match succs.first() {
-                Some(next) if succs.len() == 1 => current = next.clone(),
+            let mut succs = rd.successors(current);
+            match succs.next() {
+                Some(next) if succs.len() == 0 => current = next,
                 _ => break,
             }
         }
@@ -87,42 +84,39 @@ pub fn chains_in_intermediate(part: &DenseThreeSet, rd: &DenseRelation) -> Vec<C
 /// result is only a valid chain partition when every component is totally
 /// ordered with consecutive direct dependences — which
 /// [`crate::try_chain_partition`] verifies before accepting it.
+///
+/// Components are found by union-find over the point ids of `p2`; chains
+/// come out in the order of their first point.
 pub fn component_chains(p2: &DenseSet, rd: &DenseRelation) -> Vec<Chain> {
-    use std::collections::{BTreeMap, VecDeque};
     rcp_guard::tick(rcp_guard::Stage::ChainEnumeration, p2.len() as u64 + 1);
     rcp_guard::fail_point("core::chains", rcp_guard::Stage::ChainEnumeration);
-    let points: Vec<IVec> = p2.iter().cloned().collect();
-    let index: BTreeMap<&IVec, usize> = points.iter().enumerate().map(|(k, p)| (p, k)).collect();
-    // Undirected adjacency restricted to P2.
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); points.len()];
-    for (src, dst) in rd.iter() {
-        if let (Some(&a), Some(&b)) = (index.get(src), index.get(dst)) {
-            adj[a].push(b);
-            adj[b].push(a);
+    let n = p2.len();
+    let mut parent: Vec<usize> = (0..n).collect();
+    fn root(parent: &mut [usize], mut p: usize) -> usize {
+        while parent[p] != p {
+            parent[p] = parent[parent[p]];
+            p = parent[p];
         }
+        p
     }
-    let mut seen = vec![false; points.len()];
-    let mut chains = Vec::new();
-    for start in 0..points.len() {
-        if seen[start] {
-            continue;
+    for (src, dst) in rd.edges_within(p2) {
+        let (a, b) = (
+            root(&mut parent, src as usize),
+            root(&mut parent, dst as usize),
+        );
+        parent[a.max(b)] = a.min(b);
+    }
+    let mut chain_of = vec![usize::MAX; n];
+    let mut chains: Vec<Chain> = Vec::new();
+    for p in 0..n {
+        let r = root(&mut parent, p);
+        if chain_of[r] == usize::MAX {
+            chain_of[r] = chains.len();
+            chains.push(Chain {
+                iterations: Vec::new(),
+            });
         }
-        let mut component = Vec::new();
-        let mut queue = VecDeque::from([start]);
-        seen[start] = true;
-        while let Some(k) = queue.pop_front() {
-            component.push(points[k].clone());
-            for &n in &adj[k] {
-                if !seen[n] {
-                    seen[n] = true;
-                    queue.push_back(n);
-                }
-            }
-        }
-        component.sort();
-        chains.push(Chain {
-            iterations: component,
-        });
+        chains[chain_of[r]].iterations.push(p2.point(p).to_vec());
     }
     chains
 }
@@ -133,36 +127,33 @@ pub fn component_chains(p2: &DenseSet, rd: &DenseRelation) -> Vec<Chain> {
 /// extends while both the current iteration has a unique successor and that
 /// successor has a unique predecessor.
 pub fn monotonic_chains(rd: &DenseRelation) -> Vec<Chain> {
-    let nodes: BTreeSet<IVec> = rd
-        .iter()
-        .flat_map(|(a, b)| [a.clone(), b.clone()])
-        .collect();
-    let is_start = |p: &IVec| -> bool {
-        let preds = rd.predecessors(p);
-        match preds.len() {
-            0 => true,
-            1 => rd.successors(&preds[0]).len() > 1,
+    let nodes = rd.domain().union(&rd.range());
+    let is_start = |p: &[i64]| -> bool {
+        let mut preds = rd.predecessors(p);
+        match (preds.next(), preds.len()) {
+            (Some(pred), 0) => rd.successors(pred).len() > 1,
             _ => true,
         }
+    };
+    // True when the edges out of `p` are not one step of a longer chain.
+    let branches = |p: &[i64]| -> bool {
+        let succs = rd.successors(p);
+        succs.len() != 1
+            || rd
+                .successors(p)
+                .any(|next| rd.predecessors(next).len() != 1)
     };
     let mut chains = Vec::new();
     for node in nodes.iter().filter(|p| is_start(p)) {
         // Starting node: walk forward along unique-successor /
         // unique-predecessor edges.
-        let mut chain = vec![node.clone()];
-        let mut current = node.clone();
-        loop {
-            let succs = rd.successors(&current);
-            if succs.len() != 1 {
-                // bifurcation: each outgoing edge becomes its own 2-element
-                // chain (handled below), stop here.
+        let mut chain = vec![node.to_vec()];
+        let mut current = node;
+        while !branches(current) {
+            let Some(next) = rd.successors(current).next() else {
                 break;
-            }
-            let next = succs[0].clone();
-            if rd.predecessors(&next).len() != 1 {
-                break;
-            }
-            chain.push(next.clone());
+            };
+            chain.push(next.to_vec());
             current = next;
         }
         if chain.len() >= 2 {
@@ -170,11 +161,10 @@ pub fn monotonic_chains(rd: &DenseRelation) -> Vec<Chain> {
         }
         // Emit the bifurcating / merging edges out of `current` as separate
         // two-iteration monotonic chains.
-        let succs = rd.successors(&current);
-        if succs.len() != 1 || rd.predecessors(&succs[0]).len() != 1 {
-            for next in succs {
+        if branches(current) {
+            for next in rd.successors(current) {
                 chains.push(Chain {
-                    iterations: vec![current.clone(), next.clone()],
+                    iterations: vec![current.to_vec(), next.to_vec()],
                 });
             }
         }
@@ -189,7 +179,7 @@ pub fn monotonic_chains(rd: &DenseRelation) -> Vec<Chain> {
             && !chains.iter().any(|c| contains_edge(c, src, dst))
         {
             chains.push(Chain {
-                iterations: vec![src.clone(), dst.clone()],
+                iterations: vec![src.to_vec(), dst.to_vec()],
             });
         }
     }
@@ -198,11 +188,11 @@ pub fn monotonic_chains(rd: &DenseRelation) -> Vec<Chain> {
     chains
 }
 
-fn contains_edge(chain: &Chain, src: &IVec, dst: &IVec) -> bool {
+fn contains_edge(chain: &Chain, src: &[i64], dst: &[i64]) -> bool {
     chain
         .iterations
         .windows(2)
-        .any(|w| &w[0] == src && &w[1] == dst)
+        .any(|w| w[0] == src && w[1] == dst)
 }
 
 /// The length of the longest chain (the critical path of the intermediate
@@ -215,21 +205,28 @@ pub fn longest_chain(chains: &[Chain]) -> usize {
 /// Lemma 1).  Returns violated invariants.
 pub fn validate_chain_cover(chains: &[Chain], p2: &DenseSet) -> Vec<String> {
     let mut problems = Vec::new();
-    let mut seen: BTreeSet<IVec> = BTreeSet::new();
+    // Chain iterations seen so far: P2 points by id, the rest by value.
+    let mut seen = vec![false; p2.len()];
+    let mut outside: BTreeSet<&[i64]> = BTreeSet::new();
     for c in chains {
         for it in &c.iterations {
-            if !p2.contains(it) {
-                problems.push(format!("chain iteration {:?} is not intermediate", it));
-            }
-            if !seen.insert(it.clone()) {
+            let repeated = match p2.index_of(it) {
+                Some(id) => std::mem::replace(&mut seen[id], true),
+                None => {
+                    problems.push(format!("chain iteration {:?} is not intermediate", it));
+                    !outside.insert(it)
+                }
+            };
+            if repeated {
                 problems.push(format!("iteration {:?} appears on two chains", it));
             }
         }
     }
-    if seen.len() != p2.len() {
+    let covered = seen.iter().filter(|&&s| s).count() + outside.len();
+    if covered != p2.len() {
         problems.push(format!(
             "chains cover {} of {} intermediate iterations",
-            seen.len(),
+            covered,
             p2.len()
         ));
     }
@@ -347,7 +344,7 @@ mod tests {
         for chain in &chains {
             let start = &chain.iterations[0];
             assert!(part.w.contains(start));
-            assert!(rd.predecessors(start).iter().any(|p| part.p1.contains(p)));
+            assert!(rd.predecessors(start).any(|p| part.p1.contains(p)));
         }
     }
 

@@ -16,12 +16,11 @@
 //! plus one — 238 steps for the Cholesky kernel at the paper's parameters.
 //!
 //! The implementation below computes the same layering in one topological
-//! pass (Kahn levels) over the dense dependence relation, which is
-//! equivalent to the repeated peeling but runs in `O(V + E)`.
+//! pass (Kahn levels) over the dependence edges between point ids (indices
+//! into `Φ`'s sorted rows), which is equivalent to the repeated peeling but
+//! runs in `O(V + E)` and never hashes a point.
 
-use rcp_intlin::IVec;
 use rcp_presburger::{DenseRelation, DenseSet};
-use std::collections::HashMap;
 
 /// The result of dataflow partitioning: a sequence of fully parallel
 /// stages executed in order with a barrier after each.
@@ -51,29 +50,41 @@ impl DataflowPartition {
     /// dependence stays within a stage, and no dependence points backwards.
     pub fn validate(&self, phi: &DenseSet, rd: &DenseRelation) -> Vec<String> {
         let mut problems = Vec::new();
-        let mut level: HashMap<IVec, usize> = HashMap::new();
+        let staged = DenseSet::from_points(
+            phi.dim(),
+            self.stages
+                .iter()
+                .flat_map(|s| s.iter())
+                .filter(|p| p.len() == phi.dim()),
+        );
+        // The stage of every staged point (the last stage listing it).
+        let mut level = vec![0usize; staged.len()];
+        let mut seen = vec![false; staged.len()];
         for (k, stage) in self.stages.iter().enumerate() {
             for p in stage.iter() {
-                if level.insert(p.clone(), k).is_some() {
+                let Some(id) = staged.index_of(p) else {
+                    continue;
+                };
+                if std::mem::replace(&mut seen[id], true) {
                     problems.push(format!("iteration {:?} appears in two stages", p));
                 }
+                level[id] = k;
             }
         }
-        if level.len() != phi.len() {
+        if staged.len() != phi.len() {
             problems.push(format!(
                 "stages cover {} of {} iterations",
-                level.len(),
+                staged.len(),
                 phi.len()
             ));
         }
-        for (src, dst) in rd.iter() {
-            let (Some(&a), Some(&b)) = (level.get(src), level.get(dst)) else {
-                continue;
-            };
+        for (src, dst) in rd.edges_within(&staged) {
+            let (a, b) = (level[src as usize], level[dst as usize]);
             if a >= b {
                 problems.push(format!(
                     "dependence {:?} (stage {a}) -> {:?} (stage {b}) not strictly forward",
-                    src, dst
+                    staged.point(src as usize),
+                    staged.point(dst as usize)
                 ));
             }
         }
@@ -83,55 +94,50 @@ impl DataflowPartition {
 
 /// Computes the dataflow partition of `phi` under the dependence relation
 /// `rd` (restricted to `phi`).
-// Panic-hygiene allow: `restrict_within(phi)` has just confined every edge
-// endpoint to `phi`, so both `expect`ed map lookups are invariants.
-#[allow(clippy::expect_used)]
+///
+/// Kahn's algorithm over point ids: round `r` releases exactly the points
+/// whose longest chain of predecessors inside `phi` has `r` edges, so each
+/// round is one stage.
+///
+/// # Panics
+/// Panics when the relation restricted to `phi` has a cycle (forward
+/// dependence relations are acyclic by construction).
 pub fn dataflow_partition(phi: &DenseSet, rd: &DenseRelation) -> DataflowPartition {
-    // level(x) = 1 + max over predecessors p in phi of level(p); iterations
-    // without predecessors get level 0.  Computed with Kahn's algorithm.
-    let rd = rd.restrict_within(phi);
-    let mut indegree: HashMap<IVec, usize> = HashMap::new();
-    for p in phi.iter() {
-        indegree.insert(p.clone(), 0);
+    let n = phi.len();
+    // Edges sorted by source: a CSR successor list once offsets are known.
+    let edges = rd.edges_within(phi);
+    let mut offsets = vec![0usize; n + 1];
+    let mut indegree = vec![0u32; n];
+    for &(src, dst) in &edges {
+        offsets[src as usize + 1] += 1;
+        indegree[dst as usize] += 1;
     }
-    for (_, dst) in rd.iter() {
-        *indegree.get_mut(dst).expect("dst inside phi") += 1;
+    for k in 0..n {
+        offsets[k + 1] += offsets[k];
     }
-    let mut level: HashMap<IVec, usize> = HashMap::new();
-    let mut frontier: Vec<IVec> = phi.iter().filter(|p| indegree[*p] == 0).cloned().collect();
-    for p in &frontier {
-        level.insert(p.clone(), 0);
-    }
+    let mut frontier: Vec<usize> = (0..n).filter(|&p| indegree[p] == 0).collect();
+    let mut stages = Vec::new();
     let mut processed = 0usize;
     while !frontier.is_empty() {
-        let mut next: Vec<IVec> = Vec::new();
-        for p in frontier.drain(..) {
+        frontier.sort_unstable();
+        stages.push(phi.subset(frontier.iter().copied()));
+        let mut next = Vec::new();
+        for &p in &frontier {
             processed += 1;
-            let lp = level[&p];
-            for succ in rd.successors(&p) {
-                let e = indegree.get_mut(succ).expect("succ inside phi");
+            for &(_, succ) in &edges[offsets[p]..offsets[p + 1]] {
+                let e = &mut indegree[succ as usize];
                 *e -= 1;
-                let entry = level.entry(succ.clone()).or_insert(0);
-                if *entry < lp + 1 {
-                    *entry = lp + 1;
-                }
                 if *e == 0 {
-                    next.push(succ.clone());
+                    next.push(succ as usize);
                 }
             }
         }
         frontier = next;
     }
     assert_eq!(
-        processed,
-        phi.len(),
+        processed, n,
         "dependence relation contains a cycle — forward relations are acyclic by construction"
     );
-    let n_stages = level.values().copied().max().map_or(0, |m| m + 1);
-    let mut stages = vec![DenseSet::new(phi.dim()); n_stages];
-    for (p, l) in level {
-        stages[l].insert(p);
-    }
     DataflowPartition { stages }
 }
 

@@ -11,8 +11,8 @@
 //! so every iteration has at most one predecessor and one successor and the
 //! monotonic dependence chains in the intermediate set are disjoint.  This
 //! module computes `T`, `u`, their inverses, follows the recurrence in both
-//! directions (with exact rational arithmetic so non-integral neighbours are
-//! rejected), and evaluates the Theorem-1 critical-path bound
+//! directions (exactly, over one common denominator, so non-integral
+//! neighbours are rejected), and evaluates the Theorem-1 critical-path bound
 //! `l ≤ ⌈log_α(L)⌉ + 1` with `α = max(|det T|, |det T⁻¹|)`.
 
 use rcp_depend::CoupledPair;
@@ -30,6 +30,11 @@ pub struct Recurrence {
     pub t_inv: RatMat,
     /// `u' = (a − b)·B⁻¹`, the offset of the inverse map.
     pub u_inv: Vec<Rational>,
+    /// `x ↦ x·T + u` over a common denominator, for [`Self::apply`].
+    forward: ScaledMap,
+    /// `x ↦ x·T⁻¹ + u'` over a common denominator, for
+    /// [`Self::apply_inverse`].
+    backward: ScaledMap,
 }
 
 impl Recurrence {
@@ -57,7 +62,14 @@ impl Recurrence {
         let u = a_inv.apply_row(&transpose_vec(&diff, &a_inv));
         let diff_neg: Vec<Rational> = diff.iter().map(|r| -*r).collect();
         let u_inv = b_inv.apply_row(&transpose_vec(&diff_neg, &b_inv));
-        Some(Recurrence { t, u, t_inv, u_inv })
+        Some(Recurrence {
+            forward: ScaledMap::new(&t, &u)?,
+            backward: ScaledMap::new(&t_inv, &u_inv)?,
+            t,
+            u,
+            t_inv,
+            u_inv,
+        })
     }
 
     /// The dimension of the iteration vectors.
@@ -69,12 +81,12 @@ impl Recurrence {
     /// iteration playing the *j* role in the dependence equation).  Returns
     /// `None` when the image is not an integer point.
     pub fn apply(&self, x: &[i64]) -> Option<IVec> {
-        apply_affine(&self.t, &self.u, x)
+        self.forward.apply(x)
     }
 
     /// Applies the inverse map `x ↦ (x − u)·T⁻¹ = x·T⁻¹ + u'`.
     pub fn apply_inverse(&self, x: &[i64]) -> Option<IVec> {
-        apply_affine(&self.t_inv, &self.u_inv, x)
+        self.backward.apply(x)
     }
 
     /// `α = max(|det T|, |det T⁻¹|)`, the chain contraction/expansion factor
@@ -127,17 +139,68 @@ fn transpose_vec(v: &[Rational], m: &RatMat) -> Vec<Rational> {
     v.to_vec()
 }
 
-fn apply_affine(t: &RatMat, u: &[Rational], x: &[i64]) -> Option<IVec> {
-    let img = t.apply_int_row(x);
-    let mut out = Vec::with_capacity(img.len());
-    for (v, off) in img.iter().zip(u) {
-        let w = *v + *off;
-        match w.as_integer() {
-            Some(i) => out.push(i),
-            None => return None,
-        }
+/// An affine map `x ↦ x·T + u` with rational `T` and `u`, scaled to one
+/// common denominator: `num` is `T·den` (row-major) and `off` is `u·den`.
+/// An image is then integer arithmetic and one divisibility test per
+/// coordinate, with the same result as the exact rational evaluation.
+#[derive(Clone, Debug)]
+struct ScaledMap {
+    rows: usize,
+    cols: usize,
+    num: Vec<i128>,
+    off: Vec<i128>,
+    den: i128,
+}
+
+impl ScaledMap {
+    /// `None` only if scaling overflows `i128`.  The denominators all
+    /// divide `det A` (or `det B`), an `i64`, so it does not for any
+    /// recurrence whose inverse could be computed.
+    fn new(t: &RatMat, u: &[Rational]) -> Option<ScaledMap> {
+        let entries: Vec<Rational> = (0..t.rows())
+            .flat_map(|r| (0..t.cols()).map(move |c| t[(r, c)]))
+            .collect();
+        let den = entries
+            .iter()
+            .chain(u)
+            .try_fold(1i128, |acc, q| lcm128(acc, q.den()))?;
+        let scale = |q: &Rational| q.num().checked_mul(den / q.den());
+        Some(ScaledMap {
+            rows: t.rows(),
+            cols: t.cols(),
+            num: entries.iter().map(scale).collect::<Option<_>>()?,
+            off: u.iter().map(scale).collect::<Option<_>>()?,
+            den,
+        })
     }
-    Some(out)
+
+    /// The image of `x`, or `None` when it is not an integer point (or
+    /// leaves the `i64` range).
+    fn apply(&self, x: &[i64]) -> Option<IVec> {
+        assert_eq!(x.len(), self.rows, "vector/matrix dimension mismatch");
+        (0..self.cols)
+            .map(|c| {
+                let scaled = x
+                    .iter()
+                    .enumerate()
+                    .try_fold(self.off[c], |acc, (r, &xr)| {
+                        acc.checked_add(self.num[r * self.cols + c].checked_mul(i128::from(xr))?)
+                    })?;
+                if scaled % self.den != 0 {
+                    return None;
+                }
+                i64::try_from(scaled / self.den).ok()
+            })
+            .collect()
+    }
+}
+
+fn lcm128(a: i128, b: i128) -> Option<i128> {
+    let (mut x, mut y) = (a.abs(), b.abs());
+    while y != 0 {
+        (x, y) = (y, x % y);
+    }
+    (a / x).checked_mul(b).map(i128::abs)
 }
 
 #[cfg(test)]

@@ -82,19 +82,23 @@ pub struct DenseThreeSet {
 }
 
 impl DenseThreeSet {
-    /// Computes the partition directly on dense sets.
+    /// Computes the partition directly on dense sets, over the point ids
+    /// of `phi`.
     pub fn compute(phi: &DenseSet, rd: &DenseRelation) -> DenseThreeSet {
-        let ran = rd.range();
-        let dom = rd.domain();
-        let p1 = phi.subtract(&ran);
-        let p2 = ran.intersect(&dom).intersect(phi);
-        let p3 = ran.subtract(&dom).intersect(phi);
-        let mut w = DenseSet::new(phi.dim());
-        for (src, dst) in rd.iter() {
-            if p1.contains(src) && p2.contains(dst) {
-                w.insert(dst.clone());
+        let n = phi.len();
+        let in_ran = phi.mask_in(&rd.range());
+        let in_dom = phi.mask_in(&rd.domain());
+        let p1 = phi.subset((0..n).filter(|&p| !in_ran[p]));
+        let p2 = phi.subset((0..n).filter(|&p| in_ran[p] && in_dom[p]));
+        let p3 = phi.subset((0..n).filter(|&p| in_ran[p] && !in_dom[p]));
+        let mut in_w = vec![false; n];
+        for (src, dst) in rd.edges_within(phi) {
+            let (src, dst) = (src as usize, dst as usize);
+            if !in_ran[src] && in_ran[dst] && in_dom[dst] {
+                in_w[dst] = true;
             }
         }
+        let w = phi.subset((0..n).filter(|&p| in_w[p]));
         DenseThreeSet { p1, p2, p3, w }
     }
 
@@ -126,22 +130,21 @@ impl DenseThreeSet {
                 phi.len()
             ));
         }
-        let phase = |p: &[i64]| -> i32 {
-            if self.p1.contains(p) {
+        // The phase of every point of the union: the first set holding it.
+        let in_p1 = union.mask_in(&self.p1);
+        let in_p2 = union.mask_in(&self.p2);
+        let phase = |p: usize| -> i32 {
+            if in_p1[p] {
                 1
-            } else if self.p2.contains(p) {
+            } else if in_p2[p] {
                 2
-            } else if self.p3.contains(p) {
-                3
             } else {
-                0
+                3
             }
         };
-        for (src, dst) in rd.iter() {
-            let (a, b) = (phase(src), phase(dst));
-            if a == 0 || b == 0 {
-                continue; // end point outside phi (should not happen)
-            }
+        for (src, dst) in rd.edges_within(&union) {
+            let (a, b) = (phase(src as usize), phase(dst as usize));
+            let (src, dst) = (union.point(src as usize), union.point(dst as usize));
             if a > b {
                 problems.push(format!(
                     "dependence {:?} (P{a}) -> {:?} (P{b}) goes backwards",

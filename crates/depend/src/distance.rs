@@ -52,9 +52,12 @@ pub fn classify_uniformity(relation: &DenseRelation, phi: &DenseSet) -> Uniformi
     // distance d in D, if p + d is in phi then (p, p + d) must be a
     // dependence.  (For uniform loops the distance set is exactly the set of
     // translations; any violation is non-uniformity.)
+    let mut q = vec![0i64; phi.dim()];
     for p in phi.iter() {
         for d in &distances {
-            let q = rcp_intlin::add(p, d);
+            for ((q, &x), &dx) in q.iter_mut().zip(p).zip(d) {
+                *q = x + dx;
+            }
             if phi.contains(&q) && !relation.contains(p, &q) {
                 return Uniformity::NonUniform;
             }

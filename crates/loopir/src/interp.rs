@@ -172,8 +172,8 @@ mod tests {
         let decoder = p.unified_decoder();
         let decoded: Vec<(usize, Vec<i64>)> = phi
             .enumerate()
-            .into_iter()
-            .map(|pt| decoder.decode(&pt).expect("decodes"))
+            .iter()
+            .map(|pt| decoder.decode(pt).expect("decodes"))
             .collect();
         assert_eq!(direct.len(), decoded.len());
         // Same multiset; the unified enumeration is lexicographic, which is

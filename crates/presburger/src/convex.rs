@@ -2,9 +2,9 @@
 
 use crate::cache::rationally_feasible_cached;
 use crate::constraint::{Constraint, ConstraintKind, Folded};
+use crate::dense::{DenseSet, Rows};
 use crate::fm::eliminate_dim;
 use crate::space::Space;
-use rcp_intlin::IVec;
 
 /// A convex integer set: the points of a [`Space`] satisfying a conjunction
 /// of equalities, inequalities and congruences.
@@ -148,9 +148,21 @@ impl ConvexSet {
     /// True if the set-dimension point `dims` (with parameter values
     /// `params`) lies in the set.
     pub fn contains(&self, dims: &[i64], params: &[i64]) -> bool {
-        let mut full = dims.to_vec();
-        full.extend_from_slice(params);
-        self.contains_full(&full)
+        if self.known_empty {
+            return false;
+        }
+        assert_eq!(
+            dims.len() + params.len(),
+            self.space.total(),
+            "point arity mismatch"
+        );
+        let dot =
+            |coeffs: &[i64], xs: &[i64]| coeffs.iter().zip(xs).map(|(c, x)| c * x).sum::<i64>();
+        self.constraints.iter().all(|c| {
+            let (on_dims, on_params) = c.expr.coeffs().split_at(dims.len());
+            let value = c.expr.constant_term() + dot(on_dims, dims) + dot(on_params, params);
+            holds(c.kind, value)
+        })
     }
 
     /// Substitutes concrete values for all parameters, producing a set
@@ -338,95 +350,90 @@ impl ConvexSet {
             s = s.project_out(0, v);
         }
         // Now s is one-dimensional in the projected variable (index 0).
-        bounds_given_prefix(&s, &[])
+        let level = Level::compile(&s.constraints, 0);
+        let mut rests = vec![0; level.coeff.len()];
+        level.rests(&[], &mut rests);
+        level.bounds(&rests)
     }
 
-    /// Enumerates every integer point of the set.  All parameters must have
-    /// been bound (see [`ConvexSet::bind_params`]) and the set must be
-    /// bounded in every dimension.
+    /// Enumerates every integer point of the set, in lexicographic order.
+    /// All parameters must have been bound (see [`ConvexSet::bind_params`])
+    /// and the set must be bounded in every dimension.
     ///
-    /// The enumeration recursively scans dimension 0, 1, … using bounds
-    /// obtained by (rational) projection of the *remaining* dimensions, and
-    /// checks the full constraint system at the leaves, so the result is
-    /// exact even when intermediate projections are approximate.
+    /// The scan is compiled once per call.  Level `k` bounds dimension `k`
+    /// given fixed values of dimensions `0..k`, from the rows of the prefix
+    /// set over dimensions `0..=k` that mention `k`.  The prefixes are
+    /// built incrementally: prefix `k` is prefix `k + 1` with dimension
+    /// `k + 1` projected out, so a `d`-dimensional set costs `d - 1`
+    /// eliminations.  At the leaf every point is checked against the set's
+    /// full constraint system (the rows that do not mention the innermost
+    /// dimension once per innermost run, since they do not change along
+    /// it).  That check makes the result exact whatever the projections
+    /// give: each Fourier-Motzkin shadow is a superset of the true
+    /// projection, so a loose prefix only widens the scan, never drops a
+    /// point.  The walk reuses one point buffer and one row-value buffer
+    /// per level, and appends rows to one flat buffer; it allocates nothing
+    /// per visited point.
     ///
     /// # Panics
-    /// Panics if parameters remain or some dimension is unbounded.
-    pub fn enumerate(&self) -> Vec<IVec> {
+    /// Panics if parameters remain.  An unbounded dimension yields no
+    /// points.
+    pub fn enumerate(&self) -> DenseSet {
         assert_eq!(
             self.space.n_params(),
             0,
             "bind parameters before enumerating"
         );
+        let dim = self.space.dim();
         if self.known_empty {
-            return Vec::new();
+            return DenseSet::new(dim);
         }
-        let dim = self.space.dim();
         if dim == 0 {
-            return if self.constraints.iter().all(|c| c.satisfied(&[])) {
-                vec![vec![]]
-            } else {
-                vec![]
-            };
+            let n = usize::from(self.constraints.iter().all(|c| c.satisfied(&[])));
+            return DenseSet::from_sorted_rows(Rows::from_flat(0, n, Vec::new()));
         }
-        // Pre-compute, for every prefix length k, the set projected onto
-        // dims [0, k]: used to bound dim k given fixed values of dims < k.
-        let mut prefixes: Vec<ConvexSet> = Vec::with_capacity(dim);
-        for k in 0..dim {
-            let projected = if k + 1 < dim {
-                self.project_out(k + 1, dim - k - 1)
-            } else {
-                self.clone()
-            };
-            prefixes.push(projected);
-        }
-        let mut out = Vec::new();
-        let mut point = vec![0i64; dim];
-        self.enumerate_rec(0, &mut point, &prefixes, &mut out);
-        out
-    }
-
-    fn enumerate_rec(
-        &self,
-        level: usize,
-        point: &mut Vec<i64>,
-        prefixes: &[ConvexSet],
-        out: &mut Vec<IVec>,
-    ) {
-        let dim = self.space.dim();
-        if level == dim {
-            if self.contains_full(point) {
-                out.push(point.clone());
+        // Prefix constraint systems, innermost first: prefix `k` is prefix
+        // `k + 1` with dimension `k + 1` eliminated (what
+        // `project_out(k + 1, 1)` computes, without building its space).
+        let mut levels: Vec<Level> = Vec::with_capacity(dim);
+        let mut prefix = self.constraints.clone();
+        for k in (0..dim).rev() {
+            levels.push(Level::compile(&prefix, k));
+            if k > 0 {
+                let elim = eliminate_dim(&prefix, k);
+                if elim.infeasible {
+                    return DenseSet::new(dim);
+                }
+                prefix.clear();
+                for c in elim.constraints {
+                    let c = c.drop_var(k);
+                    if !prefix.contains(&c) {
+                        prefix.push(c);
+                    }
+                }
             }
-            return;
         }
-        // Bound dimension `level` of prefixes[level] given point[0..level].
-        let prefix = &prefixes[level];
-        let (lo, hi) = match bounds_given_prefix(prefix, &point[..level]) {
-            Some(b) => b,
-            None => return,
+        levels.reverse();
+        // The leaf check's rows that do not mention the innermost
+        // dimension; the innermost level holds the ones that do.
+        let mut carried = SparseRows::new();
+        for c in self
+            .constraints
+            .iter()
+            .filter(|c| c.expr.coeff(dim - 1) == 0)
+        {
+            carried.push(c, dim - 1);
+        }
+        let mut scan = Scan {
+            rests: levels.iter().map(|l| vec![0; l.coeff.len()]).collect(),
+            levels: &levels,
+            carried: &carried,
+            point: vec![0; dim],
+            rows: Vec::new(),
+            len: 0,
         };
-        for v in lo..=hi {
-            point[level] = v;
-            // quick feasibility check of the prefix
-            let mut pref_point = point[..=level].to_vec();
-            pref_point.resize(prefix.space.dim(), 0);
-            // Only check constraints fully determined by the prefix dims.
-            let ok = prefix
-                .constraints
-                .iter()
-                .filter(|c| {
-                    c.expr.coeffs()[level + 1..prefix.space.dim()]
-                        .iter()
-                        .all(|&x| x == 0)
-                })
-                .all(|c| c.satisfied(&pref_point));
-            if ok {
-                self.enumerate_rec(level + 1, point, prefixes, out);
-            }
-        }
-        point.truncate(dim);
-        point.resize(dim, 0);
+        scan.visit(0);
+        DenseSet::from_sorted_rows(Rows::from_flat(dim, scan.len, scan.rows))
     }
 
     /// Renders the set as a readable constraint list.
@@ -477,56 +484,194 @@ impl ConvexSet {
     }
 }
 
-/// Bounds of the last prefix dimension given concrete values for the earlier
-/// dimensions: substitutes the fixed values, projects nothing (the prefix is
-/// already projected), and reads the interval from constraints on the last
-/// dimension.
-fn bounds_given_prefix(prefix: &ConvexSet, fixed: &[i64]) -> Option<(i64, i64)> {
-    let level = fixed.len();
-    let mut lower: Option<i64> = None;
-    let mut upper: Option<i64> = None;
-    for c in prefix.constraints() {
-        let a = c.expr.coeff(level);
-        if a == 0 {
-            continue;
-        }
-        // Evaluate the rest of the expression with the fixed prefix and the
-        // remaining (projected-away) dims treated as absent (coefficients of
-        // later dims are zero in a prefix constraint involving `level` only
-        // when the projection removed them; skip otherwise).
-        if c.expr.coeffs()[level + 1..].iter().any(|&x| x != 0) {
-            continue;
-        }
-        let mut point = fixed.to_vec();
-        point.push(0);
-        point.resize(c.expr.total(), 0);
-        let rest = c.expr.eval(&point); // value with x_level = 0
-        match c.kind {
-            ConstraintKind::Geq => {
-                if a > 0 {
-                    // a·x + rest >= 0 -> x >= ceil(-rest/a)
-                    let b = (-rest).div_euclid(a) + if (-rest).rem_euclid(a) > 0 { 1 } else { 0 };
-                    lower = Some(lower.map_or(b, |cur: i64| cur.max(b)));
-                } else {
-                    let b = rest.div_euclid(-a);
-                    upper = Some(upper.map_or(b, |cur: i64| cur.min(b)));
-                }
-            }
-            ConstraintKind::Eq => {
-                // a·x + rest = 0 pins x to a single value (or nothing).
-                if rest.rem_euclid(a.abs()) != 0 {
-                    return None;
-                }
-                let v = -rest / a;
-                lower = Some(lower.map_or(v, |cur: i64| cur.max(v)));
-                upper = Some(upper.map_or(v, |cur: i64| cur.min(v)));
-            }
-            ConstraintKind::Mod(_) => {}
+/// Affine rows in sparse form: row `r` is
+/// `consts[r] + Σ coeff·point[dim]` over `terms[starts[r]..starts[r + 1]]`.
+struct SparseRows {
+    starts: Vec<usize>,
+    terms: Vec<(usize, i64)>,
+    consts: Vec<i64>,
+    kinds: Vec<ConstraintKind>,
+}
+
+impl SparseRows {
+    fn new() -> SparseRows {
+        SparseRows {
+            starts: vec![0],
+            terms: Vec::new(),
+            consts: Vec::new(),
+            kinds: Vec::new(),
         }
     }
-    match (lower, upper) {
-        (Some(l), Some(u)) if l <= u => Some((l, u)),
-        _ => None,
+
+    /// Appends the row of `c` over dimensions `0..width`.
+    fn push(&mut self, c: &Constraint, width: usize) {
+        let coeffs = &c.expr.coeffs()[..width];
+        self.terms.extend(
+            coeffs
+                .iter()
+                .enumerate()
+                .filter(|&(_, &a)| a != 0)
+                .map(|(d, &a)| (d, a)),
+        );
+        self.starts.push(self.terms.len());
+        self.consts.push(c.expr.constant_term());
+        self.kinds.push(c.kind);
+    }
+
+    fn len(&self) -> usize {
+        self.kinds.len()
+    }
+
+    fn value(&self, r: usize, point: &[i64]) -> i64 {
+        self.terms[self.starts[r]..self.starts[r + 1]]
+            .iter()
+            .fold(self.consts[r], |acc, &(d, a)| acc + a * point[d])
+    }
+
+    /// True when every row holds at `point`.
+    fn hold(&self, point: &[i64]) -> bool {
+        (0..self.len()).all(|r| holds(self.kinds[r], self.value(r, point)))
+    }
+}
+
+/// One level of the compiled scanner: the rows of the prefix set over
+/// dimensions `0..=k` that mention dimension `k`, each split into its
+/// coefficient of `k` and the rest over dimensions `0..k`.  A row that
+/// does not mention `k` is carried unchanged into the prefix above
+/// (elimination keeps it), so it is enforced at the level of its last
+/// dimension and needs no row here.
+struct Level {
+    coeff: Vec<i64>,
+    rest: SparseRows,
+    /// True when a congruence mentions `k`, so values must be checked
+    /// one by one.
+    strided: bool,
+}
+
+impl Level {
+    fn compile(constraints: &[Constraint], k: usize) -> Level {
+        let mut level = Level {
+            coeff: Vec::new(),
+            rest: SparseRows::new(),
+            strided: false,
+        };
+        for c in constraints.iter().filter(|c| c.expr.coeff(k) != 0) {
+            level.coeff.push(c.expr.coeff(k));
+            level.rest.push(c, k);
+            level.strided |= matches!(c.kind, ConstraintKind::Mod(_));
+        }
+        level
+    }
+
+    /// Each row's value with dimension `k` at zero, given the values of
+    /// dimensions `0..k`.
+    fn rests(&self, fixed: &[i64], out: &mut [i64]) {
+        for (r, rest) in out.iter_mut().enumerate() {
+            *rest = self.rest.value(r, fixed);
+        }
+    }
+
+    /// The interval of dimension `k` allowed by the level's inequalities
+    /// and equalities, given the rows' `rests`; `None` when it is empty or
+    /// unbounded.
+    fn bounds(&self, rests: &[i64]) -> Option<(i64, i64)> {
+        let mut lower: Option<i64> = None;
+        let mut upper: Option<i64> = None;
+        for ((&a, &rest), kind) in self.coeff.iter().zip(rests).zip(&self.rest.kinds) {
+            match kind {
+                ConstraintKind::Geq if a > 0 => {
+                    // a·x + rest >= 0  ->  x >= ceil(-rest / a)
+                    let b = (-rest).div_euclid(a) + i64::from((-rest).rem_euclid(a) > 0);
+                    lower = Some(lower.map_or(b, |cur| cur.max(b)));
+                }
+                ConstraintKind::Geq => {
+                    let b = rest.div_euclid(-a);
+                    upper = Some(upper.map_or(b, |cur| cur.min(b)));
+                }
+                ConstraintKind::Eq => {
+                    // a·x + rest = 0 pins x to a single value (or nothing).
+                    if rest.rem_euclid(a.abs()) != 0 {
+                        return None;
+                    }
+                    let v = -rest / a;
+                    lower = Some(lower.map_or(v, |cur| cur.max(v)));
+                    upper = Some(upper.map_or(v, |cur| cur.min(v)));
+                }
+                ConstraintKind::Mod(_) => {}
+            }
+        }
+        match (lower, upper) {
+            (Some(l), Some(u)) if l <= u => Some((l, u)),
+            _ => None,
+        }
+    }
+
+    /// True when every row of the level holds at `point[k] = v`; with
+    /// `congruences_only`, just the congruences (bounds cover the rest).
+    fn hold_at(&self, rests: &[i64], v: i64, congruences_only: bool) -> bool {
+        self.coeff
+            .iter()
+            .zip(rests)
+            .zip(&self.rest.kinds)
+            .all(|((&a, &rest), &kind)| {
+                (congruences_only && !matches!(kind, ConstraintKind::Mod(_)))
+                    || holds(kind, a * v + rest)
+            })
+    }
+}
+
+fn holds(kind: ConstraintKind, value: i64) -> bool {
+    match kind {
+        ConstraintKind::Eq => value == 0,
+        ConstraintKind::Geq => value >= 0,
+        ConstraintKind::Mod(m) => value.rem_euclid(m) == 0,
+    }
+}
+
+/// The state of one enumeration: the compiled levels with one reusable
+/// buffer of row values each, the leaf check's carried rows, the point
+/// being built, and the flat output rows.
+struct Scan<'a> {
+    levels: &'a [Level],
+    rests: Vec<Vec<i64>>,
+    carried: &'a SparseRows,
+    point: Vec<i64>,
+    rows: Vec<i64>,
+    len: usize,
+}
+
+impl Scan<'_> {
+    fn visit(&mut self, k: usize) {
+        let level = &self.levels[k];
+        let mut rests = std::mem::take(&mut self.rests[k]);
+        level.rests(&self.point[..k], &mut rests);
+        if let Some((lo, hi)) = level.bounds(&rests) {
+            if k + 1 < self.levels.len() {
+                for v in lo..=hi {
+                    if !level.strided || level.hold_at(&rests, v, true) {
+                        self.point[k] = v;
+                        self.visit(k + 1);
+                    }
+                }
+            } else {
+                // The leaf check: every constraint of the set at every
+                // emitted point.  The innermost level's rows are the ones
+                // that mention this dimension; the carried rows do not
+                // change along it, so they are evaluated once, on the
+                // first candidate.
+                let mut carried_hold = None;
+                for v in lo..=hi {
+                    if level.hold_at(&rests, v, false)
+                        && *carried_hold.get_or_insert_with(|| self.carried.hold(&self.point))
+                    {
+                        self.point[k] = v;
+                        self.rows.extend_from_slice(&self.point);
+                        self.len += 1;
+                    }
+                }
+            }
+        }
+        self.rests[k] = rests;
     }
 }
 
@@ -540,6 +685,7 @@ impl std::fmt::Debug for ConvexSet {
 mod tests {
     use super::*;
     use crate::affine::Affine;
+    use rcp_intlin::IVec;
 
     /// A rectangle 1 <= x <= nx, 1 <= y <= ny.
     fn rect(nx: i64, ny: i64) -> ConvexSet {
@@ -564,7 +710,7 @@ mod tests {
         assert!(!r.contains(&[4, 1], &[]));
         let pts = r.enumerate();
         assert_eq!(pts.len(), 6);
-        assert!(pts.contains(&vec![2, 1]));
+        assert!(pts.contains(&[2, 1]));
     }
 
     #[test]
@@ -572,7 +718,7 @@ mod tests {
         let space = Space::new(2);
         assert!(ConvexSet::empty(space.clone()).is_certainly_empty());
         assert!(!ConvexSet::universe(space.clone()).is_certainly_empty());
-        assert_eq!(ConvexSet::empty(space).enumerate(), Vec::<IVec>::new());
+        assert!(ConvexSet::empty(space).enumerate().is_empty());
     }
 
     #[test]
@@ -616,7 +762,7 @@ mod tests {
         );
         let proj = s.project_out(0, 1);
         assert!(!proj.is_approximate());
-        let pts: Vec<i64> = proj.enumerate().into_iter().map(|p| p[0]).collect();
+        let pts: Vec<i64> = proj.enumerate().iter().map(|p| p[0]).collect();
         let expected: Vec<i64> = (1..=19).filter(|j| j % 2 == 1).collect();
         assert_eq!(pts, expected);
     }
@@ -625,7 +771,7 @@ mod tests {
     fn projection_matches_enumeration_on_rect() {
         let r = rect(4, 7);
         let proj = r.project_out(0, 1); // keep y
-        let ys: Vec<i64> = proj.enumerate().into_iter().map(|p| p[0]).collect();
+        let ys: Vec<i64> = proj.enumerate().iter().map(|p| p[0]).collect();
         assert_eq!(ys, (1..=7).collect::<Vec<_>>());
     }
 
@@ -634,7 +780,7 @@ mod tests {
         let r = rect(4, 4);
         let inner = rect(2, 4); // x in [1,2]
         let diff = r.subtract(&inner);
-        let mut pts: Vec<IVec> = diff.iter().flat_map(|s| s.enumerate()).collect();
+        let mut pts: Vec<IVec> = diff.iter().flat_map(|s| s.enumerate().to_vec()).collect();
         pts.sort();
         pts.dedup();
         // difference should be x in [3,4], y in [1,4]
@@ -660,7 +806,7 @@ mod tests {
         let odds: Vec<i64> = line
             .subtract(&evens)
             .iter()
-            .flat_map(|s| s.enumerate())
+            .flat_map(|s| s.enumerate().to_vec())
             .map(|p| p[0])
             .collect();
         let mut odds_sorted = odds.clone();

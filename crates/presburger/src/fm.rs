@@ -22,6 +22,7 @@
 //! [`crate::UnionSet`]; the test-suite cross-validates every projection used
 //! by the partitioning algorithms against the dense enumeration engine.
 
+use crate::affine::Affine;
 use crate::constraint::{Constraint, ConstraintKind, Folded};
 
 /// The outcome of eliminating one variable from a conjunction of
@@ -91,10 +92,16 @@ pub fn eliminate_dim(constraints: &[Constraint], v: usize) -> Eliminated {
                                          // lo: a_l·v + e_l ≥ 0  →  v ≥ ⌈-e_l / a_l⌉
                                          // up: -b_u·v + e_u ≥ 0 →  v ≤ ⌊ e_u / b_u⌋
                                          // combined (real shadow): a_l·e_u + b_u·e_l ≥ 0
-            let e_l = lo.expr.bind(v, 0);
-            let e_u = up.expr.bind(v, 0);
-            let combined = e_u.scale(a_l).add(&e_l.scale(b_u));
-            rest.push(Constraint::geq(combined));
+            let coeffs = up
+                .expr
+                .coeffs()
+                .iter()
+                .zip(lo.expr.coeffs())
+                .enumerate()
+                .map(|(i, (&u, &l))| if i == v { 0 } else { a_l * u + b_u * l })
+                .collect();
+            let constant = a_l * up.expr.constant_term() + b_u * lo.expr.constant_term();
+            rest.push(Constraint::geq(Affine::new(coeffs, constant)));
             if a_l > 1 && b_u > 1 {
                 // Real shadow may admit spurious integer points (dark shadow
                 // would subtract (a_l-1)(b_u-1)); flag as approximate.

@@ -12,7 +12,6 @@ use crate::constraint::Constraint;
 use crate::convex::ConvexSet;
 use crate::space::Space;
 use crate::union::UnionSet;
-use rcp_intlin::IVec;
 
 /// A relation from `in_dim`-dimensional points to `out_dim`-dimensional
 /// points, sharing symbolic parameters.
@@ -155,18 +154,6 @@ impl Relation {
         Relation::new(self.in_dim, self.out_dim, self.set.bind_params(values))
     }
 
-    /// Enumerates all `(input, output)` pairs (parameters must be bound).
-    pub fn enumerate_pairs(&self) -> Vec<(IVec, IVec)> {
-        self.set
-            .enumerate()
-            .into_iter()
-            .map(|p| {
-                let (i, j) = p.split_at(self.in_dim);
-                (i.to_vec(), j.to_vec())
-            })
-            .collect()
-    }
-
     /// Builds the constraint pieces of the strict lexicographic order
     /// `input ≺ output` over a pair space with `dim` input and `dim` output
     /// dimensions (`total` counts all variables of the pair space including
@@ -273,6 +260,7 @@ impl std::fmt::Debug for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DenseRelation;
 
     /// The figure-2 relation {i -> j | 2i + j = 21, 1 <= i,j <= 20} without
     /// the lexicographic split.
@@ -298,7 +286,7 @@ mod tests {
         assert!(r.contains_pair(&[6], &[9], &[]));
         assert!(r.contains_pair(&[1], &[19], &[]));
         assert!(!r.contains_pair(&[6], &[10], &[]));
-        let pairs = r.enumerate_pairs();
+        let pairs = DenseRelation::from_relation(&r);
         // i in [1, 10] gives j = 21 - 2i in [1, 19]
         assert_eq!(pairs.len(), 10);
         assert!(pairs.iter().all(|(i, j)| 2 * i[0] + j[0] == 21));
@@ -307,9 +295,9 @@ mod tests {
     #[test]
     fn domain_and_range() {
         let r = figure2_relation();
-        let dom: Vec<i64> = r.domain().enumerate().into_iter().map(|p| p[0]).collect();
+        let dom: Vec<i64> = r.domain().enumerate().iter().map(|p| p[0]).collect();
         assert_eq!(dom, (1..=10).collect::<Vec<_>>());
-        let ran: Vec<i64> = r.range().enumerate().into_iter().map(|p| p[0]).collect();
+        let ran: Vec<i64> = r.range().enumerate().iter().map(|p| p[0]).collect();
         let expected: Vec<i64> = (1..=19).filter(|j| j % 2 == 1).collect();
         assert_eq!(ran, expected);
     }
@@ -334,12 +322,12 @@ mod tests {
             Constraint::geq(Affine::new(vec![-1], 3)),
         ]));
         let restricted = r.restrict_domain(&small);
-        let pairs = restricted.enumerate_pairs();
+        let pairs = DenseRelation::from_relation(&restricted);
         assert_eq!(pairs.len(), 3);
         assert!(pairs.iter().all(|(i, _)| i[0] <= 3));
         // Range restriction
         let restricted = r.restrict_range(&small);
-        let pairs = restricted.enumerate_pairs();
+        let pairs = DenseRelation::from_relation(&restricted);
         assert!(pairs.iter().all(|(_, j)| j[0] <= 3));
         assert_eq!(pairs.len(), 2); // j in {1, 3}
     }
@@ -348,12 +336,10 @@ mod tests {
     fn set_algebra_on_relations() {
         let r = figure2_relation();
         let all = r.union(&r);
-        assert_eq!(all.enumerate_pairs().len(), r.enumerate_pairs().len());
-        assert!(r.subtract(&r).is_certainly_empty() || r.subtract(&r).enumerate_pairs().is_empty());
-        assert_eq!(
-            r.intersect(&r).enumerate_pairs().len(),
-            r.enumerate_pairs().len()
-        );
+        let count = |r: &Relation| DenseRelation::from_relation(r).len();
+        assert_eq!(count(&all), count(&r));
+        assert!(r.subtract(&r).is_certainly_empty() || count(&r.subtract(&r)) == 0);
+        assert_eq!(count(&r.intersect(&r)), count(&r));
     }
 
     #[test]
@@ -375,7 +361,7 @@ mod tests {
             2,
             UnionSet::from_convex(ConvexSet::from_constraints(pair, box_cs)),
         ));
-        let pairs = boxed.enumerate_pairs();
+        let pairs = DenseRelation::from_relation(&boxed);
         // all 9*9 ordered pairs with i ≺ j: (81 - 9) / 2 = 36
         assert_eq!(pairs.len(), 36);
         assert!(pairs

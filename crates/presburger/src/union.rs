@@ -9,9 +9,8 @@
 
 use crate::constraint::Constraint;
 use crate::convex::ConvexSet;
+use crate::dense::DenseSet;
 use crate::space::Space;
-use rcp_intlin::IVec;
-use std::collections::BTreeSet;
 
 /// A finite union of [`ConvexSet`] pieces over a common [`Space`].
 ///
@@ -268,15 +267,12 @@ impl UnionSet {
 
     /// Enumerates all integer points (parameters must be bound), removing
     /// duplicates coming from overlapping pieces.  Points are returned in
-    /// lexicographic order.
-    pub fn enumerate(&self) -> Vec<IVec> {
-        let mut set: BTreeSet<IVec> = BTreeSet::new();
-        for p in &self.pieces {
-            for pt in p.enumerate() {
-                set.insert(pt);
-            }
-        }
-        set.into_iter().collect()
+    /// lexicographic order: each piece's scan is already sorted, so the
+    /// pieces are merged ([`DenseSet::union_all`]), dropping duplicates on
+    /// the way.
+    pub fn enumerate(&self) -> DenseSet {
+        let pieces = self.pieces.iter().map(ConvexSet::enumerate).collect();
+        DenseSet::union_all(pieces).unwrap_or_else(|| DenseSet::new(self.space.dim()))
     }
 
     /// Number of distinct integer points (parameters must be bound).
@@ -344,7 +340,7 @@ mod tests {
         );
         let b = UnionSet::from_convex(interval(&s, 0, 2, 11));
         let i = a.intersect(&b);
-        let pts: Vec<i64> = i.enumerate().into_iter().map(|p| p[0]).collect();
+        let pts: Vec<i64> = i.enumerate().iter().map(|p| p[0]).collect();
         assert_eq!(pts, vec![2, 3, 10, 11]);
     }
 
@@ -357,7 +353,7 @@ mod tests {
             vec![interval(&s, 0, 3, 4), interval(&s, 0, 7, 8)],
         );
         let d = a.subtract(&b);
-        let pts: Vec<i64> = d.enumerate().into_iter().map(|p| p[0]).collect();
+        let pts: Vec<i64> = d.enumerate().iter().map(|p| p[0]).collect();
         assert_eq!(pts, vec![1, 2, 5, 6, 9, 10]);
     }
 
@@ -429,7 +425,7 @@ mod tests {
         ]);
         let u = UnionSet::from_convex(square);
         let proj = u.project_out(1, 1); // keep i
-        let pts: Vec<i64> = proj.enumerate().into_iter().map(|p| p[0]).collect();
+        let pts: Vec<i64> = proj.enumerate().iter().map(|p| p[0]).collect();
         assert_eq!(pts, vec![1, 2, 3]);
     }
 

@@ -552,11 +552,16 @@ impl Analyzed {
                         (Arc::new(analysis), Vec::new(), bound, Vec::new())
                     }
                 };
-            let (phi_union, relation) = analysis.bind_params(&analysis_values);
-            let phi = OnceLock::new();
-            let _ = phi.set(DenseSet::from_union(&phi_union));
-            let rd = OnceLock::new();
-            let _ = rd.set(DenseRelation::from_relation(&relation));
+            // The eager Φ/Rd enumeration of this rung, under the same span
+            // as the lazy `StageCore::phi`/`rd` path.
+            let (phi, rd) = {
+                let _span = rcp_trace::span!("session.enumerate");
+                let (phi_union, relation) = analysis.bind_params(&analysis_values);
+                (
+                    OnceLock::from(DenseSet::from_union(&phi_union)),
+                    OnceLock::from(DenseRelation::from_relation(&relation)),
+                )
+            };
             Arc::new(StageCore {
                 values: values.to_vec(),
                 analysis,

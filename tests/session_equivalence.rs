@@ -51,7 +51,7 @@ fn legacy_pipeline(program: &Program, values: &[i64], granularity: Granularity) 
 }
 
 fn pairs(rd: &DenseRelation) -> Vec<(Vec<i64>, Vec<i64>)> {
-    rd.iter().cloned().collect()
+    rd.iter().map(|(a, b)| (a.to_vec(), b.to_vec())).collect()
 }
 
 /// Asserts the session stage equals the legacy artifacts piece for piece,
