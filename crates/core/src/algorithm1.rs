@@ -19,7 +19,7 @@ use crate::dataflow::{dataflow_partition, DataflowPartition};
 use crate::recurrence::Recurrence;
 use crate::three_set::{DenseThreeSet, ThreeSetPartition};
 use rcp_depend::{CoupledPairCheck, DependenceAnalysis};
-use rcp_presburger::{DenseRelation, DenseSet, UnionSet};
+use rcp_presburger::{ConvexSet, DenseRelation, DenseSet, UnionSet};
 use std::fmt;
 
 /// The branch of Algorithm 1 chosen for a program.
@@ -174,6 +174,8 @@ pub struct SymbolicPlan {
     /// enumerate the space and filter recurrence images without the
     /// originating analysis.
     phi: UnionSet,
+    /// `ran Rd`, from which instantiation derives `P1` and `P3` (eq. 5).
+    ran: UnionSet,
     /// Why [`SymbolicPlan::instantiate`] must refuse and the caller fall
     /// back to the validated per-binding concrete path; `None` when the
     /// plan is symbolically instantiable.
@@ -211,6 +213,15 @@ impl SymbolicPlan {
         Ok(PlanInstance {
             partition: self.partition.bind_params(values),
             phi: self.phi.bind_params(values),
+            // Piece by piece: `ran Rd` is only enumerated, and an empty
+            // piece scans to nothing, so it skips the feasibility check
+            // with which `UnionSet::bind_params` drops empty pieces.
+            ran: self
+                .ran
+                .pieces()
+                .iter()
+                .map(|p| p.bind_params(values))
+                .collect(),
             recurrence: self.recurrence.clone(),
         })
     }
@@ -263,6 +274,8 @@ pub struct PlanInstance {
     pub partition: ThreeSetPartition,
     /// The bound iteration space `Φ`.
     phi: UnionSet,
+    /// The pieces of the bound `ran Rd`.
+    ran: Vec<ConvexSet>,
     /// The recurrence `T`, `u` (binding-independent).
     recurrence: Recurrence,
 }
@@ -292,26 +305,18 @@ impl PlanInstance {
     /// [`PlanUnavailable::InstantiationInvalid`] when the chains fail
     /// validation at this binding.
     pub fn materialise(&self) -> Result<ConcretePartition, PlanUnavailable> {
-        // For instantiable plans `P1`, `P2`, `P3` partition `Φ` exactly and
-        // `W ⊆ P2` (see the validation note below).  Each bound piece costs
-        // a compiled scan, so of `P1` and `P3` only the one with fewer
-        // pieces is enumerated; the other is `Φ` minus the rest.  `W` is
-        // read off `P2` by piece membership.
+        // The sets of eq. 5 from the enumerated `Φ`, `ran Rd` and `P2`:
+        // `P1 = Φ \ ran Rd` and `P3 = (ran Rd ∩ Φ) \ P2`.  `ran Rd` has
+        // fewer pieces than `P1` and `P3`, which the subtractions that
+        // define them fragment, and each piece costs a compiled scan.
+        // `W ⊆ P2` is read off `P2` by piece membership.
         let part = &self.partition;
+        let phi = DenseSet::from_union(&self.phi);
+        let ran = DenseSet::union_all(self.ran.iter().map(ConvexSet::enumerate).collect())
+            .unwrap_or_else(|| DenseSet::new(phi.dim()));
         let p2 = DenseSet::from_union(&part.p2);
-        let rest = |known: &DenseSet| {
-            DenseSet::from_union(&self.phi)
-                .subtract(known)
-                .subtract(&p2)
-        };
-        let (p1, p3) = if part.p1.n_pieces() <= part.p3.n_pieces() {
-            let p1 = DenseSet::from_union(&part.p1);
-            let p3 = rest(&p1);
-            (p1, p3)
-        } else {
-            let p3 = DenseSet::from_union(&part.p3);
-            (rest(&p3), p3)
-        };
+        let p1 = phi.subtract(&ran);
+        let p3 = phi.intersect(&ran).subtract(&p2);
         let w = p2.subset((0..p2.len()).filter(|&id| part.w.contains(p2.point(id), &[])));
         let dense = DenseThreeSet { p1, p2, p3, w };
 
@@ -341,14 +346,11 @@ impl PlanInstance {
         for start in dense.w.iter() {
             let mut chain = Vec::new();
             let mut current = start.to_vec();
-            loop {
-                if !dense.p2.contains(&current) {
-                    break;
-                }
+            while dense.p2.contains(&current) {
                 chain.push(current.clone());
-                let succs = successors(&current);
-                match succs.first() {
-                    Some(next) if succs.len() == 1 => current = next.clone(),
+                let mut succs = successors(&current);
+                match succs.pop() {
+                    Some(next) if succs.is_empty() => current = next,
                     _ => break,
                 }
             }
@@ -391,27 +393,24 @@ impl PlanInstance {
         if let Some(problem) = crate::chains::validate_chain_cover(chains, &dense.p2).pop() {
             return Some(problem);
         }
-        // The chains cover P2 exactly once, so every chain iteration has a
-        // P2 id and an owning chain.
-        let mut owner = vec![0usize; dense.p2.len()];
+        // The chains cover P2 exactly once.  The walk followed each
+        // iteration's only successor to the next iteration of its chain, so
+        // an edge can leave a chain only from its last iteration, and then
+        // every successor inside P2 lies on another chain (chains rise
+        // lexicographically, and successors are lexicographically forward).
         for (k, c) in chains.iter().enumerate() {
-            for it in &c.iterations {
-                if let Some(id) = dense.p2.index_of(it) {
-                    owner[id] = k;
-                }
-            }
-        }
-        for (k, c) in chains.iter().enumerate() {
-            for it in &c.iterations {
-                for succ in successors(it) {
-                    if let Some(other) = dense.p2.index_of(&succ).map(|id| owner[id]) {
-                        if other != k {
-                            return Some(format!(
-                                "dependence {:?} -> {:?} crosses chains {k} and {other}",
-                                it, succ
-                            ));
-                        }
-                    }
+            let Some(last) = c.iterations.last() else {
+                continue;
+            };
+            for succ in successors(last)
+                .into_iter()
+                .filter(|s| dense.p2.contains(s))
+            {
+                if let Some(other) = chains.iter().position(|c| c.iterations.contains(&succ)) {
+                    return Some(format!(
+                        "dependence {:?} -> {:?} crosses chains {k} and {other}",
+                        last, succ
+                    ));
                 }
             }
         }
@@ -604,7 +603,8 @@ pub fn symbolic_plan(analysis: &DependenceAnalysis) -> Result<SymbolicPlan, Plan
         .expect("plan_unavailability returned None, so the pair exists");
     let recurrence = Recurrence::from_pair(&pair)
         .expect("plan_unavailability returned None, so the recurrence exists");
-    let partition = ThreeSetPartition::compute(&analysis.phi, &analysis.relation);
+    let ran = analysis.relation.range();
+    let partition = ThreeSetPartition::from_range(&analysis.phi, &analysis.relation, &ran);
     // Instantiability gates: the symbolic walk in `instantiate` is only
     // bit-identical to the dense pipeline when (a) every relation piece
     // comes from the coupled pair — otherwise the recurrence maps miss
@@ -630,6 +630,7 @@ pub fn symbolic_plan(analysis: &DependenceAnalysis) -> Result<SymbolicPlan, Plan
         partition,
         recurrence,
         phi: analysis.phi.clone(),
+        ran,
         instantiability,
     })
 }
@@ -1032,5 +1033,79 @@ mod tests {
         assert_eq!(stats.total_iterations, 16);
         assert_eq!(stats.critical_path, 1);
         assert_eq!(stats.max_width, 16);
+    }
+
+    /// `a[I] = a[-2·I]` for `-4 ≤ I ≤ 8`: the recurrence `x ↦ -2x` gives
+    /// `-2` two forward successors, `4` and `1`, so a chain ends there.
+    /// The partition sets are hand-made, so only the instance's own
+    /// validation stands between bad sets and a partition.
+    fn branching_instance(p2: &[i64], w: &[i64]) -> PlanInstance {
+        use rcp_presburger::{Affine, Constraint};
+        let program = Program::new(
+            "branch",
+            &[],
+            vec![loop_(
+                "I",
+                c(-4),
+                c(8),
+                vec![stmt(
+                    "S",
+                    vec![
+                        ArrayRef::write("a", vec![v("I")]),
+                        ArrayRef::read("a", vec![v("I") * -2]),
+                    ],
+                )],
+            )],
+        );
+        let analysis = rcp_depend::DependenceAnalysis::loop_level(&program);
+        let pair = analysis.single_coupled_pair().expect("one coupled pair");
+        let space = &analysis.space;
+        let points = |xs: &[i64]| {
+            let pieces = xs.iter().map(|&x| {
+                let at_x = Constraint::eq(Affine::new(vec![1], -x));
+                ConvexSet::from_constraints(space.clone(), vec![at_x])
+            });
+            UnionSet::from_pieces(space.clone(), pieces.collect())
+        };
+        let phi = analysis.phi.bind_params(&[]);
+        PlanInstance {
+            partition: ThreeSetPartition {
+                p1: phi.subtract(&points(p2)),
+                p2: points(p2),
+                p3: points(&[]),
+                w: points(w),
+            },
+            phi,
+            ran: points(p2).pieces().to_vec(),
+            recurrence: Recurrence::from_pair(&pair).expect("full-rank pair"),
+        }
+    }
+
+    #[test]
+    fn materialise_rejects_chains_that_miss_p2_or_cross() {
+        let detail = |instance: PlanInstance| match instance.materialise() {
+            Err(PlanUnavailable::InstantiationInvalid { detail }) => detail,
+            other => panic!("expected an invalid instantiation, got {other:?}"),
+        };
+        // No chain reaches 6.
+        assert_eq!(
+            detail(branching_instance(&[-2, 1, 4, 6], &[-2, 1, 4])),
+            "chains cover 3 of 4 intermediate iterations"
+        );
+        // The chain of -2 ends at its two successors, and 4 is intermediate
+        // on a chain of its own.
+        assert_eq!(
+            detail(branching_instance(&[-2, 1, 4], &[-2, 1, 4])),
+            "dependence [-2] -> [4] crosses chains 0 and 2"
+        );
+        // With -2 the only intermediate iteration the chain is valid.
+        match branching_instance(&[-2], &[-2]).materialise() {
+            Ok(ConcretePartition::RecurrenceChains { chains, p3, .. }) => {
+                assert_eq!(chains.len(), 1);
+                assert_eq!(chains[0].iterations, vec![vec![-2]]);
+                assert!(p3.is_empty());
+            }
+            other => panic!("expected recurrence chains, got {other:?}"),
+        }
     }
 }

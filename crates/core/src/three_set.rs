@@ -37,9 +37,13 @@ impl ThreeSetPartition {
     /// Computes the partition from the iteration space and the forward
     /// dependence relation (eq. 5 of the paper).
     pub fn compute(phi: &UnionSet, rd: &Relation) -> ThreeSetPartition {
-        let ran = rd.range();
+        Self::from_range(phi, rd, &rd.range())
+    }
+
+    /// [`Self::compute`] given `ran = ran Rd`, for callers that keep it.
+    pub(crate) fn from_range(phi: &UnionSet, rd: &Relation, ran: &UnionSet) -> ThreeSetPartition {
         let dom = rd.domain();
-        let p1 = phi.subtract(&ran);
+        let p1 = phi.subtract(ran);
         let p2 = ran.intersect(&dom).intersect(phi);
         let p3 = ran.subtract(&dom).intersect(phi);
         // W = {j | (i -> j) in Rd, i in P1, j in P2}

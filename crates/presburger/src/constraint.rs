@@ -18,6 +18,18 @@ pub enum ConstraintKind {
     Mod(i64),
 }
 
+impl ConstraintKind {
+    /// True if a constraint of this kind holds where its affine left-hand
+    /// side evaluates to `value`.
+    pub fn holds(self, value: i64) -> bool {
+        match self {
+            ConstraintKind::Eq => value == 0,
+            ConstraintKind::Geq => value >= 0,
+            ConstraintKind::Mod(m) => value.rem_euclid(m) == 0,
+        }
+    }
+}
+
 /// A single linear constraint over a [`Space`].
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Constraint {
@@ -88,12 +100,7 @@ impl Constraint {
     /// True if the constraint is satisfied at the full assignment `point`
     /// (`[dims..., params...]`).
     pub fn satisfied(&self, point: &[i64]) -> bool {
-        let v = self.expr.eval(point);
-        match self.kind {
-            ConstraintKind::Eq => v == 0,
-            ConstraintKind::Geq => v >= 0,
-            ConstraintKind::Mod(m) => v.rem_euclid(m) == 0,
-        }
+        self.kind.holds(self.expr.eval(point))
     }
 
     /// Constant-folds the constraint when the expression has no variables.
@@ -101,13 +108,7 @@ impl Constraint {
         if !self.expr.is_constant() {
             return Folded::Open;
         }
-        let k = self.expr.constant_term();
-        let sat = match self.kind {
-            ConstraintKind::Eq => k == 0,
-            ConstraintKind::Geq => k >= 0,
-            ConstraintKind::Mod(m) => k.rem_euclid(m) == 0,
-        };
-        if sat {
+        if self.kind.holds(self.expr.constant_term()) {
             Folded::True
         } else {
             Folded::False

@@ -161,7 +161,7 @@ impl ConvexSet {
         self.constraints.iter().all(|c| {
             let (on_dims, on_params) = c.expr.coeffs().split_at(dims.len());
             let value = c.expr.constant_term() + dot(on_dims, dims) + dot(on_params, params);
-            holds(c.kind, value)
+            c.kind.holds(value)
         })
     }
 
@@ -530,7 +530,7 @@ impl SparseRows {
 
     /// True when every row holds at `point`.
     fn hold(&self, point: &[i64]) -> bool {
-        (0..self.len()).all(|r| holds(self.kinds[r], self.value(r, point)))
+        (0..self.len()).all(|r| self.kinds[r].holds(self.value(r, point)))
     }
 }
 
@@ -615,16 +615,8 @@ impl Level {
             .zip(&self.rest.kinds)
             .all(|((&a, &rest), &kind)| {
                 (congruences_only && !matches!(kind, ConstraintKind::Mod(_)))
-                    || holds(kind, a * v + rest)
+                    || kind.holds(a * v + rest)
             })
-    }
-}
-
-fn holds(kind: ConstraintKind, value: i64) -> bool {
-    match kind {
-        ConstraintKind::Eq => value == 0,
-        ConstraintKind::Geq => value >= 0,
-        ConstraintKind::Mod(m) => value.rem_euclid(m) == 0,
     }
 }
 

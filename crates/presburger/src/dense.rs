@@ -312,34 +312,8 @@ impl DenseSet {
 
     /// Union.
     pub fn union(&self, other: &DenseSet) -> DenseSet {
-        assert_eq!(self.dim(), other.dim(), "point dimension mismatch");
-        let (a, b) = (&self.rows, &other.rows);
-        let mut data = Vec::with_capacity(a.data.len() + b.data.len());
-        let (mut i, mut j, mut len) = (0, 0, 0);
-        while i < a.len() && j < b.len() {
-            let (x, y) = (a.row(i), b.row(j));
-            match x.cmp(y) {
-                Ordering::Less => {
-                    data.extend_from_slice(x);
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    data.extend_from_slice(y);
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    data.extend_from_slice(x);
-                    i += 1;
-                    j += 1;
-                }
-            }
-            len += 1;
-        }
-        let w = a.width();
-        data.extend_from_slice(&a.data[i * w..]);
-        data.extend_from_slice(&b.data[j * w..]);
-        len += (a.len() - i) + (b.len() - j);
-        DenseSet::from_sorted_rows(Rows::from_flat(w, len, data))
+        let capacity = self.rows.data.len() + other.rows.data.len();
+        self.combine(other, capacity, |a, b| a || b)
     }
 
     /// The union of many sets: adjacent sets are merged pairwise until one
