@@ -61,7 +61,7 @@ pub enum Stage {
     ChainEnumeration,
     /// Concrete partition construction (`rcp-session`).
     Partition,
-    /// Executor phases and barrier merges (`rcp-runtime`).
+    /// Executor phases and their barriers (`rcp-runtime`).
     Execution,
 }
 
@@ -511,7 +511,7 @@ pub fn suppress_control_flow_panic_output() {
 /// | `core::chains` | recurrence-chain enumeration |
 /// | `session::partition` | concrete partition stage construction |
 /// | `runtime::phase` | executor phase body (pool worker) |
-/// | `runtime::merge` | barrier merge of buffered writes |
+/// | `runtime::barrier` | executor barrier closing a multi-unit phase |
 pub const FAILPOINT_SITES: &[&str] = &[
     "intlin::hnf",
     "intlin::dio",
@@ -523,7 +523,7 @@ pub const FAILPOINT_SITES: &[&str] = &[
     "core::chains",
     "session::partition",
     "runtime::phase",
-    "runtime::merge",
+    "runtime::barrier",
 ];
 
 /// The fault a site injects when armed.

@@ -3,7 +3,7 @@
 //! This is the generalisation of the `ParallelExecutor` worker pool into a
 //! reusable building block: any data-parallel, *non-schedule* work — sharded
 //! dependence analysis over reference pairs, sharded trace construction over
-//! statement-instance ranges, per-array barrier merges — runs through
+//! statement-instance ranges, concurrent benchmark experiments — runs through
 //! [`par_map`] instead of hand-rolling its own `std::thread::scope` loop.
 //! It sits directly above `rcp-guard` and below every other workspace crate,
 //! so both the analysis front end (`rcp-depend`) and the runtime

@@ -1,48 +1,153 @@
 //! The array store: the memory the generated loops compute on.
 //!
-//! Arrays are stored sparsely (element index vector → `f64`), which handles
-//! the negative subscripts of the Cholesky kernel and the unknown extents of
-//! parametric loops without any up-front sizing.  Elements that were never
-//! written read as a deterministic, index-dependent initial value so that
-//! result comparison between the sequential and the parallel execution is
-//! meaningful even for partially-initialised arrays.
+//! Every array is a dense box, like a Fortran array with declared bounds:
+//! an origin and an extent per dimension (negative subscripts, such as
+//! Cholesky's, only move the origin), row-major strides, one `f64` cell
+//! per element and a bitmap of the cells that have been written.  An
+//! unwritten element reads as a deterministic, index-dependent
+//! [`Array::initial_value`], so that the sequential and the parallel store
+//! compare meaningfully even where a program reads what it never wrote.
+//!
+//! A store grows on demand: a write outside an array's box regrows the box
+//! geometrically, so `ArrayStore::new()` plus writes needs no up-front
+//! sizing.  Executors instead reserve every box before a run
+//! ([`crate::Kernel::reserve`]), and parallel units then write in place
+//! through shared references: cells are `AtomicU64`s holding `f64` bits.
+//! Arrays are keyed by name *and* rank, as the element indices they hold
+//! are, and the store's slot order is a layout detail that no comparison
+//! sees.
+//!
+//! Kernels reach the store only through a [`StoreView`]: an exclusive view
+//! grows boxes, a shared view (one per worker and phase) does not, and on
+//! checked runs either one stamps every cell it writes with the writing
+//! unit, so that a unit touching a cell another unit of the same phase
+//! wrote is reported as a conflict.
+//!
+//! Memory ordering: the executor's phase barrier orders one phase's
+//! writes before the next phase's reads.  Within a phase a shared write
+//! stores the stamp, then the value with `Release`, then sets the written
+//! bit with a `Release` read-modify-write; a read loads the bit and the
+//! value with `Acquire`, then the stamp.  A read that sees another unit's
+//! value therefore sees its stamp as well.
 
 use rcp_intlin::IVec;
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A single (sparse, dynamically sized) multi-dimensional array of `f64`.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// A dense, growable multi-dimensional array of `f64`.
 pub struct Array {
-    elements: HashMap<IVec, f64>,
+    /// The lowest index the box holds, per dimension.
+    origin: Vec<i64>,
+    /// How many indices the box holds, per dimension.
+    extents: Vec<usize>,
+    /// Row-major strides (the last dimension is contiguous).
+    strides: Vec<usize>,
+    /// The cells' `f64` bits; meaningful only where `written` is set.
+    cells: Vec<AtomicU64>,
+    /// One bit per cell, set by the cell's first write.
+    written: Vec<AtomicU64>,
+    /// On checked runs, the stamp of each cell's last writer; empty
+    /// otherwise.
+    stamps: Vec<AtomicU64>,
+}
+
+fn zeroed(n: usize) -> Vec<AtomicU64> {
+    std::iter::repeat_with(|| AtomicU64::new(0))
+        .take(n)
+        .collect()
+}
+
+#[inline]
+fn bit(offset: usize) -> (usize, u64) {
+    (offset >> 6, 1u64 << (offset & 63))
+}
+
+/// True when a cell last stamped `previous` is touched by the unit
+/// stamped `stamp`: a different unit of the same phase (stamps carry the
+/// phase in their high half; 0 is "unchecked").
+#[inline]
+fn collides(previous: u64, stamp: u64) -> bool {
+    stamp != 0 && previous != stamp && previous >> 32 == stamp >> 32
 }
 
 impl Array {
-    /// Creates an empty array.
-    pub fn new() -> Self {
-        Array::default()
-    }
-
-    /// Reads an element; unwritten elements return a deterministic initial
-    /// value derived from the index (a stand-in for "whatever the program
-    /// initialised the array with").
-    pub fn get(&self, index: &[i64]) -> f64 {
-        match self.elements.get(index) {
-            Some(&v) => v,
-            None => Self::initial_value(index),
+    fn with_rank(rank: usize) -> Self {
+        // A rank-0 array is one cell from the start: its box cannot grow.
+        let len = usize::from(rank == 0);
+        Array {
+            origin: vec![0; rank],
+            extents: vec![0; rank],
+            strides: vec![0; rank],
+            cells: zeroed(len),
+            written: zeroed(len),
+            stamps: Vec::new(),
         }
     }
 
-    /// Writes an element.
-    pub fn set(&mut self, index: &[i64], value: f64) {
-        self.elements.insert(index.to_vec(), value);
+    /// The number of subscripts of the array's elements.
+    pub(crate) fn rank(&self) -> usize {
+        self.origin.len()
+    }
+
+    /// The linear offset of `index` in the box, `None` outside it.
+    #[inline]
+    fn offset(&self, index: &[i64]) -> Option<usize> {
+        if index.len() != self.origin.len() {
+            return None;
+        }
+        let mut offset = 0usize;
+        for (((&x, &lo), &extent), &stride) in index
+            .iter()
+            .zip(&self.origin)
+            .zip(&self.extents)
+            .zip(&self.strides)
+        {
+            let rel = x.wrapping_sub(lo) as u64;
+            if rel >= extent as u64 {
+                return None;
+            }
+            offset += rel as usize * stride;
+        }
+        Some(offset)
+    }
+
+    /// The index of the cell at `offset`, written into `index`.
+    fn index_of(&self, mut offset: usize, index: &mut [i64]) {
+        for ((x, &lo), &stride) in index.iter_mut().zip(&self.origin).zip(&self.strides) {
+            *x = lo + (offset / stride) as i64;
+            offset %= stride;
+        }
+    }
+
+    #[inline]
+    fn is_written(&self, offset: usize) -> bool {
+        let (word, mask) = bit(offset);
+        self.written[word].load(Ordering::Acquire) & mask != 0
+    }
+
+    /// The written value at `offset`, if any.
+    #[inline]
+    fn cell(&self, offset: usize) -> Option<f64> {
+        self.is_written(offset)
+            .then(|| f64::from_bits(self.cells[offset].load(Ordering::Acquire)))
+    }
+
+    /// Reads an element; unwritten elements read [`Self::initial_value`].
+    pub(crate) fn get(&self, index: &[i64]) -> f64 {
+        self.offset(index)
+            .and_then(|o| self.cell(o))
+            .unwrap_or_else(|| Self::initial_value(index))
     }
 
     /// Number of elements that have been written.
-    pub fn written_len(&self) -> usize {
-        self.elements.len()
+    pub(crate) fn written_len(&self) -> usize {
+        self.written
+            .iter()
+            .map(|w| w.load(Ordering::Acquire).count_ones() as usize)
+            .sum()
     }
 
     /// The deterministic initial value of an element.
+    #[inline]
     pub fn initial_value(index: &[i64]) -> f64 {
         // A small, smooth, index-dependent value keeps kernels numerically
         // tame while making distinct elements distinguishable.
@@ -53,16 +158,130 @@ impl Array {
         acc
     }
 
-    /// Iterates the written elements.
-    pub fn iter(&self) -> impl Iterator<Item = (&IVec, &f64)> {
-        self.elements.iter()
+    /// Calls `f(offset)` for every written cell, in row-major order.
+    fn for_each_written(&self, mut f: impl FnMut(usize)) {
+        for (w, word) in self.written.iter().enumerate() {
+            let mut bits = word.load(Ordering::Acquire);
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Re-lays the array out as the box `origin + [0, extents)`, which must
+    /// contain every written cell, carrying written cells (and stamps)
+    /// over.  A box whose size overflows `usize` is left as it was.
+    fn rebox(&mut self, origin: Vec<i64>, extents: Vec<usize>) {
+        let Some(len) = extents.iter().try_fold(1usize, |n, &e| n.checked_mul(e)) else {
+            return;
+        };
+        let mut strides = vec![1usize; extents.len()];
+        for d in (0..extents.len().saturating_sub(1)).rev() {
+            strides[d] = strides[d + 1] * extents[d + 1];
+        }
+        let stamped = !self.stamps.is_empty();
+        let mut next = Array {
+            origin,
+            extents,
+            strides,
+            cells: zeroed(len),
+            written: zeroed(len.div_ceil(64)),
+            stamps: if stamped { zeroed(len) } else { Vec::new() },
+        };
+        let mut index = vec![0i64; self.rank()];
+        self.for_each_written(|o| {
+            self.index_of(o, &mut index);
+            if let Some(n) = next.offset(&index) {
+                let (word, mask) = bit(n);
+                *next.written[word].get_mut() |= mask;
+                *next.cells[n].get_mut() = self.cells[o].load(Ordering::Relaxed);
+                if stamped {
+                    *next.stamps[n].get_mut() = self.stamps[o].load(Ordering::Relaxed);
+                }
+            }
+        });
+        *self = next;
+    }
+
+    /// Re-lays the array out as the box from `lo` to `hi` (inclusive, per
+    /// dimension, in `i128` so that no extent overflows on the way).
+    fn rebox_span(&mut self, lo: &[i128], hi: &[i128]) {
+        let origin: Option<Vec<i64>> = lo.iter().map(|&a| i64::try_from(a).ok()).collect();
+        let extents: Option<Vec<usize>> = lo
+            .iter()
+            .zip(hi)
+            .map(|(&a, &b)| usize::try_from((b - a + 1).max(0)).ok())
+            .collect();
+        if let (Some(origin), Some(extents)) = (origin, extents) {
+            if origin != self.origin || extents != self.extents {
+                self.rebox(origin, extents);
+            }
+        }
+    }
+
+    /// The box's inclusive bounds per dimension, `None` while it is empty.
+    fn span(&self) -> Option<(Vec<i128>, Vec<i128>)> {
+        (!self.cells.is_empty()).then(|| {
+            let lo: Vec<i128> = self.origin.iter().map(|&a| a as i128).collect();
+            let hi = lo
+                .iter()
+                .zip(&self.extents)
+                .map(|(&a, &n)| a + n as i128 - 1);
+            (lo.clone(), hi.collect())
+        })
+    }
+
+    /// Grows the box to contain `lo..=hi` exactly (a no-op when it already
+    /// does).
+    fn cover(&mut self, lo: &[i64], hi: &[i64]) {
+        let mut lo: Vec<i128> = lo.iter().map(|&x| x as i128).collect();
+        let mut hi: Vec<i128> = hi.iter().map(|&x| x as i128).collect();
+        if let Some((a, b)) = self.span() {
+            for d in 0..lo.len() {
+                lo[d] = lo[d].min(a[d]);
+                hi[d] = hi[d].max(b[d]);
+            }
+        }
+        self.rebox_span(&lo, &hi);
+    }
+
+    /// Grows the box geometrically so that it contains `index`: a
+    /// dimension that must grow at least doubles, towards the side that
+    /// needed it, so a run of out-of-box writes regrows O(log n) times.
+    fn grow_to(&mut self, index: &[i64]) {
+        let Some((mut lo, mut hi)) = self.span() else {
+            self.cover(index, index);
+            return;
+        };
+        for (d, &x) in index.iter().enumerate() {
+            let (x, n) = (x as i128, hi[d] - lo[d] + 1);
+            if x < lo[d] {
+                lo[d] = x.min(hi[d] + 1 - 2 * n);
+            } else if x > hi[d] {
+                hi[d] = x.max(lo[d] - 1 + 2 * n);
+            }
+        }
+        self.rebox_span(&lo, &hi);
+    }
+}
+
+impl std::fmt::Debug for Array {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Array")
+            .field("origin", &self.origin)
+            .field("extents", &self.extents)
+            .field("written", &self.written_len())
+            .finish()
     }
 }
 
 /// A named collection of arrays.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Debug, Default)]
 pub struct ArrayStore {
-    arrays: HashMap<String, Array>,
+    /// Slot → (name, array).  Kernels address arrays by slot
+    /// ([`Self::bind`]); every public operation goes by name.
+    arrays: Vec<(String, Array)>,
 }
 
 impl ArrayStore {
@@ -71,160 +290,375 @@ impl ArrayStore {
         ArrayStore::default()
     }
 
+    fn slot(&self, name: &str, rank: usize) -> Option<usize> {
+        self.arrays
+            .iter()
+            .position(|(n, a)| n == name && a.rank() == rank)
+    }
+
+    fn slot_or_insert(&mut self, name: &str, rank: usize) -> usize {
+        self.slot(name, rank).unwrap_or_else(|| {
+            self.arrays.push((name.to_string(), Array::with_rank(rank)));
+            self.arrays.len() - 1
+        })
+    }
+
+    /// Makes slot `k` hold array `arrays[k]` (a name and a rank) for every
+    /// `k`, moving or creating arrays as needed.  Slot order is invisible to
+    /// every public operation, so binding never changes what the store
+    /// holds.
+    pub(crate) fn bind(&mut self, arrays: &[(String, usize)]) {
+        for (k, (name, rank)) in arrays.iter().enumerate() {
+            let bound = self
+                .arrays
+                .get(k)
+                .is_some_and(|(n, a)| n == name && a.rank() == *rank);
+            if !bound {
+                let from = self.slot_or_insert(name, *rank);
+                self.arrays.swap(k, from);
+            }
+        }
+    }
+
+    /// Grows slot `slot`'s box to contain `lo..=hi`.
+    pub(crate) fn reserve(&mut self, slot: usize, lo: &[i64], hi: &[i64]) {
+        if let Some((_, array)) = self.arrays.get_mut(slot) {
+            if lo.len() == array.rank() && hi.len() == array.rank() {
+                array.cover(lo, hi);
+            }
+        }
+    }
+
+    /// Starts (`true`) or ends (`false`) per-cell writer stamping for a
+    /// checked run.
+    pub(crate) fn set_stamping(&mut self, on: bool) {
+        for (_, array) in &mut self.arrays {
+            array.stamps = if on {
+                zeroed(array.cells.len())
+            } else {
+                Vec::new()
+            };
+        }
+    }
+
+    /// The name of the array in `slot`.
+    pub(crate) fn name(&self, slot: usize) -> &str {
+        self.arrays.get(slot).map_or("", |(n, _)| n.as_str())
+    }
+
     /// Reads `array[index]`.
     pub fn get(&self, array: &str, index: &[i64]) -> f64 {
-        match self.arrays.get(array) {
-            Some(a) => a.get(index),
+        match self.slot(array, index.len()) {
+            Some(slot) => self.arrays[slot].1.get(index),
             None => Array::initial_value(index),
         }
     }
 
     /// Writes `array[index] = value`.
     pub fn set(&mut self, array: &str, index: &[i64], value: f64) {
-        self.arrays
-            .entry(array.to_string())
-            .or_default()
-            .set(index, value);
-    }
-
-    /// The named array, if any element of it has been written.
-    pub fn array(&self, name: &str) -> Option<&Array> {
-        self.arrays.get(name)
-    }
-
-    /// Removes and returns the named array (an empty array when it was
-    /// never written).  Together with [`Self::insert_array`] this lets the
-    /// phase-barrier merge take disjoint arrays out of the store, fill them
-    /// on different threads, and put them back.
-    pub fn take_array(&mut self, name: &str) -> Array {
-        self.arrays.remove(name).unwrap_or_default()
-    }
-
-    /// (Re-)inserts an array under the given name, replacing any existing
-    /// contents.
-    pub fn insert_array(&mut self, name: &str, array: Array) {
-        self.arrays.insert(name.to_string(), array);
+        StoreView::exclusive(self).write(array, index, value);
     }
 
     /// Total number of written elements across all arrays.
     pub fn written_len(&self) -> usize {
-        self.arrays.values().map(|a| a.written_len()).sum()
+        self.arrays.iter().map(|(_, a)| a.written_len()).sum()
     }
 
     /// Compares two stores element-wise; returns the mismatching
-    /// `(array, index, left, right)` tuples, those whose values differ by
-    /// more than the absolute `tolerance` (a NaN matches only the same
-    /// bit pattern).  Schedule verification passes
-    /// 0.0 ([`crate::Verification::check`]): a legal schedule computes
-    /// every element with the same operations in the same order as the
-    /// sequential run, so its store matches bit for bit.
+    /// `(array, index, left, right)` tuples in array-name and index order.
+    ///
+    /// Two elements match when both are written and their values agree —
+    /// bit for bit at tolerance 0.0, within the absolute `tolerance`
+    /// otherwise (a NaN matches only its own bit pattern) — or when
+    /// neither is written.  An element written on one side only is a
+    /// mismatch whatever its value.  Schedule verification passes 0.0
+    /// ([`crate::Verification::check`]): a legal schedule computes every
+    /// element with the same operations in the same order as the
+    /// sequential run, so its store matches bit for bit, and `==` is
+    /// exactly `diff(_, 0.0).is_empty()`.
     pub fn diff(&self, other: &ArrayStore, tolerance: f64) -> Vec<(String, IVec, f64, f64)> {
+        let _span = rcp_trace::span!("executor.diff");
         let mut mismatches = Vec::new();
-        let mut names: Vec<&String> = self.arrays.keys().chain(other.arrays.keys()).collect();
-        names.sort();
-        names.dedup();
-        for name in names {
-            let empty = Array::new();
-            let left = self.arrays.get(name.as_str()).unwrap_or(&empty);
-            let right = other.arrays.get(name.as_str()).unwrap_or(&empty);
-            let mut indices: Vec<&IVec> =
-                left.elements.keys().chain(right.elements.keys()).collect();
-            indices.sort();
-            indices.dedup();
-            for idx in indices {
-                let a = left.get(idx);
-                let b = right.get(idx);
-                // A NaN matches only its own bit pattern: the difference
-                // test alone would let it pass.
-                let differ = (a - b).abs() > tolerance || a.is_nan() || b.is_nan();
-                if differ && a.to_bits() != b.to_bits() {
-                    mismatches.push((name.clone(), idx.clone(), a, b));
-                }
-            }
-        }
+        compare(self, other, tolerance, |name, index, a, b| {
+            mismatches.push((name.to_string(), index.to_vec(), a, b));
+            true
+        });
+        mismatches.sort_by(|x, y| x.0.cmp(&y.0).then_with(|| x.1.cmp(&y.1)));
         mismatches
     }
 }
 
-/// A read/write view of the store used by kernels.  The plain store
-/// implements it directly; the parallel executor supplies buffered views
-/// that defer writes until the end of a phase.
-pub trait StoreView {
-    /// Reads `array[index]`.
-    fn read(&self, array: &str, index: &[i64]) -> f64;
-    /// Writes `array[index] = value`.
-    fn write(&mut self, array: &str, index: &[i64], value: f64);
-}
-
-impl StoreView for ArrayStore {
-    fn read(&self, array: &str, index: &[i64]) -> f64 {
-        self.get(array, index)
-    }
-    fn write(&mut self, array: &str, index: &[i64], value: f64) {
-        self.set(array, index, value);
+/// "Same written elements, same bits": see [`ArrayStore::diff`].  Stores
+/// with the same contents are equal whatever their boxes or slot order.
+impl PartialEq for ArrayStore {
+    fn eq(&self, other: &Self) -> bool {
+        let mut equal = true;
+        compare(self, other, 0.0, |_, _, _, _| {
+            equal = false;
+            false
+        });
+        equal
     }
 }
 
-/// A view that reads through to a frozen base store but keeps all writes in
-/// a local overlay: used for chains and work items executed concurrently
-/// with others in the same phase.
+fn same(a: f64, b: f64, tolerance: f64) -> bool {
+    a.to_bits() == b.to_bits() || (tolerance > 0.0 && (a - b).abs() <= tolerance)
+}
+
+/// Calls `mismatch(name, index, left, right)` for every element on which
+/// the stores disagree (see [`ArrayStore::diff`]) until it returns false.
+fn compare(
+    left: &ArrayStore,
+    right: &ArrayStore,
+    tolerance: f64,
+    mut mismatch: impl FnMut(&str, &[i64], f64, f64) -> bool,
+) {
+    for (name, a) in &left.arrays {
+        let go = match right.slot(name, a.rank()) {
+            Some(s) => compare_arrays(name, a, &right.arrays[s].1, tolerance, &mut mismatch),
+            None => compare_arrays(
+                name,
+                a,
+                &Array::with_rank(a.rank()),
+                tolerance,
+                &mut mismatch,
+            ),
+        };
+        if !go {
+            return;
+        }
+    }
+    for (name, b) in &right.arrays {
+        if left.slot(name, b.rank()).is_none()
+            && !compare_arrays(
+                name,
+                &Array::with_rank(b.rank()),
+                b,
+                tolerance,
+                &mut mismatch,
+            )
+        {
+            return;
+        }
+    }
+}
+
+/// One array pair of [`compare`]; false once `mismatch` asks to stop.
+fn compare_arrays(
+    name: &str,
+    a: &Array,
+    b: &Array,
+    tolerance: f64,
+    mismatch: &mut impl FnMut(&str, &[i64], f64, f64) -> bool,
+) -> bool {
+    let mut index = vec![0i64; a.rank().max(b.rank())];
+    let mut go = true;
+    if a.origin == b.origin && a.extents == b.extents {
+        // One geometry (both boxes reserved for the same writes): compare
+        // cell by cell, decoding an index only for a mismatch.
+        for (o, (wa, wb)) in a.written.iter().zip(&b.written).enumerate() {
+            let (wa, wb) = (wa.load(Ordering::Acquire), wb.load(Ordering::Acquire));
+            let mut bits = wa | wb;
+            while go && bits != 0 {
+                let offset = o * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (x, y) = (a.cell(offset), b.cell(offset));
+                if !matches!((x, y), (Some(x), Some(y)) if same(x, y, tolerance)) {
+                    a.index_of(offset, &mut index);
+                    go = mismatch(name, &index, a.get(&index), b.get(&index));
+                }
+            }
+        }
+        return go;
+    }
+    a.for_each_written(|o| {
+        if !go {
+            return;
+        }
+        a.index_of(o, &mut index);
+        let x = a.get(&index);
+        match b.offset(&index).and_then(|p| b.cell(p)) {
+            Some(y) if same(x, y, tolerance) => {}
+            _ => go = mismatch(name, &index, x, b.get(&index)),
+        }
+    });
+    b.for_each_written(|o| {
+        if !go {
+            return;
+        }
+        b.index_of(o, &mut index);
+        if a.offset(&index).and_then(|p| a.cell(p)).is_none() {
+            go = mismatch(name, &index, a.get(&index), b.get(&index));
+        }
+    });
+    go
+}
+
+/// How a [`StoreView`] holds the store.
+enum Holding<'s> {
+    /// Sole access: writes may grow boxes.
+    Exclusive(&'s mut ArrayStore),
+    /// Shared with the other units of a parallel phase: boxes are fixed,
+    /// cells are written atomically.
+    Shared(&'s ArrayStore),
+}
+
+/// A kernel's access to the store while it runs one unit of work.
 ///
-/// The overlay is keyed per array so that the hot read path needs no
-/// allocation (a `&str` array name and `&[i64]` index borrow straight into
-/// the maps).
-pub struct BufferedView<'a> {
-    base: &'a ArrayStore,
-    overlay: HashMap<String, HashMap<IVec, f64>>,
+/// Compiled kernels address arrays by slot ([`Self::read_slot`],
+/// [`Self::write_slot`]); [`Self::read`] and [`Self::write`] go by name.
+/// A write the view cannot place — outside a shared view's reserved box —
+/// is dropped and reported as a conflict, as is, on checked runs, any
+/// access to a cell another unit of the same phase wrote.
+pub struct StoreView<'s> {
+    store: Holding<'s>,
+    /// The running unit's `(phase + 1) << 32 | unit` stamp on checked
+    /// runs, 0 otherwise.
+    stamp: u64,
+    conflicts: Vec<(String, IVec)>,
 }
 
-impl<'a> BufferedView<'a> {
-    /// Creates a view over a frozen base store.
-    pub fn new(base: &'a ArrayStore) -> Self {
-        BufferedView {
-            base,
-            overlay: HashMap::new(),
+impl<'s> StoreView<'s> {
+    /// A view with sole access to `store`.
+    pub(crate) fn exclusive(store: &'s mut ArrayStore) -> Self {
+        StoreView {
+            store: Holding::Exclusive(store),
+            stamp: 0,
+            conflicts: Vec::new(),
         }
     }
 
-    /// The buffered writes grouped by array, in insertion-independent
-    /// (sorted) order.
-    pub fn into_writes(self) -> Vec<(String, Vec<(IVec, f64)>)> {
-        let mut writes: Vec<(String, Vec<(IVec, f64)>)> = self
-            .overlay
-            .into_iter()
-            .map(|(array, elements)| {
-                let mut elements: Vec<(IVec, f64)> = elements.into_iter().collect();
-                elements.sort_by(|x, y| x.0.cmp(&y.0));
-                (array, elements)
-            })
-            .collect();
-        writes.sort_by(|x, y| x.0.cmp(&y.0));
-        writes
-    }
-
-    /// Total number of buffered writes.
-    pub fn n_writes(&self) -> usize {
-        self.overlay.values().map(|m| m.len()).sum()
-    }
-}
-
-impl StoreView for BufferedView<'_> {
-    fn read(&self, array: &str, index: &[i64]) -> f64 {
-        match self.overlay.get(array).and_then(|m| m.get(index)) {
-            Some(&v) => v,
-            None => self.base.get(array, index),
+    /// A view sharing `store` with other units of the same phase.
+    pub(crate) fn shared(store: &'s ArrayStore) -> Self {
+        StoreView {
+            store: Holding::Shared(store),
+            stamp: 0,
+            conflicts: Vec::new(),
         }
     }
-    fn write(&mut self, array: &str, index: &[i64], value: f64) {
-        match self.overlay.get_mut(array) {
-            Some(m) => {
-                m.insert(index.to_vec(), value);
+
+    /// Stamps later accesses as unit `unit` of phase `phase`, or stops
+    /// stamping (`None`).
+    pub(crate) fn set_unit(&mut self, unit: Option<(usize, usize)>) {
+        self.stamp = unit.map_or(0, |(phase, unit)| {
+            ((phase as u64 + 1) << 32) | (unit as u64 & 0xffff_ffff)
+        });
+    }
+
+    /// The conflicts found so far.
+    pub(crate) fn into_conflicts(self) -> Vec<(String, IVec)> {
+        self.conflicts
+    }
+
+    #[inline]
+    fn store(&self) -> &ArrayStore {
+        match &self.store {
+            Holding::Exclusive(store) => store,
+            Holding::Shared(store) => store,
+        }
+    }
+
+    fn conflict(&mut self, slot: usize, index: &[i64]) {
+        let name = self.store().name(slot).to_string();
+        self.conflicts.push((name, index.to_vec()));
+    }
+
+    /// Reads element `index` of the array in `slot`.
+    #[inline]
+    pub fn read_slot(&mut self, slot: usize, index: &[i64]) -> f64 {
+        let stamp = self.stamp;
+        let located = self
+            .store()
+            .arrays
+            .get(slot)
+            .and_then(|(_, array)| array.offset(index).map(|o| (array, o)));
+        let (value, collided) = match located {
+            Some((array, o)) => {
+                // Value (acquire) before stamp: see `write_slot`.
+                let value = array.cell(o);
+                let collided = stamp != 0
+                    && collides(
+                        array.stamps.get(o).map_or(0, |s| s.load(Ordering::Relaxed)),
+                        stamp,
+                    );
+                (value, collided)
             }
-            None => {
-                let mut m = HashMap::new();
-                m.insert(index.to_vec(), value);
-                self.overlay.insert(array.to_string(), m);
-            }
+            None => (None, false),
+        };
+        if collided {
+            self.conflict(slot, index);
+        }
+        value.unwrap_or_else(|| Array::initial_value(index))
+    }
+
+    /// Writes element `index` of the array in `slot`.
+    #[inline]
+    pub fn write_slot(&mut self, slot: usize, index: &[i64], value: f64) {
+        let (stamp, bits) = (self.stamp, value.to_bits());
+        let previous = match &mut self.store {
+            Holding::Exclusive(store) => match store.arrays.get_mut(slot) {
+                Some((_, array)) => {
+                    let mut offset = array.offset(index);
+                    if offset.is_none() && index.len() == array.rank() {
+                        array.grow_to(index);
+                        offset = array.offset(index);
+                    }
+                    offset.map(|o| {
+                        let (word, mask) = bit(o);
+                        *array.written[word].get_mut() |= mask;
+                        *array.cells[o].get_mut() = bits;
+                        match array.stamps.get_mut(o) {
+                            Some(s) if stamp != 0 => std::mem::replace(s.get_mut(), stamp),
+                            _ => 0,
+                        }
+                    })
+                }
+                None => None,
+            },
+            Holding::Shared(store) => store.arrays.get(slot).and_then(|(_, array)| {
+                array.offset(index).map(|o| {
+                    // Stamp, then value (release), then written bit: a
+                    // reader whose acquire load sees the value also sees
+                    // the stamp.  Unstamped writes (single-unit phases,
+                    // unchecked runs) leave the stamp alone: no other unit
+                    // runs beside them.
+                    let previous = match array.stamps.get(o) {
+                        Some(s) if stamp != 0 => s.swap(stamp, Ordering::AcqRel),
+                        _ => 0,
+                    };
+                    array.cells[o].store(bits, Ordering::Release);
+                    let (word, mask) = bit(o);
+                    let word = &array.written[word];
+                    if word.load(Ordering::Relaxed) & mask == 0 {
+                        word.fetch_or(mask, Ordering::Release);
+                    }
+                    previous
+                })
+            }),
+        };
+        match previous {
+            Some(previous) if !collides(previous, stamp) => {}
+            _ => self.conflict(slot, index),
+        }
+    }
+
+    /// Reads `array[index]`.
+    pub fn read(&mut self, array: &str, index: &[i64]) -> f64 {
+        match self.store().slot(array, index.len()) {
+            Some(slot) => self.read_slot(slot, index),
+            None => Array::initial_value(index),
+        }
+    }
+
+    /// Writes `array[index] = value`.
+    pub fn write(&mut self, array: &str, index: &[i64], value: f64) {
+        let slot = match &mut self.store {
+            Holding::Exclusive(store) => Some(store.slot_or_insert(array, index.len())),
+            Holding::Shared(store) => store.slot(array, index.len()),
+        };
+        match slot {
+            Some(slot) => self.write_slot(slot, index, value),
+            None => self.conflicts.push((array.to_string(), index.to_vec())),
         }
     }
 }
@@ -249,7 +683,25 @@ mod tests {
         assert_ne!(s.get("a", &[2, 1]), 42.0);
         s.set("a", &[-3, 0], 7.0); // negative subscripts are fine
         assert_eq!(s.get("a", &[-3, 0]), 7.0);
-        assert_eq!(s.written_len(), 2);
+        assert_eq!(s.get("a", &[1, 2]), 42.0, "growth keeps written cells");
+        assert_eq!(s.get("a", &[0, 1]), Array::initial_value(&[0, 1]));
+        s.set("a", &[5], 1.0); // another rank is another array
+        assert_eq!(s.get("a", &[5]), 1.0);
+        assert_eq!(s.written_len(), 3);
+    }
+
+    #[test]
+    fn growth_is_geometric_and_keeps_every_value() {
+        let mut s = ArrayStore::new();
+        for i in 0..1000 {
+            s.set("a", &[i, -i], i as f64);
+        }
+        for i in 0..1000 {
+            assert_eq!(s.get("a", &[i, -i]), i as f64);
+        }
+        assert_eq!(s.written_len(), 1000);
+        let a = &s.arrays[0].1;
+        assert!(a.extents.iter().all(|&n| (1000..2048).contains(&n)));
     }
 
     #[test]
@@ -275,21 +727,85 @@ mod tests {
     }
 
     #[test]
-    fn buffered_view_semantics() {
-        let mut base = ArrayStore::new();
-        base.set("a", &[1], 10.0);
-        let mut view = BufferedView::new(&base);
-        // reads fall through
-        assert_eq!(view.read("a", &[1]), 10.0);
-        // writes are visible to later reads through the view…
-        view.write("a", &[1], 20.0);
-        view.write("a", &[2], 30.0);
-        assert_eq!(view.read("a", &[1]), 20.0);
-        // …but do not touch the base store
-        assert_eq!(base.get("a", &[1]), 10.0);
-        assert_eq!(view.n_writes(), 2);
-        let writes = BufferedView::into_writes(view);
-        assert_eq!(writes.len(), 1, "one array was written");
-        assert_eq!(writes[0].1, vec![(vec![1], 20.0), (vec![2], 30.0)]);
+    fn a_nan_store_equals_itself() {
+        let nan = || {
+            let mut s = ArrayStore::new();
+            s.set("x", &[1], f64::NAN);
+            s
+        };
+        let s = nan();
+        assert!(s == s, "same bits are equal, NaN included");
+        assert!(s == nan());
+        assert!(s.diff(&s, 0.0).is_empty());
+    }
+
+    #[test]
+    fn signed_zeros_differ_at_tolerance_zero() {
+        let (mut a, mut b) = (ArrayStore::new(), ArrayStore::new());
+        a.set("x", &[1], 0.0);
+        b.set("x", &[1], -0.0);
+        assert_eq!(a.diff(&b, 0.0).len(), 1, "+0.0 and -0.0 differ in bits");
+        assert!(a != b);
+        assert!(a.diff(&b, 1e-9).is_empty());
+    }
+
+    #[test]
+    fn written_sets_must_agree_whatever_the_values() {
+        let (mut a, b) = (ArrayStore::new(), ArrayStore::new());
+        a.set("x", &[4], Array::initial_value(&[4]));
+        assert_eq!(a.diff(&b, 0.0).len(), 1);
+        assert_eq!(b.diff(&a, 0.0).len(), 1);
+        assert!(a != b);
+    }
+
+    #[test]
+    fn grown_and_reserved_stores_with_the_same_writes_are_equal() {
+        let writes = [(vec![3, -2], 1.5), (vec![0, 7], 2.5), (vec![9, 9], 3.5)];
+        let mut grown = ArrayStore::new();
+        let mut reserved = ArrayStore::new();
+        reserved.bind(&[("b".to_string(), 1), ("a".to_string(), 2)]);
+        reserved.reserve(1, &[-5, -5], &[20, 20]);
+        for (index, value) in &writes {
+            grown.set("a", index, *value);
+            reserved.set("a", index, *value);
+        }
+        assert!(grown == reserved);
+        assert!(grown.diff(&reserved, 0.0).is_empty());
+        assert_eq!(grown.written_len(), reserved.written_len());
+        reserved.set("a", &[1, 1], 0.0);
+        assert!(grown != reserved);
+        assert_eq!(grown.diff(&reserved, 0.0).len(), 1);
+    }
+
+    #[test]
+    fn shared_views_write_in_place_and_report_what_they_cannot_place() {
+        let mut store = ArrayStore::new();
+        store.bind(&[("a".to_string(), 1)]);
+        store.reserve(0, &[0], &[9]);
+        let mut view = StoreView::shared(&store);
+        view.write_slot(0, &[3], 2.0);
+        view.write_slot(0, &[10], 1.0); // outside the reserved box
+        assert_eq!(view.read_slot(0, &[3]), 2.0);
+        let conflicts = view.into_conflicts();
+        assert_eq!(conflicts, vec![("a".to_string(), vec![10])]);
+        assert_eq!(store.get("a", &[3]), 2.0);
+        assert_eq!(store.written_len(), 1);
+    }
+
+    #[test]
+    fn stamps_flag_cross_unit_accesses_within_a_phase() {
+        let mut store = ArrayStore::new();
+        store.bind(&[("a".to_string(), 1)]);
+        store.reserve(0, &[0], &[9]);
+        store.set_stamping(true);
+        let mut view = StoreView::shared(&store);
+        view.set_unit(Some((0, 0)));
+        view.write_slot(0, &[1], 1.0);
+        view.read_slot(0, &[1]); // its own write
+        view.set_unit(Some((0, 1)));
+        view.read_slot(0, &[1]); // another unit's write: a conflict
+        view.set_unit(Some((1, 0)));
+        view.write_slot(0, &[1], 2.0); // a later phase: fine
+        assert_eq!(view.into_conflicts(), vec![("a".to_string(), vec![1])]);
     }
 }

@@ -8,14 +8,16 @@
 //!   threads.  Work items of a DOALL phase and different chains of a chain
 //!   phase — the independent recurrence chains of the paper's Theorem-1
 //!   partition — execute concurrently; small units are packed into batches
-//!   so per-unit scheduling overhead stays amortised.  Each unit computes
-//!   against the frozen pre-phase store through a [`BufferedView`], and the
-//!   buffered writes are merged at the phase barrier.  Overlapping writes
-//!   by two concurrent units are reported as a race (a correct partition
-//!   never produces one).  On the trusted-schedule fast path large barrier
-//!   merges are sharded per-array over the pool, and a cost-model-driven
-//!   sequential fallback (see [`ParallelExecutor::with_sequential_fallback`])
-//!   runs schedules too small to amortise pool overhead inline instead.
+//!   so per-unit scheduling overhead stays amortised.  Like the threads of
+//!   the paper's OpenMP code, units write the shared arrays in place: the
+//!   kernel reserves every array's box before the run
+//!   ([`Kernel::reserve`]), so nothing reallocates under concurrency, and
+//!   Theorem 1 makes the units of a phase touch disjoint elements.  On
+//!   checked runs (the default) each cell records the unit that last wrote
+//!   it, and a unit that reads or writes a cell another unit of the same
+//!   phase wrote is reported as a race.  A cost-model-driven sequential
+//!   fallback (see [`ParallelExecutor::with_sequential_fallback`]) runs
+//!   schedules too small to amortise pool overhead inline instead.
 //! * [`verify_schedule`] checks the parallel result against the
 //!   sequential result bit for bit ([`Verification::check`]).
 //!
@@ -26,24 +28,20 @@
 //! rayon-backed implementation would have, and `ParallelExecutor` is the
 //! single seam to swap one in.
 
-use crate::array::{Array, ArrayStore, BufferedView};
+use crate::array::{ArrayStore, StoreView};
 use crate::cost::CostModel;
 use crate::kernel::Kernel;
 use rcp_codegen::{Phase, Schedule, WorkItem};
 use rcp_intlin::IVec;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-/// Registry handles for the executor's phase/merge statistics — the
+/// Registry handles for the executor's phase statistics — the
 /// `executor.*` metrics a profile or `rcp stats` reports.  Resolved once;
 /// each use is one relaxed `fetch_add`.
 struct ExecMetrics {
     phases: rcp_trace::Counter,
-    merge_replay: rcp_trace::Counter,
-    merge_sharded: rcp_trace::Counter,
-    merge_writes: rcp_trace::Counter,
     races: rcp_trace::Counter,
     phase_us: rcp_trace::Histogram,
 }
@@ -52,9 +50,6 @@ fn metrics() -> &'static ExecMetrics {
     static METRICS: OnceLock<ExecMetrics> = OnceLock::new();
     METRICS.get_or_init(|| ExecMetrics {
         phases: rcp_trace::counter("executor.phases"),
-        merge_replay: rcp_trace::counter("executor.merge.replay"),
-        merge_sharded: rcp_trace::counter("executor.merge.sharded"),
-        merge_writes: rcp_trace::counter("executor.merge.writes"),
         races: rcp_trace::counter("executor.races"),
         phase_us: rcp_trace::histogram("executor.phase_us"),
     })
@@ -69,13 +64,15 @@ pub struct ExecutionResult {
     pub phase_times: Vec<Duration>,
     /// Total wall-clock time.
     pub total_time: Duration,
-    /// Write-write races detected between concurrent units of a phase
-    /// (empty for a valid schedule).
+    /// Elements some unit read or wrote after another unit of the same
+    /// phase wrote them (checked runs), and writes the reserved layout
+    /// could not place, in array and index order (empty for a valid
+    /// schedule).
     pub races: Vec<(String, IVec)>,
 }
 
 impl ExecutionResult {
-    /// True when no intra-phase write conflicts were detected.
+    /// True when no intra-phase conflicts were detected.
     pub fn race_free(&self) -> bool {
         self.races.is_empty()
     }
@@ -83,23 +80,16 @@ impl ExecutionResult {
 
 /// Executes the program sequentially (original statement-instance order).
 pub fn execute_sequential(schedule: &Schedule, kernel: &dyn Kernel) -> ArrayStore {
+    let _span = rcp_trace::span!("executor.sequential");
     let mut store = ArrayStore::new();
+    kernel.reserve(schedule, &mut store);
+    let mut view = StoreView::exclusive(&mut store);
     for phase in &schedule.phases {
-        match phase {
-            Phase::Doall(items) => {
-                for item in items {
-                    run_item(item, kernel, &mut store);
-                }
-            }
-            Phase::ChainSet(chains) => {
-                for chain in chains {
-                    for item in chain {
-                        run_item(item, kernel, &mut store);
-                    }
-                }
-            }
+        for item in phase_items(phase) {
+            run_item(item, kernel, &mut view);
         }
     }
+    drop(view);
     store
 }
 
@@ -133,18 +123,14 @@ pub struct ParallelExecutor {
 /// order, distinct units may run on different workers.
 type Unit<'s> = &'s [WorkItem];
 
-/// The buffered writes of one unit or batch, grouped by array.
-type WriteBuffer = Vec<(String, Vec<(IVec, f64)>)>;
+/// What one run leaves besides its store: per-phase times, the time of the
+/// phase loop, and the conflicts found.
+type RunOutcome = (Vec<Duration>, Duration, Vec<(String, IVec)>);
 
 impl ParallelExecutor {
     /// Default number of statement instances a batch is grown to before the
     /// next unit starts a new batch.
     pub const DEFAULT_MIN_BATCH_INSTANCES: usize = 64;
-
-    /// Buffered writes below this count are merged inline at the barrier;
-    /// at or above it (without race detection) the merge is sharded
-    /// per-array over the pool.
-    pub const PAR_MERGE_MIN_WRITES: usize = 8 * 1024;
 
     /// An executor with `n_threads` workers (0 and 1 both mean "run
     /// inline"), default batching, and the cost-model-driven sequential
@@ -166,15 +152,16 @@ impl ParallelExecutor {
         self
     }
 
-    /// Enables or disables intra-phase write-write race detection.
+    /// Enables or disables intra-phase race detection.
     ///
     /// Detection is on by default and is what [`verify_schedule`] relies
-    /// on.  Disabling it is the trusted-schedule fast path for measured
-    /// benchmark runs: units of one batch then share one write buffer, so
-    /// the executor does no per-unit bookkeeping and the barrier merge does
-    /// no conflict tracking.  For a *valid* schedule (disjoint writes
-    /// between concurrent units, reads only of pre-phase values) the final
-    /// store is identical either way.
+    /// on: every cell carries a stamp of the unit that last wrote it, and a
+    /// unit that reads or writes a cell another unit of the same phase
+    /// wrote is a race.  Disabling it is the trusted-schedule fast path for
+    /// measured benchmark runs: no stamps are kept, and units of one phase
+    /// are not told apart.  For a *valid* schedule (no element written by
+    /// one unit of a phase and touched by another) the final store is
+    /// identical either way.
     pub fn with_race_detection(mut self, detect_races: bool) -> Self {
         self.detect_races = detect_races;
         self
@@ -219,75 +206,75 @@ impl ParallelExecutor {
     }
 
     /// Executes the schedule and returns the final store, per-phase wall
-    /// clock, and any intra-phase write-write races.
+    /// clock, and any intra-phase conflicts.
     pub fn execute(&self, schedule: &Schedule, kernel: &(dyn Kernel + Sync)) -> ExecutionResult {
         let _span = rcp_trace::span!("executor.run");
-        let result = if self.uses_pool(schedule) {
-            self.execute_on_pool(schedule, kernel)
+        let start = Instant::now();
+        let mut store = ArrayStore::new();
+        kernel.reserve(schedule, &mut store);
+        store.set_stamping(self.detect_races);
+        let layout_time = start.elapsed();
+        let (phase_times, run_time, mut races) = if self.uses_pool(schedule) {
+            self.execute_on_pool(schedule, kernel, &store)
         } else {
-            self.execute_on_caller(schedule, kernel)
+            self.execute_on_caller(schedule, kernel, &mut store)
         };
+        store.set_stamping(false);
+        races.sort();
+        races.dedup();
         let m = metrics();
-        m.phases.add(result.phase_times.len() as u64);
-        m.races.add(result.races.len() as u64);
-        for phase in &result.phase_times {
+        m.phases.add(phase_times.len() as u64);
+        m.races.add(races.len() as u64);
+        for phase in &phase_times {
             m.phase_us
                 .observe(u64::try_from(phase.as_micros()).unwrap_or(u64::MAX));
-        }
-        result
-    }
-
-    /// Single-worker execution: every phase runs on the calling thread,
-    /// keeping the buffered-view semantics (and race detection) per unit.
-    fn execute_on_caller(
-        &self,
-        schedule: &Schedule,
-        kernel: &(dyn Kernel + Sync),
-    ) -> ExecutionResult {
-        let mut store = ArrayStore::new();
-        let mut phase_times = Vec::with_capacity(schedule.phases.len());
-        let mut races = Vec::new();
-        let start_all = Instant::now();
-        for phase in &schedule.phases {
-            let start = Instant::now();
-            rcp_guard::tick(rcp_guard::Stage::Execution, 1);
-            rcp_guard::fail_point("runtime::phase", rcp_guard::Stage::Execution);
-            if !self.detect_races {
-                // Without detection a single worker executing units in
-                // order is equivalent to buffered execution for the valid
-                // schedules that mode is for — run the phase directly, no
-                // per-phase unit vector.
-                for item in phase_items(phase) {
-                    run_item(item, kernel, &mut store);
-                }
-                phase_times.push(start.elapsed());
-                continue;
-            }
-            let units = phase_units(phase);
-            if units.len() == 1 {
-                // A single unit cannot race.
-                for unit in &units {
-                    for item in *unit {
-                        run_item(item, kernel, &mut store);
-                    }
-                }
-            } else {
-                let buffers: Vec<std::ops::Range<usize>> =
-                    (0..units.len()).map(|k| k..k + 1).collect();
-                let buffer_writes: Vec<WriteBuffer> = buffers
-                    .iter()
-                    .map(|r| run_buffer(&units, r.clone(), &store, kernel))
-                    .collect();
-                merge_buffers(&mut store, &buffer_writes, true, &mut races);
-            }
-            phase_times.push(start.elapsed());
         }
         ExecutionResult {
             store,
             phase_times,
-            total_time: start_all.elapsed(),
+            total_time: layout_time + run_time,
             races,
         }
+    }
+
+    /// Single-worker execution: every phase runs on the calling thread,
+    /// unit after unit, stamped per unit when race detection is on.
+    fn execute_on_caller(
+        &self,
+        schedule: &Schedule,
+        kernel: &(dyn Kernel + Sync),
+        store: &mut ArrayStore,
+    ) -> RunOutcome {
+        let start_all = Instant::now();
+        let mut phase_times = Vec::with_capacity(schedule.phases.len());
+        let mut view = StoreView::exclusive(store);
+        for (p, phase) in schedule.phases.iter().enumerate() {
+            let start = Instant::now();
+            rcp_guard::tick(rcp_guard::Stage::Execution, 1);
+            rcp_guard::fail_point("runtime::phase", rcp_guard::Stage::Execution);
+            let n_units = match phase {
+                Phase::Doall(items) => items.len(),
+                Phase::ChainSet(chains) => chains.len(),
+            };
+            if self.detect_races && n_units > 1 {
+                for (k, unit) in phase_units(phase).into_iter().enumerate() {
+                    view.set_unit(Some((p, k)));
+                    for item in unit {
+                        run_item(item, kernel, &mut view);
+                    }
+                }
+                view.set_unit(None);
+            } else {
+                for item in phase_items(phase) {
+                    run_item(item, kernel, &mut view);
+                }
+            }
+            if n_units > 1 {
+                rcp_guard::fail_point("runtime::barrier", rcp_guard::Stage::Execution);
+            }
+            phase_times.push(start.elapsed());
+        }
+        (phase_times, start_all.elapsed(), view.into_conflicts())
     }
 
     /// Multi-worker execution on a pool of `n_threads` OS threads that
@@ -296,8 +283,8 @@ impl ParallelExecutor {
     /// otherwise drown in thread churn).
     ///
     /// Workers park on a barrier between phases; the coordinator publishes
-    /// each phase's units and batches, releases the workers, and merges
-    /// their buffered writes at the phase barrier.
+    /// each phase's units and batches and releases the workers, which write
+    /// the reserved store in place through shared views.
     // Panic-hygiene allow: the lock `expect`s fire only when a sibling
     // thread already panicked while holding the lock; every panic here is
     // caught by the surrounding catch_unwind frames, recorded with worker
@@ -308,24 +295,33 @@ impl ParallelExecutor {
         &self,
         schedule: &Schedule,
         kernel: &(dyn Kernel + Sync),
-    ) -> ExecutionResult {
-        let store = RwLock::new(ArrayStore::new());
+        store: &ArrayStore,
+    ) -> RunOutcome {
         let mut phase_times = Vec::with_capacity(schedule.phases.len());
-        let mut races = Vec::new();
         let mut total_time = Duration::ZERO;
 
         struct PhaseTask<'s> {
+            phase: usize,
             units: Vec<Unit<'s>>,
             batches: Vec<std::ops::Range<usize>>,
-            detect_races: bool,
         }
         let task: RwLock<Option<PhaseTask>> = RwLock::new(None);
-        let results: Mutex<Vec<(usize, WriteBuffer)>> = Mutex::new(Vec::new());
+        let conflicts: Mutex<Vec<(String, IVec)>> = Mutex::new(Vec::new());
+        let report = |view: StoreView| {
+            let found = view.into_conflicts();
+            if !found.is_empty() {
+                conflicts
+                    .lock()
+                    .expect("conflict list poisoned")
+                    .extend(found);
+            }
+        };
         let cursor = AtomicUsize::new(0);
         let ready = Barrier::new(self.n_threads + 1);
         let phase_start = Barrier::new(self.n_threads + 1);
         let phase_end = Barrier::new(self.n_threads + 1);
         let shutdown = AtomicBool::new(false);
+        let detect_races = self.detect_races;
         // First panic payload from any worker or the coordinator's phase
         // loop.  Worker bodies are wrapped in catch_unwind so a panicking
         // kernel can never strand the other side at a barrier (the rayon
@@ -354,7 +350,7 @@ impl ParallelExecutor {
                 // Shadow the shared state with references so the `move`
                 // closure moves only those (and the copyable worker id).
                 #[allow(clippy::redundant_locals)]
-                let (task, store, results, cursor) = (&task, &store, &results, &cursor);
+                let (task, report, cursor) = (&task, &report, &cursor);
                 let (ready, phase_start, phase_end) = (&ready, &phase_start, &phase_end);
                 let (shutdown, record_panic, active_guard) =
                     (&shutdown, &record_panic, &active_guard);
@@ -374,8 +370,7 @@ impl ParallelExecutor {
                                     );
                                     let task_guard = task.read().expect("task lock poisoned");
                                     let task = task_guard.as_ref().expect("phase task published");
-                                    let frozen = store.read().expect("store lock poisoned");
-                                    let mut produced = Vec::new();
+                                    let mut view = StoreView::shared(store);
                                     // Dynamic self-scheduling: claim the next
                                     // unclaimed batch from the shared cursor until
                                     // the queue drains.
@@ -384,37 +379,16 @@ impl ParallelExecutor {
                                         let Some(range) = task.batches.get(b) else {
                                             break;
                                         };
-                                        if task.detect_races {
-                                            // One buffer per unit, so write-write
-                                            // conflicts between units stay
-                                            // observable.
-                                            for unit_id in range.clone() {
-                                                let writes = run_buffer(
-                                                    &task.units,
-                                                    unit_id..unit_id + 1,
-                                                    &frozen,
-                                                    kernel,
-                                                );
-                                                produced.push((unit_id, writes));
+                                        for unit_id in range.clone() {
+                                            if detect_races {
+                                                view.set_unit(Some((task.phase, unit_id)));
                                             }
-                                        } else {
-                                            let writes = run_buffer(
-                                                &task.units,
-                                                range.clone(),
-                                                &frozen,
-                                                kernel,
-                                            );
-                                            produced.push((b, writes));
+                                            for item in task.units[unit_id] {
+                                                run_item(item, kernel, &mut view);
+                                            }
                                         }
                                     }
-                                    drop(frozen);
-                                    drop(task_guard);
-                                    if !produced.is_empty() {
-                                        results
-                                            .lock()
-                                            .expect("results lock poisoned")
-                                            .append(&mut produced);
-                                    }
+                                    report(view);
                                 }));
                             if let Err(payload) = outcome {
                                 record_panic(payload, format!("executor worker {worker_id}"));
@@ -434,7 +408,7 @@ impl ParallelExecutor {
             // panicked with workers parked, the scope's implicit join would
             // deadlock.
             let coordinator = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for phase in &schedule.phases {
+                for (p, phase) in schedule.phases.iter().enumerate() {
                     let start = Instant::now();
                     rcp_guard::tick(rcp_guard::Stage::Execution, 1);
                     let units = phase_units(phase);
@@ -442,23 +416,19 @@ impl ParallelExecutor {
                     // concurrency (and cannot race) — run it on the
                     // coordinator while the workers stay parked.
                     if units.len() == 1 {
-                        let mut store = store.write().expect("store lock poisoned");
+                        let mut view = StoreView::shared(store);
                         for item in units[0] {
-                            run_item(item, kernel, &mut store);
+                            run_item(item, kernel, &mut view);
                         }
+                        report(view);
                         phase_times.push(start.elapsed());
                         continue;
                     }
                     let batches = self.batch_units(&units);
-                    let n_buffers = if self.detect_races {
-                        units.len()
-                    } else {
-                        batches.len()
-                    };
                     *task.write().expect("task lock poisoned") = Some(PhaseTask {
+                        phase: p,
                         units,
                         batches,
-                        detect_races: self.detect_races,
                     });
                     cursor.store(0, Ordering::Relaxed);
                     phase_start.wait();
@@ -466,22 +436,7 @@ impl ParallelExecutor {
                     if panic_payload.lock().expect("panic slot poisoned").is_some() {
                         break;
                     }
-                    let mut per_buffer: Vec<WriteBuffer> = vec![Vec::new(); n_buffers];
-                    for (buffer_id, writes) in
-                        results.lock().expect("results lock poisoned").drain(..)
-                    {
-                        per_buffer[buffer_id] = writes;
-                    }
-                    let mut store = store.write().expect("store lock poisoned");
-                    if self.detect_races {
-                        merge_buffers(&mut store, &per_buffer, true, &mut races);
-                    } else {
-                        merge_buffers_per_array(
-                            &mut store,
-                            &per_buffer,
-                            self.n_threads.min(rcp_pool::available_threads()),
-                        );
-                    }
+                    rcp_guard::fail_point("runtime::barrier", rcp_guard::Stage::Execution);
                     phase_times.push(start.elapsed());
                 }
             }));
@@ -503,13 +458,11 @@ impl ParallelExecutor {
         if let Some(payload) = recorded {
             std::panic::resume_unwind(payload);
         }
-
-        ExecutionResult {
-            store: store.into_inner().expect("store lock poisoned"),
-            phase_times,
-            total_time,
-            races,
-        }
+        let conflicts = match conflicts.into_inner() {
+            Ok(list) => list,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        (phase_times, total_time, conflicts)
     }
 
     /// Packs consecutive units into batches of at least
@@ -535,7 +488,7 @@ impl ParallelExecutor {
 }
 
 /// All work items of a phase in execution order (no per-unit structure).
-fn phase_items(phase: &Phase) -> impl Iterator<Item = &WorkItem> {
+pub(crate) fn phase_items(phase: &Phase) -> impl Iterator<Item = &WorkItem> {
     let chains: &[Vec<WorkItem>] = match phase {
         Phase::Doall(items) => std::slice::from_ref(items),
         Phase::ChainSet(chains) => chains.as_slice(),
@@ -552,162 +505,9 @@ fn phase_units(phase: &Phase) -> Vec<Unit<'_>> {
     }
 }
 
-/// Runs a contiguous range of units against the frozen store through one
-/// buffered view and returns its writes.
-fn run_buffer(
-    units: &[Unit],
-    range: std::ops::Range<usize>,
-    frozen: &ArrayStore,
-    kernel: &(dyn Kernel + Sync),
-) -> WriteBuffer {
-    let mut view = BufferedView::new(frozen);
-    for unit in &units[range] {
-        for item in *unit {
-            for (stmt, indices) in &item.instances {
-                kernel.execute(*stmt, indices, &mut view);
-            }
-        }
-    }
-    view.into_writes()
-}
-
-/// Merges buffered writes into the store at a phase barrier.  With
-/// `detect_races` there is one buffer per unit and write-write conflicts
-/// between different units are recorded; otherwise the merge is a plain
-/// replay.
-fn merge_buffers(
-    store: &mut ArrayStore,
-    buffer_writes: &[WriteBuffer],
-    detect_races: bool,
-    races: &mut Vec<(String, IVec)>,
-) {
-    rcp_guard::fail_point("runtime::merge", rcp_guard::Stage::Execution);
-    let m = metrics();
-    m.merge_replay.inc();
-    m.merge_writes.add(
-        buffer_writes
-            .iter()
-            .flat_map(|w| w.iter())
-            .map(|(_, elements)| elements.len() as u64)
-            .sum(),
-    );
-    if detect_races {
-        let mut writer: HashMap<(String, IVec), usize> = HashMap::new();
-        for (unit_id, writes) in buffer_writes.iter().enumerate() {
-            for (array, elements) in writes {
-                for (index, value) in elements {
-                    match writer.entry((array.clone(), index.clone())) {
-                        std::collections::hash_map::Entry::Occupied(mut entry) => {
-                            if *entry.get() != unit_id {
-                                races.push((array.clone(), index.clone()));
-                            }
-                            entry.insert(unit_id);
-                        }
-                        std::collections::hash_map::Entry::Vacant(entry) => {
-                            entry.insert(unit_id);
-                        }
-                    }
-                    store.set(array, index, *value);
-                }
-            }
-        }
-    } else {
-        for writes in buffer_writes {
-            for (array, elements) in writes {
-                for (index, value) in elements {
-                    store.set(array, index, *value);
-                }
-            }
-        }
-    }
-}
-
-/// Replays buffered writes into the store with the merge sharded
-/// **per-array** over up to `n_threads` threads: every array's writes are
-/// applied by exactly one thread, in buffer order, so the result is
-/// identical to the sequential replay (concurrent units of a valid schedule
-/// write disjoint elements; for overlapping writes the per-array buffer
-/// order still matches the sequential merge).  Small merges — fewer than
-/// [`ParallelExecutor::PAR_MERGE_MIN_WRITES`] writes, or a single array —
-/// replay inline: sharding them would cost more in thread spawns than the
-/// replay itself.
-// Panic-hygiene allow: the grouped-map `unwrap` walks keys just collected
-// from that map, and the job-lock `expect`s are uncontended single-owner
-// locks whose poisoning implies a merge panic already in flight (caught by
-// the executor's unwind frames).
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-fn merge_buffers_per_array(
-    store: &mut ArrayStore,
-    buffer_writes: &[WriteBuffer],
-    n_threads: usize,
-) {
-    rcp_guard::fail_point("runtime::merge", rcp_guard::Stage::Execution);
-    let inline_replay = |store: &mut ArrayStore| {
-        for writes in buffer_writes {
-            for (array, elements) in writes {
-                for (index, value) in elements {
-                    store.set(array, index, *value);
-                }
-            }
-        }
-    };
-    let total_writes: usize = buffer_writes
-        .iter()
-        .flat_map(|w| w.iter())
-        .map(|(_, elements)| elements.len())
-        .sum();
-    let m = metrics();
-    m.merge_writes.add(total_writes as u64);
-    // Decide inline vs sharded before building any grouping, so the common
-    // small-merge case allocates nothing extra.
-    if n_threads <= 1 || total_writes < ParallelExecutor::PAR_MERGE_MIN_WRITES {
-        m.merge_replay.inc();
-        inline_replay(store);
-        return;
-    }
-    // Group each array's write runs in buffer order.
-    let mut grouped: HashMap<&str, Vec<&[(IVec, f64)]>> = HashMap::new();
-    for writes in buffer_writes {
-        for (array, elements) in writes {
-            grouped
-                .entry(array.as_str())
-                .or_default()
-                .push(elements.as_slice());
-        }
-    }
-    if grouped.len() <= 1 {
-        m.merge_replay.inc();
-        inline_replay(store);
-        return;
-    }
-    m.merge_sharded.inc();
-    let mut names: Vec<&str> = grouped.keys().copied().collect();
-    names.sort_unstable();
-    // Take each array out of the store, fill them concurrently (the Mutex
-    // is uncontended — one job per array), then put them back.
-    type MergeJob<'w> = Mutex<(Array, Vec<&'w [(IVec, f64)]>)>;
-    let jobs: Vec<MergeJob> = names
-        .iter()
-        .map(|name| Mutex::new((store.take_array(name), grouped.remove(name).unwrap())))
-        .collect();
-    rcp_pool::par_map(n_threads, &jobs, |job| {
-        let mut guard = job.lock().expect("merge job poisoned");
-        let (array, runs) = &mut *guard;
-        for run in runs.iter() {
-            for (index, value) in *run {
-                array.set(index, *value);
-            }
-        }
-    });
-    for (name, job) in names.into_iter().zip(jobs) {
-        let (array, _) = job.into_inner().expect("merge job poisoned");
-        store.insert_array(name, array);
-    }
-}
-
-fn run_item(item: &WorkItem, kernel: &dyn Kernel, store: &mut ArrayStore) {
+fn run_item(item: &WorkItem, kernel: &dyn Kernel, view: &mut StoreView) {
     for (stmt, indices) in &item.instances {
-        kernel.execute(*stmt, indices, store);
+        kernel.run(*stmt, indices, view);
     }
 }
 
@@ -766,7 +566,7 @@ pub fn verify_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::RefKernel;
+    use crate::kernel::{FnKernel, RefKernel};
     use rcp_core::concrete_partition;
     use rcp_depend::DependenceAnalysis;
     use rcp_loopir::expr::{c, v};
@@ -885,15 +685,12 @@ mod tests {
 
     #[test]
     fn worker_panics_propagate_instead_of_hanging() {
-        use crate::kernel::FnKernel;
-        let kernel = FnKernel(
-            |_s: usize, idx: &[i64], store: &mut dyn crate::array::StoreView| {
-                if idx[0] == 7 {
-                    panic!("kernel boom");
-                }
-                store.write("a", idx, 1.0);
-            },
-        );
+        let kernel = FnKernel(|_s: usize, idx: &[i64], store: &mut StoreView| {
+            if idx[0] == 7 {
+                panic!("kernel boom");
+            }
+            store.write("a", idx, 1.0);
+        });
         let items = (1..=20).map(|i| WorkItem::single(0, vec![i])).collect();
         let schedule = Schedule {
             name: "panicky".to_string(),
@@ -951,37 +748,6 @@ mod tests {
     }
 
     #[test]
-    fn per_array_parallel_merge_matches_sequential_replay() {
-        // Enough writes across several arrays to cross the parallel-merge
-        // threshold, including cross-buffer overwrites of the same element
-        // (buffer order must win, as in the sequential replay).
-        let arrays = ["a", "b", "c", "d", "e"];
-        let buffers: Vec<WriteBuffer> = (0..8)
-            .map(|b| {
-                arrays
-                    .iter()
-                    .map(|name| {
-                        let elements: Vec<(IVec, f64)> = (0..1024)
-                            .map(|i| (vec![i as i64 % 700], (b * 10_000 + i) as f64))
-                            .collect();
-                        (name.to_string(), elements)
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut reference = ArrayStore::new();
-        merge_buffers(&mut reference, &buffers, false, &mut Vec::new());
-        for threads in [1, 2, 4] {
-            let mut sharded = ArrayStore::new();
-            merge_buffers_per_array(&mut sharded, &buffers, threads);
-            assert!(
-                reference.diff(&sharded, 0.0).is_empty(),
-                "per-array merge with {threads} threads must equal the replay"
-            );
-        }
-    }
-
-    #[test]
     fn sequential_and_one_thread_schedule_agree_trivially() {
         let p = figure2();
         let seq = Schedule::sequential(&p, &[]);
@@ -989,5 +755,130 @@ mod tests {
         let a = execute_sequential(&seq, &kernel);
         let b = execute_schedule(&seq, &kernel, 1);
         assert!(Verification::check(&a, &b).passed());
+    }
+
+    /// An executor that runs on the worker pool whatever the schedule's
+    /// size, with every unit of a phase in one batch: one worker then runs
+    /// a phase's units in program order, in place.
+    fn forced_pool(threads: usize) -> ParallelExecutor {
+        ParallelExecutor::new(threads)
+            .with_sequential_fallback(false)
+            .with_min_batch_instances(usize::MAX)
+    }
+
+    #[test]
+    fn valid_schedules_verify_in_place_on_the_pool() {
+        let p = example1();
+        let analysis = DependenceAnalysis::loop_level(&p);
+        let part = concrete_partition(&analysis, &[12, 15]);
+        let parallel = Schedule::from_partition(&analysis, &part, "example1-rec");
+        let kernel = RefKernel::new(&p);
+        let reference = execute_sequential(&Schedule::sequential(&p, &[12, 15]), &kernel);
+        for threads in [2, 4] {
+            for batch in [1, usize::MAX] {
+                let executor = ParallelExecutor::new(threads)
+                    .with_sequential_fallback(false)
+                    .with_min_batch_instances(batch);
+                let result = executor.execute(&parallel, &kernel);
+                let v = Verification::check(&reference, &result);
+                assert!(v.passed(), "{threads} threads, batch {batch}: {v}");
+                assert!(reference == result.store);
+            }
+        }
+    }
+
+    #[test]
+    fn an_invalid_doall_cannot_verify_by_luck() {
+        // Figure 2 as one DOALL, run by one worker in program order: in
+        // place, that reproduces the sequential store exactly, so only the
+        // per-cell stamps can tell the schedule is wrong.
+        let p = figure2();
+        let analysis = DependenceAnalysis::loop_level(&p);
+        let all = rcp_presburger::DenseSet::from_union(&analysis.phi.bind_params(&[]));
+        let wrong = Schedule::doall_phase(&analysis, &all, "figure2-all-parallel");
+        let kernel = RefKernel::new(&p);
+        let reference = execute_sequential(&Schedule::sequential(&p, &[]), &kernel);
+        for threads in [1, 2, 4] {
+            let result = forced_pool(threads).execute(&wrong, &kernel);
+            let v = Verification::check(&reference, &result);
+            assert!(
+                !v.passed(),
+                "{threads} threads: an invalid schedule verified"
+            );
+            assert!(!result.race_free(), "{threads} threads: {v}");
+        }
+    }
+
+    #[test]
+    fn cross_unit_conflicts_are_caught() {
+        // One statement `a(w) = f(b or a(r))` over I = 1..2, and a phase
+        // running both iterations as two units in the given order.
+        let conflicts: [(&str, ArrayRef, ArrayRef, [i64; 2]); 3] = [
+            // Both units write a(1).
+            (
+                "write-write",
+                ArrayRef::write("a", vec![c(1)]),
+                ArrayRef::read("b", vec![v("I")]),
+                [1, 2],
+            ),
+            // I = 2 reads the a(1) that I = 1 writes.
+            (
+                "read-after-write",
+                ArrayRef::write("a", vec![v("I")]),
+                ArrayRef::read("a", vec![v("I") - c(1)]),
+                [1, 2],
+            ),
+            // I = 1 reads a(2) before I = 2 overwrites it, but runs second.
+            (
+                "write-after-read",
+                ArrayRef::write("a", vec![v("I")]),
+                ArrayRef::read("a", vec![v("I") + c(1)]),
+                [2, 1],
+            ),
+        ];
+        for (what, write, read, order) in conflicts {
+            let p = Program::new(
+                what,
+                &[],
+                vec![loop_("I", c(1), c(2), vec![stmt("S", vec![write, read])])],
+            );
+            let kernel = RefKernel::new(&p);
+            let reference = execute_sequential(&Schedule::sequential(&p, &[]), &kernel);
+            let racy = Schedule {
+                name: what.to_string(),
+                phases: vec![Phase::Doall(
+                    order
+                        .iter()
+                        .map(|&i| WorkItem::single(0, vec![i]))
+                        .collect(),
+                )],
+            };
+            for threads in [1, 2, 4] {
+                let result = forced_pool(threads).execute(&racy, &kernel);
+                let v = Verification::check(&reference, &result);
+                assert!(!v.passed(), "{what} at {threads} threads was not caught");
+            }
+        }
+    }
+
+    #[test]
+    fn pool_writes_outside_the_reservation_are_conflicts() {
+        // `FnKernel` reserves nothing: on the pool its writes cannot be
+        // placed, and say so, instead of vanishing.
+        let kernel = FnKernel(|_s: usize, idx: &[i64], store: &mut StoreView| {
+            store.write("a", idx, 1.0);
+        });
+        let schedule = Schedule {
+            name: "unreserved".to_string(),
+            phases: vec![Phase::Doall(
+                (1..=4).map(|i| WorkItem::single(0, vec![i])).collect(),
+            )],
+        };
+        let result = forced_pool(2).execute(&schedule, &kernel);
+        assert_eq!(result.races.len(), 4);
+        // Inline, the same kernel grows the store instead.
+        let inline = ParallelExecutor::new(1).execute(&schedule, &kernel);
+        assert!(inline.race_free());
+        assert_eq!(inline.store.written_len(), 4);
     }
 }

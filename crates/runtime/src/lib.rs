@@ -3,15 +3,18 @@
 //! This crate stands in for the paper's Fortran + OpenMP + 4-CPU Itanium
 //! testbed:
 //!
-//! * [`mod@array`] — the array store generated loops compute on (sparse,
-//!   supports negative subscripts, deterministic initial values),
+//! * [`mod@array`] — the array store generated loops compute on: one dense
+//!   box per array (origin, extents, row-major strides, `f64` cells and a
+//!   written bitmap), grown on demand or reserved up front, negative
+//!   subscripts included, with deterministic initial values,
 //! * [`kernel`] — statement kernels; [`RefKernel`] derives an
 //!   order-sensitive computation directly from a program's array
-//!   references so that schedule correctness is observable,
+//!   references, compiled once to slots and subscript rows, so that
+//!   schedule correctness is observable,
 //! * [`executor`] — the sequential reference executor, the multi-threaded
-//!   [`ParallelExecutor`] with per-phase barriers, per-chain work batching
-//!   and write-conflict detection, and schedule verification (parallel
-//!   result == sequential result),
+//!   [`ParallelExecutor`] with per-phase barriers, per-chain work batching,
+//!   in-place writes and per-cell conflict stamps, and schedule
+//!   verification (parallel result == sequential result),
 //! * [`cost`] — the calibrated analytic cost model that turns schedules
 //!   into the speedup curves of Figure 3 even on machines with too few
 //!   cores to show real scaling (measured wall-clock speedups come from
@@ -20,8 +23,7 @@
 //!   pool overhead,
 //! * [`pool`] — the generalised `scope`/`par_map` thread-pool facility
 //!   (re-exported [`rcp_pool`]) that non-schedule work — sharded dependence
-//!   analysis, per-array barrier merges, concurrent benchmark experiments —
-//!   shares with the executor.
+//!   analysis, concurrent benchmark experiments — shares with the executor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +35,7 @@ pub mod cost;
 pub mod executor;
 pub mod kernel;
 
-pub use array::{Array, ArrayStore, BufferedView, StoreView};
+pub use array::{Array, ArrayStore, StoreView};
 pub use cost::{makespan, CostModel};
 pub use executor::{
     execute_schedule, execute_sequential, verify_schedule, ExecutionResult, ParallelExecutor,

@@ -928,6 +928,7 @@ impl Scheduled {
     /// shared).
     pub fn sequential(&self) -> &Schedule {
         self.inner.sequential.get_or_init(|| {
+            let _span = rcp_trace::span!("codegen.sequential");
             Schedule::sequential(
                 self.inner.partitioned.runtime_program(),
                 self.inner.partitioned.runtime_values(),

@@ -226,7 +226,7 @@ fn worker_panics_cross_the_session_api_as_typed_data() {
     let scheduled = analyzed.partition().unwrap().schedule().unwrap();
     let schedule = scheduled.schedule().clone();
     let kernel = recurrence_chains::runtime::FnKernel(
-        |_stmt: usize, _idx: &[i64], _store: &mut dyn recurrence_chains::runtime::StoreView| {
+        |_stmt: usize, _idx: &[i64], _store: &mut recurrence_chains::runtime::StoreView| {
             panic!("injected kernel panic")
         },
     );
