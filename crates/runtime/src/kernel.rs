@@ -73,17 +73,23 @@ struct Access {
 }
 
 impl Access {
+    /// Subscript `d` at `indices`.
+    #[inline]
+    fn subscript(&self, d: usize, indices: &[i64]) -> i64 {
+        let width = self.depth + 1;
+        let row = &self.rows[d * width..(d + 1) * width];
+        row[1..]
+            .iter()
+            .zip(indices)
+            .fold(row[0], |acc, (c, i)| acc + c * i)
+    }
+
     /// Evaluates the subscripts at `indices` and hands them to `f`.
     #[inline]
     fn with_index<R>(&self, indices: &[i64], f: impl FnOnce(&[i64]) -> R) -> R {
-        let width = self.depth + 1;
         let eval = |out: &mut [i64]| {
             for (d, x) in out.iter_mut().enumerate() {
-                let row = &self.rows[d * width..(d + 1) * width];
-                *x = row[1..]
-                    .iter()
-                    .zip(indices)
-                    .fold(row[0], |acc, (c, i)| acc + c * i);
+                *x = self.subscript(d, indices);
             }
         };
         if self.rank <= INLINE_RANK {
@@ -200,12 +206,11 @@ impl Kernel for RefKernel {
                     };
                     for access in &accesses.writes {
                         let (lo, hi) = (&mut lo[access.slot], &mut hi[access.slot]);
-                        access.with_index(indices, |idx| {
-                            for ((l, h), &x) in lo.iter_mut().zip(hi.iter_mut()).zip(idx) {
-                                *l = (*l).min(x);
-                                *h = (*h).max(x);
-                            }
-                        });
+                        for (d, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
+                            let x = access.subscript(d, indices);
+                            *l = (*l).min(x);
+                            *h = (*h).max(x);
+                        }
                     }
                 }
             }
