@@ -105,14 +105,18 @@ pub enum Resource {
     WorkUnits,
     /// The wall-clock deadline, in milliseconds.
     Millis,
+    /// Array cells the runtime lays out: a fixed limit that [`limit`]
+    /// enforces whatever the budget, not a [`BudgetSpec`] field.
+    Cells,
 }
 
 impl Resource {
-    /// The unit suffix used in messages (`work units` / `ms`).
+    /// The unit suffix used in messages (`work units` / `ms` / `cells`).
     pub fn unit(&self) -> &'static str {
         match self {
             Resource::WorkUnits => "work units",
             Resource::Millis => "ms",
+            Resource::Cells => "cells",
         }
     }
 }
@@ -159,7 +163,8 @@ pub struct BudgetExceeded {
     pub stage: Stage,
     /// The tripped resource.
     pub resource: Resource,
-    /// Units spent at the moment of the trip (work units or elapsed ms).
+    /// Units spent at the moment of the trip (work units, elapsed ms, or
+    /// the cells a refused layout asked for).
     pub spent: u64,
     /// The configured limit for that resource.
     pub limit: u64,
@@ -340,6 +345,26 @@ pub fn tick(stage: Stage, units: u64) {
     if let Some(exceeded) = exceeded {
         suppress_control_flow_panic_output();
         std::panic::panic_any(exceeded);
+    }
+}
+
+/// A hard limit that holds whether or not a guard is installed: when
+/// `spent` exceeds `limit`, unwinds with a [`BudgetExceeded`] payload for
+/// `resource` at `stage`, exactly like a tripped [`tick`], to be caught by
+/// the session boundary's [`catch`].  The runtime calls it before laying
+/// out an array box too large for the writes it holds, so that the
+/// refusal is a typed error instead of an allocation failure.
+// Sanctioned `panic_any` (see `tick`).
+#[allow(clippy::panic)]
+pub fn limit(stage: Stage, resource: Resource, spent: u64, limit: u64) {
+    if spent > limit {
+        suppress_control_flow_panic_output();
+        std::panic::panic_any(BudgetExceeded {
+            stage,
+            resource,
+            spent,
+            limit,
+        });
     }
 }
 
@@ -755,6 +780,25 @@ mod tests {
             }
         });
         assert_eq!(guard.work_spent(), 10_000_000);
+    }
+
+    #[test]
+    fn hard_limits_hold_without_a_guard() {
+        assert!(current().is_none());
+        assert_eq!(
+            catch(|| limit(Stage::Execution, Resource::Cells, 10, 10)),
+            Ok(())
+        );
+        match catch(|| limit(Stage::Execution, Resource::Cells, 11, 10)) {
+            Err(Interrupt::Budget(b)) => {
+                assert_eq!(
+                    (b.stage, b.resource, b.spent, b.limit),
+                    (Stage::Execution, Resource::Cells, 11, 10)
+                );
+                assert!(b.to_string().contains("11 of 10 cells"), "{b}");
+            }
+            other => panic!("expected a cells refusal, got {other:?}"),
+        }
     }
 
     #[test]

@@ -17,6 +17,13 @@
 //! are, and the store's slot order is a layout detail that no comparison
 //! sees.
 //!
+//! A box costs memory in proportion to its bounding box, not to its
+//! writes, so a store lays out at most [`CELLS_PER_WRITE`] cells per
+//! element written into it plus [`FREE_CELLS`].  A reservation or growth
+//! beyond that is refused before anything is allocated: it unwinds with a
+//! typed [`rcp_guard::BudgetExceeded`] (stage `execution`, resource
+//! `cells`), which the session's checked entry points report as an error.
+//!
 //! Kernels reach the store only through a [`StoreView`]: an exclusive view
 //! grows boxes, a shared view (one per worker and phase) does not, and on
 //! checked runs either one stamps every cell it writes with the writing
@@ -24,11 +31,11 @@
 //! wrote is reported as a conflict.
 //!
 //! Memory ordering: the executor's phase barrier orders one phase's
-//! writes before the next phase's reads.  Within a phase a shared write
-//! stores the stamp, then the value with `Release`, then sets the written
-//! bit with a `Release` read-modify-write; a read loads the bit and the
-//! value with `Acquire`, then the stamp.  A read that sees another unit's
-//! value therefore sees its stamp as well.
+//! writes before the next phase's reads.  Within a phase a write stores
+//! the stamp, then the value with `Release`, then sets the written bit
+//! with a `Release` read-modify-write; a read loads the bit and the value
+//! with `Acquire`, then the stamp.  A read that sees another unit's value
+//! therefore sees its stamp as well.
 
 use rcp_intlin::IVec;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -169,13 +176,11 @@ impl Array {
         }
     }
 
-    /// Re-lays the array out as the box `origin + [0, extents)`, which must
-    /// contain every written cell, carrying written cells (and stamps)
-    /// over.  A box whose size overflows `usize` is left as it was.
-    fn rebox(&mut self, origin: Vec<i64>, extents: Vec<usize>) {
-        let Some(len) = extents.iter().try_fold(1usize, |n, &e| n.checked_mul(e)) else {
-            return;
-        };
+    /// Re-lays the array out as `layout`, which must contain every written
+    /// cell, carrying written cells (and stamps) over.
+    fn relayout(&mut self, layout: Layout) {
+        let len = usize::try_from(layout.cells()).unwrap_or(usize::MAX);
+        let Layout { origin, extents } = layout;
         let mut strides = vec![1usize; extents.len()];
         for d in (0..extents.len().saturating_sub(1)).rev() {
             strides[d] = strides[d + 1] * extents[d + 1];
@@ -204,22 +209,6 @@ impl Array {
         *self = next;
     }
 
-    /// Re-lays the array out as the box from `lo` to `hi` (inclusive, per
-    /// dimension, in `i128` so that no extent overflows on the way).
-    fn rebox_span(&mut self, lo: &[i128], hi: &[i128]) {
-        let origin: Option<Vec<i64>> = lo.iter().map(|&a| i64::try_from(a).ok()).collect();
-        let extents: Option<Vec<usize>> = lo
-            .iter()
-            .zip(hi)
-            .map(|(&a, &b)| usize::try_from((b - a + 1).max(0)).ok())
-            .collect();
-        if let (Some(origin), Some(extents)) = (origin, extents) {
-            if origin != self.origin || extents != self.extents {
-                self.rebox(origin, extents);
-            }
-        }
-    }
-
     /// The box's inclusive bounds per dimension, `None` while it is empty.
     fn span(&self) -> Option<(Vec<i128>, Vec<i128>)> {
         (!self.cells.is_empty()).then(|| {
@@ -232,9 +221,8 @@ impl Array {
         })
     }
 
-    /// Grows the box to contain `lo..=hi` exactly (a no-op when it already
-    /// does).
-    fn cover(&mut self, lo: &[i64], hi: &[i64]) {
+    /// The smallest box containing the current one and `lo..=hi`.
+    fn covering(&self, lo: &[i64], hi: &[i64]) -> Option<Layout> {
         let mut lo: Vec<i128> = lo.iter().map(|&x| x as i128).collect();
         let mut hi: Vec<i128> = hi.iter().map(|&x| x as i128).collect();
         if let Some((a, b)) = self.span() {
@@ -243,27 +231,96 @@ impl Array {
                 hi[d] = hi[d].max(b[d]);
             }
         }
-        self.rebox_span(&lo, &hi);
+        Layout::spanning(&lo, &hi)
     }
 
-    /// Grows the box geometrically so that it contains `index`: a
-    /// dimension that must grow at least doubles, towards the side that
-    /// needed it, so a run of out-of-box writes regrows O(log n) times.
-    fn grow_to(&mut self, index: &[i64]) {
+    /// The box to grow to for a write at `index`: a dimension that must
+    /// grow at least doubles, towards the side that needed it, so a run
+    /// of out-of-box writes regrows O(log n) times.
+    fn doubling(&self, index: &[i64]) -> Option<Layout> {
         let Some((mut lo, mut hi)) = self.span() else {
-            self.cover(index, index);
-            return;
+            return self.covering(index, index);
         };
         for (d, &x) in index.iter().enumerate() {
             let (x, n) = (x as i128, hi[d] - lo[d] + 1);
             if x < lo[d] {
-                lo[d] = x.min(hi[d] + 1 - 2 * n);
+                lo[d] = x.min(hi[d] + 1 - 2 * n).max(i64::MIN as i128);
             } else if x > hi[d] {
-                hi[d] = x.max(lo[d] - 1 + 2 * n);
+                hi[d] = x.max(lo[d] - 1 + 2 * n).min(i64::MAX as i128);
             }
         }
-        self.rebox_span(&lo, &hi);
+        Layout::spanning(&lo, &hi)
     }
+
+    /// Writes `bits` to the cell at `offset` through a shared reference,
+    /// stamping it with `stamp` unless that is 0; returns the cell's
+    /// previous stamp (0 when unstamped).
+    #[inline]
+    fn write(&self, offset: usize, bits: u64, stamp: u64) -> u64 {
+        // Stamp, then value (release), then written bit: a reader whose
+        // acquire load sees the value also sees the stamp.  Unstamped
+        // writes (single-unit phases, unchecked runs) leave the stamp
+        // alone: no other unit runs beside them.
+        let previous = match self.stamps.get(offset) {
+            Some(s) if stamp != 0 => s.swap(stamp, Ordering::AcqRel),
+            _ => 0,
+        };
+        self.cells[offset].store(bits, Ordering::Release);
+        let (word, mask) = bit(offset);
+        let word = &self.written[word];
+        if word.load(Ordering::Relaxed) & mask == 0 {
+            word.fetch_or(mask, Ordering::Release);
+        }
+        previous
+    }
+}
+
+/// A box to lay an array out as.
+struct Layout {
+    origin: Vec<i64>,
+    extents: Vec<usize>,
+}
+
+impl Layout {
+    /// The box from `lo` to `hi`, inclusive per dimension; `None` when its
+    /// indices or extents do not fit `i64` and `usize`.
+    fn spanning(lo: &[i128], hi: &[i128]) -> Option<Layout> {
+        let origin: Option<Vec<i64>> = lo.iter().map(|&a| i64::try_from(a).ok()).collect();
+        let extents: Option<Vec<usize>> = lo
+            .iter()
+            .zip(hi)
+            .map(|(&a, &b)| usize::try_from((b - a + 1).max(0)).ok())
+            .collect();
+        Some(Layout {
+            origin: origin?,
+            extents: extents?,
+        })
+    }
+
+    /// The number of cells; `u64::MAX` when that overflows.
+    fn cells(&self) -> u64 {
+        self.extents
+            .iter()
+            .try_fold(1u64, |n, &e| n.checked_mul(e as u64))
+            .unwrap_or(u64::MAX)
+    }
+}
+
+/// How many cells a store may lay out per element written into it, on top
+/// of [`FREE_CELLS`].  The bundled workloads need at most about 20.
+pub const CELLS_PER_WRITE: u64 = 32;
+
+/// How many cells a store may lay out whatever it holds (8 MiB of values).
+pub const FREE_CELLS: u64 = 1 << 20;
+
+/// The most cells a store holding `writes` written elements may lay out.
+/// It keeps the dense layout within a constant factor of the writes, plus
+/// a few MiB: a diagonal or widely strided write pattern, whose bounding
+/// box dwarfs its writes, is refused instead of allocated.
+fn cell_limit(writes: u64) -> u64 {
+    writes
+        .saturating_mul(CELLS_PER_WRITE)
+        .saturating_add(FREE_CELLS)
 }
 
 impl std::fmt::Debug for Array {
@@ -320,13 +377,85 @@ impl ArrayStore {
         }
     }
 
-    /// Grows slot `slot`'s box to contain `lo..=hi`.
-    pub(crate) fn reserve(&mut self, slot: usize, lo: &[i64], hi: &[i64]) {
-        if let Some((_, array)) = self.arrays.get_mut(slot) {
-            if lo.len() == array.rank() && hi.len() == array.rank() {
-                array.cover(lo, hi);
+    /// Grows each slot's box to contain its `lo..=hi` (`boxes` is indexed
+    /// by slot; a box with `lo > hi` leaves its slot alone) for a run that
+    /// writes `writes` elements, refusing the layout — before allocating
+    /// it — when it exceeds the store's cell limit (see [`Self::admit`]).
+    pub(crate) fn reserve(&mut self, boxes: &[(Vec<i64>, Vec<i64>)], writes: u64) {
+        let mut layouts = Vec::new();
+        let mut cells = self.cells();
+        for (slot, (lo, hi)) in boxes.iter().enumerate() {
+            let Some((_, array)) = self.arrays.get(slot) else {
+                continue;
+            };
+            let fits = lo.len() == array.rank() && hi.len() == array.rank();
+            if !fits || lo.iter().zip(hi).any(|(l, h)| l > h) || array.rank() == 0 {
+                continue;
+            }
+            let layout = array.covering(lo, hi);
+            let now = array.cells.len() as u64;
+            cells = (cells - now).saturating_add(layout.as_ref().map_or(u64::MAX, Layout::cells));
+            layouts.push((slot, layout));
+        }
+        self.admit(cells, writes.saturating_add(self.written_len() as u64));
+        for (slot, layout) in layouts {
+            if let (Some((_, array)), Some(layout)) = (self.arrays.get_mut(slot), layout) {
+                if layout.origin != array.origin || layout.extents != array.extents {
+                    array.relayout(layout);
+                }
             }
         }
+    }
+
+    /// Grows slot `slot`'s box so that it contains `index`: geometrically
+    /// when the store's cell limit allows, else exactly, else not at all —
+    /// the write is then refused with a typed unwind (see [`Self::admit`]).
+    fn grow(&mut self, slot: usize, index: &[i64]) {
+        let Some((_, array)) = self.arrays.get(slot) else {
+            return;
+        };
+        if index.len() != array.rank() {
+            return;
+        }
+        let writes = self.written_len() as u64 + 1;
+        let others = self.cells() - array.cells.len() as u64;
+        let total = |layout: &Option<Layout>| {
+            others.saturating_add(layout.as_ref().map_or(u64::MAX, Layout::cells))
+        };
+        let doubled = array.doubling(index);
+        let layout = if total(&doubled) <= cell_limit(writes) {
+            doubled
+        } else {
+            array.covering(index, index)
+        };
+        self.admit(total(&layout), writes);
+        if let (Some((_, array)), Some(layout)) = (self.arrays.get_mut(slot), layout) {
+            array.relayout(layout);
+        }
+    }
+
+    /// The cells laid out across all arrays.
+    fn cells(&self) -> u64 {
+        self.arrays.iter().map(|(_, a)| a.cells.len() as u64).sum()
+    }
+
+    /// Admits a layout of `cells` cells in all for a store holding
+    /// `writes` written elements: refuses it when it exceeds
+    /// [`cell_limit`], and charges the cells it adds to the execution
+    /// budget otherwise.  Both refusals unwind with a typed
+    /// [`rcp_guard::BudgetExceeded`] before anything is allocated; the
+    /// session's checked entry points turn that into an error.
+    fn admit(&self, cells: u64, writes: u64) {
+        rcp_guard::limit(
+            rcp_guard::Stage::Execution,
+            rcp_guard::Resource::Cells,
+            cells,
+            cell_limit(writes),
+        );
+        rcp_guard::tick(
+            rcp_guard::Stage::Execution,
+            cells.saturating_sub(self.cells()),
+        );
     }
 
     /// Starts (`true`) or ends (`false`) per-cell writer stamping for a
@@ -507,9 +636,11 @@ enum Holding<'s> {
 ///
 /// Compiled kernels address arrays by slot ([`Self::read_slot`],
 /// [`Self::write_slot`]); [`Self::read`] and [`Self::write`] go by name.
-/// A write the view cannot place — outside a shared view's reserved box —
-/// is dropped and reported as a conflict, as is, on checked runs, any
-/// access to a cell another unit of the same phase wrote.
+/// A write outside a shared view's reserved box is not made and is
+/// reported as a conflict, as is, on checked runs, any access to a cell
+/// another unit of the same phase wrote.  An exclusive view grows the box
+/// instead, and refuses a growth beyond the store's cell limit with a
+/// typed unwind (see the module docs).
 pub struct StoreView<'s> {
     store: Holding<'s>,
     /// The running unit's `(phase + 1) << 32 | unit` stamp on checked
@@ -594,48 +725,24 @@ impl<'s> StoreView<'s> {
     /// Writes element `index` of the array in `slot`.
     #[inline]
     pub fn write_slot(&mut self, slot: usize, index: &[i64], value: f64) {
-        let (stamp, bits) = (self.stamp, value.to_bits());
-        let previous = match &mut self.store {
-            Holding::Exclusive(store) => match store.arrays.get_mut(slot) {
-                Some((_, array)) => {
-                    let mut offset = array.offset(index);
-                    if offset.is_none() && index.len() == array.rank() {
-                        array.grow_to(index);
-                        offset = array.offset(index);
-                    }
-                    offset.map(|o| {
-                        let (word, mask) = bit(o);
-                        *array.written[word].get_mut() |= mask;
-                        *array.cells[o].get_mut() = bits;
-                        match array.stamps.get_mut(o) {
-                            Some(s) if stamp != 0 => std::mem::replace(s.get_mut(), stamp),
-                            _ => 0,
-                        }
-                    })
-                }
-                None => None,
-            },
-            Holding::Shared(store) => store.arrays.get(slot).and_then(|(_, array)| {
-                array.offset(index).map(|o| {
-                    // Stamp, then value (release), then written bit: a
-                    // reader whose acquire load sees the value also sees
-                    // the stamp.  Unstamped writes (single-unit phases,
-                    // unchecked runs) leave the stamp alone: no other unit
-                    // runs beside them.
-                    let previous = match array.stamps.get(o) {
-                        Some(s) if stamp != 0 => s.swap(stamp, Ordering::AcqRel),
-                        _ => 0,
-                    };
-                    array.cells[o].store(bits, Ordering::Release);
-                    let (word, mask) = bit(o);
-                    let word = &array.written[word];
-                    if word.load(Ordering::Relaxed) & mask == 0 {
-                        word.fetch_or(mask, Ordering::Release);
-                    }
-                    previous
-                })
-            }),
+        let located = |store: &ArrayStore| {
+            store
+                .arrays
+                .get(slot)
+                .and_then(|(_, array)| array.offset(index))
         };
+        let mut offset = located(self.store());
+        if offset.is_none() {
+            if let Holding::Exclusive(store) = &mut self.store {
+                store.grow(slot, index);
+                offset = located(store);
+            }
+        }
+        let stamp = self.stamp;
+        let previous = offset.and_then(|o| {
+            let (_, array) = self.store().arrays.get(slot)?;
+            Some(array.write(o, value.to_bits(), stamp))
+        });
         match previous {
             Some(previous) if !collides(previous, stamp) => {}
             _ => self.conflict(slot, index),
@@ -764,7 +871,7 @@ mod tests {
         let mut grown = ArrayStore::new();
         let mut reserved = ArrayStore::new();
         reserved.bind(&[("b".to_string(), 1), ("a".to_string(), 2)]);
-        reserved.reserve(1, &[-5, -5], &[20, 20]);
+        reserved.reserve(&[(vec![], vec![]), (vec![-5, -5], vec![20, 20])], 3);
         for (index, value) in &writes {
             grown.set("a", index, *value);
             reserved.set("a", index, *value);
@@ -777,11 +884,63 @@ mod tests {
         assert_eq!(grown.diff(&reserved, 0.0).len(), 1);
     }
 
+    /// The typed refusal `f` unwinds with, as (spent, limit) cells.
+    fn refusal(f: impl FnOnce()) -> (u64, u64) {
+        match rcp_guard::catch(f) {
+            Err(rcp_guard::Interrupt::Budget(b)) => {
+                assert_eq!(b.stage, rcp_guard::Stage::Execution);
+                assert_eq!(b.resource, rcp_guard::Resource::Cells);
+                (b.spent, b.limit)
+            }
+            other => panic!("expected a refused layout, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn layouts_beyond_the_cell_limit_are_refused_before_allocation() {
+        // A diagonal of 100 000 writes has a box of 10^10 cells.
+        let mut store = ArrayStore::new();
+        store.bind(&[("a".to_string(), 2)]);
+        let diagonal = (vec![1, 1], vec![100_000, 100_000]);
+        let (spent, limit) = refusal(|| store.reserve(&[diagonal], 100_000));
+        assert_eq!((spent, limit), (10_000_000_000, cell_limit(100_000)));
+        assert_eq!(store.cells(), 0, "nothing was allocated");
+        // A strided write grows no box past the limit either, and the
+        // store keeps what it held.
+        let mut store = ArrayStore::new();
+        store.set("a", &[0], 1.0);
+        let (spent, limit) = refusal(|| store.set("a", &[1 << 40], 2.0));
+        assert_eq!((spent, limit), ((1 << 40) + 1, cell_limit(2)));
+        assert_eq!(store.get("a", &[0]), 1.0);
+        assert_eq!(store.written_len(), 1);
+        // A box whose extent overflows is refused, not dropped.
+        store.set("b", &[i64::MIN], 1.0);
+        let (spent, _) = refusal(|| store.set("b", &[i64::MAX], 2.0));
+        assert_eq!(spent, u64::MAX);
+        assert_eq!(store.get("b", &[i64::MIN]), 1.0);
+    }
+
+    #[test]
+    fn growth_falls_back_to_the_exact_box_near_the_limit() {
+        // Doubling a 2^10 x 2^10 box would quadruple it past the limit of
+        // 2^10 writes; the exact box one row and column larger fits.
+        let mut store = ArrayStore::new();
+        let n = 1 << 10;
+        store.set("a", &[0, 0], 0.0);
+        store.set("a", &[n - 1, n - 1], 0.0);
+        for i in 1..n - 1 {
+            store.set("a", &[i, i], 0.0);
+        }
+        store.set("a", &[n, n], 0.0);
+        assert_eq!(store.arrays[0].1.extents, vec![n as usize + 1; 2]);
+        assert_eq!(store.written_len(), n as usize + 1);
+    }
+
     #[test]
     fn shared_views_write_in_place_and_report_what_they_cannot_place() {
         let mut store = ArrayStore::new();
         store.bind(&[("a".to_string(), 1)]);
-        store.reserve(0, &[0], &[9]);
+        store.reserve(&[(vec![0], vec![9])], 10);
         let mut view = StoreView::shared(&store);
         view.write_slot(0, &[3], 2.0);
         view.write_slot(0, &[10], 1.0); // outside the reserved box
@@ -796,7 +955,7 @@ mod tests {
     fn stamps_flag_cross_unit_accesses_within_a_phase() {
         let mut store = ArrayStore::new();
         store.bind(&[("a".to_string(), 1)]);
-        store.reserve(0, &[0], &[9]);
+        store.reserve(&[(vec![0], vec![9])], 10);
         store.set_stamping(true);
         let mut view = StoreView::shared(&store);
         view.set_unit(Some((0, 0)));

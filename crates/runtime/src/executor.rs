@@ -79,6 +79,10 @@ impl ExecutionResult {
 }
 
 /// Executes the program sequentially (original statement-instance order).
+///
+/// A layout the store refuses (see [`crate::array`]) unwinds with a typed
+/// [`rcp_guard::BudgetExceeded`], here and in [`ParallelExecutor::execute`];
+/// `rcp_guard::catch` turns it into an error.
 pub fn execute_sequential(schedule: &Schedule, kernel: &dyn Kernel) -> ArrayStore {
     let _span = rcp_trace::span!("executor.sequential");
     let mut store = ArrayStore::new();

@@ -28,7 +28,9 @@ pub trait Kernel: Sync {
     /// Lays `store` out for a run of `schedule` before any instance runs:
     /// binds the arrays the kernel addresses by slot, and reserves a box
     /// around every element the schedule's instances write, so that
-    /// parallel units can write in place without growing an array.
+    /// parallel units can write in place without growing an array.  A
+    /// layout beyond the store's cell limit is refused with a typed unwind
+    /// (see [`crate::array`]).
     ///
     /// The default reserves nothing.  Such a kernel still runs on the
     /// caller's thread, where writes grow boxes, but on the worker pool
@@ -196,16 +198,21 @@ impl Kernel for RefKernel {
     /// schedule's instances.
     fn reserve(&self, schedule: &Schedule, store: &mut ArrayStore) {
         store.bind(&self.arrays);
-        let mut lo: Vec<Vec<i64>> = self.arrays.iter().map(|a| vec![i64::MAX; a.1]).collect();
-        let mut hi: Vec<Vec<i64>> = self.arrays.iter().map(|a| vec![i64::MIN; a.1]).collect();
+        let mut boxes: Vec<(Vec<i64>, Vec<i64>)> = self
+            .arrays
+            .iter()
+            .map(|a| (vec![i64::MAX; a.1], vec![i64::MIN; a.1]))
+            .collect();
+        let mut writes = 0u64;
         for phase in &schedule.phases {
             for item in phase_items(phase) {
                 for (stmt, indices) in &item.instances {
                     let Some(accesses) = self.stmts.get(*stmt) else {
                         continue;
                     };
+                    writes += accesses.writes.len() as u64;
                     for access in &accesses.writes {
-                        let (lo, hi) = (&mut lo[access.slot], &mut hi[access.slot]);
+                        let (lo, hi) = &mut boxes[access.slot];
                         for (d, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
                             let x = access.subscript(d, indices);
                             *l = (*l).min(x);
@@ -215,12 +222,8 @@ impl Kernel for RefKernel {
                 }
             }
         }
-        for (slot, (lo, hi)) in lo.iter().zip(&hi).enumerate() {
-            // Unwritten arrays keep lo > hi; rank 0 needs no box.
-            if matches!((lo.first(), hi.first()), (Some(l), Some(h)) if l <= h) {
-                store.reserve(slot, lo, hi);
-            }
-        }
+        // Unwritten arrays keep lo > hi and stay as they are.
+        store.reserve(&boxes, writes);
     }
 
     fn execute(&self, stmt_id: usize, indices: &[i64], store: &mut ArrayStore) {

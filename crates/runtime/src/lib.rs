@@ -5,8 +5,9 @@
 //!
 //! * [`mod@array`] — the array store generated loops compute on: one dense
 //!   box per array (origin, extents, row-major strides, `f64` cells and a
-//!   written bitmap), grown on demand or reserved up front, negative
-//!   subscripts included, with deterministic initial values,
+//!   written bitmap), grown on demand or reserved up front within a
+//!   limit of cells per write, negative subscripts included, with
+//!   deterministic initial values,
 //! * [`kernel`] — statement kernels; [`RefKernel`] derives an
 //!   order-sensitive computation directly from a program's array
 //!   references, compiled once to slots and subscript rows, so that

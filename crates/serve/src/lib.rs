@@ -1003,6 +1003,29 @@ mod tests {
     }
 
     #[test]
+    fn a_sparse_write_pattern_is_refused_as_408_and_the_server_survives() {
+        // A diagonal write at N = 100 000 spans a box of 10^10 cells: the
+        // runtime refuses to lay it out instead of aborting the process.
+        let _guard = metrics_test_lock();
+        let (server, client) = server();
+        let source = "PROGRAM sparse\nPARAM N\nDO I = 1, N\n  S: a(I, I) = b(I)\nENDDO\nEND\n";
+        let reply = client
+            .post(
+                "/v1/run",
+                &json!({ "source": source, "params": json!({ "N": 100000 }) }),
+            )
+            .unwrap();
+        assert_eq!(reply.status, 408, "{}", reply.body);
+        assert!(reply.body.contains("`execution`"), "{}", reply.body);
+        let reply = client
+            .post("/v1/run", &json!({ "workload": "example1" }))
+            .unwrap();
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
     fn batch_shards_entries_and_isolates_errors() {
         let _guard = metrics_test_lock();
         let (server, client) = server();

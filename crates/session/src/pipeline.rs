@@ -1148,6 +1148,46 @@ mod tests {
     }
 
     #[test]
+    fn sparse_write_patterns_are_refused_as_typed_errors() {
+        // A diagonal and a widely strided write at N = 100 000: each box
+        // spans 10^10 cells for 10^5 writes.  Laying it out is refused
+        // before allocation, and the refusal reaches the caller as an
+        // error, not an abort.
+        for write in ["a(I, I)", "a(100000 * I)"] {
+            let source =
+                format!("PROGRAM sparse\nPARAM N\nDO I = 1, N\n  S: {write} = b(I)\nENDDO\nEND\n");
+            let scheduled = Session::with_config(Config::new().with_param("N", 100_000))
+                .parse(&source, "sparse.loop")
+                .unwrap()
+                .partition()
+                .unwrap()
+                .schedule()
+                .unwrap();
+            match scheduled.verify_checked() {
+                Err(RcpError::BudgetExceeded {
+                    stage,
+                    spent,
+                    limit,
+                }) => {
+                    assert_eq!(stage, "execution", "{write}");
+                    assert!(
+                        spent > 9_000_000_000 && limit < spent / 100,
+                        "{write}: {spent} of {limit}"
+                    );
+                }
+                other => panic!("{write}: expected a refused layout, got {other:?}"),
+            }
+            assert!(
+                matches!(
+                    scheduled.execute_checked(),
+                    Err(RcpError::BudgetExceeded { .. })
+                ),
+                "{write}"
+            );
+        }
+    }
+
+    #[test]
     fn deferred_programs_hit_budget_limits_at_partition_time() {
         // Cholesky defers analysis to the partition stage; a starvation
         // budget there is a hard typed error (the ladder lives at the
