@@ -18,11 +18,11 @@
 //! sees.
 //!
 //! A box costs memory in proportion to its bounding box, not to its
-//! writes, so a store lays out at most [`CELLS_PER_WRITE`] cells per
-//! element written into it plus [`FREE_CELLS`].  A reservation or growth
-//! beyond that is refused before anything is allocated: it unwinds with a
-//! typed [`rcp_guard::BudgetExceeded`] (stage `execution`, resource
-//! `cells`), which the session's checked entry points report as an error.
+//! writes, so a store lays out at most 32 cells per element written into
+//! it plus 2^20.  A reservation or growth beyond that is refused before
+//! anything is allocated: it unwinds with a typed
+//! [`rcp_guard::BudgetExceeded`] (stage `execution`, resource `cells`),
+//! which the session's checked entry points report as an error.
 //!
 //! Kernels reach the store only through a [`StoreView`]: an exclusive view
 //! grows boxes, a shared view (one per worker and phase) does not, and on
@@ -308,10 +308,10 @@ impl Layout {
 
 /// How many cells a store may lay out per element written into it, on top
 /// of [`FREE_CELLS`].  The bundled workloads need at most about 20.
-pub const CELLS_PER_WRITE: u64 = 32;
+const CELLS_PER_WRITE: u64 = 32;
 
 /// How many cells a store may lay out whatever it holds (8 MiB of values).
-pub const FREE_CELLS: u64 = 1 << 20;
+const FREE_CELLS: u64 = 1 << 20;
 
 /// The most cells a store holding `writes` written elements may lay out.
 /// It keeps the dense layout within a constant factor of the writes, plus
@@ -441,10 +441,11 @@ impl ArrayStore {
 
     /// Admits a layout of `cells` cells in all for a store holding
     /// `writes` written elements: refuses it when it exceeds
-    /// [`cell_limit`], and charges the cells it adds to the execution
-    /// budget otherwise.  Both refusals unwind with a typed
-    /// [`rcp_guard::BudgetExceeded`] before anything is allocated; the
-    /// session's checked entry points turn that into an error.
+    /// [`cell_limit`], else charges the cells it adds to the execution
+    /// budget.  A refusal, by the limit or by an exhausted budget, unwinds
+    /// with a typed [`rcp_guard::BudgetExceeded`] before anything is
+    /// allocated; the session's checked entry points turn it into an
+    /// error.
     fn admit(&self, cells: u64, writes: u64) {
         rcp_guard::limit(
             rcp_guard::Stage::Execution,
