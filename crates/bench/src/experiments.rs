@@ -18,10 +18,10 @@ use crate::speedup::{phases_speedup, PhaseShape, SpeedupFigure, SpeedupSeries};
 use rcp_baselines::doacross_plan;
 use rcp_codegen::{generate_listing, Schedule};
 use rcp_core::{
-    concrete_partition, concrete_partition_from_dense, dataflow_partition, dataflow_stage_sizes,
-    longest_chain, monotonic_chains, symbolic_plan, ConcretePartition, DenseThreeSet,
+    concrete_partition, concrete_partition_from_dense, dataflow_partition, longest_chain,
+    monotonic_chains, symbolic_plan, ConcretePartition, DenseThreeSet,
 };
-use rcp_depend::{trace_dependence_graph, DependenceAnalysis, Granularity};
+use rcp_depend::{DependenceAnalysis, Granularity};
 use rcp_json::{json, Json, ToJson};
 use rcp_presburger::{DenseRelation, DenseSet};
 use rcp_runtime::{execute_sequential, CostModel, RefKernel};
@@ -290,26 +290,42 @@ pub fn ex3_facts(n: i64) -> ExperimentReport {
     )
 }
 
+/// The concrete stage of the Cholesky kernel at `params`, through the
+/// session pipeline.  Algorithm 1 takes its plain else-branch, so the
+/// dataflow stages come from one pass over the program's accesses; the
+/// dependence relation is never enumerated.
+fn cholesky_stage(params: CholeskyParams) -> rcp_session::Partitioned {
+    Session::new()
+        .load(example4_cholesky())
+        .and_then(|analyzed| analyzed.partition_values(&params.as_vec()))
+        .expect("the Cholesky kernel partitions")
+}
+
+/// The dataflow stages of a Cholesky stage's partition.
+fn cholesky_stages(stage: &rcp_session::Partitioned) -> &rcp_core::DataflowPartition {
+    match stage.partition() {
+        ConcretePartition::Dataflow { stages } => stages,
+        other => panic!("Cholesky takes Algorithm 1's else-branch, got {other:?}"),
+    }
+}
+
 /// E-EX4 — Example 4 (Cholesky): number of dataflow partitioning steps.
 pub fn ex4_dataflow(params: CholeskyParams) -> ExperimentReport {
-    let program = example4_cholesky().bind_params(&params.as_vec());
-    let graph = trace_dependence_graph(&program, &[]);
-    let stages = dataflow_stage_sizes(graph.n_instances(), &graph.edges);
-    let widest = stages.iter().max().copied().unwrap_or(0);
+    let stage = cholesky_stage(params);
+    let stages = cholesky_stages(&stage);
+    let instances = stages.total_iterations();
+    let steps = stages.n_stages();
+    let widest = stages.max_stage_size();
     let text = format!(
-        "parameters {params:?}: {} statement instances, {} dependence edges\n\
-         dataflow partitioning steps = {} (paper reports 238 at NMAT=250, M=4, N=40, NRHS=3)\n\
+        "parameters {params:?}: {instances} statement instances\n\
+         dataflow partitioning steps = {steps} (paper reports 238 at NMAT=250, M=4, N=40, NRHS=3)\n\
          widest stage = {widest} instances, mean stage = {:.0}\n",
-        graph.n_instances(),
-        graph.n_edges(),
-        stages.len(),
-        graph.n_instances() as f64 / stages.len().max(1) as f64
+        instances as f64 / steps.max(1) as f64
     );
     let data = json!({
         "params": format!("{params:?}"),
-        "instances": graph.n_instances(),
-        "edges": graph.n_edges(),
-        "steps": stages.len(),
+        "instances": instances,
+        "steps": steps,
         "widest_stage": widest,
         "paper_steps": 238,
     });
@@ -464,15 +480,15 @@ pub fn fig3_ex3(model: &CostModel, n: i64, max_threads: usize) -> ExperimentRepo
 
 /// E-F3.4 — Figure 3, Example 4 plot: REC dataflow vs PDM.
 pub fn fig3_ex4(model: &CostModel, params: CholeskyParams, max_threads: usize) -> ExperimentReport {
-    let program = example4_cholesky().bind_params(&params.as_vec());
-    let graph = trace_dependence_graph(&program, &[]);
-    let total = graph.n_instances();
+    let stage = cholesky_stage(params);
+    let stages = cholesky_stages(&stage);
+    let total = stages.total_iterations();
     // REC: one DOALL phase per dataflow stage.
-    let stages = dataflow_stage_sizes(total, &graph.edges);
     let rec_phases: Vec<PhaseShape> = stages
+        .stages
         .iter()
-        .map(|&s| PhaseShape::Doall {
-            items: s,
+        .map(|s| PhaseShape::Doall {
+            items: s.len(),
             unit_instances: 1.0,
         })
         .collect();
@@ -523,7 +539,6 @@ pub fn measured_speedups(
     reps: usize,
 ) -> ExperimentReport {
     use crate::speedup::{measured_speedup, MeasuredSeries};
-    use rcp_core::dataflow_levels_indexed;
 
     let mut measured: Vec<MeasuredSeries> = Vec::new();
 
@@ -554,17 +569,14 @@ pub fn measured_speedups(
     }
 
     // Example 4 (Cholesky): dataflow stages become DOALL phases.
-    let program = example4_cholesky().bind_params(&cholesky.as_vec());
-    let graph = trace_dependence_graph(&program, &[]);
-    let levels = dataflow_levels_indexed(graph.n_instances(), &graph.edges);
-    let parallel = Schedule::from_dataflow_levels("ex4", &graph.instances, &levels);
-    let sequential = Schedule::sequential(&program, &[]);
-    let kernel = RefKernel::new(&program);
+    let scheduled = cholesky_stage(cholesky)
+        .schedule_with("recurrence-chains")
+        .expect("the paper's scheme schedules every program");
     measured.push(measured_speedup(
         "ex4",
-        &sequential,
-        &parallel,
-        &kernel,
+        scheduled.sequential(),
+        scheduled.schedule(),
+        &scheduled.kernel(),
         max_threads,
         reps,
     ));
@@ -860,10 +872,9 @@ pub fn trace_overhead(quick: bool) -> ExperimentReport {
 ///    metrics registry (`intlin.cache.*`, `presburger.cache.emptiness.*`)
 ///    taken around the warm passes, so whatever the other experiments in
 ///    the same process did to the global counters cannot bleed in.
-/// 2. **Sharding.**  Wall clock of `DependenceAnalysis` on examples 1–3 and
-///    of the Cholesky dependence trace for 1..=`max_threads` shards, with
-///    every sharded result checked piece-for-piece / edge-for-edge against
-///    the single-threaded one.
+/// 2. **Sharding.**  Wall clock of `DependenceAnalysis` on examples 1–3
+///    for 1..=`max_threads` shards, with every sharded result checked
+///    piece for piece against the single-threaded one.
 pub fn analysis_pipeline(max_threads: usize) -> ExperimentReport {
     use rcp_depend::{dependence_system, Granularity};
     use rcp_intlin::{reset_solver_cache, solve_linear_system_cached};
@@ -990,54 +1001,6 @@ pub fn analysis_pipeline(max_threads: usize) -> ExperimentReport {
             identical,
         });
     }
-    let cholesky = example4_cholesky().bind_params(
-        &CholeskyParams {
-            nmat: 10,
-            m: 4,
-            n: 20,
-            nrhs: 2,
-        }
-        .as_vec(),
-    );
-    // The gated tracer applies the sequential-fallback cost model
-    // (`rcp_depend::parallel_trace_pays_off`), so a small trace runs
-    // inline whatever width is requested and never pays pool overhead.
-    // Repetitions are interleaved round-robin over the thread counts and
-    // the per-count minima kept, so machine drift cannot masquerade as a
-    // thread-count regression.  A no-regression claim needs only one
-    // clean round per thread count, so when a loaded machine leaves the
-    // minima ratio under the gate after the base rounds, extra rounds
-    // run until it clears or the rep cap decides the regression is real.
-    let reference = rcp_depend::trace_dependence_graph_with_threads(&cholesky, &[], 1);
-    let mut ms_per_threads = vec![f64::INFINITY; max_threads.max(1)];
-    let mut identical = true;
-    let min_ratio = |ms_per_threads: &[f64]| {
-        ms_per_threads
-            .iter()
-            .skip(1)
-            .map(|&t| ms_per_threads[0] / t.max(1e-9))
-            .fold(f64::INFINITY, f64::min)
-    };
-    for rep in 0..20 {
-        for threads in 1..=max_threads.max(1) {
-            let start = Instant::now();
-            let sharded = rcp_depend::trace_dependence_graph_with_threads(&cholesky, &[], threads);
-            let elapsed = ms(start);
-            ms_per_threads[threads - 1] = ms_per_threads[threads - 1].min(elapsed);
-            identical &=
-                sharded.edges == reference.edges && sharded.instances == reference.instances;
-        }
-        if rep >= 4 && min_ratio(&ms_per_threads) >= 0.95 {
-            break;
-        }
-    }
-    let ex4_trace_min_ratio = min_ratio(&ms_per_threads);
-    rows.push(ShardedRow {
-        name: "ex4-trace",
-        ms_per_threads,
-        identical,
-    });
-
     // --- Report. ---
     let solver_speedup = solver_cold_ms / solver_warm_ms.max(1e-9);
     let analyze_speedup = analyze_cold_ms / analyze_warm_ms.max(1e-9);
@@ -1100,8 +1063,6 @@ pub fn analysis_pipeline(max_threads: usize) -> ExperimentReport {
             "identical": r.identical,
         })).collect::<Vec<_>>(),
         "all_identical": all_identical,
-        "ex4_trace_min_ratio": ex4_trace_min_ratio,
-        "ex4_trace_no_regression": ex4_trace_min_ratio >= 0.95,
     });
     ExperimentReport::new(
         "analysis",
@@ -2008,14 +1969,7 @@ mod tests {
         let report = analysis_pipeline(2);
         // Sharded results must be identical to single-threaded, always.
         assert_eq!(report.data["all_identical"], true);
-        assert_eq!(report.data["sharded"].as_array().unwrap().len(), 4);
-        // The gated tracer never regresses vs its own sequential walk
-        // (the ex4-trace fix: small traces fall back to the inline walk).
-        assert_eq!(
-            report.data["ex4_trace_no_regression"], true,
-            "ex4-trace min ratio {:?} must stay >= 0.95",
-            report.data["ex4_trace_min_ratio"]
-        );
+        assert_eq!(report.data["sharded"].as_array().unwrap().len(), 3);
         // The warm solver pass answers (almost) everything from the cache.
         let cache = &report.data["cache"];
         assert!(cache["hit_rate"].as_f64().unwrap() > 0.5);

@@ -8,7 +8,7 @@
 //! into the speedup curves of Figure 3.
 
 use rcp_core::ConcretePartition;
-use rcp_depend::{DependenceAnalysis, Granularity, LoopView};
+use rcp_depend::{DependenceAnalysis, Granularity};
 use rcp_intlin::IVec;
 use rcp_loopir::{LoopGroup, Program, UnifiedDecoder};
 use rcp_presburger::DenseSet;
@@ -119,27 +119,22 @@ impl Schedule {
     /// statement-level granularity each point is a single statement
     /// instance.  Aggregated loop-level points (imperfect nests) need the
     /// parameter values to expand their inner loops — use
-    /// [`Self::from_partition_bound`] for those.
+    /// [`Self::from_partition_with`] and [`PointExpander::new`] for those.
     pub fn from_partition(
         analysis: &DependenceAnalysis,
         partition: &ConcretePartition,
         name: &str,
     ) -> Schedule {
-        Self::from_partition_bound(analysis, partition, &[], name)
+        Self::from_partition_with(&PointExpander::new(analysis, &[]), partition, name)
     }
 
-    /// [`Self::from_partition`] with the parameter values of the
-    /// partition's binding, required to expand the aggregated loop-level
-    /// points of an imperfect nest (each point executes the whole body of
-    /// one prefix iteration, whose inner loop bounds may mention
-    /// parameters).  For direct views `params` is unused.
-    pub fn from_partition_bound(
-        analysis: &DependenceAnalysis,
+    /// Builds the schedule of a concrete Algorithm-1 partition whose
+    /// points `expander` turns into work items.
+    pub fn from_partition_with(
+        expander: &PointExpander<'_>,
         partition: &ConcretePartition,
-        params: &[i64],
         name: &str,
     ) -> Schedule {
-        let expander = PointExpander::new(analysis, params);
         let to_item = |point: &[i64]| expander.item(point);
         let mut phases = Vec::new();
         match partition {
@@ -170,25 +165,6 @@ impl Schedule {
         Schedule {
             name: name.to_string(),
             phases,
-        }
-    }
-
-    /// Builds the phase-per-stage DOALL schedule of a dataflow partition:
-    /// instance `k` executes in phase `levels[k]` (its longest-path depth in
-    /// the dependence graph), every stage fully parallel.
-    pub fn from_dataflow_levels(
-        name: &str,
-        instances: &[(usize, IVec)],
-        levels: &[u32],
-    ) -> Schedule {
-        let n_stages = levels.iter().copied().max().map_or(0, |m| m as usize + 1);
-        let mut stages: Vec<Vec<WorkItem>> = vec![Vec::new(); n_stages];
-        for (idx, (stmt, indices)) in instances.iter().enumerate() {
-            stages[levels[idx] as usize].push(WorkItem::single(*stmt, indices.clone()));
-        }
-        Schedule {
-            name: name.to_string(),
-            phases: stages.into_iter().map(Phase::Doall).collect(),
         }
     }
 
@@ -295,12 +271,12 @@ impl Schedule {
 pub struct PointExpander<'a> {
     program: &'a Program,
     params: &'a [i64],
-    expansion: Expansion<'a>,
+    expansion: Expansion,
 }
 
-enum Expansion<'a> {
+enum Expansion {
     /// Aggregated loop-level points `(group, prefix iteration, padding)`.
-    Groups(&'a [LoopGroup]),
+    Groups(Vec<LoopGroup>),
     /// Loop-level points of a perfect nest with this many statements.
     Nest(usize),
     /// Statement-level points of the unified space.
@@ -312,13 +288,21 @@ impl<'a> PointExpander<'a> {
     /// `params`, which aggregated points need to expand their inner loops
     /// (unused for direct views).
     pub fn new(analysis: &'a DependenceAnalysis, params: &'a [i64]) -> Self {
-        let program = &analysis.program;
-        let expansion = match (analysis.granularity, &analysis.view) {
-            (Granularity::LoopLevel, LoopView::Groups(groups)) => Expansion::Groups(groups),
-            (Granularity::LoopLevel, LoopView::Direct) => {
+        Self::for_program(&analysis.program, analysis.granularity, params)
+    }
+
+    /// The expander of the points of `program`'s analysis space at
+    /// `granularity`.  The view follows from the program: loop level over
+    /// an imperfect nest is the aggregated loop-group view, whose points
+    /// need `params` to expand their inner loops.  No dependence analysis
+    /// is involved.
+    pub fn for_program(program: &'a Program, granularity: Granularity, params: &'a [i64]) -> Self {
+        let expansion = match granularity {
+            Granularity::LoopLevel if program.is_perfect_nest() => {
                 Expansion::Nest(program.statements().len())
             }
-            (Granularity::StatementLevel, _) => Expansion::Unified(program.unified_decoder()),
+            Granularity::LoopLevel => Expansion::Groups(program.loop_groups().unwrap_or_default()),
+            Granularity::StatementLevel => Expansion::Unified(program.unified_decoder()),
         };
         PointExpander {
             program,

@@ -18,7 +18,8 @@ use crate::chains::{chains_in_intermediate, longest_chain, Chain};
 use crate::dataflow::{dataflow_partition, DataflowPartition};
 use crate::recurrence::Recurrence;
 use crate::three_set::{DenseThreeSet, ThreeSetPartition};
-use rcp_depend::{CoupledPairCheck, DependenceAnalysis};
+use rcp_depend::{coupled_pair_check, CoupledPairCheck, DependenceAnalysis, Granularity};
+use rcp_loopir::Program;
 use rcp_presburger::{ConvexSet, DenseRelation, DenseSet, UnionSet};
 use std::fmt;
 
@@ -565,7 +566,19 @@ impl ConcretePartition {
 /// [`symbolic_plan`], [`concrete_partition_from_dense`] and every consumer
 /// that reports the chosen strategy (e.g. `rcp analyze`).
 pub fn plan_unavailability(analysis: &DependenceAnalysis) -> Option<PlanUnavailable> {
-    match analysis.coupled_pair_check() {
+    plan_unavailability_of(&analysis.program, analysis.granularity)
+}
+
+/// [`plan_unavailability`] from the program alone: the branch condition
+/// reads only the statements' references and the granularity
+/// ([`rcp_depend::coupled_pair_check`]), so choosing the branch needs no
+/// dependence analysis.  A program whose subscripts mention parameters
+/// must be bound first.
+pub fn plan_unavailability_of(
+    program: &Program,
+    granularity: Granularity,
+) -> Option<PlanUnavailable> {
+    match coupled_pair_check(program, granularity) {
         CoupledPairCheck::Single(pair) => match Recurrence::from_pair(&pair) {
             Some(_) => None,
             // Unreachable for square full-rank pairs, but kept total.

@@ -31,6 +31,23 @@ pub struct DataflowPartition {
 }
 
 impl DataflowPartition {
+    /// The partition whose stage `k` holds the points of `phi` at level
+    /// `k`, where `levels[id]` is the level of `phi`'s point `id` — the
+    /// stages of [`dataflow_partition`] when the levels are the
+    /// longest-path levels of the dependence relation, as
+    /// `rcp_depend::dataflow_levels` computes them without the relation.
+    pub fn from_levels(phi: &DenseSet, levels: &[u32]) -> DataflowPartition {
+        debug_assert_eq!(levels.len(), phi.len(), "one level per point of phi");
+        let n_stages = levels.iter().max().map_or(0, |&m| m as usize + 1);
+        let mut ids: Vec<Vec<usize>> = vec![Vec::new(); n_stages];
+        for (id, &level) in levels.iter().enumerate() {
+            ids[level as usize].push(id);
+        }
+        DataflowPartition {
+            stages: ids.into_iter().map(|ids| phi.subset(ids)).collect(),
+        }
+    }
+
     /// Number of partitioning steps (stages).
     pub fn n_stages(&self) -> usize {
         self.stages.len()
@@ -141,45 +158,6 @@ pub fn dataflow_partition(phi: &DenseSet, rd: &DenseRelation) -> DataflowPartiti
     DataflowPartition { stages }
 }
 
-/// Dataflow levels over an *indexed* dependence graph: nodes are
-/// `0..n_nodes` and `edges` are forward pairs `(src, dst)` with
-/// `src < dst`.  Returns the level of every node; the number of dataflow
-/// partitioning steps is `max(level) + 1`.
-///
-/// This is the large-scale variant used for the Cholesky kernel (close to a
-/// million statement instances), where materialising index vectors for
-/// every node would be wasteful.
-pub fn dataflow_levels_indexed(n_nodes: usize, edges: &[(u32, u32)]) -> Vec<u32> {
-    let mut levels = vec![0u32; n_nodes];
-    // Edges always point forward in sequential order, so a single pass in
-    // node order computes the longest-path layering.
-    let mut by_dst: Vec<Vec<u32>> = vec![Vec::new(); n_nodes];
-    for &(src, dst) in edges {
-        assert!(src < dst, "dependence edge must point forward");
-        by_dst[dst as usize].push(src);
-    }
-    for node in 0..n_nodes {
-        let mut level = 0;
-        for &src in &by_dst[node] {
-            level = level.max(levels[src as usize] + 1);
-        }
-        levels[node] = level;
-    }
-    levels
-}
-
-/// The number of dataflow partitioning steps (stages) of an indexed graph,
-/// together with the per-stage sizes.
-pub fn dataflow_stage_sizes(n_nodes: usize, edges: &[(u32, u32)]) -> Vec<usize> {
-    let levels = dataflow_levels_indexed(n_nodes, edges);
-    let n_stages = levels.iter().copied().max().map_or(0, |m| m as usize + 1);
-    let mut sizes = vec![0usize; n_stages];
-    for l in levels {
-        sizes[l as usize] += 1;
-    }
-    sizes
-}
-
 /// The naive repeated-peeling formulation of the paper (used to
 /// cross-validate the topological implementation in tests; `O(steps · E)`).
 pub fn dataflow_partition_by_peeling(phi: &DenseSet, rd: &DenseRelation) -> DataflowPartition {
@@ -263,18 +241,26 @@ mod tests {
     }
 
     #[test]
-    fn indexed_levels_match_dense_partitioning() {
-        // chain 0 -> 1 -> 2 plus isolated 3
-        let edges = vec![(0u32, 1u32), (1, 2)];
-        let levels = dataflow_levels_indexed(4, &edges);
-        assert_eq!(levels, vec![0, 1, 2, 0]);
-        assert_eq!(dataflow_stage_sizes(4, &edges), vec![2, 1, 1]);
-        // diamond
-        let edges = vec![(0u32, 1u32), (0, 2), (1, 3), (2, 3)];
-        assert_eq!(dataflow_stage_sizes(4, &edges), vec![1, 2, 1]);
-        // empty graph
-        assert_eq!(dataflow_stage_sizes(0, &[]), Vec::<usize>::new());
-        assert_eq!(dataflow_stage_sizes(3, &[]), vec![3]);
+    fn stages_from_levels_match_kahn_rounds() {
+        // The diamond of `peeling_and_topological_agree` with its
+        // longest-path levels.
+        let phi = DenseSet::from_points(1, (0..=6).map(|i| vec![i]));
+        let rd = DenseRelation::from_pairs(
+            1,
+            1,
+            vec![
+                (vec![0], vec![1]),
+                (vec![0], vec![2]),
+                (vec![1], vec![3]),
+                (vec![2], vec![3]),
+                (vec![3], vec![4]),
+            ],
+        );
+        let from_levels = DataflowPartition::from_levels(&phi, &[0, 1, 1, 2, 3, 0, 0]);
+        assert_eq!(from_levels, dataflow_partition(&phi, &rd));
+        assert!(from_levels.validate(&phi, &rd).is_empty());
+        let empty = DenseSet::new(1);
+        assert_eq!(DataflowPartition::from_levels(&empty, &[]).n_stages(), 0);
     }
 
     #[test]

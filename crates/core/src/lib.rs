@@ -66,16 +66,13 @@ pub mod recurrence;
 pub mod three_set;
 
 pub use algorithm1::{
-    concrete_partition, concrete_partition_from_dense, plan_unavailability, symbolic_plan,
-    try_chain_partition, uses_recurrence_chains, ConcretePartition, PartitionPhase, PlanInstance,
-    PlanStats, PlanUnavailable, Strategy, SymbolicPlan,
+    concrete_partition, concrete_partition_from_dense, plan_unavailability, plan_unavailability_of,
+    symbolic_plan, try_chain_partition, uses_recurrence_chains, ConcretePartition, PartitionPhase,
+    PlanInstance, PlanStats, PlanUnavailable, Strategy, SymbolicPlan,
 };
 pub use chains::{
     chains_in_intermediate, component_chains, longest_chain, monotonic_chains, Chain,
 };
-pub use dataflow::{
-    dataflow_levels_indexed, dataflow_partition, dataflow_partition_by_peeling,
-    dataflow_stage_sizes, DataflowPartition,
-};
+pub use dataflow::{dataflow_partition, dataflow_partition_by_peeling, DataflowPartition};
 pub use recurrence::Recurrence;
 pub use three_set::{DenseThreeSet, ThreeSetPartition};

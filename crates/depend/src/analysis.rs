@@ -321,68 +321,9 @@ impl DependenceAnalysis {
     /// Only meaningful at loop level, where the access matrices are square
     /// exactly when the array rank equals the nest depth.
     pub fn single_coupled_pair(&self) -> Option<CoupledPair> {
-        match self.coupled_pair_check() {
+        match coupled_pair_check(&self.program, self.granularity) {
             CoupledPairCheck::Single(pair) => Some(pair),
             _ => None,
-        }
-    }
-
-    /// The full diagnosis behind [`Self::single_coupled_pair`]: either the
-    /// single usable pair, or the *reason* the then-branch precondition
-    /// fails — consumed by `rcp_core::symbolic_plan` so a fallback to
-    /// dataflow partitioning can explain itself instead of being a silent
-    /// `None`.
-    pub fn coupled_pair_check(&self) -> CoupledPairCheck {
-        if self.granularity != Granularity::LoopLevel {
-            return CoupledPairCheck::StatementLevel;
-        }
-        if self.is_aggregated() {
-            // The statement-local access matrices live in each statement's
-            // own loop space, not the aggregated (group, prefix) point
-            // space — a "single coupled pair" found here must not feed the
-            // recurrence machinery (its chains would not be the relation's
-            // chains; see `rcp_core::try_chain_partition` for the path
-            // aggregated views take instead).
-            return CoupledPairCheck::AggregatedLoopLevel;
-        }
-        let stmts = self.program.statements();
-        let mut found: Option<CoupledPair> = None;
-        let mut non_square: Option<String> = None;
-        let mut n_pairs = 0;
-        for info in &stmts {
-            let writes: Vec<&rcp_loopir::ArrayRef> = info.stmt.writes().collect();
-            let reads: Vec<&rcp_loopir::ArrayRef> = info.stmt.reads().collect();
-            for w in &writes {
-                for r in &reads {
-                    if w.array != r.array {
-                        continue;
-                    }
-                    n_pairs += 1;
-                    let wa = self.program.loop_access(info, w);
-                    let ra = self.program.loop_access(info, r);
-                    if wa.matrix.is_square() && ra.matrix.is_square() {
-                        found = Some(CoupledPair {
-                            write: wa,
-                            read: ra,
-                        });
-                    } else {
-                        non_square = Some(w.array.clone());
-                    }
-                }
-            }
-        }
-        match n_pairs {
-            0 => CoupledPairCheck::NoPair,
-            1 => match found {
-                Some(pair) if pair.full_rank() => CoupledPairCheck::Single(pair),
-                Some(pair) => CoupledPairCheck::RankDeficient {
-                    array: pair.write.array.clone(),
-                },
-                None => CoupledPairCheck::NonSquare {
-                    array: non_square.unwrap_or_default(),
-                },
-            },
-            count => CoupledPairCheck::MultiplePairs { count },
         }
     }
 
@@ -421,6 +362,86 @@ impl DependenceAnalysis {
                     Some(pair)
                 }
             })
+    }
+}
+
+/// The iteration space `Φ` of `program`'s analysis space at
+/// `granularity`: the unified statement-level space, the loop set of a
+/// perfect nest, or the loop-group view of an imperfect nest.  The
+/// analysis builds its `Φ` here, so a consumer that needs only `Φ` skips
+/// the pair analysis.
+pub fn iteration_space(program: &Program, granularity: Granularity) -> UnionSet {
+    match granularity {
+        Granularity::StatementLevel => program.unified_iteration_space(),
+        Granularity::LoopLevel if program.is_perfect_nest() => {
+            UnionSet::from_convex(program.loop_iteration_set())
+        }
+        Granularity::LoopLevel => {
+            crate::looplevel::aggregated_phi(program, &program.loop_groups().unwrap_or_default())
+        }
+    }
+}
+
+/// Scans a program for the *single coupled reference pair* of Algorithm
+/// 1's then-branch at `granularity`: either the pair, or the *reason* the
+/// then-branch precondition fails, which `rcp_core::plan_unavailability`
+/// reports instead of a silent `None`.  The branch reads only the
+/// statements' references and the view, and the view follows from the two
+/// arguments (loop level over an imperfect nest is the aggregated view), so
+/// deciding it needs no dependence analysis.  Subscripts must be affine in
+/// the loop indices alone: bind the parameters of a program whose
+/// subscripts mention them first.
+pub fn coupled_pair_check(program: &Program, granularity: Granularity) -> CoupledPairCheck {
+    if granularity != Granularity::LoopLevel {
+        return CoupledPairCheck::StatementLevel;
+    }
+    if !program.is_perfect_nest() {
+        // The statement-local access matrices live in each statement's
+        // own loop space, not the aggregated (group, prefix) point space —
+        // a "single coupled pair" found here must not feed the recurrence
+        // machinery (its chains would not be the relation's chains; see
+        // `rcp_core::try_chain_partition` for the path aggregated views
+        // take instead).
+        return CoupledPairCheck::AggregatedLoopLevel;
+    }
+    let stmts = program.statements();
+    let mut found: Option<CoupledPair> = None;
+    let mut non_square: Option<String> = None;
+    let mut n_pairs = 0;
+    for info in &stmts {
+        let writes: Vec<&rcp_loopir::ArrayRef> = info.stmt.writes().collect();
+        let reads: Vec<&rcp_loopir::ArrayRef> = info.stmt.reads().collect();
+        for w in &writes {
+            for r in &reads {
+                if w.array != r.array {
+                    continue;
+                }
+                n_pairs += 1;
+                let wa = program.loop_access(info, w);
+                let ra = program.loop_access(info, r);
+                if wa.matrix.is_square() && ra.matrix.is_square() {
+                    found = Some(CoupledPair {
+                        write: wa,
+                        read: ra,
+                    });
+                } else {
+                    non_square = Some(w.array.clone());
+                }
+            }
+        }
+    }
+    match n_pairs {
+        0 => CoupledPairCheck::NoPair,
+        1 => match found {
+            Some(pair) if pair.full_rank() => CoupledPairCheck::Single(pair),
+            Some(pair) => CoupledPairCheck::RankDeficient {
+                array: pair.write.array.clone(),
+            },
+            None => CoupledPairCheck::NonSquare {
+                array: non_square.unwrap_or_default(),
+            },
+        },
+        count => CoupledPairCheck::MultiplePairs { count },
     }
 }
 
@@ -661,7 +682,7 @@ fn analyze_loop_level(
     let dim = space.dim();
     let pair_space = pair_space_of(&space);
     let phi_convex = program.loop_iteration_set();
-    let phi = UnionSet::from_convex(phi_convex.clone());
+    let phi = iteration_space(program, Granularity::LoopLevel);
     let stmts = program.statements();
     let (accesses, boxes) =
         per_statement_accesses(program, &stmts, |info, r| program.loop_access(info, r));
@@ -713,7 +734,7 @@ fn analyze_statement_level(
     let space = program.unified_space();
     let dim = space.dim();
     let pair_space = pair_space_of(&space);
-    let phi = program.unified_iteration_space();
+    let phi = iteration_space(program, Granularity::StatementLevel);
     let stmts = program.statements();
     let (accesses, boxes) =
         per_statement_accesses(program, &stmts, |info, r| program.unified_access(info, r));

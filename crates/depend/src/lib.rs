@@ -45,16 +45,13 @@ pub mod screening;
 pub mod trace;
 
 pub use analysis::{
-    dependence_system, is_coupled_access, pair_may_depend, screen_summary, AnalysisOptions,
-    CoupledPair, CoupledPairCheck, DependenceAnalysis, Granularity, LoopView, RefPair,
-    ScreenSummary,
+    coupled_pair_check, dependence_system, is_coupled_access, iteration_space, pair_may_depend,
+    screen_summary, AnalysisOptions, CoupledPair, CoupledPairCheck, DependenceAnalysis,
+    Granularity, LoopView, RefPair, ScreenSummary,
 };
 pub use distance::{
     classify_analysis, classify_uniformity, distance_set, syntactically_uniform, Uniformity,
 };
 pub use pairspace::{PairScreen, ScreenConfig, ScreenStats};
 pub use screening::{banerjee_test, gcd_test, Screening};
-pub use trace::{
-    parallel_trace_pays_off, trace_dependence_graph, trace_dependence_graph_forced,
-    trace_dependence_graph_with_threads, TracedGraph,
-};
+pub use trace::dataflow_levels;

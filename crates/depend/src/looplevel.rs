@@ -111,6 +111,18 @@ fn group_point_set(
     ConvexSet::from_constraints(space.clone(), constraints)
 }
 
+/// The aggregated iteration space `Φ`: one piece per loop group, the
+/// group's prefix iterations with `g` pinned and the padding zero.
+pub(crate) fn aggregated_phi(program: &Program, groups: &[LoopGroup]) -> UnionSet {
+    let max_depth = groups.iter().map(|g| g.depth()).max().unwrap_or(1);
+    let space = aggregated_space(program, max_depth);
+    let pieces = groups
+        .iter()
+        .map(|g| group_point_set(&space, program, g, max_depth))
+        .collect();
+    UnionSet::from_pieces(space, pieces)
+}
+
 /// The relation pieces of one ordered direction of a reference pair:
 /// instance-level constraints over both statements' own loop variables,
 /// inner dimensions projected out, embedded into the pair-point space and
@@ -220,14 +232,10 @@ pub(crate) fn analyze_aggregated(
         }
     }
     let max_depth = groups.iter().map(|g| g.depth()).max().unwrap_or(1);
-    let space = aggregated_space(program, max_depth);
+    let phi = aggregated_phi(program, &groups);
+    let space = phi.space().clone();
     let dim = space.dim();
     let pair_space = pair_space_of(&space);
-    let phi_pieces: Vec<ConvexSet> = groups
-        .iter()
-        .map(|g| group_point_set(&space, program, g, max_depth))
-        .collect();
-    let phi = UnionSet::from_pieces(space.clone(), phi_pieces);
 
     let (accesses, boxes) =
         per_statement_accesses(program, &stmts, |info, r| program.loop_access(info, r));

@@ -1,326 +1,221 @@
-//! Exact dependence capture by sequential instrumentation.
+//! Dataflow levels from one streaming pass over the program's accesses.
 //!
-//! The symbolic route (solve the dependence equations with the integer-set
-//! machinery and enumerate the relation) is what a compiler does, but for
-//! the largest workload of the paper — the NASA Cholesky kernel at
-//! `NMAT = 250, M = 4, N = 40, NRHS = 3`, close to a million statement
-//! instances — enumerating a 22-dimensional pair relation is needlessly
-//! expensive.  This module obtains the *same memory-based dependence
-//! graph* by walking the statement instances in sequential order and
-//! recording, per array element, the last writer and the readers since that
-//! write:
+//! Algorithm 1's else-branch (successive dataflow partitioning) peels the
+//! iterations without remaining predecessors, so the stage of a point is
+//! its *level*: the number of edges on the longest dependence path that
+//! ends in it.  Finding the levels does not need the dependence relation
+//! `Rd`.  [`dataflow_levels`] walks the statement instances once, in
+//! program order, and keeps two numbers per array element:
 //!
-//! * write → later read of the same element: flow dependence,
-//! * read → later write: anti dependence,
-//! * write → later write: output dependence.
+//! * the level of the last point that wrote it, and
+//! * the highest level of a point that read it since that write.
 //!
-//! Only the most recent edges are recorded (last writer / reads since the
-//! last write); for the longest-path layering used by the dataflow
-//! partitioning this is equivalent to the full all-pairs memory-based
-//! relation, because skipped edges are always dominated by a path through
-//! the recorded ones.  The equivalence is checked against the symbolic
-//! relation on small programs in the test-suite.
+//! A point's level is the larger of `last writer + 1` over all its
+//! accesses and `highest reader + 1` over its writes, or 0 when neither
+//! exists.  The element state is updated only once the level of the whole
+//! point is known, so the accesses of one point never constrain each
+//! other: `Rd` relates distinct points only.
+//!
+//! Points are the analysis's points.  At statement level each instance is
+//! one point; at loop level over a perfect nest the nest's `S` statements
+//! of one iteration form a point.  The interpreter lists instances in
+//! program order, which is `Φ`'s lexicographic order, so trace position
+//! `k` is `Φ` id `k`.
+//!
+//! # Why the levels are `Rd`'s longest-path levels
+//!
+//! *Every constraint is a dependence.*  The last writer of an element and
+//! its readers since that write are earlier points that touch the element,
+//! and each pair they form with the current point has a write on one side:
+//! a flow, anti or output dependence, which `Rd` holds because it relates
+//! every pair of conflicting accesses, not only the nearest.  Deferring
+//! the update to the end of a point keeps this true: a read that follows a
+//! write of the same element inside one point still sees the previous
+//! point's writer, and that pair is in `Rd` too.  So no level exceeds the
+//! point's longest path in `Rd`.
+//!
+//! *Every dependence is dominated.*  Take `x ≺ y` in `Rd` through element
+//! `e`.  The writers of `e` form a chain of strictly rising levels, since
+//! each writer sees its predecessor as the last writer.  If `x` writes
+//! `e`, the last writer `w` of `e` before `y` is `x` or follows `x` on the
+//! chain, so `level(y) ≥ level(w) + 1 ≥ level(x) + 1`.  If `x` only reads
+//! `e`, `y` writes it.  With no write of `e` strictly between the two, `y`
+//! sees `x` among the readers.  Otherwise the first writer after `x` sees
+//! it, and `y` follows that writer on the chain.  Either way
+//! `level(y) ≥ level(x) + 1`.
+//!
+//! The two directions give exactly the longest-path levels of `Rd`, which
+//! are the rounds of Kahn's algorithm over `Rd` (`rcp_core`'s
+//! `dataflow_partition`), stage by stage.  The walk records no edges: it
+//! holds one entry per touched element and costs one table probe per
+//! access.
 
-use rcp_intlin::IVec;
-use rcp_loopir::{AccessMap, Program};
-use std::collections::HashMap;
+use crate::analysis::Granularity;
+use rcp_loopir::{CompiledRefs, Program};
 
-/// The instrumented dependence graph over statement instances.
-#[derive(Clone, Debug)]
-pub struct TracedGraph {
-    /// The statement instances in sequential execution order.
-    pub instances: Vec<(usize, IVec)>,
-    /// Dependence edges as indices into `instances` (`src < dst`).
-    pub edges: Vec<(u32, u32)>,
-}
+/// Points traced between two guard checkpoints.
+const TICK_POINTS: usize = 4096;
 
-impl TracedGraph {
-    /// Number of statement instances.
-    pub fn n_instances(&self) -> usize {
-        self.instances.len()
-    }
-
-    /// Number of dependence edges.
-    pub fn n_edges(&self) -> usize {
-        self.edges.len()
-    }
-}
-
-/// Below this many statement instances the default
-/// [`trace_dependence_graph`] stays single-threaded: the walk finishes
-/// faster inline than the worker threads take to spawn.
-pub const PAR_TRACE_MIN_INSTANCES: usize = 16 * 1024;
-
-/// Estimated cost of tracing one statement instance (hash probes plus an
-/// edge push), used by the sequential-fallback cost model.
-const TRACE_INSTANCE_COST_NS: f64 = 250.0;
-
-/// One-time cost of spawning one worker thread.
-const TRACE_SPAWN_COST_NS: f64 = 60_000.0;
-
-/// Fraction of the sequential walk the left-to-right merge re-pays
-/// serially (the merge rebuilds per-element state and re-appends every
-/// shard's edges on the calling thread).  Calibrated pessimistically from
-/// the measured `ex4-trace` runs: at 2 shards the merge share is large
-/// enough that sharding never pays, which matches the recorded regression
-/// (5.9 ms sequential vs 6.9 ms at 2 threads).
-const TRACE_MERGE_FRACTION: f64 = 0.55;
-
-/// Whether sharding a trace of `n_instances` over `threads` workers is
-/// modelled to beat the inline sequential walk, given `available`
-/// hardware threads.  This is the tracer's counterpart of the executor's
-/// `CostModel::parallel_pays_off`: the requested width is capped at the
-/// hardware first (threads beyond the cores only add oversubscription —
-/// exactly the measured `ex4-trace` regression), the pool pays one spawn
-/// per worker, and the serial merge bounds the achievable speedup.
-pub fn parallel_trace_pays_off(n_instances: usize, threads: usize, available: usize) -> bool {
-    let t = threads.min(available.max(1));
-    if t <= 1 || n_instances < PAR_TRACE_MIN_INSTANCES {
-        return false;
-    }
-    let sequential = n_instances as f64 * TRACE_INSTANCE_COST_NS;
-    let parallel =
-        sequential * (1.0 / t as f64 + TRACE_MERGE_FRACTION) + t as f64 * TRACE_SPAWN_COST_NS;
-    parallel < sequential
-}
-
-/// Traces the memory-based dependence graph of a program at concrete
-/// parameter values, sharding the instance walk over all available
-/// hardware threads when the instance count is large enough to amortise
-/// thread spawning (see [`trace_dependence_graph_with_threads`]; the graph
-/// is identical either way).
+/// The dataflow level of every point of `program`'s direct analysis space
+/// at the parameter values `values`: entry `k` is the level of `Φ` id `k`.
+/// `granularity` picks the points: one statement instance each at
+/// statement level, one iteration of the perfect nest (all its statements)
+/// at loop level.  The aggregated loop-group view of an imperfect nest is
+/// not a direct view and is not traced.
 ///
-/// Parameters are bound into the program first, so subscripts that mention
-/// a symbolic parameter (e.g. the `K = N − KD` normalisation of a
-/// descending loop) are handled transparently.
-pub fn trace_dependence_graph(program: &Program, params: &[i64]) -> TracedGraph {
-    trace_with(program, params, |n_instances| {
-        gated_threads(n_instances, rcp_pool::available_threads())
-    })
-}
-
-/// Applies the sequential-fallback cost model: the effective shard count
-/// for a trace of `n_instances` when `requested` threads were asked for.
-fn gated_threads(n_instances: usize, requested: usize) -> usize {
-    let available = rcp_pool::available_threads();
-    if parallel_trace_pays_off(n_instances, requested, available) {
-        requested.min(available)
-    } else {
-        1
-    }
-}
-
-/// Per-statement access maps, writes and reads separated.
-fn statement_accesses(program: &Program) -> Vec<(Vec<AccessMap>, Vec<AccessMap>)> {
-    program
-        .statements()
-        .iter()
-        .map(|info| {
-            let mut writes = Vec::new();
-            let mut reads = Vec::new();
-            for r in &info.stmt.refs {
-                let acc = program.loop_access(info, r);
-                if r.is_write() {
-                    writes.push(acc);
-                } else {
-                    reads.push(acc);
-                }
-            }
-            (writes, reads)
-        })
-        .collect()
-}
-
-/// Deterministic interning of array names (program order of first use).
-fn array_id_table(accesses: &[(Vec<AccessMap>, Vec<AccessMap>)]) -> HashMap<String, usize> {
-    let mut ids = HashMap::new();
-    for (writes, reads) in accesses {
-        for acc in writes.iter().chain(reads) {
-            let next = ids.len();
-            ids.entry(acc.array.clone()).or_insert(next);
-        }
-    }
-    ids
-}
-
-/// Per-element access state accumulated while walking instances in order.
-#[derive(Clone, Default)]
-struct ElementState {
-    last_write: Option<u32>,
-    reads_since: Vec<u32>,
-}
-
-/// What one shard (a contiguous range of statement instances) records about
-/// one array element, for the cross-shard merge.
-#[derive(Clone, Default)]
-struct ShardElement {
-    /// Reads that happened before the shard's first write of the element.
-    prefix_reads: Vec<u32>,
-    /// The shard's first write of the element.
-    first_write: Option<u32>,
-    /// The running state at the end of the shard (last write, reads since).
-    tail: ElementState,
-}
-
-/// The edges local to one instance range plus its per-element boundary
-/// summaries.
-struct ShardTrace {
-    edges: Vec<(u32, u32)>,
-    elements: HashMap<(usize, IVec), ShardElement>,
-}
-
-/// Walks one contiguous range of statement instances exactly like the
-/// sequential tracer, but starting from empty element state; edges whose
-/// source lies before the range are recovered later from the per-element
-/// summaries.
-fn trace_shard(
-    instances: &[(usize, IVec)],
-    range: std::ops::Range<usize>,
-    accesses: &[(Vec<AccessMap>, Vec<AccessMap>)],
-    array_ids: &HashMap<String, usize>,
-) -> ShardTrace {
-    let mut elements: HashMap<(usize, IVec), ShardElement> = HashMap::new();
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for pos in range {
-        let (stmt, indices) = &instances[pos];
-        let pos = pos as u32;
-        let (writes, reads) = &accesses[*stmt];
-        // reads first (they read values produced before this instance)
-        for acc in reads {
-            let aid = array_ids[&acc.array];
-            let entry = elements.entry((aid, acc.apply(indices))).or_default();
-            if let Some(w) = entry.tail.last_write {
-                edges.push((w, pos)); // flow
-            }
-            if entry.first_write.is_none() {
-                entry.prefix_reads.push(pos);
-            }
-            entry.tail.reads_since.push(pos);
-        }
-        for acc in writes {
-            let aid = array_ids[&acc.array];
-            let entry = elements.entry((aid, acc.apply(indices))).or_default();
-            if let Some(w) = entry.tail.last_write {
-                if w != pos {
-                    edges.push((w, pos)); // output
-                }
-            }
-            for &r in &entry.tail.reads_since {
-                if r != pos {
-                    edges.push((r, pos)); // anti
-                }
-            }
-            entry.first_write.get_or_insert(pos);
-            entry.tail.last_write = Some(pos);
-            entry.tail.reads_since.clear();
-        }
-    }
-    ShardTrace { edges, elements }
-}
-
-/// Traces the memory-based dependence graph with the statement-instance
-/// walk sharded over up to `n_threads` OS threads.
-///
-/// Each shard traces a contiguous instance range independently; the shards
-/// are then merged left to right, carrying the per-element "last writer /
-/// reads since" state across shard boundaries so that cross-shard flow,
-/// anti and output edges are recovered exactly.  The resulting graph is
-/// identical to the single-threaded trace for every thread count (edges
-/// are sorted and deduplicated either way).
-///
-/// `n_threads` is an upper bound, not a demand: the same sequential
-/// fallback the executor applies ([`parallel_trace_pays_off`]) caps the
-/// width at the hardware and runs small traces inline, so forcing a
-/// thread count on a small trace never pays pool overhead.  Measurement
-/// and merge-equivalence harnesses that need the sharded path
-/// unconditionally use [`trace_dependence_graph_forced`].
-pub fn trace_dependence_graph_with_threads(
-    program: &Program,
-    params: &[i64],
-    n_threads: usize,
-) -> TracedGraph {
-    trace_with(program, params, |n_instances| {
-        gated_threads(n_instances, n_threads)
-    })
-}
-
-/// [`trace_dependence_graph_with_threads`] without the cost-model gate:
-/// shards over exactly `n_threads`, however small the trace.  This exists
-/// for the test-suite (exercising the cross-shard merge on small
-/// programs) and for calibration harnesses; production callers want the
-/// gated entry points.
-pub fn trace_dependence_graph_forced(
-    program: &Program,
-    params: &[i64],
-    n_threads: usize,
-) -> TracedGraph {
-    trace_with(program, params, |_| n_threads)
-}
-
-/// The trace core; `choose_threads` picks the shard count once the
-/// instance count is known (the default entry point goes single-threaded
-/// below [`PAR_TRACE_MIN_INSTANCES`], the explicit one uses its argument).
-fn trace_with(
-    program: &Program,
-    params: &[i64],
-    choose_threads: impl FnOnce(usize) -> usize,
-) -> TracedGraph {
+/// The walk is a guard checkpoint ([`rcp_guard::Stage::Partition`]), so a
+/// budget bounds it like the partition it feeds.
+pub fn dataflow_levels(program: &Program, values: &[i64], granularity: Granularity) -> Vec<u32> {
+    let _span = rcp_trace::span!("depend.trace");
     let bound;
-    let program = if params.is_empty() {
+    let program = if values.is_empty() {
         program
     } else {
-        bound = program.bind_params(params);
+        bound = program.bind_params(values);
         &bound
     };
+    let CompiledRefs { arrays, stmts } = program.compile_refs();
+    let mut tables: Vec<ElementTable> = arrays
+        .iter()
+        .map(|&(_, rank)| ElementTable::new(rank))
+        .collect();
+    let per_point = match granularity {
+        Granularity::StatementLevel => 1,
+        Granularity::LoopLevel => stmts.len().max(1),
+    };
+    let max_rank = tables.iter().map(|t| t.rank).max().unwrap_or(0);
+    let mut subscript = vec![0i64; max_rank];
+    // (array slot, element id, is a write) of the current point's accesses.
+    let mut touched: Vec<(usize, u32, bool)> = Vec::new();
     let instances = program.enumerate_instances(&[]);
-    let accesses = statement_accesses(program);
-    let array_ids = array_id_table(&accesses);
-    let n_threads = choose_threads(instances.len());
-
-    // One shard per thread; a single shard is exactly the sequential walk.
-    let ranges = rcp_pool::shard_ranges(instances.len(), n_threads.max(1));
-    let mut shards = rcp_pool::par_map(n_threads, &ranges, |range| {
-        trace_shard(&instances, range.clone(), &accesses, &array_ids)
-    });
-
-    // Left-to-right merge: carry the global per-element state into each
-    // shard and emit the cross-boundary edges its local walk could not see.
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    let mut state: HashMap<(usize, IVec), ElementState> = HashMap::new();
-    for shard in &mut shards {
-        edges.append(&mut shard.edges);
-        for (element, local) in shard.elements.drain() {
-            match state.entry(element) {
-                std::collections::hash_map::Entry::Occupied(mut entry) => {
-                    let global = entry.get_mut();
-                    if let Some(w) = global.last_write {
-                        for &r in &local.prefix_reads {
-                            edges.push((w, r)); // flow into the shard
-                        }
-                        if let Some(fw) = local.first_write {
-                            edges.push((w, fw)); // output across the boundary
-                        }
+    let mut levels = Vec::with_capacity(instances.len() / per_point);
+    for chunk in instances.chunks(per_point * TICK_POINTS) {
+        rcp_guard::tick(
+            rcp_guard::Stage::Partition,
+            chunk.len().div_ceil(per_point) as u64,
+        );
+        for point in chunk.chunks(per_point) {
+            touched.clear();
+            let mut level = 0u32;
+            for (stmt, indices) in point {
+                for access in &stmts[*stmt] {
+                    let table = &mut tables[access.slot];
+                    let subscript = &mut subscript[..table.rank];
+                    access.eval(indices, subscript);
+                    let e = table.id(subscript);
+                    let state = table.state[e as usize];
+                    level = level.max(state.writer);
+                    if access.write {
+                        level = level.max(state.reader);
                     }
-                    if let Some(fw) = local.first_write {
-                        for &r in &global.reads_since {
-                            edges.push((r, fw)); // anti across the boundary
-                        }
-                        *global = local.tail;
-                    } else {
-                        // No write in this shard: the element's reads extend
-                        // the reads-since-last-write window.
-                        global.reads_since.extend(local.tail.reads_since);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(entry) => {
-                    entry.insert(local.tail);
+                    touched.push((access.slot, e, access.write));
                 }
             }
+            for &(slot, e, write) in &touched {
+                let state = &mut tables[slot].state[e as usize];
+                if write {
+                    *state = ElementState {
+                        writer: level + 1,
+                        reader: 0,
+                    };
+                } else {
+                    state.reader = state.reader.max(level + 1);
+                }
+            }
+            levels.push(level);
         }
     }
-    edges.sort_unstable();
-    edges.dedup();
-    TracedGraph { instances, edges }
+    levels
+}
+
+/// What the walk knows about one array element.
+#[derive(Clone, Copy, Default)]
+struct ElementState {
+    /// 1 + the level of the last writer (0: never written).
+    writer: u32,
+    /// 1 + the highest level that read it since that write (0: no such
+    /// read).
+    reader: u32,
+}
+
+/// A bucket holding no element.
+const EMPTY: u32 = u32::MAX;
+
+/// The touched elements of one array with their dependence state.  An
+/// element is interned by its subscripts into one flat arena and found
+/// through an open-addressing table, so memory follows the elements the
+/// program touches, not their bounding box, and the walk allocates only
+/// when the table grows.
+struct ElementTable {
+    rank: usize,
+    /// Element `e`'s subscripts at `subscripts[e·rank .. (e+1)·rank]`.
+    subscripts: Vec<i64>,
+    /// Per element, its dependence state.
+    state: Vec<ElementState>,
+    /// Element ids by hash with linear probing; the length is a power of
+    /// two, kept at least twice the element count.
+    buckets: Vec<u32>,
+    /// `64 − log2(buckets.len())`: the hash's top bits pick the bucket.
+    shift: u32,
+}
+
+impl ElementTable {
+    fn new(rank: usize) -> Self {
+        ElementTable {
+            rank,
+            subscripts: Vec::new(),
+            state: Vec::new(),
+            buckets: vec![EMPTY; 16],
+            shift: 60,
+        }
+    }
+
+    fn bucket(&self, subscript: &[i64]) -> usize {
+        let hash = subscript.iter().fold(0u64, |h, &x| {
+            (h.rotate_left(5) ^ x as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        (hash >> self.shift) as usize
+    }
+
+    fn key(&self, e: u32) -> &[i64] {
+        let start = e as usize * self.rank;
+        &self.subscripts[start..start + self.rank]
+    }
+
+    /// The id of the element at `subscript`, interned on first touch.
+    fn id(&mut self, subscript: &[i64]) -> u32 {
+        let mask = self.buckets.len() - 1;
+        let mut b = self.bucket(subscript);
+        loop {
+            match self.buckets[b] {
+                EMPTY => break,
+                e if self.key(e) == subscript => return e,
+                _ => b = (b + 1) & mask,
+            }
+        }
+        let e = self.state.len() as u32;
+        self.subscripts.extend_from_slice(subscript);
+        self.state.push(ElementState::default());
+        self.buckets[b] = e;
+        if 2 * self.state.len() > self.buckets.len() {
+            self.grow();
+        }
+        e
+    }
+
+    /// Doubles the bucket array and re-inserts every element.
+    fn grow(&mut self) {
+        self.shift -= 1;
+        self.buckets = vec![EMPTY; 2 * self.buckets.len()];
+        let mask = self.buckets.len() - 1;
+        for e in 0..self.state.len() as u32 {
+            let mut b = self.bucket(self.key(e));
+            while self.buckets[b] != EMPTY {
+                b = (b + 1) & mask;
+            }
+            self.buckets[b] = e;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -330,203 +225,158 @@ mod tests {
     use rcp_loopir::expr::{c, v};
     use rcp_loopir::program::build::{loop_, stmt};
     use rcp_loopir::ArrayRef;
-    use rcp_presburger::DenseRelation;
-    use std::collections::BTreeSet;
+    use rcp_presburger::{DenseRelation, DenseSet};
 
-    fn figure2() -> Program {
+    /// The longest-path levels of `Rd` over `Φ` ids: the reference the
+    /// trace must reproduce.  `Rd` points forward in id order, so one pass
+    /// over the edges sorted by target suffices.
+    fn rd_levels(program: &Program, values: &[i64], granularity: Granularity) -> Vec<u32> {
+        let analysis = DependenceAnalysis::analyze(program, granularity);
+        let (phi, relation) = analysis.bind_params(values);
+        let phi = DenseSet::from_union(&phi);
+        let mut edges = DenseRelation::from_relation(&relation).edges_within(&phi);
+        edges.sort_unstable_by_key(|&(src, dst)| (dst, src));
+        let mut levels = vec![0u32; phi.len()];
+        for (src, dst) in edges {
+            assert!(src < dst, "Rd points forward in program order");
+            levels[dst as usize] = levels[dst as usize].max(levels[src as usize] + 1);
+        }
+        levels
+    }
+
+    fn single_loop(name: &str, refs: Vec<ArrayRef>) -> Program {
         Program::new(
-            "figure2",
-            &[],
-            vec![loop_(
-                "I",
-                c(1),
-                c(20),
-                vec![stmt(
-                    "S",
-                    vec![
-                        ArrayRef::write("a", vec![v("I") * 2]),
-                        ArrayRef::read("a", vec![c(21) - v("I")]),
-                    ],
-                )],
-            )],
+            name,
+            &["N"],
+            vec![loop_("I", c(1), v("N"), vec![stmt("S", refs)])],
         )
     }
 
     #[test]
-    fn traced_edges_are_a_subset_of_the_exact_relation_with_same_closure() {
-        // For the figure-2 loop the traced (immediate) edges must all appear
-        // in the exact symbolic relation, and every exact dependence must be
-        // reachable through traced edges (same transitive closure on this
-        // small example the chains have length <= 2, so subset + coverage of
-        // end points is enough).
-        let p = figure2();
-        let traced = trace_dependence_graph(&p, &[]);
-        let analysis = DependenceAnalysis::loop_level(&p);
-        let (_, rel) = analysis.bind_params(&[]);
-        let exact = DenseRelation::from_relation(&rel);
-        let exact_pairs: BTreeSet<(i64, i64)> = exact.iter().map(|(a, b)| (a[0], b[0])).collect();
-        for (s, d) in &traced.edges {
-            let si = traced.instances[*s as usize].1[0];
-            let di = traced.instances[*d as usize].1[0];
-            assert!(
-                exact_pairs.contains(&(si, di)),
-                "traced edge {si}->{di} missing from the exact relation"
-            );
-        }
-        // end points covered
-        let traced_endpoints: BTreeSet<i64> = traced
-            .edges
-            .iter()
-            .flat_map(|(s, d)| {
-                [
-                    traced.instances[*s as usize].1[0],
-                    traced.instances[*d as usize].1[0],
-                ]
-            })
-            .collect();
-        let exact_endpoints: BTreeSet<i64> =
-            exact_pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
-        assert_eq!(traced_endpoints, exact_endpoints);
-    }
-
-    #[test]
-    fn trace_counts_for_uniform_loop() {
-        // a(I+1) = a(I): flow edge i -> i+1 for i in 1..N-1, plus anti edges
-        // i -> i+1 (read a(i) at i, write a(i) ... actually write a(i+1)),
-        // and output edges do not exist.
-        let p = Program::new(
-            "uniform",
-            &["N"],
-            vec![loop_(
-                "I",
-                c(1),
-                v("N"),
-                vec![stmt(
-                    "S",
-                    vec![
-                        ArrayRef::write("a", vec![v("I") + c(1)]),
-                        ArrayRef::read("a", vec![v("I")]),
-                    ],
-                )],
-            )],
+    fn levels_equal_the_longest_paths_of_rd() {
+        let figure2 = single_loop(
+            "figure2",
+            vec![
+                ArrayRef::write("a", vec![v("I") * 2]),
+                ArrayRef::read("a", vec![c(21) - v("I")]),
+            ],
         );
-        let traced = trace_dependence_graph(&p, &[10]);
-        assert_eq!(traced.n_instances(), 10);
-        // flow: write a(i+1) at i, read a(i+1) at i+1  -> 9 edges
-        assert_eq!(traced.n_edges(), 9);
-        assert!(traced.edges.iter().all(|(s, d)| d - s == 1));
-    }
-
-    #[test]
-    fn sharded_trace_is_identical_to_single_threaded() {
-        // Programs covering flow, anti and output edges plus read-modify-
-        // write instances, traced with shard boundaries cutting through
-        // chains of same-element accesses.
-        let rmw = Program::new(
+        // Read-modify-write of one element every iteration, plus a second
+        // array: output, anti and flow dependences at every distance.
+        let rmw = single_loop(
             "rmw",
-            &["N"],
-            vec![loop_(
-                "I",
-                c(1),
-                v("N"),
-                vec![stmt(
-                    "S",
-                    vec![
-                        ArrayRef::write("a", vec![v("I") * 2]),
-                        ArrayRef::read("a", vec![c(21) - v("I")]),
-                        ArrayRef::read("b", vec![c(1)]),
-                        ArrayRef::write("b", vec![c(1)]),
-                    ],
-                )],
-            )],
+            vec![
+                ArrayRef::write("a", vec![v("I") * 2]),
+                ArrayRef::read("a", vec![c(21) - v("I")]),
+                ArrayRef::read("b", vec![c(1)]),
+                ArrayRef::write("b", vec![c(1)]),
+            ],
         );
-        for (program, params) in [
-            (figure2(), vec![]),
-            (rmw, vec![40]),
-            (
-                Program::new(
-                    "uniform",
-                    &["N"],
-                    vec![loop_(
-                        "I",
-                        c(1),
-                        v("N"),
-                        vec![stmt(
-                            "S",
-                            vec![
-                                ArrayRef::write("a", vec![v("I") + c(1)]),
-                                ArrayRef::read("a", vec![v("I")]),
-                            ],
-                        )],
-                    )],
-                ),
-                vec![30],
-            ),
-        ] {
-            let reference = trace_dependence_graph_forced(&program, &params, 1);
-            for threads in [2, 3, 4, 7] {
-                let sharded = trace_dependence_graph_forced(&program, &params, threads);
-                assert_eq!(reference.instances, sharded.instances);
-                assert_eq!(
-                    reference.edges, sharded.edges,
-                    "{} with {threads} threads must trace identical edges",
-                    program.name
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn small_traces_never_pay_pool_overhead() {
-        // The cost-model gate: small traces run inline whatever width was
-        // requested; oversubscription (threads beyond the hardware) never
-        // pays; large traces only shard when the modelled win is real.
-        assert!(!parallel_trace_pays_off(100, 8, 8));
-        assert!(!parallel_trace_pays_off(PAR_TRACE_MIN_INSTANCES - 1, 4, 4));
-        // One hardware thread: sharding can never pay (the measured
-        // ex4-trace regression of the single-CPU container).
-        assert!(!parallel_trace_pays_off(10_000_000, 4, 1));
-        // Two workers cannot amortise the serial merge share.
-        assert!(!parallel_trace_pays_off(10_000_000, 2, 8));
-        // A big trace on real hardware at 4+ workers does pay.
-        assert!(parallel_trace_pays_off(10_000_000, 4, 8));
-        // The gated entry point produces the identical graph either way.
-        let p = figure2();
-        let gated = trace_dependence_graph_with_threads(&p, &[], 4);
-        let forced = trace_dependence_graph_forced(&p, &[], 4);
-        assert_eq!(gated.instances, forced.instances);
-        assert_eq!(gated.edges, forced.edges);
-    }
-
-    #[test]
-    fn imperfect_nest_trace_respects_program_order() {
-        let p = Program::new(
-            "imperfect",
+        // Two statements per iteration: at loop level the write of `x`
+        // and its read inside one iteration must not constrain the point.
+        let pair = Program::new(
+            "pair",
             &["N"],
             vec![loop_(
                 "I",
                 c(1),
                 v("N"),
                 vec![
-                    stmt("W", vec![ArrayRef::write("x", vec![v("I")])]),
+                    stmt(
+                        "W",
+                        vec![
+                            ArrayRef::write("x", vec![v("I")]),
+                            ArrayRef::read("y", vec![v("I") - c(2)]),
+                        ],
+                    ),
                     stmt(
                         "R",
                         vec![
-                            ArrayRef::read("x", vec![v("I")]),
                             ArrayRef::write("y", vec![v("I")]),
+                            ArrayRef::read("x", vec![v("I")]),
+                            ArrayRef::read("x", vec![c(10) - v("I")]),
                         ],
                     ),
                 ],
             )],
         );
-        let traced = trace_dependence_graph(&p, &[5]);
-        // Each iteration: W(i) then R(i) reading x(i): one flow edge per
-        // iteration, always forward.
-        assert_eq!(traced.n_edges(), 5);
-        for (s, d) in &traced.edges {
-            assert!(s < d);
-            assert_eq!(traced.instances[*s as usize].0, 0);
-            assert_eq!(traced.instances[*d as usize].0, 1);
+        // An imperfect nest, traced per statement instance.
+        let imperfect = Program::new(
+            "imperfect",
+            &["N"],
+            vec![
+                loop_(
+                    "I",
+                    c(1),
+                    v("N"),
+                    vec![
+                        stmt("W", vec![ArrayRef::write("x", vec![v("I")])]),
+                        loop_(
+                            "J",
+                            c(1),
+                            v("I"),
+                            vec![stmt(
+                                "R",
+                                vec![
+                                    ArrayRef::write("x", vec![v("J")]),
+                                    ArrayRef::read("x", vec![v("I") - v("J") + c(1)]),
+                                ],
+                            )],
+                        ),
+                    ],
+                ),
+                loop_(
+                    "K",
+                    c(1),
+                    v("N"),
+                    vec![stmt("T", vec![ArrayRef::read("x", vec![v("K")])])],
+                ),
+            ],
+        );
+        for (program, values, granularity) in [
+            (&figure2, 20, Granularity::LoopLevel),
+            (&rmw, 15, Granularity::LoopLevel),
+            (&pair, 12, Granularity::LoopLevel),
+            (&pair, 12, Granularity::StatementLevel),
+            (&imperfect, 7, Granularity::StatementLevel),
+        ] {
+            let traced = dataflow_levels(program, &[values], granularity);
+            assert_eq!(
+                traced,
+                rd_levels(program, &[values], granularity),
+                "{} at {granularity:?}",
+                program.name
+            );
+            assert!(traced.iter().any(|&l| l > 0), "{}", program.name);
         }
+    }
+
+    #[test]
+    fn a_uniform_chain_has_one_level_per_iteration() {
+        let p = single_loop(
+            "uniform",
+            vec![
+                ArrayRef::write("a", vec![v("I") + c(1)]),
+                ArrayRef::read("a", vec![v("I")]),
+            ],
+        );
+        let levels = dataflow_levels(&p, &[10], Granularity::LoopLevel);
+        assert_eq!(levels, (0..10).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn sparse_elements_cost_memory_per_touch_not_per_box() {
+        // A diagonal write at a size whose bounding box could not be laid
+        // out densely: the table holds the touched elements only.
+        let p = single_loop(
+            "diagonal",
+            vec![
+                ArrayRef::write("a", vec![v("I"), v("I")]),
+                ArrayRef::read("a", vec![v("I") - c(1), v("I") - c(1)]),
+            ],
+        );
+        let levels = dataflow_levels(&p, &[200_000], Granularity::LoopLevel);
+        assert_eq!(levels.len(), 200_000);
+        assert_eq!(levels[199_999], 199_999);
     }
 }

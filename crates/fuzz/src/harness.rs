@@ -12,9 +12,11 @@
 //!    *published* structure, which for some programs knowingly
 //!    under-synchronises (see `rcp_session::SchemeSchedule`); such
 //!    schedules are classified [`Verdict::UnderSynchronised`] and excluded
-//!    from the execution oracle rather than reported as miscompiles.
-//!    Coverage failures, by contrast, are always real discrepancies — no
-//!    published scheme drops or duplicates work.
+//!    from the execution oracle rather than reported as miscompiles.  The
+//!    paper's own scheme has no such tolerance: its partitions are
+//!    validated against `Rd` (Theorem 1), so a violation there is a
+//!    [`Verdict::Discrepancy`].  Coverage failures are always real
+//!    discrepancies — no published scheme drops or duplicates work.
 //!
 //! 2. **Execution.**  Structurally sound schedules are executed at 1, 2 and
 //!    4 threads and checked against the sequential store by
@@ -34,7 +36,7 @@ use rcp_intlin::IVec;
 use rcp_loopir::Program;
 use rcp_presburger::DenseRelation;
 use rcp_runtime::{execute_schedule, execute_sequential, RefKernel, Verification};
-use rcp_session::{scheme_names, Config, RcpError, Session};
+use rcp_session::{scheme_names, Config, RcpError, Session, DEFAULT_SCHEME};
 
 use crate::generator::generate;
 use crate::minimize::minimize;
@@ -166,6 +168,26 @@ pub fn ordering_violations(
     violations
 }
 
+/// The verdict of a well-covered schedule of `scheme` that leaves
+/// `violations` dependence pairs of `Rd` unordered, or `None` when it
+/// orders them all.  The paper's scheme validates its partitions against
+/// `Rd` (Theorem 1), so any violation is a discrepancy; the baselines keep
+/// their published tolerance and are classified under-synchronised.
+fn ordering_verdict(scheme: &str, violations: usize) -> Option<Verdict> {
+    if violations == 0 {
+        return None;
+    }
+    Some(if scheme == DEFAULT_SCHEME {
+        Verdict::Discrepancy(Discrepancy {
+            scheme: scheme.to_string(),
+            threads: 0,
+            detail: format!("ordering: {violations} dependence pair(s) of Rd left unordered"),
+        })
+    } else {
+        Verdict::UnderSynchronised { violations }
+    })
+}
+
 /// Runs one program through the full differential oracle: sequential
 /// reference once, then every registered scheme through structure and
 /// execution checks.
@@ -201,8 +223,8 @@ pub fn run_case(program: &Program, params: &[(String, i64)]) -> Result<CaseResul
                 } else {
                     let violations =
                         ordering_violations(schedule, stage.analysis(), runtime_values, stage.rd());
-                    if violations > 0 {
-                        Verdict::UnderSynchronised { violations }
+                    if let Some(verdict) = ordering_verdict(scheme, violations) {
+                        verdict
                     } else {
                         let mut verdict = Verdict::Passed;
                         for threads in FUZZ_THREADS {
@@ -412,5 +434,38 @@ pub fn run_campaign(config: &CampaignConfig) -> Campaign {
         counterexamples,
         errors,
         elapsed: start.elapsed(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn under_synchronisation_is_a_discrepancy_only_for_the_paper_scheme() {
+        for scheme in scheme_names() {
+            assert_eq!(ordering_verdict(scheme, 0), None, "{scheme}");
+            match (scheme, ordering_verdict(scheme, 3)) {
+                (DEFAULT_SCHEME, Some(Verdict::Discrepancy(d))) => {
+                    assert_eq!(d.scheme, DEFAULT_SCHEME);
+                    assert_eq!(d.threads, 0);
+                    assert!(d.detail.contains("3 dependence pair(s)"), "{}", d.detail);
+                }
+                (DEFAULT_SCHEME, other) => panic!("the paper's scheme got {other:?}"),
+                (_, verdict) => assert_eq!(
+                    verdict,
+                    Some(Verdict::UnderSynchronised { violations: 3 }),
+                    "{scheme}"
+                ),
+            }
+        }
+        // A discrepancy makes the case a counterexample.
+        let case = CaseResult {
+            verdicts: vec![(
+                DEFAULT_SCHEME.to_string(),
+                ordering_verdict(DEFAULT_SCHEME, 1).unwrap(),
+            )],
+        };
+        assert!(case.discrepancy().is_some());
     }
 }

@@ -13,7 +13,9 @@
 //!   `(s₀, i₁, s₁, …, i_l, s_l)` whose lexicographic order is execution
 //!   order,
 //! * [`AccessMap`] — the `i ↦ i·A + a` affine access functions feeding the
-//!   dependence analyser.
+//!   dependence analyser,
+//! * [`CompiledRefs`] — every reference compiled once to an array slot and
+//!   subscript rows, for the passes that evaluate each statement instance.
 //!
 //! # Example
 //!
@@ -46,11 +48,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod compiled;
 pub mod expr;
 pub mod interp;
 pub mod program;
 pub mod spaces;
 
+pub use compiled::{CompiledRef, CompiledRefs};
 pub use expr::{LinExpr, UnknownVariable};
 pub use interp::Instance;
 pub use program::{

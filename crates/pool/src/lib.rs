@@ -2,9 +2,9 @@
 //!
 //! This is the generalisation of the `ParallelExecutor` worker pool into a
 //! reusable building block: any data-parallel, *non-schedule* work — sharded
-//! dependence analysis over reference pairs, sharded trace construction over
-//! statement-instance ranges, concurrent benchmark experiments — runs through
-//! [`par_map`] instead of hand-rolling its own `std::thread::scope` loop.
+//! dependence analysis over reference pairs, concurrent benchmark
+//! experiments — runs through [`par_map`] instead of hand-rolling its own
+//! `std::thread::scope` loop.
 //! It sits directly above `rcp-guard` and below every other workspace crate,
 //! so both the analysis front end (`rcp-depend`) and the runtime
 //! (`rcp-runtime`, which re-exports this crate as `rcp_runtime::pool`) can
@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 use std::any::Any;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -54,17 +53,20 @@ struct PoolMetrics {
     items: rcp_trace::Counter,
     inline: rcp_trace::Counter,
     workers: rcp_trace::Counter,
-    shards: rcp_trace::Counter,
 }
 
 fn metrics() -> &'static PoolMetrics {
     static METRICS: OnceLock<PoolMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| PoolMetrics {
-        calls: rcp_trace::counter("pool.par_map.calls"),
-        items: rcp_trace::counter("pool.par_map.items"),
-        inline: rcp_trace::counter("pool.par_map.inline"),
-        workers: rcp_trace::counter("pool.par_map.workers"),
-        shards: rcp_trace::counter("pool.shard_ranges.shards"),
+    METRICS.get_or_init(|| {
+        // Nothing shards by range any more; the counter stays registered
+        // (at 0) so that the profile's counter set does not change.
+        rcp_trace::counter("pool.shard_ranges.shards");
+        PoolMetrics {
+            calls: rcp_trace::counter("pool.par_map.calls"),
+            items: rcp_trace::counter("pool.par_map.items"),
+            inline: rcp_trace::counter("pool.par_map.inline"),
+            workers: rcp_trace::counter("pool.par_map.workers"),
+        }
     })
 }
 
@@ -168,27 +170,6 @@ pub fn par_map_indexed<T: Sync, R: Send>(
         .collect()
 }
 
-/// Splits `0..n` into at most `shards` contiguous, near-equal, non-empty
-/// ranges (fewer when `n < shards`).  The ranges partition `0..n` in order,
-/// so shard-indexed results can be merged deterministically.
-pub fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
-    let shards = shards.max(1).min(n.max(1));
-    if n == 0 {
-        return Vec::new();
-    }
-    metrics().shards.add(shards as u64);
-    let base = n / shards;
-    let extra = n % shards;
-    let mut out = Vec::with_capacity(shards);
-    let mut start = 0;
-    for s in 0..shards {
-        let len = base + usize::from(s < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,28 +262,5 @@ mod tests {
         });
         assert_eq!(out.len(), items.len());
         assert_eq!(guard.work_spent(), items.len() as u64);
-    }
-
-    #[test]
-    fn shard_ranges_partition_the_input() {
-        for n in [0usize, 1, 2, 5, 16, 17, 100] {
-            for shards in [1usize, 2, 3, 4, 8, 200] {
-                let ranges = shard_ranges(n, shards);
-                assert!(ranges.len() <= shards.max(1));
-                let mut next = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, next, "ranges must be contiguous");
-                    assert!(!r.is_empty(), "no empty shards");
-                    next = r.end;
-                }
-                assert_eq!(next, n, "ranges must cover 0..{n}");
-                if n > 0 {
-                    let lens: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-                    let min = lens.iter().min().unwrap();
-                    let max = lens.iter().max().unwrap();
-                    assert!(max - min <= 1, "near-equal shard sizes");
-                }
-            }
-        }
     }
 }

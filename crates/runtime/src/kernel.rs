@@ -12,12 +12,13 @@
 //! any re-ordering of dependent statement instances changes the final array
 //! contents — which is exactly what the schedule-verification tests rely on.
 //! Each reference is compiled once to an array slot and its affine
-//! subscript rows, so running an instance allocates nothing.
+//! subscript rows ([`rcp_loopir::CompiledRefs`], shared with the dataflow
+//! tracer), so running an instance allocates nothing.
 
 use crate::array::{ArrayStore, StoreView};
 use crate::executor::phase_items;
 use rcp_codegen::Schedule;
-use rcp_loopir::Program;
+use rcp_loopir::{CompiledRef, CompiledRefs, Program};
 
 /// The computation of a program's statements.
 pub trait Kernel: Sync {
@@ -63,55 +64,26 @@ where
 /// Subscript vectors up to this rank are evaluated on the stack.
 const INLINE_RANK: usize = 8;
 
-/// One array reference compiled to its store slot and subscript rows.
-struct Access {
-    slot: usize,
-    rank: usize,
-    /// The loop depth of the statement.
-    depth: usize,
-    /// Per subscript, `depth + 1` entries: the constant, then one
-    /// coefficient per loop index (outermost first).
-    rows: Box<[i64]>,
-}
-
-impl Access {
-    /// Subscript `d` at `indices`.
-    #[inline]
-    fn subscript(&self, d: usize, indices: &[i64]) -> i64 {
-        let width = self.depth + 1;
-        let row = &self.rows[d * width..(d + 1) * width];
-        row[1..]
-            .iter()
-            .zip(indices)
-            .fold(row[0], |acc, (c, i)| acc + c * i)
-    }
-
-    /// Evaluates the subscripts at `indices` and hands them to `f`.
-    #[inline]
-    fn with_index<R>(&self, indices: &[i64], f: impl FnOnce(&[i64]) -> R) -> R {
-        let eval = |out: &mut [i64]| {
-            for (d, x) in out.iter_mut().enumerate() {
-                *x = self.subscript(d, indices);
-            }
-        };
-        if self.rank <= INLINE_RANK {
-            let mut buffer = [0i64; INLINE_RANK];
-            let index = &mut buffer[..self.rank];
-            eval(index);
-            f(index)
-        } else {
-            let mut index = vec![0i64; self.rank];
-            eval(&mut index);
-            f(&index)
-        }
+/// Evaluates `r`'s subscripts at `indices` into a stack buffer (a heap
+/// one past [`INLINE_RANK`]) and hands them to `f`.
+#[inline]
+fn with_index<R>(r: &CompiledRef, indices: &[i64], f: impl FnOnce(&[i64]) -> R) -> R {
+    if r.rank <= INLINE_RANK {
+        let mut buffer = [0i64; INLINE_RANK];
+        let index = &mut buffer[..r.rank];
+        r.eval(indices, index);
+        f(index)
+    } else {
+        let mut index = vec![0i64; r.rank];
+        r.eval(indices, &mut index);
+        f(&index)
     }
 }
 
 /// The compiled references of one statement, in reference order.
-#[derive(Default)]
 struct StatementAccesses {
-    writes: Vec<Access>,
-    reads: Vec<Access>,
+    writes: Vec<CompiledRef>,
+    reads: Vec<CompiledRef>,
 }
 
 /// The canonical kernel derived from a program's array references.
@@ -131,41 +103,14 @@ pub struct RefKernel {
 impl RefKernel {
     /// Builds the canonical kernel of a program.
     pub fn new(program: &Program) -> Self {
-        let mut arrays: Vec<(String, usize)> = Vec::new();
-        let mut stmts: Vec<StatementAccesses> = Vec::new();
-        for info in program.statements() {
-            let mut compiled = StatementAccesses::default();
-            for r in &info.stmt.refs {
-                let map = program.loop_access(&info, r);
-                let rank = map.offset.len();
-                let key = (r.array.clone(), rank);
-                let slot = arrays.iter().position(|a| *a == key).unwrap_or_else(|| {
-                    arrays.push(key);
-                    arrays.len() - 1
-                });
-                let depth = map.matrix.rows();
-                let mut rows = Vec::with_capacity(rank * (depth + 1));
-                for (d, &constant) in map.offset.iter().enumerate() {
-                    rows.push(constant);
-                    rows.extend((0..depth).map(|k| map.matrix[(k, d)]));
-                }
-                let access = Access {
-                    slot,
-                    rank,
-                    depth,
-                    rows: rows.into_boxed_slice(),
-                };
-                if r.is_write() {
-                    compiled.writes.push(access);
-                } else {
-                    compiled.reads.push(access);
-                }
-            }
-            if stmts.len() <= info.id {
-                stmts.resize_with(info.id + 1, StatementAccesses::default);
-            }
-            stmts[info.id] = compiled;
-        }
+        let CompiledRefs { arrays, stmts } = program.compile_refs();
+        let stmts = stmts
+            .into_iter()
+            .map(|refs| {
+                let (writes, reads) = refs.into_iter().partition(|r| r.write);
+                StatementAccesses { writes, reads }
+            })
+            .collect();
         RefKernel { arrays, stmts }
     }
 }
@@ -180,7 +125,7 @@ impl Kernel for RefKernel {
         // any violation of a flow/anti dependence changes the result.
         let mut acc = 0.5;
         for (k, access) in accesses.reads.iter().enumerate() {
-            let v = access.with_index(indices, |idx| store.read_slot(access.slot, idx));
+            let v = with_index(access, indices, |idx| store.read_slot(access.slot, idx));
             acc = acc * 0.75 + v * (1.0 + 0.1 * (k as f64 + 1.0));
         }
         let index_term: f64 = indices
@@ -190,7 +135,9 @@ impl Kernel for RefKernel {
             .sum();
         let value = acc + index_term + 0.25;
         for access in &accesses.writes {
-            access.with_index(indices, |idx| store.write_slot(access.slot, idx, value));
+            with_index(access, indices, |idx| {
+                store.write_slot(access.slot, idx, value)
+            });
         }
     }
 
@@ -292,46 +239,6 @@ mod tests {
         kernel.execute(0, &[9], &mut rev);
         kernel.execute(0, &[6], &mut rev);
         assert!(!fwd.diff(&rev, 0.0).is_empty(), "order must be observable");
-    }
-
-    #[test]
-    fn compiled_subscripts_match_the_access_maps() {
-        // Every reference of every bundled-style statement evaluates to
-        // what `AccessMap::apply` gives, negative offsets included.
-        let p = Program::new(
-            "mixed",
-            &[],
-            vec![loop_(
-                "I",
-                c(-2),
-                c(3),
-                vec![loop_(
-                    "J",
-                    c(0),
-                    c(2),
-                    vec![stmt(
-                        "S",
-                        vec![
-                            ArrayRef::write("a", vec![v("I") * 3 - c(4), v("I") + v("J") * 2]),
-                            ArrayRef::read("b", vec![c(7) - v("J")]),
-                        ],
-                    )],
-                )],
-            )],
-        );
-        let kernel = RefKernel::new(&p);
-        let info = &p.statements()[0];
-        for (r, access) in info
-            .stmt
-            .refs
-            .iter()
-            .zip(kernel.stmts[0].writes.iter().chain(&kernel.stmts[0].reads))
-        {
-            let map = p.loop_access(info, r);
-            for point in [[-2, 0], [0, 1], [3, 2]] {
-                access.with_index(&point, |idx| assert_eq!(idx, map.apply(&point)));
-            }
-        }
     }
 
     #[test]

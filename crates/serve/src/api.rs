@@ -234,6 +234,10 @@ pub fn analyze_report(
     }
     let stage = analyzed.partition_with(overrides)?;
     let program = analyzed.program();
+    // A stage off the symbolic path computes its analysis and Rd on first
+    // use; Rd is enumerated from the analysis, so one checked call bounds
+    // both by the request's budget.
+    let n_dependences = stage.rd_checked()?.len();
     let analysis = stage.analysis();
     let uniformity = stage.uniformity();
     let distances = stage.distances();
@@ -244,7 +248,7 @@ pub fn analyze_report(
     // prefixes only), so report the strategy the partition actually
     // takes; for direct views keep the cheap plan-based answer.
     let strategy = if analysis.is_aggregated() {
-        match stage.partition().strategy() {
+        match stage.partition_checked()?.strategy() {
             rcp_core::Strategy::RecurrenceChains => "RecurrenceChains",
             rcp_core::Strategy::Dataflow => "Dataflow",
         }
@@ -280,7 +284,7 @@ pub fn analyze_report(
         screen.by_solver,
         screen.n_classes,
         stage.phi().len(),
-        stage.rd().len(),
+        n_dependences,
         distances.len(),
         uniformity,
         strategy,
@@ -335,10 +339,7 @@ pub fn analyze_report(
             "n_iterations".to_string(),
             Json::Int(stage.phi().len() as i64),
         ),
-        (
-            "n_dependences".to_string(),
-            Json::Int(stage.rd().len() as i64),
-        ),
+        ("n_dependences".to_string(), Json::Int(n_dependences as i64)),
         (
             "n_distinct_distances".to_string(),
             Json::Int(distances.len() as i64),
@@ -434,16 +435,18 @@ pub fn partition_report(
 ) -> Result<Report, RcpError> {
     let stage = analyzed.partition_with(overrides)?;
     let program = analyzed.program();
-    let part = stage.partition();
     // The symbolic path already validated itself at instantiation time
     // (disjointness, coverage, chain cover, recurrence edges) and fell
     // back to the concrete rung on any problem; re-deriving Φ/Rd here
-    // would forfeit the O(pieces) warm path it exists for.
+    // would forfeit the O(pieces) warm path it exists for.  Elsewhere the
+    // partition, the analysis and Rd are computed here, under the
+    // request's budget.
     let problems = if stage.instantiated() {
         Vec::new()
     } else {
-        stage.validate()
+        stage.validate_checked()?
     };
+    let part = stage.partition();
     let stats = part.stats();
     let reason = fallback_reason(&stage);
     let mut text = format!(

@@ -806,6 +806,7 @@ pub(crate) fn metrics_test_lock() -> std::sync::MutexGuard<'static, ()> {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use rcp_session::Config;
     use std::io::{Read as _, Write as _};
     use std::time::Instant;
 
@@ -998,6 +999,46 @@ mod tests {
             .unwrap();
         assert_eq!(reply.status, 408, "{}", reply.body);
         assert!(reply.body.contains("budget"), "{}", reply.body);
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn a_deferred_analysis_is_bounded_by_the_request_budget() {
+        // Cholesky's Φ fits 5 000 work units but the per-binding analysis
+        // behind `analyze` and `partition`'s validation does not: the
+        // handlers report the trip and the server answers 408.  No other
+        // test analyses this binding, whose cached solver verdicts would
+        // make the analysis cheap.
+        let _guard = metrics_test_lock();
+        let params = [("NMAT", 3), ("M", 2), ("N", 5), ("NRHS", 1)];
+        let analyzed = Session::with_config(Config::new().with_work_budget(5_000))
+            .bundled("cholesky")
+            .unwrap();
+        let overrides: Vec<(String, i64)> =
+            params.iter().map(|&(n, v)| (n.to_string(), v)).collect();
+        for report in [
+            api::analyze_report(&analyzed, &overrides),
+            api::partition_report(&analyzed, &overrides),
+        ] {
+            assert!(
+                matches!(report, Err(RcpError::BudgetExceeded { limit: 5_000, .. })),
+                "{report:?}"
+            );
+        }
+        let (server, client) = server();
+        let body = json!({
+            "workload": "cholesky",
+            "params": Json::Object(params.iter().map(|&(n, v)| (n.to_string(), Json::Int(v))).collect()),
+        });
+        let budget = [("x-rcp-budget-work".to_string(), "5000".to_string())];
+        for path in ["/v1/analyze", "/v1/partition"] {
+            let reply = client.post_with_headers(path, &body, &budget).unwrap();
+            assert_eq!(reply.status, 408, "{path}: {}", reply.body);
+            assert!(reply.body.contains("budget"), "{}", reply.body);
+        }
+        let reply = client.post("/v1/analyze", &body).unwrap();
+        assert_eq!(reply.status, 200, "{}", reply.body);
         server.shutdown();
         server.join();
     }

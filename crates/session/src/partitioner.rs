@@ -25,7 +25,7 @@ use rcp_baselines::{
     doacross_plan, inner_parallel_schedule, pdm_schedule, pl_schedule, unique_sets_schedule,
     DoacrossPlan,
 };
-use rcp_codegen::{Phase, Schedule, WorkItem};
+use rcp_codegen::{Phase, PointExpander, Schedule, WorkItem};
 use rcp_depend::Granularity;
 use std::collections::BTreeMap;
 
@@ -57,14 +57,14 @@ pub trait Partitioner: Send + Sync {
 }
 
 fn require_loop_level(stage: &Partitioned, scheme: &'static str) -> Result<(), RcpError> {
-    if stage.analysis().granularity != Granularity::LoopLevel {
+    if stage.analyzed().granularity() != Granularity::LoopLevel {
         return Err(RcpError::SchemeUnsupported {
             scheme,
             reason: "the scheme operates on perfect loop nests at loop-level granularity"
                 .to_string(),
         });
     }
-    if stage.analysis().is_aggregated() {
+    if !stage.runtime_program().is_perfect_nest() {
         return Err(RcpError::SchemeUnsupported {
             scheme,
             reason: "the scheme's lattice construction is defined on perfect nests, not on \
@@ -91,15 +91,17 @@ impl Partitioner for RecurrenceChains {
         "Algorithm 1: three-set partition + WHILE recurrence chains, dataflow fallback"
     }
     fn build(&self, stage: &Partitioned) -> Result<SchemeSchedule, RcpError> {
-        // `runtime_values` match `analysis().program` (the bound program
-        // for deferred analyses, the original otherwise); aggregated
-        // loop-level points need them to expand their inner loops.
-        let schedule = Schedule::from_partition_bound(
-            stage.analysis(),
-            stage.partition(),
+        // Points expand from the program alone, so the schedule never
+        // forces the dependence analysis; `runtime_values` match
+        // `runtime_program`, and aggregated loop-level points need them to
+        // expand their inner loops.
+        let expander = PointExpander::for_program(
+            stage.runtime_program(),
+            stage.analyzed().granularity(),
             stage.runtime_values(),
-            &label(stage, "rcp"),
         );
+        let schedule =
+            Schedule::from_partition_with(&expander, stage.partition(), &label(stage, "rcp"));
         Ok(SchemeSchedule {
             schedule,
             pipeline: None,
@@ -200,7 +202,7 @@ impl Partitioner for Doacross {
     fn build(&self, stage: &Partitioned) -> Result<SchemeSchedule, RcpError> {
         let program = stage.runtime_program();
         let values = stage.runtime_values();
-        let statement_level = stage.analysis().granularity == Granularity::StatementLevel;
+        let statement_level = stage.analyzed().granularity() == Granularity::StatementLevel;
         let plan = doacross_plan(program, values, stage.rd(), statement_level);
         // The executable rendering: one phase per outer iteration, each a
         // single sequential chain.  This is always a valid execution order

@@ -21,6 +21,13 @@
 //! deferred to the partition stage, where the parameters are substituted
 //! into the program first.  The staged API hides the difference: the
 //! pipeline is the same either way, only the memoisation boundary moves.
+//!
+//! A stage that is not an instantiation of the symbolic plan computes only
+//! `Φ` eagerly.  When Algorithm 1 takes its plain else-branch, the
+//! partition comes from one streaming pass over the program's accesses
+//! ([`rcp_depend::dataflow_levels`]); `Rd` and a deferred program's
+//! per-binding analysis are computed on first use, by the consumers that
+//! need them (`rcp analyze`, the baselines, validation).
 
 use crate::config::Config;
 use crate::degrade::{DegradationLevel, DegradationReport};
@@ -28,10 +35,13 @@ use crate::error::RcpError;
 use crate::partitioner::{partitioner, SchemeSchedule, DEFAULT_SCHEME};
 use rcp_codegen::{generate_listing, Schedule};
 use rcp_core::{
-    concrete_partition_from_dense, plan_unavailability, symbolic_plan, ConcretePartition,
-    PlanStats, PlanUnavailable, Strategy, SymbolicPlan,
+    concrete_partition_from_dense, plan_unavailability, plan_unavailability_of, symbolic_plan,
+    ConcretePartition, DataflowPartition, PlanStats, PlanUnavailable, Strategy, SymbolicPlan,
 };
-use rcp_depend::{classify_uniformity, distance_set, DependenceAnalysis, Granularity, Uniformity};
+use rcp_depend::{
+    classify_uniformity, dataflow_levels, distance_set, iteration_space, DependenceAnalysis,
+    Granularity, Uniformity,
+};
 use rcp_loopir::Program;
 use rcp_presburger::{DenseRelation, DenseSet};
 use rcp_runtime::{execute_sequential, verify_schedule, ParallelExecutor, RefKernel, Verification};
@@ -176,7 +186,7 @@ impl Session {
         granularity: Granularity,
     ) -> Result<DependenceAnalysis, rcp_guard::Interrupt> {
         run_guarded(&self.config.budget, || {
-            self.run_analysis(program, granularity)
+            run_analysis(&self.config, program, granularity)
         })
     }
 
@@ -213,26 +223,33 @@ impl Session {
             }),
         }
     }
+}
 
-    fn run_analysis(&self, program: &Program, granularity: Granularity) -> DependenceAnalysis {
-        if !self.config.warm_caches {
-            rcp_intlin::reset_solver_cache();
-            rcp_presburger::reset_emptiness_cache();
-        }
-        match self.config.analysis_threads {
-            Some(threads) => {
-                DependenceAnalysis::analyze_with_threads(program, granularity, threads)
-            }
-            None => DependenceAnalysis::analyze(program, granularity),
-        }
+/// The exact dependence analysis of `program`, with the configuration's
+/// cache and sharding knobs.
+fn run_analysis(
+    config: &Config,
+    program: &Program,
+    granularity: Granularity,
+) -> DependenceAnalysis {
+    if !config.warm_caches {
+        rcp_intlin::reset_solver_cache();
+        rcp_presburger::reset_emptiness_cache();
+    }
+    match config.analysis_threads {
+        Some(threads) => DependenceAnalysis::analyze_with_threads(program, granularity, threads),
+        None => DependenceAnalysis::analyze(program, granularity),
     }
 }
 
 /// Runs `f` under a fresh guard over `budget` (when one is configured)
 /// and behind a catch boundary.  Every guarded stage entry — analysis,
-/// deferred re-analysis, schedule construction, checked execution — gets
-/// its own guard, so `budget` bounds each stage rather than the session's
-/// lifetime.
+/// the concrete partition stage, schedule construction, checked execution
+/// — gets its own guard, so `budget` bounds each stage rather than the
+/// session's lifetime.  What a stage computes on first use (`Rd`, a
+/// deferred program's analysis, the partition) is bounded by the checked
+/// accessors of [`Partitioned`], or by the guard of the stage entry that
+/// first asks for it.
 fn run_guarded<R>(
     budget: &Option<rcp_guard::BudgetSpec>,
     f: impl FnOnce() -> R,
@@ -380,12 +397,21 @@ impl Analyzed {
     }
 
     /// Why Algorithm 1's recurrence-chain branch is unavailable, or `None`
-    /// when it applies.  For deferred-analysis programs this needs the
-    /// configuration's parameter bindings.
+    /// when it applies.  The branch is a function of the program, so no
+    /// analysis runs; a deferred-analysis program is bound at the
+    /// configuration's parameter values first.
     pub fn plan_unavailability(&self) -> Result<Option<PlanUnavailable>, RcpError> {
-        match self.inner.symbolic.as_deref() {
-            Some(analysis) => Ok(plan_unavailability(analysis)),
-            None => Ok(plan_unavailability(self.partition()?.analysis())),
+        let inner = &self.inner;
+        match (inner.symbolic.as_deref(), &inner.degradation) {
+            (Some(analysis), _) => Ok(plan_unavailability(analysis)),
+            (None, Some(report)) => Err(report.cause.clone()),
+            (None, None) => {
+                let values = inner.config.resolve_params(&inner.program, &[])?;
+                Ok(plan_unavailability_of(
+                    &inner.program.bind_params(&values),
+                    inner.granularity,
+                ))
+            }
         }
     }
 
@@ -431,7 +457,12 @@ impl Analyzed {
         let _span = rcp_trace::span!("session.plan");
         let plan = match self.inner.symbolic.as_deref() {
             Some(_) => self.plan_artifact().map_err(RcpError::from)?,
-            None => Arc::new(symbolic_plan(self.partition()?.analysis())?),
+            None => {
+                if let Some(reason) = self.plan_unavailability()? {
+                    return Err(reason.into());
+                }
+                Arc::new(symbolic_plan(self.partition()?.analysis_checked()?)?)
+            }
         };
         Ok(Planned {
             analyzed: self.clone(),
@@ -496,20 +527,19 @@ impl Analyzed {
     fn build_core(&self, values: &[i64]) -> Result<Arc<StageCore>, RcpError> {
         let _span = rcp_trace::span!("session.partition");
         let inner = &self.inner;
-        let session = Session::with_config(inner.config.clone());
-        // The whole concrete stage — the symbolic instantiation (fast
-        // path), or the deferred re-analysis and the φ/Rd enumeration
-        // (which re-enters the presburger feasibility seams) — runs under
-        // one guarded scope.  There is no ladder here: a concrete stage
-        // was explicitly requested, so exhaustion is a hard typed error
-        // rather than a weaker result.
+        // The concrete stage — the symbolic instantiation (fast path), or
+        // the Φ enumeration of the fallback rung (which re-enters the
+        // presburger feasibility seams) — runs under one guarded scope.
+        // There is no ladder here: a concrete stage was explicitly
+        // requested, so exhaustion is a hard typed error rather than a
+        // weaker result.
         run_guarded(&inner.config.budget, || {
             rcp_guard::fail_point("session::partition", rcp_guard::Stage::Partition);
             // Fast path: an O(pieces) instantiation of the memoised
             // symbolic plan — no relation re-binding, no pair
             // re-enumeration, no Algorithm-1 re-run.  Φ and Rd stay
             // unenumerated until something actually asks for them.
-            let concrete_reason = match inner.symbolic.clone() {
+            let concrete_reason = match &inner.symbolic {
                 Some(analysis) => {
                     match self
                         .plan_artifact()
@@ -517,62 +547,52 @@ impl Analyzed {
                     {
                         Ok(partition) => {
                             rcp_trace::counter("session.plan.instantiate").add(1);
-                            let cell = OnceLock::new();
-                            let _ = cell.set(partition);
                             return Arc::new(StageCore {
                                 values: values.to_vec(),
-                                analysis,
-                                analysis_values: values.to_vec(),
                                 runtime_program: inner.program.clone(),
                                 runtime_values: values.to_vec(),
+                                granularity: inner.granularity,
+                                analysis: OnceLock::from(analysis.clone()),
                                 phi: OnceLock::new(),
                                 rd: OnceLock::new(),
-                                partition: cell,
+                                partition: OnceLock::from(partition),
                                 concrete_reason: None,
                             });
                         }
-                        Err(reason) => Some(reason),
+                        Err(reason) => reason,
                     }
                 }
-                None => Some(PlanUnavailable::ParametricSubscripts),
+                None => PlanUnavailable::ParametricSubscripts,
             };
-            // Fallback rung: the legacy per-binding concrete path, with
-            // the typed reason recorded on the stage.
-            let (analysis, analysis_values, runtime_program, runtime_values) =
-                match inner.symbolic.clone() {
-                    Some(analysis) => (
-                        analysis,
-                        values.to_vec(),
-                        inner.program.clone(),
-                        values.to_vec(),
-                    ),
-                    None => {
-                        let bound = inner.program.bind_params(values);
-                        let analysis = session.run_analysis(&bound, inner.granularity);
-                        (Arc::new(analysis), Vec::new(), bound, Vec::new())
-                    }
-                };
-            // The eager Φ/Rd enumeration of this rung, under the same span
-            // as the lazy `StageCore::phi`/`rd` path.
-            let (phi, rd) = {
-                let _span = rcp_trace::span!("session.enumerate");
-                let (phi_union, relation) = analysis.bind_params(&analysis_values);
-                (
-                    OnceLock::from(DenseSet::from_union(&phi_union)),
-                    OnceLock::from(DenseRelation::from_relation(&relation)),
-                )
+            // Fallback rung: the per-binding concrete path, with the typed
+            // reason recorded on the stage.  A deferred program runs on
+            // its parameter-bound form; its analysis waits for a consumer.
+            let (runtime_program, runtime_values, analysis) = match &inner.symbolic {
+                Some(analysis) => (
+                    inner.program.clone(),
+                    values.to_vec(),
+                    OnceLock::from(analysis.clone()),
+                ),
+                None => (
+                    inner.program.bind_params(values),
+                    Vec::new(),
+                    OnceLock::new(),
+                ),
             };
-            Arc::new(StageCore {
+            let core = StageCore {
                 values: values.to_vec(),
-                analysis,
-                analysis_values,
                 runtime_program,
                 runtime_values,
-                phi,
-                rd,
+                granularity: inner.granularity,
+                analysis,
+                phi: OnceLock::new(),
+                rd: OnceLock::new(),
                 partition: OnceLock::new(),
-                concrete_reason,
-            })
+                concrete_reason: Some(concrete_reason),
+            };
+            // Φ is enumerated eagerly, under this stage's guard.
+            core.phi();
+            Arc::new(core)
         })
         .map_err(RcpError::from)
     }
@@ -633,50 +653,90 @@ impl Planned {
 struct StageCore {
     /// The parameter values of this stage, in declaration order.
     values: Vec<i64>,
-    /// The analysis behind this stage: the shared symbolic analysis, or a
-    /// per-binding analysis of the parameter-bound program.
-    analysis: Arc<DependenceAnalysis>,
-    /// Parameter values matching `analysis` (empty when the analysis was
-    /// run on the parameter-bound program) — what the lazy Φ/Rd
-    /// enumerations bind with.
-    analysis_values: Vec<i64>,
     /// The program the runtime executes (parameter-bound when the
     /// analysis was deferred, the original otherwise).
     runtime_program: Program,
-    /// Parameter values matching `runtime_program` (empty when bound).
+    /// Parameter values matching `runtime_program` (empty when bound) —
+    /// also what the analysis's Φ and Rd bind with.
     runtime_values: Vec<i64>,
-    /// The enumerated iteration space, built on first use.  Pre-filled on
-    /// the legacy concrete path; stays empty on the symbolic
-    /// instantiation path until something asks for it.
+    /// The granularity of the analysis space.
+    granularity: Granularity,
+    /// The analysis behind this stage: the shared symbolic analysis, or,
+    /// for a deferred program, the analysis of `runtime_program`, run on
+    /// first use.
+    analysis: OnceLock<Arc<DependenceAnalysis>>,
+    /// The enumerated iteration space, from the program's own spaces.
+    /// Enumerated when the stage is built on the fallback rung; on the
+    /// symbolic instantiation path only when something asks for it.
     phi: OnceLock<DenseSet>,
-    /// The enumerated dependence relation — the dominant per-binding cost
-    /// the symbolic path exists to avoid.  Pre-filled on the legacy
-    /// concrete path, lazily enumerated otherwise.
+    /// The enumerated dependence relation, built on first use: the
+    /// dominant per-binding cost, which the instantiation path and the
+    /// traced else-branch never pay.
     rd: OnceLock<DenseRelation>,
     /// The Algorithm-1 partition.  Pre-filled by
     /// [`SymbolicPlan::instantiate`] on the symbolic path, computed on
-    /// first use on the legacy path.
+    /// first use on the fallback rung.
     partition: OnceLock<ConcretePartition>,
     /// `None` when `partition` came from the symbolic plan; `Some(reason)`
-    /// records why this stage took the legacy concrete rung.
+    /// records why this stage took the concrete fallback rung.
     concrete_reason: Option<PlanUnavailable>,
 }
 
 impl StageCore {
-    fn phi(&self) -> &DenseSet {
-        self.phi.get_or_init(|| {
-            let _span = rcp_trace::span!("session.enumerate");
-            let (phi_union, _) = self.analysis.bind_params(&self.analysis_values);
-            DenseSet::from_union(&phi_union)
+    fn analysis(&self, config: &Config) -> &DependenceAnalysis {
+        self.analysis.get_or_init(|| {
+            Arc::new(run_analysis(
+                config,
+                &self.runtime_program,
+                self.granularity,
+            ))
         })
     }
 
-    fn rd(&self) -> &DenseRelation {
-        self.rd.get_or_init(|| {
+    fn phi(&self) -> &DenseSet {
+        self.phi.get_or_init(|| {
             let _span = rcp_trace::span!("session.enumerate");
-            let (_, relation) = self.analysis.bind_params(&self.analysis_values);
+            let space = iteration_space(&self.runtime_program, self.granularity);
+            DenseSet::from_union(&space.bind_params(&self.runtime_values))
+        })
+    }
+
+    fn rd(&self, config: &Config) -> &DenseRelation {
+        self.rd.get_or_init(|| {
+            let analysis = self.analysis(config);
+            let _span = rcp_trace::span!("session.enumerate");
+            // `bind_params` binds Φ as well, an O(pieces) step whose
+            // emptiness-cache traffic the profile golden pins.
+            let (_, relation) = analysis.bind_params(&self.runtime_values);
             DenseRelation::from_relation(&relation)
         })
+    }
+
+    /// Why Algorithm 1's then-branch does not apply to this stage's
+    /// program, `None` when it does.
+    fn plan_unavailability(&self) -> Option<PlanUnavailable> {
+        plan_unavailability_of(&self.runtime_program, self.granularity)
+    }
+
+    /// The partition of the fallback rung.  Algorithm 1's plain
+    /// else-branch over a direct view layers Φ by the access trace; the
+    /// then-branch (which validates its chains against Rd) and the
+    /// aggregated views (which try chains against Rd first) partition the
+    /// enumerated relation.
+    fn concrete_partition(&self, config: &Config) -> ConcretePartition {
+        match self.plan_unavailability() {
+            Some(reason) if reason != PlanUnavailable::AggregatedLoopLevel => {
+                let levels = dataflow_levels(
+                    &self.runtime_program,
+                    &self.runtime_values,
+                    self.granularity,
+                );
+                ConcretePartition::Dataflow {
+                    stages: DataflowPartition::from_levels(self.phi(), &levels),
+                }
+            }
+            _ => concrete_partition_from_dense(self.analysis(config), self.phi(), self.rd(config)),
+        }
     }
 }
 
@@ -689,6 +749,16 @@ struct PartitionedInner {
 /// iteration space, the dense dependence relation, and (lazily) the
 /// Algorithm-1 partition.  Cloning is cheap; stages are memoised per
 /// binding on the owning [`Analyzed`].
+///
+/// # Checked accessors
+///
+/// What a stage computes on first use — a deferred program's analysis,
+/// `Rd`, the partition — runs under whatever guard is installed when it is
+/// first asked for.  The `*_checked` accessors install the configured
+/// budget guard and a catch boundary, like [`Scheduled::verify_checked`],
+/// so that a budget trip or a panic there comes back as a typed error.
+/// Inside a guarded call (schedule construction, a checked execution)
+/// they charge that call's guard instead of a fresh one.
 #[derive(Clone)]
 pub struct Partitioned {
     inner: Arc<PartitionedInner>,
@@ -717,10 +787,11 @@ impl Partitioned {
         &self.inner.core.values
     }
 
-    /// The dependence analysis backing this stage (always present, even
-    /// for deferred-analysis programs).
+    /// The dependence analysis backing this stage.  For a
+    /// deferred-analysis program it is the analysis of the
+    /// parameter-bound program, run on first use.
     pub fn analysis(&self) -> &DependenceAnalysis {
-        &self.inner.core.analysis
+        self.inner.core.analysis(self.inner.analyzed.config())
     }
 
     /// The program the runtime executes for this binding.
@@ -739,11 +810,11 @@ impl Partitioned {
         self.inner.core.phi()
     }
 
-    /// The enumerated dependence relation `Rd` (enumerated on first use
-    /// for stages materialised by [`SymbolicPlan::instantiate`] — the
-    /// warm symbolic path never pays for it).
+    /// The enumerated dependence relation `Rd`, enumerated on first use:
+    /// neither the warm symbolic path nor the traced else-branch pays for
+    /// it.
     pub fn rd(&self) -> &DenseRelation {
-        self.inner.core.rd()
+        self.inner.core.rd(self.inner.analyzed.config())
     }
 
     /// `true` when this stage's partition was materialised by an
@@ -779,34 +850,32 @@ impl Partitioned {
         distance_set(self.rd())
     }
 
-    /// The Algorithm-1 partition (computed once, then shared).
+    /// The Algorithm-1 partition (computed once, then shared).  When
+    /// Algorithm 1 takes its plain else-branch over a direct view, the
+    /// stages come from the access trace ([`rcp_depend::dataflow_levels`])
+    /// and neither the analysis nor `Rd` is computed.
     ///
     /// The computation is a cooperative checkpoint: under an installed
-    /// guard (a [`Scheduled`] built through [`Self::schedule`], or a
-    /// checked execution) a budget trip unwinds to the enclosing catch
-    /// boundary and surfaces as [`RcpError::BudgetExceeded`] there.  A
-    /// failed initialisation leaves the `OnceLock` empty, so a later call
-    /// under a fresh budget simply retries.
+    /// guard (a [`Scheduled`] built through [`Self::schedule`], a checked
+    /// execution, or [`Self::partition_checked`]) a budget trip unwinds to
+    /// the enclosing catch boundary and surfaces as
+    /// [`RcpError::BudgetExceeded`] there.  A failed initialisation leaves
+    /// the `OnceLock` empty, so a later call under a fresh budget simply
+    /// retries.
     pub fn partition(&self) -> &ConcretePartition {
-        self.inner.core.partition.get_or_init(|| {
+        let core = &self.inner.core;
+        core.partition.get_or_init(|| {
             let _span = rcp_trace::span!("core.partition");
             rcp_guard::fail_point("session::partition", rcp_guard::Stage::Partition);
-            rcp_guard::tick(
-                rcp_guard::Stage::Partition,
-                self.inner.core.phi().len() as u64,
-            );
-            concrete_partition_from_dense(
-                &self.inner.core.analysis,
-                self.inner.core.phi(),
-                self.inner.core.rd(),
-            )
+            rcp_guard::tick(rcp_guard::Stage::Partition, core.phi().len() as u64);
+            core.concrete_partition(self.inner.analyzed.config())
         })
     }
 
     /// Why the recurrence-chain branch is unavailable for this program,
     /// `None` when it applies.
     pub fn plan_unavailability(&self) -> Option<PlanUnavailable> {
-        plan_unavailability(&self.inner.core.analysis)
+        self.inner.core.plan_unavailability()
     }
 
     /// Partition statistics (phases, critical path, widths).
@@ -817,8 +886,43 @@ impl Partitioned {
     /// Full validity check of the partition: every iteration scheduled
     /// exactly once, every dependence respected.  Empty when valid.
     pub fn validate(&self) -> Vec<String> {
-        self.partition()
-            .validate(self.inner.core.phi(), self.inner.core.rd())
+        self.partition().validate(self.phi(), self.rd())
+    }
+
+    /// [`Self::analysis`] under the configured budget (see [checked
+    /// accessors](Partitioned#checked-accessors)).
+    pub fn analysis_checked(&self) -> Result<&DependenceAnalysis, RcpError> {
+        self.checked(|| self.analysis())
+    }
+
+    /// [`Self::rd`], and the analysis it is enumerated from, under the
+    /// configured budget (see [checked
+    /// accessors](Partitioned#checked-accessors)).
+    pub fn rd_checked(&self) -> Result<&DenseRelation, RcpError> {
+        self.checked(|| self.rd())
+    }
+
+    /// [`Self::partition`] under the configured budget (see [checked
+    /// accessors](Partitioned#checked-accessors)).
+    pub fn partition_checked(&self) -> Result<&ConcretePartition, RcpError> {
+        self.checked(|| self.partition())
+    }
+
+    /// [`Self::validate`], with the partition, the analysis and `Rd` it
+    /// forces, under the configured budget (see [checked
+    /// accessors](Partitioned#checked-accessors)).
+    pub fn validate_checked(&self) -> Result<Vec<String>, RcpError> {
+        self.checked(|| self.validate())
+    }
+
+    /// Runs `f` under the configured budget guard and behind a catch
+    /// boundary, or under the installed guard inside a guarded call.
+    fn checked<R>(&self, f: impl FnOnce() -> R) -> Result<R, RcpError> {
+        let outcome = match rcp_guard::current() {
+            Some(_) => rcp_guard::catch(f),
+            None => run_guarded(&self.inner.analyzed.config().budget, f),
+        };
+        outcome.map_err(RcpError::from)
     }
 
     /// Schedules this partition with the configured scheme (or the default
@@ -1185,6 +1289,76 @@ mod tests {
                 "{write}"
             );
         }
+    }
+
+    #[test]
+    fn the_else_branch_runs_without_the_analysis_or_rd() {
+        // Cholesky defers its analysis and takes Algorithm 1's plain
+        // else-branch: a verified run builds its stages from the access
+        // trace, and neither the per-binding analysis nor Rd is computed
+        // until a consumer asks for them.
+        let config = Config::new().with_params(&[("NMAT", 2), ("M", 2), ("N", 6), ("NRHS", 1)]);
+        let analyzed = Session::with_config(config).bundled("cholesky").unwrap();
+        assert_eq!(analyzed.strategy().unwrap(), Strategy::Dataflow);
+        assert_eq!(analyzed.cached_partitions(), 0, "the branch needs no stage");
+        let stage = analyzed.partition().unwrap();
+        let core = &stage.inner.core;
+        assert!(core.phi.get().is_some(), "Φ is eager on the fallback rung");
+        assert!(
+            core.partition.get().is_none(),
+            "the partition waits for a consumer"
+        );
+        assert!(stage.schedule().unwrap().verify().passed());
+        assert!(core.partition.get().is_some());
+        assert!(core.analysis.get().is_none() && core.rd.get().is_none());
+        // Validation is a consumer: it runs the analysis and enumerates Rd.
+        assert!(stage.validate().is_empty());
+        assert!(core.analysis.get().is_some() && core.rd.get().is_some());
+    }
+
+    #[test]
+    fn what_a_stage_computes_on_first_use_is_bounded_by_the_budget() {
+        // Cholesky's Φ fits 5 000 work units but its per-binding analysis
+        // does not.  The checked accessors that force the analysis (and Rd
+        // with it) trip as typed errors and leave nothing half built; the
+        // traced schedule needs neither and still runs.  No other test
+        // analyses this binding, whose cached solver verdicts would make
+        // the analysis cheap.
+        let config = Config::new()
+            .with_params(&[("NMAT", 3), ("M", 2), ("N", 5), ("NRHS", 1)])
+            .with_work_budget(5_000);
+        let analyzed = Session::with_config(config).bundled("cholesky").unwrap();
+        let stage = analyzed.partition().unwrap();
+        for err in [
+            stage.analysis_checked().map(|_| ()).unwrap_err(),
+            stage.rd_checked().map(|_| ()).unwrap_err(),
+            stage.validate_checked().map(|_| ()).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, RcpError::BudgetExceeded { limit: 5_000, .. }),
+                "expected BudgetExceeded, got {err:?}"
+            );
+        }
+        let core = &stage.inner.core;
+        assert!(core.analysis.get().is_none() && core.rd.get().is_none());
+        assert!(stage.schedule().unwrap().verify().passed());
+        assert!(stage.partition_checked().is_ok());
+        // Inside a guarded call they charge that call's guard, not a fresh
+        // one over the configured budget.
+        let generous = Config::new()
+            .with_params(&[("NMAT", 3), ("M", 2), ("N", 5), ("NRHS", 1)])
+            .with_work_budget(1 << 40);
+        let stage = Session::with_config(generous)
+            .bundled("cholesky")
+            .unwrap()
+            .partition()
+            .unwrap();
+        let outer = rcp_guard::Guard::new(rcp_guard::BudgetSpec::default().with_max_work(5_000));
+        let nested = rcp_guard::scope(&outer, || stage.rd_checked().map(|_| ()));
+        assert!(
+            matches!(nested, Err(RcpError::BudgetExceeded { limit: 5_000, .. })),
+            "expected the outer guard to trip, got {nested:?}"
+        );
     }
 
     #[test]

@@ -1,58 +1,57 @@
-//! Example 4 (Cholesky) at reduced parameters: the dataflow partitioning is
-//! a valid parallel order and the traced dependence graph is consistent
-//! with the executable semantics.
+//! Example 4 (Cholesky) at reduced parameters, through the session: the
+//! dataflow partitioning is a valid parallel order, and the dependence
+//! relation is consistent with the executable semantics.
 //!
 //! The full-size run (NMAT=250, M=4, N=40, NRHS=3; the paper reports 238
 //! partitioning steps) is part of the benchmark harness
 //! (`paper_results ex4`), which runs in release mode.
 
-use recurrence_chains::codegen::Schedule;
-use recurrence_chains::core::{dataflow_levels_indexed, dataflow_stage_sizes};
-use recurrence_chains::depend::trace_dependence_graph;
 use recurrence_chains::prelude::*;
 use recurrence_chains::workloads::{example4_cholesky, CholeskyParams};
 
+/// The concrete stage of the Cholesky kernel at `params`.
+fn stage(params: CholeskyParams) -> Partitioned {
+    Session::new()
+        .load(example4_cholesky())
+        .and_then(|analyzed| analyzed.partition_values(&params.as_vec()))
+        .expect("the Cholesky kernel partitions")
+}
+
 #[test]
 fn small_cholesky_dataflow_partition_is_valid_and_semantics_preserving() {
-    // Bind the parameters into the program: the normalised descending sweep
-    // uses `K = N − KD` in its subscripts, so kernels and access maps need a
-    // parameter-free program.
-    let params = CholeskyParams {
+    let stage = stage(CholeskyParams {
         nmat: 2,
         m: 2,
         n: 5,
         nrhs: 1,
-    };
-    let program = example4_cholesky().bind_params(&params.as_vec());
-    let graph = trace_dependence_graph(&program, &[]);
-    assert!(graph.n_instances() > 0);
-    assert!(graph.n_edges() > 0);
+    });
+    let instances = stage.phi().len();
+    assert!(instances > 0);
+    assert!(!stage.rd().is_empty());
 
-    // Dataflow layering: every edge goes strictly forward across stages.
-    let levels = dataflow_levels_indexed(graph.n_instances(), &graph.edges);
-    for &(src, dst) in &graph.edges {
-        assert!(
-            levels[src as usize] < levels[dst as usize],
-            "edge {src}->{dst} does not advance a stage"
-        );
-    }
-    let stages = dataflow_stage_sizes(graph.n_instances(), &graph.edges);
-    assert_eq!(stages.iter().sum::<usize>(), graph.n_instances());
+    // Dataflow layering: every dependence goes strictly forward across
+    // stages, and every instance sits in exactly one stage.
+    assert_eq!(stage.partition().strategy(), Strategy::Dataflow);
+    assert!(stage.validate().is_empty(), "{:?}", stage.validate());
+    let stats = stage.stats();
+    assert_eq!(stats.total_iterations, instances);
     assert!(
-        stages.len() > 1,
+        stats.n_phases > 1,
         "the kernel is not embarrassingly parallel"
     );
     assert!(
-        stages.len() < graph.n_instances(),
+        stats.n_phases < instances,
         "dataflow partitioning must expose some parallelism"
     );
 
     // Execute the staged schedule and compare with sequential execution.
-    let schedule = Schedule::from_dataflow_levels("cholesky-dataflow", &graph.instances, &levels);
-    assert!(schedule.validate_coverage(&program, &[]).is_empty());
-    let kernel = RefKernel::new(&program);
-    let sequential = Schedule::sequential(&program, &[]);
-    let verdict = verify_schedule(&sequential, &schedule, &kernel, 4);
+    let scheduled = stage.schedule().unwrap();
+    let schedule = scheduled.schedule();
+    assert_eq!(schedule.n_phases(), stats.n_phases);
+    assert!(schedule
+        .validate_coverage(stage.runtime_program(), stage.runtime_values())
+        .is_empty());
+    let verdict = verify_schedule(scheduled.sequential(), schedule, &scheduled.kernel(), 4);
     assert!(
         verdict.passed(),
         "parallel Cholesky diverges from sequential execution"
@@ -61,16 +60,16 @@ fn small_cholesky_dataflow_partition_is_valid_and_semantics_preserving() {
 
 #[test]
 fn cholesky_step_count_grows_with_the_matrix_order() {
-    let steps = |n: i64| {
-        let params = CholeskyParams {
-            nmat: 2,
-            m: 2,
-            n,
-            nrhs: 1,
-        };
-        let program = example4_cholesky().bind_params(&params.as_vec());
-        let graph = trace_dependence_graph(&program, &[]);
-        dataflow_stage_sizes(graph.n_instances(), &graph.edges).len()
+    let steps = |n: i64| match stage(CholeskyParams {
+        nmat: 2,
+        m: 2,
+        n,
+        nrhs: 1,
+    })
+    .partition()
+    {
+        ConcretePartition::Dataflow { stages } => stages.n_stages(),
+        other => panic!("Cholesky takes Algorithm 1's else-branch, got {other:?}"),
     };
     let s5 = steps(5);
     let s10 = steps(10);
@@ -85,22 +84,23 @@ fn cholesky_l_dimension_is_fully_parallel() {
     // Dependences never cross the vectorised L dimension: two instances of
     // the same statement with different L values are never connected.  This
     // is what the paper's PDM partitioning exploits (DOALL over L).
-    let params = CholeskyParams {
+    let stage = stage(CholeskyParams {
         nmat: 3,
         m: 2,
         n: 4,
         nrhs: 1,
-    };
-    let program = example4_cholesky().bind_params(&params.as_vec());
-    let graph = trace_dependence_graph(&program, &[]);
+    });
+    let program = stage.runtime_program();
+    let decoder = program.unified_decoder();
     let stmts = program.statements();
-    for &(src, dst) in &graph.edges {
-        let (s_id, s_idx) = &graph.instances[src as usize];
-        let (d_id, d_idx) = &graph.instances[dst as usize];
+    assert!(!stage.rd().is_empty(), "Cholesky must have dependences");
+    for (src, dst) in stage.rd().iter() {
+        let (s_id, s_idx) = decoder.decode(src).unwrap();
+        let (d_id, d_idx) = decoder.decode(dst).unwrap();
         // L is always the innermost loop of its statement except for S4/S1
         // (where it is the second); find its position by name.
         let l_pos = |id: usize| stmts[id].loop_indices.iter().position(|n| n == "L");
-        if let (Some(sl), Some(dl)) = (l_pos(*s_id), l_pos(*d_id)) {
+        if let (Some(sl), Some(dl)) = (l_pos(s_id), l_pos(d_id)) {
             assert_eq!(
                 s_idx[sl], d_idx[dl],
                 "dependence crosses the L dimension: {:?} -> {:?}",

@@ -9,7 +9,7 @@
 //! symbolic relation piece for piece, the enumerated `Φ`/`Rd`, the three
 //! sets, the chains and the schedule.
 
-use recurrence_chains::codegen::Schedule;
+use recurrence_chains::codegen::{PointExpander, Schedule};
 use recurrence_chains::core::{concrete_partition_from_dense, ConcretePartition};
 use recurrence_chains::depend::{AnalysisOptions, DependenceAnalysis, Granularity, ScreenConfig};
 use recurrence_chains::loopir::Program;
@@ -92,8 +92,10 @@ fn assert_screen_equivalent(
             e.strategy()
         ),
     }
-    let sched_s = Schedule::from_partition_bound(&screened, &part_s, values, "screened");
-    let sched_e = Schedule::from_partition_bound(&exact, &part_e, values, "screened");
+    let sched_s =
+        Schedule::from_partition_with(&PointExpander::new(&screened, values), &part_s, "screened");
+    let sched_e =
+        Schedule::from_partition_with(&PointExpander::new(&exact, values), &part_e, "screened");
     assert_eq!(
         sched_s.phases, sched_e.phases,
         "{name}: schedules diverge phase for phase"

@@ -1,0 +1,105 @@
+//! Algorithm 1's plain else-branch builds its dataflow stages from one
+//! pass over the program's accesses (`rcp_depend::dataflow_levels`),
+//! without the dependence relation.  Those stages must be exactly the ones
+//! the relation gives: on every bundled kernel, at every granularity the
+//! session accepts and at two or more bindings, `Partitioned::partition`
+//! equals `concrete_partition_from_dense` over the analysis's `Φ` and
+//! `Rd`, stage by stage, and the stage's `Φ` is the analysis's `Φ`.
+
+use recurrence_chains::core::{concrete_partition_from_dense, ConcretePartition, PlanUnavailable};
+use recurrence_chains::presburger::{DenseRelation, DenseSet};
+use recurrence_chains::session::{Config, GranularityChoice, RcpError, Session};
+use recurrence_chains::workloads::BUNDLED_LOOPS;
+
+/// The bindings each kernel is checked at: its survey binding and a larger
+/// one.  Cholesky, whose relation is the costliest to enumerate, runs at
+/// smaller sizes and at the size the `execute` benchmark uses.
+fn bindings(kernel: &str, survey: Vec<i64>) -> Vec<Vec<i64>> {
+    match kernel {
+        "cholesky" => vec![vec![1, 2, 3, 1], vec![3, 3, 6, 2], vec![10, 4, 20, 2]],
+        _ if survey.is_empty() => vec![survey],
+        _ => {
+            let larger = survey.iter().map(|v| v + 3).collect();
+            vec![survey, larger]
+        }
+    }
+}
+
+#[test]
+fn traced_stages_equal_the_stages_built_from_rd() {
+    let mut traced = 0;
+    let mut compared = 0;
+    for bundled in BUNDLED_LOOPS {
+        for choice in [
+            GranularityChoice::Auto,
+            GranularityChoice::Statement,
+            GranularityChoice::Loop,
+        ] {
+            let analyzed = match Session::with_config(Config::new().with_granularity(choice))
+                .load(bundled.program())
+            {
+                Ok(analyzed) => analyzed,
+                Err(RcpError::GranularityUnavailable { .. }) => continue,
+                Err(e) => panic!("{}: {e}", bundled.name),
+            };
+            for values in bindings(bundled.name, bundled.survey_values()) {
+                let what = format!("{} at {choice:?}, {values:?}", bundled.name);
+                let stage = analyzed
+                    .partition_values(&values)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                let is_traced = !stage.instantiated()
+                    && !matches!(
+                        stage.plan_unavailability(),
+                        None | Some(PlanUnavailable::AggregatedLoopLevel)
+                    );
+                // Ask for the partition first, so a traced stage builds it
+                // before anything has enumerated Rd.
+                let partition = stage.partition().clone();
+                let analysis = stage.analysis();
+                let (phi, relation) = analysis.bind_params(stage.runtime_values());
+                let phi = DenseSet::from_union(&phi);
+                let rd = DenseRelation::from_relation(&relation);
+                assert_eq!(stage.phi(), &phi, "{what}: Φ differs from the analysis's Φ");
+                let reference = concrete_partition_from_dense(analysis, &phi, &rd);
+                match (&partition, &reference) {
+                    (
+                        ConcretePartition::Dataflow { stages },
+                        ConcretePartition::Dataflow { stages: want },
+                    ) => {
+                        assert_eq!(stages.n_stages(), want.n_stages(), "{what}");
+                        for (k, (got, want)) in stages.stages.iter().zip(&want.stages).enumerate() {
+                            assert_eq!(got, want, "{what}: stage {k} differs");
+                        }
+                    }
+                    _ => {
+                        assert!(
+                            !is_traced,
+                            "{what}: the else-branch must give dataflow stages"
+                        );
+                        assert_eq!(format!("{partition:?}"), format!("{reference:?}"), "{what}");
+                    }
+                }
+                assert!(stage.validate().is_empty(), "{what}");
+                traced += usize::from(is_traced);
+                compared += 1;
+            }
+        }
+    }
+    // Ten of the fourteen kernels take the plain else-branch at automatic
+    // granularity, and every kernel does at statement level.
+    assert!(traced >= 40, "only {traced} traced stages");
+    assert!(compared > traced, "the then-branch must be compared too");
+}
+
+#[test]
+fn cholesky_at_the_execute_size_has_158_stages() {
+    let stage = Session::new()
+        .bundled("cholesky")
+        .and_then(|analyzed| analyzed.partition_values(&[10, 4, 20, 2]))
+        .unwrap();
+    let stats = stage.stats();
+    assert_eq!(stats.total_iterations, 9526);
+    assert_eq!(stats.n_phases, 158);
+    assert!(!stage.instantiated());
+    assert_eq!(stage.plan_provenance(), "concrete-fallback");
+}
