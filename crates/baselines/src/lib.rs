@@ -16,8 +16,7 @@
 //! All of them produce either an executable [`rcp_codegen::Schedule`]
 //! (validated against the program's sequential semantics in the test-suite)
 //! or, for DOACROSS, a pipeline descriptor consumed by the runtime cost
-//! model.  Per-baseline simplifications are documented in each module and in
-//! DESIGN.md.
+//! model.  Per-baseline simplifications are documented in each module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,16 +3,22 @@
 //!
 //! The comparison is intentionally speedup-centric: for every experiment
 //! present in both runs whose payload carries speedup series (the Figure-3
-//! curves, the measured executor run), each scheme's speedup at the last
-//! common thread count is compared and classified as improved / regressed /
-//! unchanged against a noise band.  Experiments without series are matched
-//! by presence only, and experiments appearing on one side only are called
-//! out — CI runs this against the committed baseline so a trajectory
-//! regression is visible in the log instead of silently landing.
+//! curves, the guard/trace overhead ratios, fuzz survival), each scheme's
+//! speedup at the last common thread count is compared and classified as
+//! improved / regressed / unchanged against a noise band.  Experiments
+//! without series are matched by presence only, and experiments appearing
+//! on one side only are called out.  A diff that compared nothing, or left
+//! a series without its counterpart, reports why in
+//! [`BaselineDiff::gaps`], so a gate cannot pass by comparing nothing.
+//!
+//! The modelled experiments of a diffed run are evaluated at the cost
+//! model the baseline recorded ([`recorded_cost_model`]), so their series
+//! do not move with the machine the diff runs on.
 
 use crate::experiments::ExperimentReport;
 use crate::speedup::SpeedupSeries;
-use rcp_json::{json, Json};
+use rcp_json::Json;
+use rcp_runtime::CostModel;
 
 /// Relative change below which a speedup delta counts as noise.
 pub const NOISE_BAND: f64 = 0.05;
@@ -65,6 +71,10 @@ pub struct BaselineDiff {
     pub only_new: Vec<String>,
     /// Experiment ids only present in the baseline.
     pub only_old: Vec<String>,
+    /// What the diff could not compare, one line each: an experiment of
+    /// this run that carries series but has no baseline entry, or a series
+    /// only one side of a compared experiment carries.
+    pub unmatched: Vec<String>,
 }
 
 impl BaselineDiff {
@@ -83,6 +93,17 @@ impl BaselineDiff {
             .iter()
             .filter(|d| d.ratio() <= 1.0 - tolerance)
             .collect()
+    }
+
+    /// Why the diff cannot gate the run, one line per reason: it compared
+    /// no series at all, or some series had nothing to compare against.
+    /// Empty when every series of the compared experiments was compared.
+    pub fn gaps(&self) -> Vec<String> {
+        let nothing = self
+            .deltas
+            .is_empty()
+            .then(|| "no speedup series was compared".to_string());
+        nothing.into_iter().chain(self.unmatched.clone()).collect()
     }
 
     /// Renders the comparison as an aligned text table.
@@ -120,36 +141,37 @@ impl BaselineDiff {
                 self.only_old.join(", ")
             ));
         }
+        for line in &self.unmatched {
+            out.push_str(&format!("not compared: {line}\n"));
+        }
         out
-    }
-
-    /// The machine-readable form of the comparison.
-    pub fn to_json(&self) -> Json {
-        json!({
-            "no_regressions": self.no_regressions(),
-            "deltas": self.deltas.iter().map(|d| json!({
-                "experiment": d.experiment,
-                "scheme": d.scheme,
-                "threads": d.threads,
-                "old": d.old,
-                "new": d.new,
-                "ratio": d.ratio(),
-                "verdict": d.verdict(),
-            })).collect::<Vec<_>>(),
-            "only_new": self.only_new,
-            "only_old": self.only_old,
-        })
     }
 }
 
+/// The cost model a results file was recorded with: its
+/// `cost_model.instance_cost_ns` over the default barrier, item and spawn
+/// costs, the same shape `CostModel::calibrated` gives.  `None` when the
+/// file records no cost model.
+pub fn recorded_cost_model(baseline: &Json) -> Option<CostModel> {
+    Some(CostModel {
+        instance_cost_ns: baseline["cost_model"]["instance_cost_ns"].as_f64()?,
+        ..CostModel::default()
+    })
+}
+
 /// Extracts the speedup series of one experiment payload, if it has any
-/// (both the `{"series": [...]}` figures and measured runs use the same
-/// `{"scheme", "speedups"}` element shape).
+/// (every gated experiment uses the same `{"series": [{"scheme",
+/// "speedups"}]}` shape).  The `linear` reference curve carries no
+/// information and is left out.
 fn series_of(data: &Json) -> Vec<SpeedupSeries> {
+    let empty = Vec::new();
     data["series"]
         .as_array()
-        .map(|elems| elems.iter().filter_map(SpeedupSeries::from_json).collect())
-        .unwrap_or_default()
+        .unwrap_or(&empty)
+        .iter()
+        .filter_map(SpeedupSeries::from_json)
+        .filter(|s| s.scheme != "linear")
+        .collect()
 }
 
 /// Compares freshly generated reports against a parsed baseline document
@@ -166,16 +188,33 @@ pub fn diff_against_baseline(new_reports: &[ExperimentReport], baseline: &Json) 
 
     let mut diff = BaselineDiff::default();
     for report in new_reports {
+        let new_series = series_of(&report.data);
         let Some(old) = old_by_id(&report.id) else {
             diff.only_new.push(report.id.clone());
+            if !new_series.is_empty() {
+                diff.unmatched.push(format!(
+                    "{}: carries series but has no baseline entry",
+                    report.id
+                ));
+            }
             continue;
         };
         let old_series = series_of(&old["data"]);
-        for new_series in series_of(&report.data) {
-            if new_series.scheme == "linear" {
-                continue; // the reference curve carries no information
-            }
+        for missing in old_series
+            .iter()
+            .filter(|old| !new_series.iter().any(|new| new.scheme == old.scheme))
+        {
+            diff.unmatched.push(format!(
+                "{} / {}: in the baseline but not in this run",
+                report.id, missing.scheme
+            ));
+        }
+        for new_series in new_series {
             let Some(old_series) = old_series.iter().find(|s| s.scheme == new_series.scheme) else {
+                diff.unmatched.push(format!(
+                    "{} / {}: in this run but not in the baseline",
+                    report.id, new_series.scheme
+                ));
                 continue;
             };
             let threads = new_series.speedups.len().min(old_series.speedups.len());
@@ -204,6 +243,7 @@ pub fn diff_against_baseline(new_reports: &[ExperimentReport], baseline: &Json) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcp_json::json;
 
     fn report(id: &str, schemes: &[(&str, &[f64])]) -> ExperimentReport {
         ExperimentReport {
@@ -255,10 +295,10 @@ mod tests {
 
     #[test]
     fn unchanged_within_noise_band_and_shorter_series() {
-        // The new run measured fewer thread counts (e.g. a smaller
-        // machine): comparison happens at the last common count.
-        let old = payload(&[report("measured", &[("ex1", &[1.0, 1.7, 2.1, 2.4])])]);
-        let new = [report("measured", &[("ex1", &[1.02])])];
+        // The new run has fewer thread counts: comparison happens at the
+        // last common count.
+        let old = payload(&[report("fig3-ex1", &[("REC", &[1.0, 1.7, 2.1, 2.4])])]);
+        let new = [report("fig3-ex1", &[("REC", &[1.02])])];
         let diff = diff_against_baseline(&new, &old);
         assert_eq!(diff.deltas.len(), 1);
         assert_eq!(diff.deltas[0].threads, 1);
@@ -290,5 +330,91 @@ mod tests {
         let diff = diff_against_baseline(&reports, &parsed);
         assert!(diff.no_regressions());
         assert_eq!(diff.deltas[0].verdict(), "unchanged");
+        assert!(diff.gaps().is_empty(), "{:?}", diff.gaps());
+    }
+
+    #[test]
+    fn a_diff_that_compares_no_series_cannot_gate() {
+        // `ex4` carries no series, and the baseline does not record it.
+        let old = payload(&[report("fig3-ex1", &[("REC", &[1.0, 2.0])])]);
+        let new = [ExperimentReport {
+            data: json!({ "steps": 318 }),
+            ..report("ex4", &[])
+        }];
+        let diff = diff_against_baseline(&new, &old);
+        assert!(diff.deltas.is_empty());
+        assert!(diff.no_regressions());
+        assert_eq!(diff.gaps(), ["no speedup series was compared"]);
+    }
+
+    #[test]
+    fn a_series_carrying_experiment_without_a_baseline_entry_is_a_gap() {
+        let old = payload(&[report("fig3-ex1", &[("REC", &[1.0, 2.0])])]);
+        let new = [
+            report("fig3-ex1", &[("REC", &[1.0, 2.0])]),
+            report("fig3-ex4", &[("linear", &[1.0, 2.0]), ("REC", &[1.0, 1.6])]),
+        ];
+        let diff = diff_against_baseline(&new, &old);
+        assert_eq!(diff.deltas.len(), 1);
+        assert_eq!(
+            diff.gaps(),
+            ["fig3-ex4: carries series but has no baseline entry"]
+        );
+        // An experiment without series and without a baseline entry is
+        // only reported as new.
+        let new = [
+            report("fig3-ex1", &[("REC", &[1.0, 2.0])]),
+            report("ex4", &[]),
+        ];
+        let diff = diff_against_baseline(&new, &old);
+        assert!(diff.gaps().is_empty());
+        assert_eq!(diff.only_new, ["ex4"]);
+    }
+
+    #[test]
+    fn a_series_one_side_lacks_is_a_gap() {
+        let old = payload(&[report(
+            "fig3-ex2",
+            &[
+                ("linear", &[1.0, 2.0]),
+                ("REC", &[1.0, 1.5]),
+                ("UNIQUE", &[1.0, 1.4]),
+            ],
+        )]);
+        // The run lost UNIQUE (the old code only looked from new to old).
+        let new = [report("fig3-ex2", &[("REC", &[1.0, 1.5])])];
+        let diff = diff_against_baseline(&new, &old);
+        assert_eq!(diff.deltas.len(), 1);
+        assert_eq!(
+            diff.gaps(),
+            ["fig3-ex2 / UNIQUE: in the baseline but not in this run"]
+        );
+        assert!(diff.to_text().contains("not compared: fig3-ex2 / UNIQUE"));
+        // And the other way round: a series the baseline never recorded.
+        let new = [report(
+            "fig3-ex2",
+            &[
+                ("REC", &[1.0, 1.5]),
+                ("UNIQUE", &[1.0, 1.4]),
+                ("PDM", &[1.0, 1.2]),
+            ],
+        )];
+        let diff = diff_against_baseline(&new, &old);
+        assert_eq!(diff.deltas.len(), 2);
+        assert_eq!(
+            diff.gaps(),
+            ["fig3-ex2 / PDM: in this run but not in the baseline"]
+        );
+    }
+
+    #[test]
+    fn the_recorded_cost_model_replaces_calibration() {
+        let recorded = json!({
+            "cost_model": json!({ "instance_cost_ns": 139.25, "barrier_cost_ns": 2000.0 }),
+        });
+        let model = recorded_cost_model(&recorded).unwrap();
+        assert_eq!(model.instance_cost_ns, 139.25);
+        assert_eq!(model.barrier_cost_ns, CostModel::default().barrier_cost_ns);
+        assert!(recorded_cost_model(&payload(&[])).is_none());
     }
 }

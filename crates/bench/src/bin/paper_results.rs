@@ -13,24 +13,30 @@
 //! Independent experiments run concurrently (bounded by the hardware's
 //! available parallelism) and stream their reports in completion order;
 //! `--json` output is sorted by experiment id, so it stays deterministic
-//! regardless of completion order.  The two experiments that measure wall
-//! clock themselves (`measured`, `analysis`) are held back and run serially
-//! after the concurrent batch, so concurrent neighbours never pollute their
-//! timings.  `--baseline old.json` additionally diffs the fresh run against
-//! a recorded result file, reports per-experiment speedup deltas, and
-//! **exits non-zero** when any scheme's speedup dropped by more than the
-//! gate tolerance (`--baseline-tolerance <frac>`, default the 5% noise
-//! band) — so a CI baseline diff actually gates pushes instead of only
-//! logging a warning.
+//! regardless of completion order.  The two experiments that read a clock
+//! themselves (`guard`, `trace`) are held back and run serially after the
+//! concurrent batch, so concurrent neighbours never pollute their timings.
+//! Every other experiment reports counts, or speedups modelled at one
+//! per-instance cost: calibrated on this machine, or, under `--baseline`,
+//! the one the baseline file recorded, so a diff of modelled series does
+//! not depend on the machine it runs on.
+//!
+//! `--baseline old.json` diffs the fresh run against a recorded result
+//! file, reports per-experiment speedup deltas, and **exits non-zero**
+//! when any scheme's speedup dropped by more than the gate tolerance
+//! (`--baseline-tolerance <frac>`, default the 5% noise band), or when the
+//! diff compared nothing: no series at all, a series-carrying experiment
+//! the baseline does not record, or a series one side lacks.
 
-use rcp_bench::baseline::diff_against_baseline;
+use rcp_bench::baseline::{diff_against_baseline, recorded_cost_model};
 use rcp_bench::experiments::{
-    ablation, analysis_pipeline, calibrated_model, corpus_table, ex1_partition, ex2_facts,
-    ex3_facts, ex4_dataflow, fig1_dependences, fig2_chains, fig3_ex1, fig3_ex2, fig3_ex3, fig3_ex4,
-    fuzz_experiment, guard_overhead, loop_corpus, measured_speedups, scaling_experiment,
-    server_experiment, symbolic_experiment, theorem1_table, trace_overhead, ExperimentReport,
+    ablation, calibrated_model, corpus_table, ex1_partition, ex2_facts, ex3_facts, ex4_dataflow,
+    fig1_dependences, fig2_chains, fig3_ex1, fig3_ex2, fig3_ex3, fig3_ex4, fuzz_experiment,
+    guard_overhead, loop_corpus, scaling_experiment, theorem1_table, trace_overhead,
+    ExperimentReport,
 };
 use rcp_bench::selection::select_experiments;
+use rcp_runtime::CostModel;
 use rcp_workloads::CholeskyParams;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -54,111 +60,60 @@ fn main() {
     } else {
         CholeskyParams::paper()
     };
-    // Measured (not modelled) ParallelExecutor wall clock on examples 1-4.
-    let ((m_ex1_n1, m_ex1_n2), m_ex2_n, m_ex3_n) = if quick {
-        ((40, 60), 64, 24)
-    } else {
-        ((120, 200), 120, 24)
-    };
-    let cholesky_measured = CholeskyParams {
-        nmat: if quick { 4 } else { 10 },
-        m: 4,
-        n: 20,
-        nrhs: 2,
-    };
     let threads = 4;
-
-    eprintln!("calibrating the cost model on this machine ...");
-    let model = calibrated_model();
-    eprintln!(
-        "calibrated: {:.0} ns per statement instance, {:.0} ns per barrier",
-        model.instance_cost_ns, model.barrier_cost_ns
-    );
 
     // The single experiment registry: ids for selector validation and the
     // run loop both come from here, so they cannot drift.  `timing` marks
-    // experiments that measure wall clock themselves; they are excluded
+    // the experiments that read a clock themselves; they are excluded
     // from the concurrent batch so neighbours cannot skew their numbers.
+    // Each experiment receives the cost model the modelled series use.
     struct Experiment {
         id: &'static str,
         timing: bool,
-        run: Box<dyn Fn() -> ExperimentReport + Send + Sync>,
+        run: Box<dyn Fn(&CostModel) -> ExperimentReport + Send + Sync>,
     }
     fn exp(
         id: &'static str,
         timing: bool,
-        run: Box<dyn Fn() -> ExperimentReport + Send + Sync>,
+        run: impl Fn(&CostModel) -> ExperimentReport + Send + Sync + 'static,
     ) -> Experiment {
-        Experiment { id, timing, run }
+        Experiment {
+            id,
+            timing,
+            run: Box::new(run),
+        }
     }
     let experiments: Vec<Experiment> = vec![
-        exp("fig1", false, Box::new(fig1_dependences)),
-        exp("fig2", false, Box::new(fig2_chains)),
-        exp(
-            "ex1",
-            false,
-            Box::new(move || ex1_partition(ex1_n1.min(60), ex1_n2.min(100))),
-        ),
-        exp("ex2", false, Box::new(ex2_facts)),
-        exp("ex3", false, Box::new(move || ex3_facts(ex3_n))),
-        exp("ex4", false, Box::new(move || ex4_dataflow(cholesky))),
-        exp(
-            "fig3-ex1",
-            false,
-            Box::new(move || fig3_ex1(&model, ex1_n1, ex1_n2, threads)),
-        ),
-        exp(
-            "fig3-ex2",
-            false,
-            Box::new(move || fig3_ex2(&model, ex2_n, threads)),
-        ),
-        exp(
-            "fig3-ex3",
-            false,
-            Box::new(move || fig3_ex3(&model, ex3_n, threads)),
-        ),
-        exp(
-            "fig3-ex4",
-            false,
-            Box::new(move || fig3_ex4(&model, cholesky, threads)),
-        ),
-        exp(
-            "ablation",
-            false,
-            Box::new(move || ablation(&model, 60, 80, threads)),
-        ),
-        exp("theorem1", false, Box::new(theorem1_table)),
-        exp("corpus", false, Box::new(loop_corpus)),
-        exp("fuzz", false, Box::new(move || fuzz_experiment(quick))),
-        exp("corpus-synthetic", false, Box::new(corpus_table)),
-        exp(
-            "analysis",
-            true,
-            Box::new(move || analysis_pipeline(threads)),
-        ),
-        exp("scaling", true, Box::new(move || scaling_experiment(quick))),
-        exp("guard", true, Box::new(move || guard_overhead(quick))),
-        exp("trace", true, Box::new(move || trace_overhead(quick))),
-        exp("server", true, Box::new(move || server_experiment(quick))),
-        exp(
-            "symbolic",
-            true,
-            Box::new(move || symbolic_experiment(quick)),
-        ),
-        exp(
-            "measured",
-            true,
-            Box::new(move || {
-                measured_speedups(
-                    (m_ex1_n1, m_ex1_n2),
-                    m_ex2_n,
-                    m_ex3_n,
-                    cholesky_measured,
-                    threads,
-                    7,
-                )
-            }),
-        ),
+        exp("fig1", false, |_| fig1_dependences()),
+        exp("fig2", false, |_| fig2_chains()),
+        exp("ex1", false, move |_| {
+            ex1_partition(ex1_n1.min(60), ex1_n2.min(100))
+        }),
+        exp("ex2", false, |_| ex2_facts()),
+        exp("ex3", false, move |_| ex3_facts(ex3_n)),
+        exp("ex4", false, move |_| ex4_dataflow(cholesky)),
+        exp("fig3-ex1", false, move |model| {
+            fig3_ex1(model, ex1_n1, ex1_n2, threads)
+        }),
+        exp("fig3-ex2", false, move |model| {
+            fig3_ex2(model, ex2_n, threads)
+        }),
+        exp("fig3-ex3", false, move |model| {
+            fig3_ex3(model, ex3_n, threads)
+        }),
+        exp("fig3-ex4", false, move |model| {
+            fig3_ex4(model, cholesky, threads)
+        }),
+        exp("ablation", false, move |model| {
+            ablation(model, 60, 80, threads)
+        }),
+        exp("theorem1", false, |_| theorem1_table()),
+        exp("corpus", false, |_| loop_corpus()),
+        exp("fuzz", false, move |_| fuzz_experiment(quick)),
+        exp("corpus-synthetic", false, |_| corpus_table()),
+        exp("scaling", false, move |_| scaling_experiment(quick)),
+        exp("guard", true, move |_| guard_overhead(quick)),
+        exp("trace", true, move |_| trace_overhead(quick)),
     ];
     let known: Vec<&str> = experiments.iter().map(|e| e.id).collect();
 
@@ -238,6 +193,27 @@ fn main() {
         (path, parsed)
     });
 
+    // The modelled series are evaluated at the baseline's recorded
+    // per-instance cost when there is one, so a baseline diff compares
+    // like with like on any machine; otherwise at this machine's.
+    let recorded = baseline
+        .as_ref()
+        .and_then(|(path, recorded)| recorded_cost_model(recorded).map(|model| (path, model)));
+    let model = match recorded {
+        Some((path, model)) => {
+            eprintln!("using the cost model recorded in {path}");
+            model
+        }
+        None => {
+            eprintln!("calibrating the cost model on this machine ...");
+            calibrated_model()
+        }
+    };
+    eprintln!(
+        "cost model: {:.2} ns per statement instance, {:.0} ns per barrier",
+        model.instance_cost_ns, model.barrier_cost_ns
+    );
+
     // Run the concurrent batch first (streamed in completion order), then
     // the timing-sensitive experiments serially on a quiet machine.
     let workers = if serial {
@@ -248,7 +224,7 @@ fn main() {
     let stdout_gate = Mutex::new(());
     let run_and_stream = |e: &&Experiment| {
         let start = Instant::now();
-        let report = (e.run)();
+        let report = (e.run)(&model);
         let elapsed = start.elapsed().as_secs_f64();
         let _gate = stdout_gate.lock().expect("stdout gate poisoned");
         eprintln!("{} done in {elapsed:.1}s", e.id);
@@ -307,6 +283,14 @@ fn main() {
                 "warning: regressions within the {:.0}% gate tolerance but beyond the display noise band",
                 baseline_tolerance * 100.0
             );
+        }
+        let gaps = diff.gaps();
+        if !gaps.is_empty() {
+            eprintln!("error: the baseline diff left {} gap(s):", gaps.len());
+            for gap in &gaps {
+                eprintln!("  {gap}");
+            }
+            exit_code = 1;
         }
     }
 

@@ -2,17 +2,13 @@
 //!
 //! A *speedup series* is what one curve of Figure 3 shows: modelled speedup
 //! of one scheme over the sequential loop for 1–4 threads.  Schemes that
-//! produce an executable [`Schedule`] go through the runtime cost model
-//! directly; schemes described analytically (phase sizes only, or the
-//! DOACROSS pipeline) use the closed-form helpers below so that very large
-//! workloads never need to materialise every iteration.
+//! produce an executable [`rcp_codegen::Schedule`] go through the runtime
+//! cost model directly; schemes described analytically (phase sizes only,
+//! or the DOACROSS pipeline) use the closed-form helpers below so that very
+//! large workloads never need to materialise every iteration.
 
-use rcp_codegen::Schedule;
 use rcp_json::{json, Json};
-use rcp_runtime::{
-    execute_sequential, makespan, CostModel, Kernel, ParallelExecutor, Verification,
-};
-use std::time::Instant;
+use rcp_runtime::{makespan, CostModel};
 
 /// One curve of a speedup plot.
 #[derive(Clone, Debug)]
@@ -113,123 +109,6 @@ impl SpeedupFigure {
                 .map(SpeedupSeries::from_json)
                 .collect::<Option<_>>()?,
         })
-    }
-}
-
-/// A wall-clock-measured speedup series: real executions of a parallel
-/// schedule by [`ParallelExecutor`], normalised against real sequential
-/// executions — as opposed to the [`CostModel`]'s analytic numbers.
-#[derive(Clone, Debug)]
-pub struct MeasuredSeries {
-    /// The speedup curve (`sequential_ns / parallel_ns[t-1]`).
-    pub series: SpeedupSeries,
-    /// Best-of-`reps` sequential wall clock, nanoseconds.
-    pub sequential_ns: f64,
-    /// Best-of-`reps` parallel wall clock per thread count, nanoseconds.
-    pub parallel_ns: Vec<f64>,
-    /// True when every parallel execution was race free and produced the
-    /// sequential result bit-for-bit.
-    pub verified: bool,
-}
-
-impl MeasuredSeries {
-    /// The machine-readable form of the measurement.
-    pub fn to_json(&self) -> Json {
-        json!({
-            "scheme": self.series.scheme,
-            "speedups": self.series.speedups,
-            "sequential_ns": self.sequential_ns,
-            "parallel_ns": self.parallel_ns,
-            "verified": self.verified,
-            "measured": true,
-        })
-    }
-}
-
-/// Measures the real wall-clock speedup of `parallel` over `sequential` for
-/// `1..=max_threads` workers.
-///
-/// Thread counts above `std::thread::available_parallelism()` are skipped —
-/// timing an oversubscribed pool measures scheduler thrash, not the
-/// schedule — so the returned series may be shorter than `max_threads`
-/// (callers report the hardware width alongside).
-///
-/// Every timing is the best of `reps` runs (minimum is the standard
-/// estimator for wall-clock microbenchmarks — noise is strictly additive).
-/// Verification per thread count: one untimed execution runs with race
-/// detection on, and every execution is checked against the sequential
-/// store by [`Verification::check`], bit for bit (the check happens
-/// outside the timed window).  Timed runs themselves use the
-/// trusted-schedule fast path, so a race that only manifests under a timed
-/// run's interleaving shows up as a store mismatch rather than a reported
-/// race.  Both executors get a
-/// cost model calibrated from the sequential measurement itself, so the
-/// sequential-fallback decision reflects this machine's real per-instance
-/// cost: schedules too small to amortise pool overhead run inline and the
-/// measured "speedup" stays at ~1 instead of regressing below the
-/// sequential baseline.
-pub fn measured_speedup(
-    scheme: &str,
-    sequential: &Schedule,
-    parallel: &Schedule,
-    kernel: &(dyn Kernel + Sync),
-    max_threads: usize,
-    reps: usize,
-) -> MeasuredSeries {
-    let reps = reps.max(1);
-    // One untimed warm-up execution first: the very first run pays
-    // allocator and cache warm-up that neither side should be charged for.
-    let reference = execute_sequential(sequential, kernel);
-    let mut sequential_ns = f64::INFINITY;
-    let time_sequential = |sequential_ns: &mut f64| {
-        let start = Instant::now();
-        let store = execute_sequential(sequential, kernel);
-        *sequential_ns = sequential_ns.min(start.elapsed().as_nanos() as f64);
-        store
-    };
-    // Best-of-reps before calibrating: a single sample would let one load
-    // spike inflate the model and mis-steer the fallback decision.
-    for _ in 0..reps {
-        let _ = time_sequential(&mut sequential_ns);
-    }
-    let model = CostModel::calibrated(sequential_ns, sequential.n_instances());
-
-    let hardware_threads = rcp_runtime::pool::available_threads();
-    let max_threads = max_threads.min(hardware_threads).max(1);
-    let mut verified = true;
-    let mut parallel_ns = Vec::with_capacity(max_threads);
-    for threads in 1..=max_threads {
-        // One untimed validation run with race detection on…
-        let checked = ParallelExecutor::new(threads)
-            .with_cost_model(model)
-            .execute(parallel, kernel);
-        verified &= Verification::check(&reference, &checked).passed();
-        // …then timed runs on the trusted-schedule fast path (no per-unit
-        // race bookkeeping — the configuration real production use would
-        // pick once a schedule is validated).
-        let executor = ParallelExecutor::new(threads)
-            .with_race_detection(false)
-            .with_cost_model(model);
-        let mut best = f64::INFINITY;
-        for _rep in 0..reps {
-            // Interleave a sequential timing with every parallel timing so
-            // machine-load drift over the measurement window affects both
-            // minima equally instead of skewing the ratio.
-            let _ = time_sequential(&mut sequential_ns);
-            let result = executor.execute(parallel, kernel);
-            best = best.min(result.total_time.as_nanos() as f64);
-            verified &= Verification::check(&reference, &result).passed();
-        }
-        parallel_ns.push(best);
-    }
-    MeasuredSeries {
-        series: SpeedupSeries {
-            scheme: scheme.to_string(),
-            speedups: parallel_ns.iter().map(|&p| sequential_ns / p).collect(),
-        },
-        sequential_ns,
-        parallel_ns,
-        verified,
     }
 }
 

@@ -213,8 +213,8 @@ mod tests {
         // The solutions satisfy j = (3*i1 - 2, 2*i1 + i2 - 2), so
         // (2,2) -> (4,4) is a direct dependence with distance (2,2) — one of
         // the d=2 arrows of Figure 1.  (The prose example "(1,2)->(3,4)" in
-        // the paper does not satisfy its own equation (3); see
-        // EXPERIMENTS.md.)
+        // the paper does not satisfy its own equation (3): 3·1 + 1 = 4,
+        // but 3 + 3 = 6.)
         let mut found = false;
         for t in -30..=30 {
             for s in -30..=30 {

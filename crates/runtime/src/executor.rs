@@ -120,7 +120,6 @@ pub struct ParallelExecutor {
     min_batch_instances: usize,
     detect_races: bool,
     sequential_fallback: bool,
-    cost_model: CostModel,
 }
 
 /// One unit of intra-phase concurrency: the items execute sequentially in
@@ -145,7 +144,6 @@ impl ParallelExecutor {
             min_batch_instances: Self::DEFAULT_MIN_BATCH_INSTANCES,
             detect_races: true,
             sequential_fallback: true,
-            cost_model: CostModel::default(),
         }
     }
 
@@ -171,22 +169,15 @@ impl ParallelExecutor {
         self
     }
 
-    /// Supplies the cost model used by the sequential-fallback decision
-    /// (defaults to [`CostModel::default`]; benchmarks pass a calibrated
-    /// model so the decision reflects the real per-instance cost).
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
-        self
-    }
-
     /// Enables or disables the cost-model-driven sequential fallback.
     ///
-    /// With the fallback on (the default), a schedule whose modelled pool
-    /// execution — thread spawning, per-phase barriers, work divided over
-    /// at most the hardware's threads — does not beat inline sequential
-    /// execution runs on the calling thread instead.  Small schedules then
-    /// no longer pay pool overhead for a guaranteed slowdown, and thread
-    /// counts beyond the hardware are never oversubscribed.
+    /// With the fallback on (the default), a schedule whose pool execution
+    /// as [`CostModel::default`] models it — thread spawning, per-phase
+    /// barriers, work divided over at most the hardware's threads — does
+    /// not beat inline sequential execution runs on the calling thread
+    /// instead.  Small schedules then no longer pay pool overhead for a
+    /// guaranteed slowdown, and thread counts beyond the hardware are never
+    /// oversubscribed.
     pub fn with_sequential_fallback(mut self, sequential_fallback: bool) -> Self {
         self.sequential_fallback = sequential_fallback;
         self
@@ -202,7 +193,7 @@ impl ParallelExecutor {
     pub fn uses_pool(&self, schedule: &Schedule) -> bool {
         self.n_threads > 1
             && (!self.sequential_fallback
-                || self.cost_model.parallel_pays_off(
+                || CostModel::default().parallel_pays_off(
                     schedule,
                     self.n_threads,
                     rcp_pool::available_threads(),

@@ -71,10 +71,6 @@ pub struct Config {
     /// way, so correctness is unaffected — only warm-timing measurements
     /// and hit-rate counters of concurrent sessions would be skewed).
     pub warm_caches: bool,
-    /// Shard the dependence analysis over this many threads; `None`
-    /// lets the analysis pick (all hardware threads when the program has
-    /// enough reference pairs to amortise spawning).
-    pub analysis_threads: Option<usize>,
     /// The resource budget (work units and/or a wall-clock deadline)
     /// enforced at the pipeline's cooperative checkpoints; `None` runs
     /// unguarded (no budget, no per-checkpoint overhead beyond a
@@ -104,7 +100,6 @@ impl Default for Config {
             scheme: None,
             reuse_partitions: true,
             warm_caches: true,
-            analysis_threads: None,
             budget: None,
             degrade: true,
             tracing: false,
@@ -168,12 +163,6 @@ impl Config {
     /// Resets the solver caches before every analysis (cold timings).
     pub fn with_cold_caches(mut self) -> Self {
         self.warm_caches = false;
-        self
-    }
-
-    /// Shards the dependence analysis over exactly this many threads.
-    pub fn with_analysis_threads(mut self, threads: usize) -> Self {
-        self.analysis_threads = Some(threads.max(1));
         self
     }
 

@@ -226,7 +226,7 @@ impl Session {
 }
 
 /// The exact dependence analysis of `program`, with the configuration's
-/// cache and sharding knobs.
+/// cache knob.
 fn run_analysis(
     config: &Config,
     program: &Program,
@@ -236,10 +236,7 @@ fn run_analysis(
         rcp_intlin::reset_solver_cache();
         rcp_presburger::reset_emptiness_cache();
     }
-    match config.analysis_threads {
-        Some(threads) => DependenceAnalysis::analyze_with_threads(program, granularity, threads),
-        None => DependenceAnalysis::analyze(program, granularity),
-    }
+    DependenceAnalysis::analyze(program, granularity)
 }
 
 /// Runs `f` under a fresh guard over `budget` (when one is configured)

@@ -9,7 +9,7 @@
 //! uniform/non-uniform — is run over a *synthetic corpus* of randomly
 //! generated two-deep loop nests whose subscript-shape mix is controllable.
 //! The reproduced artefact is the classifier and the reported statistic,
-//! not SPEC's exact percentages (see DESIGN.md, substitutions).
+//! not SPEC's exact percentages.
 
 use crate::rng::SmallRng;
 use rcp_depend::{classify_analysis, is_coupled_access, DependenceAnalysis, Uniformity};

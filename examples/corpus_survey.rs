@@ -3,8 +3,7 @@
 //! The paper measures SPECfp95 ("more than 46% of the nested loops contain
 //! non-uniform data dependences"); the benchmark sources are not available
 //! here, so the same classification pipeline runs over a synthetic corpus
-//! with a controllable fraction of coupled subscripts (see DESIGN.md,
-//! substitutions).
+//! with a controllable fraction of coupled subscripts.
 //!
 //! Run with:
 //!

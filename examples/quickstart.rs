@@ -72,8 +72,8 @@ fn main() -> Result<(), RcpError> {
 
     // ------------------------------------------------------------------
     // 6. The Partitioner registry: every scheme over the same artifact,
-    //    modelled at 4 threads (the container has one CPU; the cost model
-    //    carries the multi-thread story, see DESIGN.md).
+    //    modelled at 4 threads (the cost model carries the multi-thread
+    //    story on any machine, one CPU included).
     // ------------------------------------------------------------------
     let model = CostModel::default();
     println!("\nmodelled speedup at 4 threads, by scheme:");

@@ -201,28 +201,3 @@ fn repartitioning_reuses_the_analysis_and_matches_fresh_sessions() {
     }
     assert_eq!(analyzed.cached_partitions(), 4);
 }
-
-#[test]
-fn sharded_session_analysis_equals_the_single_threaded_legacy_analysis() {
-    // `Config::with_analysis_threads` pins the analysis sharding; every
-    // count must reproduce the single-threaded legacy relation exactly
-    // (the dense pipeline downstream is covered by the tests above).
-    let reference = format!(
-        "{:?}",
-        DependenceAnalysis::analyze(&example1(), Granularity::LoopLevel).relation
-    );
-    for threads in [1usize, 2, 4] {
-        let analyzed = Session::with_config(
-            Config::new()
-                .with_params(&[("N1", 10), ("N2", 10)])
-                .with_analysis_threads(threads),
-        )
-        .load(example1())
-        .unwrap();
-        assert_eq!(
-            format!("{:?}", analyzed.symbolic_analysis().unwrap().relation),
-            reference,
-            "analysis sharded over {threads} thread(s) diverges"
-        );
-    }
-}
