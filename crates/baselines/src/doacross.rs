@@ -11,8 +11,7 @@
 //!   DOALL — the structure the paper attributes to the POWER-test style
 //!   parallelization it compares against on Example 3.
 
-use rcp_codegen::{Phase, Schedule, WorkItem};
-use rcp_intlin::IVec;
+use rcp_codegen::{PhaseKind, Schedule, ScheduleBuilder};
 use rcp_loopir::Program;
 use rcp_presburger::DenseRelation;
 use std::collections::BTreeMap;
@@ -46,15 +45,15 @@ pub fn doacross_plan(
     rd: &DenseRelation,
     statement_level: bool,
 ) -> DoacrossPlan {
-    let instances = program.enumerate_instances(params);
-    let total = instances.len();
     // group instance counts by outer index
+    let mut total = 0;
     let mut per_outer: BTreeMap<i64, usize> = BTreeMap::new();
-    for (_, idx) in &instances {
+    program.for_each_instance(params, |_, idx| {
+        total += 1;
         if let Some(&outer) = idx.first() {
             *per_outer.entry(outer).or_insert(0) += 1;
         }
-    }
+    });
     let n_outer = per_outer.len().max(1);
     let avg_inner = total as f64 / n_outer as f64;
     // The delay is conservatively the average inner size when dependences
@@ -86,45 +85,64 @@ pub fn doacross_plan(
 /// race on conflicts (e.g. two statements writing one cell) that the
 /// relation by convention leaves to intra-iteration program order.
 pub fn inner_parallel_schedule(program: &Program, params: &[i64], name: &str) -> Schedule {
-    let instances = program.enumerate_instances(params);
-    let mut by_outer: BTreeMap<i64, BTreeMap<IVec, Vec<(usize, IVec)>>> = BTreeMap::new();
-    for (stmt, idx) in instances {
-        let outer = *idx.first().unwrap_or(&0);
-        by_outer
-            .entry(outer)
-            .or_default()
-            .entry(idx.clone())
-            .or_default()
-            .push((stmt, idx));
+    let sequential = Schedule::sequential(program, params);
+    let mut builder = ScheduleBuilder::new(name, &sequential.statement_depths());
+    builder.reserve(sequential.n_instances(), sequential.n_instances());
+    let mut open: Option<(i64, &[i64])> = None;
+    for i in by_outer(&sequential, |idx| idx) {
+        let (stmt, idx) = sequential.instance(i);
+        let outer = outer_index(idx);
+        if open.is_none_or(|(o, _)| o != outer) {
+            builder.phase(PhaseKind::Doall);
+        }
+        if open != Some((outer, idx)) {
+            builder.item();
+        }
+        builder.instance(stmt, idx);
+        open = Some((outer, idx));
     }
-    let phases: Vec<Phase> = by_outer
-        .into_values()
-        .map(|points| {
-            Phase::Doall(
-                points
-                    .into_values()
-                    .map(|instances| WorkItem { instances })
-                    .collect(),
-            )
-        })
-        .collect();
-    Schedule {
-        name: name.to_string(),
-        phases,
-    }
+    builder.finish()
 }
 
-/// The fully sequential baseline (the original loop), as a schedule.
-pub fn sequential_schedule(program: &Program, params: &[i64], name: &str) -> Schedule {
-    let instances = program.enumerate_instances(params);
-    let items: Vec<WorkItem> = instances
-        .into_iter()
-        .map(|(s, idx)| WorkItem::single(s, idx))
-        .collect();
-    Schedule {
-        name: name.to_string(),
-        phases: vec![Phase::ChainSet(vec![items])],
+/// The executable rendering of DOACROSS: one phase per outer-loop
+/// iteration, each a single sequential chain of its statement instances
+/// in program order.  This is always a valid execution order (program
+/// order within an outer iteration, barriers between them); the pipelined
+/// overlap DOACROSS actually exploits is carried by the [`DoacrossPlan`]
+/// for the cost model.
+pub fn doacross_schedule(program: &Program, params: &[i64], name: &str) -> Schedule {
+    let sequential = Schedule::sequential(program, params);
+    let mut builder = ScheduleBuilder::new(name, &sequential.statement_depths());
+    builder.reserve(sequential.n_instances(), sequential.n_instances());
+    let mut open = None;
+    for i in by_outer(&sequential, |_| ()) {
+        let (stmt, idx) = sequential.instance(i);
+        let outer = outer_index(idx);
+        if open != Some(outer) {
+            builder.phase(PhaseKind::ChainSet);
+            builder.chain();
+        }
+        builder.single(stmt, idx);
+        open = Some(outer);
     }
+    builder.finish()
+}
+
+/// The outer-loop index of an instance (0 outside every loop).
+fn outer_index(indices: &[i64]) -> i64 {
+    indices.first().copied().unwrap_or(0)
+}
+
+/// The instance ids of a sequential schedule stably sorted by outer-loop
+/// index, then by `inner` of the indices: program order within a key.
+fn by_outer<'s, K: Ord>(sequential: &'s Schedule, inner: impl Fn(&'s [i64]) -> K) -> Vec<usize> {
+    let key = |i: usize| {
+        let (_, idx) = sequential.instance(i);
+        (outer_index(idx), inner(idx))
+    };
+    let mut order: Vec<usize> = (0..sequential.n_instances()).collect();
+    order.sort_by_key(|&i| key(i));
+    order
 }
 
 #[cfg(test)]
@@ -146,6 +164,17 @@ mod tests {
     }
 
     #[test]
+    fn doacross_schedule_chains_each_outer_iteration() {
+        let p = example3();
+        let schedule = doacross_schedule(&p, &[6], "doacross-ex3");
+        assert_eq!(schedule.n_phases(), 6);
+        assert!(schedule.validate_coverage(&p, &[6]).is_empty());
+        // one chain per phase, holding the whole outer iteration
+        assert!(schedule.phases().all(|phase| phase.width() == 1));
+        assert_eq!(schedule.critical_path(), schedule.n_items());
+    }
+
+    #[test]
     fn doacross_plan_shape() {
         let p = example3();
         let analysis = DependenceAnalysis::statement_level(&p);
@@ -157,14 +186,5 @@ mod tests {
         assert!(plan.avg_inner > 1.0);
         // example 3 has dependences crossing outer iterations at N = 30
         assert!(plan.delay > 0);
-    }
-
-    #[test]
-    fn sequential_schedule_is_one_chain() {
-        let p = example3();
-        let schedule = sequential_schedule(&p, &[5], "seq");
-        assert_eq!(schedule.n_phases(), 1);
-        assert_eq!(schedule.critical_path(), schedule.n_items());
-        assert!(schedule.validate_coverage(&p, &[5]).is_empty());
     }
 }

@@ -26,7 +26,7 @@ pub mod pdm;
 pub mod pl;
 pub mod unique;
 
-pub use doacross::{doacross_plan, inner_parallel_schedule, sequential_schedule, DoacrossPlan};
+pub use doacross::{doacross_plan, doacross_schedule, inner_parallel_schedule, DoacrossPlan};
 pub use pdm::{pdm_schedule, PseudoDistanceMatrix};
 pub use pl::pl_schedule;
 pub use unique::unique_sets_schedule;

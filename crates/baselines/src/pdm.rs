@@ -24,7 +24,7 @@
 //! same class and execute in lexicographic order), which the test-suite
 //! verifies.
 
-use rcp_codegen::{Phase, PointExpander, Schedule, WorkItem};
+use rcp_codegen::{PhaseKind, PointExpander, Schedule};
 use rcp_depend::{distance_set, DependenceAnalysis, Granularity};
 use rcp_intlin::{add, is_lex_positive, neg, sub, IVec};
 use rcp_presburger::{DenseRelation, DenseSet};
@@ -170,16 +170,33 @@ pub fn pdm_schedule(
         "the PDM baseline operates on perfect loop nests"
     );
     let pdm = PseudoDistanceMatrix::from_distances(&distance_set(rd));
-    let expander = PointExpander::new(analysis, &[]);
-    let chains: Vec<Vec<WorkItem>> = offset_classes(phi, &pdm.vectors)
-        .iter()
-        .map(|ids| ids.iter().map(|&k| expander.item(phi.point(k))).collect())
-        .collect();
-    let schedule = Schedule {
-        name: name.to_string(),
-        phases: vec![Phase::ChainSet(chains)],
-    };
+    let schedule = chain_classes(
+        &PointExpander::new(analysis, &[]),
+        phi,
+        &offset_classes(phi, &pdm.vectors),
+        name,
+    );
     (pdm, schedule)
+}
+
+/// One chain-set phase: a chain per class of point ids of `phi`, in the
+/// class's order.
+pub(crate) fn chain_classes(
+    expander: &PointExpander,
+    phi: &DenseSet,
+    classes: &[Vec<usize>],
+    name: &str,
+) -> Schedule {
+    let mut builder = expander.builder(name);
+    expander.reserve(&mut builder, phi.len());
+    builder.phase(PhaseKind::ChainSet);
+    for ids in classes {
+        builder.chain();
+        for &k in ids {
+            expander.item(phi.point(k), &mut builder);
+        }
+    }
+    builder.finish()
 }
 
 #[cfg(test)]
@@ -220,15 +237,16 @@ mod tests {
             // schedule covers every iteration exactly once
             assert!(schedule.validate_coverage(&program, &params).is_empty());
             // all dependent pairs are on the same chain, source first
-            if let Phase::ChainSet(chains) = &schedule.phases[0] {
-                let position: BTreeMap<IVec, (usize, usize)> = chains
-                    .iter()
+            let phase = schedule.phase(0);
+            if phase.kind() == PhaseKind::ChainSet {
+                let position: BTreeMap<&[i64], (usize, usize)> = phase
+                    .units()
                     .enumerate()
                     .flat_map(|(c, chain)| {
                         chain
-                            .iter()
+                            .instances()
                             .enumerate()
-                            .map(move |(k, item)| (item.instances[0].1.clone(), (c, k)))
+                            .map(move |(k, (_, idx))| (idx, (c, k)))
                     })
                     .collect();
                 for (src, dst) in rd.iter() {

@@ -9,8 +9,8 @@
 //! original method cannot be applied and the loop stays sequential — which
 //! is exactly why PL is the weakest line of Figure 3 (Example 1).
 
-use crate::pdm::offset_classes;
-use rcp_codegen::{Phase, PointExpander, Schedule, WorkItem};
+use crate::pdm::{chain_classes, offset_classes};
+use rcp_codegen::{PointExpander, Schedule};
 use rcp_depend::{classify_uniformity, distance_set, DependenceAnalysis, Uniformity};
 use rcp_presburger::{DenseRelation, DenseSet};
 
@@ -23,35 +23,19 @@ pub fn pl_schedule(
     name: &str,
 ) -> Schedule {
     let expander = PointExpander::new(analysis, &[]);
-    let to_item = |p: &[i64]| expander.item(p);
     match classify_uniformity(rd, phi) {
-        Uniformity::Independent => {
-            // no dependences at all: a single DOALL
-            Schedule {
-                name: name.to_string(),
-                phases: vec![Phase::Doall(phi.iter().map(to_item).collect())],
-            }
-        }
-        Uniformity::Uniform => {
-            // group iterations into classes connected by the true distances
-            let chains: Vec<Vec<WorkItem>> = offset_classes(phi, &distance_set(rd))
-                .iter()
-                .map(|ids| ids.iter().map(|&k| to_item(phi.point(k))).collect())
-                .collect();
-            Schedule {
-                name: name.to_string(),
-                phases: vec![Phase::ChainSet(chains)],
-            }
-        }
-        Uniformity::NonUniform => {
-            // not applicable: keep the original sequential order
-            let mut items: Vec<WorkItem> = phi.iter().map(to_item).collect();
-            items.sort_by(|a, b| a.instances[0].1.cmp(&b.instances[0].1));
-            Schedule {
-                name: name.to_string(),
-                phases: vec![Phase::ChainSet(vec![items])],
-            }
-        }
+        // no dependences at all: a single DOALL
+        Uniformity::Independent => Schedule::doall_phase(analysis, phi, name),
+        // group iterations into classes connected by the true distances
+        Uniformity::Uniform => chain_classes(
+            &expander,
+            phi,
+            &offset_classes(phi, &distance_set(rd)),
+            name,
+        ),
+        // not applicable: keep the original (lexicographic) sequential
+        // order, one chain of every point of `phi`
+        Uniformity::NonUniform => chain_classes(&expander, phi, &[(0..phi.len()).collect()], name),
     }
 }
 
@@ -105,13 +89,10 @@ mod tests {
         let phi_d = DenseSet::from_union(&phi);
         let rd = DenseRelation::from_relation(&rel);
         let schedule = pl_schedule(&analysis, &phi_d, &rd, "pl-rows");
-        match &schedule.phases[0] {
-            Phase::ChainSet(chains) => {
-                assert_eq!(chains.len(), 6, "one class per J value");
-                assert!(chains.iter().all(|c| c.len() == 6));
-            }
-            _ => panic!("expected chain classes"),
-        }
+        let phase = schedule.phase(0);
+        assert_eq!(phase.kind(), rcp_codegen::PhaseKind::ChainSet);
+        assert_eq!(phase.width(), 6, "one class per J value");
+        assert!(phase.units().all(|c| c.len() == 6));
         assert!(schedule.validate_coverage(&p, &[6]).is_empty());
     }
 

@@ -17,7 +17,7 @@
 //! compares against: more, smaller phases than the recurrence-chain
 //! partitioning (5 vs 3 on Example 2), with one sequential set.
 
-use rcp_codegen::{Phase, PointExpander, Schedule, WorkItem};
+use rcp_codegen::{PhaseKind, PointExpander, Schedule};
 use rcp_depend::DependenceAnalysis;
 use rcp_loopir::AccessKind;
 use rcp_presburger::{DenseRelation, DenseSet};
@@ -150,24 +150,22 @@ pub fn unique_sets_schedule(
     }
 
     let expander = PointExpander::new(analysis, &[]);
-    let mut phases = Vec::new();
+    let mut builder = expander.builder(name);
+    expander.reserve(&mut builder, phi.len());
     for k in order {
-        // Each class lists its ids in increasing (lexicographic) order.
-        let items: Vec<WorkItem> = classes[&class_ids[k]]
-            .iter()
-            .map(|&p| expander.item(phi.point(p)))
-            .collect();
         if internal[k] {
             // sequential unique set
-            phases.push(Phase::ChainSet(vec![items]));
+            builder.phase(PhaseKind::ChainSet);
+            builder.chain();
         } else {
-            phases.push(Phase::Doall(items));
+            builder.phase(PhaseKind::Doall);
+        }
+        // Each class lists its ids in increasing (lexicographic) order.
+        for &p in &classes[&class_ids[k]] {
+            expander.item(phi.point(p), &mut builder);
         }
     }
-    Some(Schedule {
-        name: name.to_string(),
-        phases,
-    })
+    Some(builder.finish())
 }
 
 #[cfg(test)]
@@ -195,14 +193,10 @@ mod tests {
         );
         assert_eq!(schedule.n_items(), 144);
         // dependences never point backwards across the phase sequence
-        let mut phase_of: BTreeMap<Vec<i64>, usize> = BTreeMap::new();
-        for (k, phase) in schedule.phases.iter().enumerate() {
-            let items: Vec<&WorkItem> = match phase {
-                Phase::Doall(items) => items.iter().collect(),
-                Phase::ChainSet(chains) => chains.iter().flatten().collect(),
-            };
-            for item in items {
-                phase_of.insert(item.instances[0].1.clone(), k);
+        let mut phase_of: BTreeMap<&[i64], usize> = BTreeMap::new();
+        for (k, phase) in schedule.phases().enumerate() {
+            for (_, idx) in schedule.instances_in(phase.instance_range()) {
+                phase_of.insert(idx, k);
             }
         }
         for (src, dst) in rd.iter() {
@@ -244,6 +238,6 @@ mod tests {
         )
         .expect("independent loop has no class cycle");
         assert_eq!(schedule.n_phases(), 1);
-        assert!(matches!(schedule.phases[0], Phase::Doall(_)));
+        assert_eq!(schedule.phase(0).kind(), PhaseKind::Doall);
     }
 }

@@ -6,110 +6,87 @@
 //! a [`Schedule`] over *work items* (statement instances), which the
 //! `rcp-runtime` crate executes on a thread pool and the cost model turns
 //! into the speedup curves of Figure 3.
+//!
+//! # Layout
+//!
+//! A schedule is one flat slab, built by a [`ScheduleBuilder`]: per
+//! statement instance a `u32` statement id and a fixed-stride row of loop
+//! indices (the stride is the deepest statement's depth; each statement's
+//! own depth is recorded once), plus three boundary arrays.  A work item
+//! is a run of consecutive instances, a *unit* a run of consecutive items
+//! (a WHILE chain, or one item of a DOALL), and a phase a run of
+//! consecutive units.  Execution order is slab order, so every unit, and
+//! every phase, is one contiguous range of instances.  Callers read the
+//! slab through the borrowed views [`Phase`], [`Unit`] and [`WorkItem`];
+//! no instance owns a heap object.
 
 use rcp_core::ConcretePartition;
 use rcp_depend::{DependenceAnalysis, Granularity};
-use rcp_intlin::IVec;
-use rcp_loopir::{LoopGroup, Program, UnifiedDecoder};
+use rcp_loopir::{LoopGroup, LoopWalker, Program, UnifiedDecoder};
 use rcp_presburger::DenseSet;
+use std::fmt;
+use std::ops::Range;
 
-/// One unit of scheduled work: a list of statement instances executed
-/// sequentially (normally the statements of one loop-body iteration, or a
-/// single statement instance at statement-level granularity).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WorkItem {
-    /// `(statement id, loop index values)` pairs in execution order.
-    pub instances: Vec<(usize, IVec)>,
-}
-
-impl WorkItem {
-    /// A work item with a single statement instance.
-    pub fn single(stmt_id: usize, indices: IVec) -> Self {
-        WorkItem {
-            instances: vec![(stmt_id, indices)],
-        }
-    }
-
-    /// Number of statement instances in the item.
-    pub fn len(&self) -> usize {
-        self.instances.len()
-    }
-
-    /// True when the item contains no instances.
-    pub fn is_empty(&self) -> bool {
-        self.instances.is_empty()
-    }
-}
-
-/// A barrier-separated phase of a schedule.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Phase {
-    /// Fully parallel set: items may execute concurrently in any order.
-    Doall(Vec<WorkItem>),
+/// How the units of a phase may execute.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PhaseKind {
+    /// Fully parallel set: every work item is its own unit, and items may
+    /// execute concurrently in any order.
+    Doall,
     /// A set of independent chains: chains may execute concurrently, the
     /// items of one chain execute sequentially in order (the WHILE loops of
     /// the intermediate set).
-    ChainSet(Vec<Vec<WorkItem>>),
-}
-
-impl Phase {
-    /// Total number of work items in the phase.
-    pub fn n_items(&self) -> usize {
-        match self {
-            Phase::Doall(items) => items.len(),
-            Phase::ChainSet(chains) => chains.iter().map(|c| c.len()).sum(),
-        }
-    }
-
-    /// The number of independently schedulable units (items or chains).
-    pub fn width(&self) -> usize {
-        match self {
-            Phase::Doall(items) => items.len(),
-            Phase::ChainSet(chains) => chains.len(),
-        }
-    }
-
-    /// The longest sequential run inside the phase, in work items.
-    pub fn depth(&self) -> usize {
-        match self {
-            Phase::Doall(items) => usize::from(!items.is_empty()),
-            Phase::ChainSet(chains) => chains.iter().map(|c| c.len()).max().unwrap_or(0),
-        }
-    }
+    ChainSet,
 }
 
 /// A parallel execution schedule: phases executed in order with a barrier
-/// after each phase.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// after each phase, held as one flat slab (see the [module
+/// docs](self)).
+#[derive(Clone, PartialEq, Eq)]
 pub struct Schedule {
     /// Schedule name (scheme + workload, used in reports).
     pub name: String,
-    /// The barrier-separated phases.
-    pub phases: Vec<Phase>,
+    /// Statement id → the number of loop indices its instances carry.
+    depths: Vec<u32>,
+    /// Length of an index row: the largest depth, at least 1.
+    stride: usize,
+    /// Per instance, its statement id.
+    stmts: Vec<u32>,
+    /// Per instance, `stride` loop indices, outermost first, zero padded.
+    indices: Vec<i64>,
+    /// Item `k` holds instances `items[k]..items[k + 1]`.
+    items: Vec<u32>,
+    /// Unit `u` holds items `units[u]..units[u + 1]`.
+    units: Vec<u32>,
+    /// Per phase, its kind and first unit; phase `p`'s units end where
+    /// phase `p + 1`'s begin.
+    phases: Vec<(PhaseKind, u32)>,
+}
+
+/// A slab offset as stored: a schedule addresses at most `u32::MAX`
+/// instances, items and units.
+// Panic-hygiene allow: past u32::MAX instances the slab alone would hold
+// more than 48 GB, which no allocation reaches, so the overflow is
+// unreachable in practice.
+#[allow(clippy::expect_used)]
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("a schedule holds at most u32::MAX instances")
 }
 
 impl Schedule {
-    /// Creates an empty schedule.
-    pub fn new(name: &str) -> Self {
-        Schedule {
-            name: name.to_string(),
-            phases: Vec::new(),
-        }
-    }
-
     /// The fully sequential schedule of a program at concrete parameter
-    /// values: every statement instance in program order, as listed by the
-    /// loop interpreter ([`Program::enumerate_instances`]), as one chain.
+    /// values: every statement instance in program order, as the compiled
+    /// loop walker ([`Program::walker`]) lists them, as one chain.
     pub fn sequential(program: &Program, params: &[i64]) -> Schedule {
-        let items = program
-            .enumerate_instances(params)
-            .into_iter()
-            .map(|(stmt, indices)| WorkItem::single(stmt, indices))
-            .collect();
-        Schedule {
-            name: format!("{}-sequential", program.name),
-            phases: vec![Phase::ChainSet(vec![items])],
-        }
+        let walker = program.walker(params);
+        let mut builder =
+            ScheduleBuilder::new(&format!("{}-sequential", program.name), walker.depths());
+        let n = walker.count();
+        builder.reserve(n, n);
+        builder.phase(PhaseKind::ChainSet);
+        builder.chain();
+        walker.for_each(|stmt, indices| builder.single(stmt, indices));
+        builder.finish()
     }
 
     /// Builds the schedule of a concrete Algorithm-1 partition.
@@ -131,73 +108,67 @@ impl Schedule {
     /// Builds the schedule of a concrete Algorithm-1 partition whose
     /// points `expander` turns into work items.
     pub fn from_partition_with(
-        expander: &PointExpander<'_>,
+        expander: &PointExpander,
         partition: &ConcretePartition,
         name: &str,
     ) -> Schedule {
-        let to_item = |point: &[i64]| expander.item(point);
-        let mut phases = Vec::new();
+        let mut builder = expander.builder(name);
+        let doall = |builder: &mut ScheduleBuilder, points: &DenseSet| {
+            if !points.is_empty() {
+                builder.phase(PhaseKind::Doall);
+                for point in points.iter() {
+                    expander.item(point, builder);
+                }
+            }
+        };
         match partition {
             ConcretePartition::RecurrenceChains { p1, chains, p3, .. } => {
-                if !p1.is_empty() {
-                    phases.push(Phase::Doall(p1.iter().map(to_item).collect()));
-                }
+                let chained: usize = chains.iter().map(|c| c.len()).sum();
+                expander.reserve(&mut builder, p1.len() + chained + p3.len());
+                doall(&mut builder, p1);
                 if !chains.is_empty() {
-                    phases.push(Phase::ChainSet(
-                        chains
-                            .iter()
-                            .map(|c| c.iterations.iter().map(|p| to_item(p)).collect())
-                            .collect(),
-                    ));
-                }
-                if !p3.is_empty() {
-                    phases.push(Phase::Doall(p3.iter().map(to_item).collect()));
-                }
-            }
-            ConcretePartition::Dataflow { stages } => {
-                for stage in &stages.stages {
-                    if !stage.is_empty() {
-                        phases.push(Phase::Doall(stage.iter().map(to_item).collect()));
+                    builder.phase(PhaseKind::ChainSet);
+                    for chain in chains {
+                        builder.chain();
+                        for point in &chain.iterations {
+                            expander.item(point, &mut builder);
+                        }
                     }
                 }
+                doall(&mut builder, p3);
+            }
+            ConcretePartition::Dataflow { stages } => {
+                let points = stages.stages.iter().map(DenseSet::len).sum();
+                expander.reserve(&mut builder, points);
+                for stage in &stages.stages {
+                    doall(&mut builder, stage);
+                }
             }
         }
-        Schedule {
-            name: name.to_string(),
-            phases,
-        }
+        builder.finish()
     }
 
     /// Builds a one-phase DOALL schedule from a dense set of points (used by
     /// baseline schemes; direct views only).
     pub fn doall_phase(analysis: &DependenceAnalysis, points: &DenseSet, name: &str) -> Schedule {
         let expander = PointExpander::new(analysis, &[]);
-        Schedule {
-            name: name.to_string(),
-            phases: vec![Phase::Doall(
-                points.iter().map(|p| expander.item(p)).collect(),
-            )],
+        let mut builder = expander.builder(name);
+        expander.reserve(&mut builder, points.len());
+        builder.phase(PhaseKind::Doall);
+        for point in points.iter() {
+            expander.item(point, &mut builder);
         }
+        builder.finish()
     }
 
     /// Total number of work items.
     pub fn n_items(&self) -> usize {
-        self.phases.iter().map(|p| p.n_items()).sum()
+        self.items.len() - 1
     }
 
     /// Total number of statement instances.
     pub fn n_instances(&self) -> usize {
-        self.phases
-            .iter()
-            .map(|p| match p {
-                Phase::Doall(items) => items.iter().map(|i| i.len()).sum::<usize>(),
-                Phase::ChainSet(chains) => chains
-                    .iter()
-                    .flat_map(|c| c.iter())
-                    .map(|i| i.len())
-                    .sum::<usize>(),
-            })
-            .sum()
+        self.stmts.len()
     }
 
     /// Number of barrier-separated phases.
@@ -208,53 +179,454 @@ impl Schedule {
     /// The critical path in work items: the sum over phases of the longest
     /// sequential run inside each phase.
     pub fn critical_path(&self) -> usize {
-        self.phases.iter().map(|p| p.depth()).sum()
+        self.phases().map(|p| p.depth()).sum()
+    }
+
+    /// The phases in execution order.
+    pub fn phases(&self) -> impl ExactSizeIterator<Item = Phase<'_>> + '_ {
+        (0..self.phases.len()).map(|p| self.phase(p))
+    }
+
+    /// Phase `p` (panics past [`Self::n_phases`]).
+    pub fn phase(&self, p: usize) -> Phase<'_> {
+        let (kind, first) = self.phases[p];
+        let end = self
+            .phases
+            .get(p + 1)
+            .map_or(self.units.len() - 1, |&(_, next)| next as usize);
+        Phase {
+            schedule: self,
+            kind,
+            units: first as usize..end,
+        }
+    }
+
+    /// Every statement instance in execution order: phase by phase, unit
+    /// by unit.
+    pub fn instances(&self) -> Instances<'_> {
+        self.instances_in(0..self.n_instances())
+    }
+
+    /// The instances `range` of the slab, in order.
+    pub fn instances_in(&self, range: Range<usize>) -> Instances<'_> {
+        Instances {
+            depths: &self.depths,
+            stmts: self.stmts[range.clone()].iter(),
+            rows: self.indices[range.start * self.stride..range.end * self.stride]
+                .chunks_exact(self.stride),
+        }
+    }
+
+    /// Instance `i` of the slab: its statement id and its own loop
+    /// indices.
+    #[inline]
+    pub fn instance(&self, i: usize) -> (usize, &[i64]) {
+        let stmt = self.stmts[i] as usize;
+        let start = i * self.stride;
+        (
+            stmt,
+            &self.indices[start..start + self.depths[stmt] as usize],
+        )
+    }
+
+    /// Statement id → the number of loop indices its instances carry.
+    pub fn statement_depths(&self) -> Vec<usize> {
+        self.depths.iter().map(|&d| d as usize).collect()
+    }
+
+    fn item(&self, k: usize) -> WorkItem<'_> {
+        WorkItem {
+            schedule: self,
+            instances: self.items[k] as usize..self.items[k + 1] as usize,
+        }
+    }
+
+    fn unit(&self, u: usize) -> Unit<'_> {
+        Unit {
+            schedule: self,
+            items: self.units[u] as usize..self.units[u + 1] as usize,
+        }
     }
 
     /// Checks that this schedule executes exactly the same statement
     /// instances as the program in sequential order (each exactly once).
     /// Returns violated invariants.
     pub fn validate_coverage(&self, program: &Program, params: &[i64]) -> Vec<String> {
-        use std::collections::BTreeMap;
-        let mut scheduled: BTreeMap<(usize, IVec), usize> = BTreeMap::new();
-        for item in self.all_items() {
-            for inst in &item.instances {
-                *scheduled.entry(inst.clone()).or_insert(0) += 1;
+        use std::cmp::Ordering;
+        let reference = Schedule::sequential(program, params);
+        let (mine, theirs) = (self.tally(), reference.tally());
+        // Merge the two ascending tallies: surplus and miscounted
+        // instances first, then the unscheduled ones, each in order.
+        let (mut problems, mut missing) = (Vec::new(), Vec::new());
+        let (mut i, mut j) = (0, 0);
+        while i < mine.len() || j < theirs.len() {
+            let order = match (mine.get(i), theirs.get(j)) {
+                (Some(a), Some(b)) => a.0.cmp(&b.0),
+                (Some(_), None) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            match order {
+                Ordering::Less => {
+                    problems.push(format!(
+                        "instance {:?} is not part of the program",
+                        mine[i].0
+                    ));
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    missing.push(format!("instance {:?} is never scheduled", theirs[j].0));
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    let ((inst, count), (_, c)) = (mine[i], theirs[j]);
+                    if count != c {
+                        problems.push(format!(
+                            "instance {inst:?} scheduled {count} times, expected {c}"
+                        ));
+                    }
+                    i += 1;
+                    j += 1;
+                }
             }
         }
-        let mut reference: BTreeMap<(usize, IVec), usize> = BTreeMap::new();
-        for inst in program.enumerate_instances(params) {
-            *reference.entry(inst).or_insert(0) += 1;
-        }
-        let mut problems = Vec::new();
-        for (inst, &count) in &scheduled {
-            match reference.get(inst) {
-                None => problems.push(format!("instance {:?} is not part of the program", inst)),
-                Some(&c) if c != count => problems.push(format!(
-                    "instance {:?} scheduled {count} times, expected {c}",
-                    inst
-                )),
-                _ => {}
-            }
-        }
-        for inst in reference.keys() {
-            if !scheduled.contains_key(inst) {
-                problems.push(format!("instance {:?} is never scheduled", inst));
-            }
-        }
+        problems.extend(missing);
         problems
     }
 
-    /// Iterates all work items of all phases.
-    pub fn all_items(&self) -> impl Iterator<Item = &WorkItem> {
-        self.phases.iter().flat_map(|p| match p {
-            Phase::Doall(items) => items.iter().collect::<Vec<_>>().into_iter(),
-            Phase::ChainSet(chains) => chains
-                .iter()
-                .flat_map(|c| c.iter())
-                .collect::<Vec<_>>()
-                .into_iter(),
-        })
+    /// The distinct instances in ascending `(statement, indices)` order,
+    /// each with its number of occurrences.
+    fn tally(&self) -> Vec<(InstanceRef<'_>, usize)> {
+        let mut all: Vec<InstanceRef<'_>> = self.instances().collect();
+        all.sort_unstable();
+        let mut out: Vec<(InstanceRef<'_>, usize)> = Vec::new();
+        for inst in all {
+            match out.last_mut() {
+                Some((last, n)) if *last == inst => *n += 1,
+                _ => out.push((inst, 1)),
+            }
+        }
+        out
+    }
+}
+
+/// One statement instance of a slab: its statement id and its own loop
+/// indices.
+type InstanceRef<'s> = (usize, &'s [i64]);
+
+/// The `Debug` text of the nested form the slab replaced:
+/// `Schedule { name, phases: [Doall([WorkItem { instances: [(stmt,
+/// [indices])] }]), ChainSet([[…]])] }`, so schedule digests stay
+/// comparable across the change.
+impl fmt::Debug for Schedule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Schedule")
+            .field("name", &self.name)
+            .field(
+                "phases",
+                &DebugWith(|f| f.debug_list().entries(self.phases()).finish()),
+            )
+            .finish()
+    }
+}
+
+/// A `Debug` value written by a closure.
+struct DebugWith<F: Fn(&mut fmt::Formatter<'_>) -> fmt::Result>(F);
+
+impl<F: Fn(&mut fmt::Formatter<'_>) -> fmt::Result> fmt::Debug for DebugWith<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (self.0)(f)
+    }
+}
+
+/// A barrier-separated phase of a schedule: a run of units.
+#[derive(Clone)]
+pub struct Phase<'s> {
+    schedule: &'s Schedule,
+    kind: PhaseKind,
+    units: Range<usize>,
+}
+
+impl<'s> Phase<'s> {
+    /// DOALL or chain set.
+    pub fn kind(&self) -> PhaseKind {
+        self.kind
+    }
+
+    /// The independently schedulable units: the items of a DOALL, the
+    /// chains of a chain set.
+    pub fn units(&self) -> impl ExactSizeIterator<Item = Unit<'s>> + 's {
+        let schedule = self.schedule;
+        self.units.clone().map(move |u| schedule.unit(u))
+    }
+
+    /// Unit `k` of the phase (panics past [`Self::width`]).
+    pub fn unit(&self, k: usize) -> Unit<'s> {
+        assert!(k < self.width(), "unit {k} of a phase of {}", self.width());
+        self.schedule.unit(self.units.start + k)
+    }
+
+    /// The number of independently schedulable units (items or chains).
+    pub fn width(&self) -> usize {
+        self.units.len()
+    }
+
+    /// The phase's work items in execution order.
+    pub fn items(&self) -> impl ExactSizeIterator<Item = WorkItem<'s>> + 's {
+        let schedule = self.schedule;
+        self.item_range().map(move |k| schedule.item(k))
+    }
+
+    /// Total number of work items in the phase.
+    pub fn n_items(&self) -> usize {
+        self.item_range().len()
+    }
+
+    /// The longest sequential run inside the phase, in work items.
+    pub fn depth(&self) -> usize {
+        self.units().map(|u| u.len()).max().unwrap_or(0)
+    }
+
+    /// The phase's statement instances: one contiguous range of the slab.
+    pub fn instance_range(&self) -> Range<usize> {
+        let items = self.item_range();
+        self.schedule.items[items.start] as usize..self.schedule.items[items.end] as usize
+    }
+
+    fn item_range(&self) -> Range<usize> {
+        let units = &self.schedule.units;
+        units[self.units.start] as usize..units[self.units.end] as usize
+    }
+}
+
+impl fmt::Debug for Phase<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.kind {
+            PhaseKind::Doall => f
+                .debug_tuple("Doall")
+                .field(&DebugWith(|f| {
+                    f.debug_list().entries(self.items()).finish()
+                }))
+                .finish(),
+            PhaseKind::ChainSet => f
+                .debug_tuple("ChainSet")
+                .field(&DebugWith(|f| {
+                    f.debug_list().entries(self.units()).finish()
+                }))
+                .finish(),
+        }
+    }
+}
+
+/// One unit of intra-phase concurrency: a run of work items that execute
+/// sequentially in order (a chain, or one DOALL item).
+#[derive(Clone)]
+pub struct Unit<'s> {
+    schedule: &'s Schedule,
+    items: Range<usize>,
+}
+
+impl<'s> Unit<'s> {
+    /// The unit's work items in order.
+    pub fn items(&self) -> impl ExactSizeIterator<Item = WorkItem<'s>> + 's {
+        let schedule = self.schedule;
+        self.items.clone().map(move |k| schedule.item(k))
+    }
+
+    /// Number of work items in the unit.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// True when the unit holds no work item.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// The unit's statement instances: one contiguous range of the slab.
+    pub fn instance_range(&self) -> Range<usize> {
+        let items = &self.schedule.items;
+        items[self.items.start] as usize..items[self.items.end] as usize
+    }
+
+    /// The unit's statement instances in execution order.
+    pub fn instances(&self) -> Instances<'s> {
+        self.schedule.instances_in(self.instance_range())
+    }
+}
+
+/// A chain prints as its list of items.
+impl fmt::Debug for Unit<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.items()).finish()
+    }
+}
+
+/// One unit of scheduled work: a run of statement instances executed
+/// sequentially (normally the statements of one loop-body iteration, or a
+/// single statement instance at statement-level granularity).
+#[derive(Clone)]
+pub struct WorkItem<'s> {
+    schedule: &'s Schedule,
+    instances: Range<usize>,
+}
+
+impl<'s> WorkItem<'s> {
+    /// The `(statement id, loop index values)` pairs in execution order.
+    pub fn instances(&self) -> Instances<'s> {
+        self.schedule.instances_in(self.instances.clone())
+    }
+
+    /// Number of statement instances in the item.
+    pub fn len(&self) -> usize {
+        self.instances.len()
+    }
+
+    /// True when the item contains no instances.
+    pub fn is_empty(&self) -> bool {
+        self.instances.is_empty()
+    }
+}
+
+impl fmt::Debug for WorkItem<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WorkItem")
+            .field(
+                "instances",
+                &DebugWith(|f| f.debug_list().entries(self.instances()).finish()),
+            )
+            .finish()
+    }
+}
+
+/// Statement instances of a schedule in slab order: `(statement id, its
+/// own loop indices)`, borrowed from the slab.
+#[derive(Clone)]
+pub struct Instances<'s> {
+    depths: &'s [u32],
+    stmts: std::slice::Iter<'s, u32>,
+    rows: std::slice::ChunksExact<'s, i64>,
+}
+
+impl<'s> Iterator for Instances<'s> {
+    type Item = (usize, &'s [i64]);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let stmt = *self.stmts.next()? as usize;
+        let row = self.rows.next()?;
+        Some((stmt, &row[..self.depths[stmt] as usize]))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.stmts.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Instances<'_> {}
+
+/// The one constructor of [`Schedule`]s.
+///
+/// Calls append to the slab in execution order: [`Self::phase`] opens a
+/// phase, [`Self::chain`] a chain of a chain-set phase, [`Self::item`] a
+/// work item (in a DOALL phase also its unit), and [`Self::instance`]
+/// appends an instance to the open item.  Opening one closes the previous
+/// one of its kind; [`Self::finish`] closes everything.
+pub struct ScheduleBuilder {
+    schedule: Schedule,
+}
+
+impl ScheduleBuilder {
+    /// An empty schedule named `name` whose statement `s` carries
+    /// `depths[s]` loop indices.
+    pub fn new(name: &str, depths: &[usize]) -> Self {
+        let stride = depths.iter().copied().max().unwrap_or(0).max(1);
+        ScheduleBuilder {
+            schedule: Schedule {
+                name: name.to_string(),
+                depths: depths.iter().map(|&d| offset(d)).collect(),
+                stride,
+                stmts: Vec::new(),
+                indices: Vec::new(),
+                items: Vec::new(),
+                units: Vec::new(),
+                phases: Vec::new(),
+            },
+        }
+    }
+
+    /// Reserves room for `instances` more instances in `items` more items.
+    pub fn reserve(&mut self, instances: usize, items: usize) {
+        let s = &mut self.schedule;
+        s.stmts.reserve(instances);
+        s.indices.reserve(instances * s.stride);
+        s.items.reserve(items + 1);
+        s.units.reserve(items + 1);
+    }
+
+    /// Opens a phase of `kind`.
+    pub fn phase(&mut self, kind: PhaseKind) {
+        let s = &mut self.schedule;
+        s.phases.push((kind, offset(s.units.len())));
+    }
+
+    /// Opens a chain of the open chain-set phase.
+    pub fn chain(&mut self) {
+        debug_assert_eq!(
+            self.schedule.phases.last().map(|p| p.0),
+            Some(PhaseKind::ChainSet),
+            "chains belong to chain-set phases"
+        );
+        let s = &mut self.schedule;
+        s.units.push(offset(s.items.len()));
+    }
+
+    /// Opens a work item: in a DOALL phase a unit of its own, in a chain
+    /// set the next item of the open chain.
+    pub fn item(&mut self) {
+        let s = &mut self.schedule;
+        match s.phases.last() {
+            Some(&(PhaseKind::Doall, _)) => s.units.push(offset(s.items.len())),
+            Some(&(PhaseKind::ChainSet, first)) => {
+                debug_assert!(s.units.len() > first as usize, "items belong to chains")
+            }
+            None => debug_assert!(false, "items belong to phases"),
+        }
+        s.items.push(offset(s.stmts.len()));
+    }
+
+    /// Appends an instance of statement `stmt` at its loop `indices` to
+    /// the open item.
+    #[inline]
+    pub fn instance(&mut self, stmt: usize, indices: &[i64]) {
+        self.row(stmt).copy_from_slice(indices);
+    }
+
+    /// Opens an item holding the one instance `(stmt, indices)`.
+    #[inline]
+    pub fn single(&mut self, stmt: usize, indices: &[i64]) {
+        self.item();
+        self.instance(stmt, indices);
+    }
+
+    /// Appends an instance of statement `stmt` to the open item and
+    /// returns its loop indices, zeroed, for the caller to fill.
+    #[inline]
+    pub fn row(&mut self, stmt: usize) -> &mut [i64] {
+        let s = &mut self.schedule;
+        debug_assert!(!s.items.is_empty(), "instances belong to items");
+        let depth = s.depths[stmt] as usize;
+        s.stmts.push(offset(stmt));
+        let start = s.indices.len();
+        s.indices.resize(start + s.stride, 0);
+        &mut s.indices[start..start + depth]
+    }
+
+    /// The finished schedule.
+    pub fn finish(mut self) -> Schedule {
+        let s = &mut self.schedule;
+        s.units.push(offset(s.items.len()));
+        s.items.push(offset(s.stmts.len()));
+        self.schedule
     }
 }
 
@@ -263,31 +635,31 @@ impl Schedule {
 /// nest at those indices, an aggregated point the whole body of one prefix
 /// iteration, a statement-level point a single instance.
 ///
-/// Build one per schedule: construction reads the program tree once, so
-/// [`Self::item`] never re-walks it per point.  Public because structural
-/// schedule checks (the differential fuzzer's dependence-respect oracle)
-/// need the same point-to-instances expansion the schedules were built
-/// with.
-pub struct PointExpander<'a> {
-    program: &'a Program,
-    params: &'a [i64],
+/// Build one per schedule: construction reads the program tree once (and
+/// for aggregated points compiles its loop walker), so [`Self::item`]
+/// never re-walks it per point.  Public because structural schedule checks
+/// (the differential fuzzer's dependence-respect oracle) need the same
+/// point-to-instances expansion the schedules were built with.
+pub struct PointExpander {
+    /// Statement id → loop depth.
+    depths: Vec<usize>,
     expansion: Expansion,
 }
 
 enum Expansion {
     /// Aggregated loop-level points `(group, prefix iteration, padding)`.
-    Groups(Vec<LoopGroup>),
+    Groups(Vec<LoopGroup>, LoopWalker),
     /// Loop-level points of a perfect nest with this many statements.
     Nest(usize),
     /// Statement-level points of the unified space.
     Unified(UnifiedDecoder),
 }
 
-impl<'a> PointExpander<'a> {
+impl PointExpander {
     /// The expander of `analysis`'s points at the parameter values
     /// `params`, which aggregated points need to expand their inner loops
     /// (unused for direct views).
-    pub fn new(analysis: &'a DependenceAnalysis, params: &'a [i64]) -> Self {
+    pub fn new(analysis: &DependenceAnalysis, params: &[i64]) -> Self {
         Self::for_program(&analysis.program, analysis.granularity, params)
     }
 
@@ -296,50 +668,77 @@ impl<'a> PointExpander<'a> {
     /// an imperfect nest is the aggregated loop-group view, whose points
     /// need `params` to expand their inner loops.  No dependence analysis
     /// is involved.
-    pub fn for_program(program: &'a Program, granularity: Granularity, params: &'a [i64]) -> Self {
+    pub fn for_program(program: &Program, granularity: Granularity, params: &[i64]) -> Self {
+        let depths = program.statement_depths();
         let expansion = match granularity {
-            Granularity::LoopLevel if program.is_perfect_nest() => {
-                Expansion::Nest(program.statements().len())
-            }
-            Granularity::LoopLevel => Expansion::Groups(program.loop_groups().unwrap_or_default()),
+            Granularity::LoopLevel if program.is_perfect_nest() => Expansion::Nest(depths.len()),
+            Granularity::LoopLevel => Expansion::Groups(
+                program.loop_groups().unwrap_or_default(),
+                program.walker(params),
+            ),
             Granularity::StatementLevel => Expansion::Unified(program.unified_decoder()),
         };
-        PointExpander {
-            program,
-            params,
-            expansion,
+        PointExpander { depths, expansion }
+    }
+
+    /// An empty schedule builder for this program's statements.
+    pub fn builder(&self, name: &str) -> ScheduleBuilder {
+        ScheduleBuilder::new(name, &self.depths)
+    }
+
+    /// Reserves room in `builder` for the items of `points` points (and
+    /// their instances, where a point's instance count is fixed).
+    pub fn reserve(&self, builder: &mut ScheduleBuilder, points: usize) {
+        let per_point = match &self.expansion {
+            Expansion::Groups(..) => 0,
+            Expansion::Nest(statements) => *statements,
+            Expansion::Unified(_) => 1,
+        };
+        builder.reserve(points * per_point, points);
+    }
+
+    /// Appends the work item of one partition point to `builder`.
+    // Panic-hygiene allow: partition points come from the same analysis the
+    // expander was built from, so the instance lookup is an invariant.
+    #[allow(clippy::expect_used)]
+    pub fn item(&self, point: &[i64], builder: &mut ScheduleBuilder) {
+        builder.item();
+        match &self.expansion {
+            Expansion::Unified(decoder) => {
+                let stmt = decoder
+                    .statement(point)
+                    .expect("partition point decodes to a statement instance");
+                for (k, x) in builder.row(stmt).iter_mut().enumerate() {
+                    *x = point[2 * k + 1];
+                }
+            }
+            _ => self.for_each_instance(point, |stmt, indices| builder.instance(stmt, indices)),
         }
     }
 
-    /// The work item of one partition point.
-    // Panic-hygiene allow: partition points come from the same analysis the
-    // expander was built from, so the group/instance lookups are invariants.
+    /// Calls `f(statement id, loop indices)` for every instance of one
+    /// partition point's work item, in execution order.
+    // Panic-hygiene allow: as for `item`.
     #[allow(clippy::expect_used)]
-    pub fn item(&self, point: &[i64]) -> WorkItem {
+    pub fn for_each_instance(&self, point: &[i64], mut f: impl FnMut(usize, &[i64])) {
         match &self.expansion {
-            Expansion::Groups(groups) => {
+            Expansion::Groups(groups, walker) => {
                 // An aggregated point executes the whole body of one
                 // prefix iteration in program order.
                 let group = groups
                     .iter()
                     .find(|g| g.group as i64 == point[0])
                     .expect("aggregated point names a loop group");
-                let prefix = &point[1..1 + group.depth()];
-                WorkItem {
-                    instances: self
-                        .program
-                        .enumerate_group_instances(group, prefix, self.params),
-                }
+                walker.for_each_in_group(group, &point[1..1 + group.depth()], f);
             }
             // All statements of the nest execute at these indices, in order.
-            Expansion::Nest(statements) => WorkItem {
-                instances: (0..*statements).map(|id| (id, point.to_vec())).collect(),
-            },
+            Expansion::Nest(statements) => (0..*statements).for_each(|id| f(id, point)),
             Expansion::Unified(decoder) => {
-                let (stmt, indices) = decoder
-                    .decode(point)
+                let stmt = decoder
+                    .statement(point)
                     .expect("partition point decodes to a statement instance");
-                WorkItem::single(stmt, indices)
+                let indices: Vec<i64> = (0..self.depths[stmt]).map(|k| point[2 * k + 1]).collect();
+                f(stmt, &indices);
             }
         }
     }
@@ -380,7 +779,7 @@ mod tests {
         assert_eq!(seq.n_phases(), 1);
         assert_eq!(seq.critical_path(), 20);
         // items appear in increasing loop order
-        let indices: Vec<i64> = seq.all_items().map(|w| w.instances[0].1[0]).collect();
+        let indices: Vec<i64> = seq.instances().map(|(_, idx)| idx[0]).collect();
         assert_eq!(indices, (1..=20).collect::<Vec<_>>());
         assert!(seq.validate_coverage(&p, &[]).is_empty());
     }
@@ -396,10 +795,8 @@ mod tests {
         assert_eq!(sched.n_items(), 20);
         assert_eq!(sched.critical_path(), 2);
         assert!(sched.validate_coverage(&p, &[]).is_empty());
-        match &sched.phases[0] {
-            Phase::Doall(items) => assert_eq!(items.len(), 12),
-            _ => panic!("expected a DOALL phase"),
-        }
+        assert_eq!(sched.phase(0).kind(), PhaseKind::Doall);
+        assert_eq!(sched.phase(0).n_items(), 12);
     }
 
     #[test]
@@ -435,10 +832,31 @@ mod tests {
         assert!(sched.validate_coverage(&p, &[30, 40]).is_empty());
         assert_eq!(sched.n_phases(), 3);
         // phase 2 is the chain set and is deeper than one item
-        assert!(matches!(sched.phases[1], Phase::ChainSet(_)));
-        assert!(sched.phases[1].depth() >= 2);
+        assert_eq!(sched.phase(1).kind(), PhaseKind::ChainSet);
+        assert!(sched.phase(1).depth() >= 2);
         // critical path well below the sequential length
         assert!(sched.critical_path() < 100);
+    }
+
+    /// A copy of a DOALL-only `sched` whose first phase's items are
+    /// `edit`ed.
+    fn edited(sched: &Schedule, edit: impl FnOnce(&mut Vec<WorkItem<'_>>)) -> Schedule {
+        let mut builder = ScheduleBuilder::new(&sched.name, &sched.statement_depths());
+        let mut edit = Some(edit);
+        for phase in sched.phases() {
+            builder.phase(phase.kind());
+            let mut items: Vec<WorkItem> = phase.items().collect();
+            if let Some(edit) = edit.take() {
+                edit(&mut items);
+            }
+            for item in items {
+                builder.item();
+                for (stmt, indices) in item.instances() {
+                    builder.instance(stmt, indices);
+                }
+            }
+        }
+        builder.finish()
     }
 
     #[test]
@@ -446,18 +864,55 @@ mod tests {
         let p = figure2();
         let analysis = DependenceAnalysis::loop_level(&p);
         let part = concrete_partition(&analysis, &[]);
-        let mut sched = Schedule::from_partition(&analysis, &part, "broken");
+        let sched = Schedule::from_partition(&analysis, &part, "broken");
+        assert!(sched.validate_coverage(&p, &[]).is_empty());
+        assert_eq!(edited(&sched, |_| {}), sched);
         // remove one item
-        if let Phase::Doall(items) = &mut sched.phases[0] {
+        let missing = edited(&sched, |items| {
             items.pop();
-        }
-        assert!(!sched.validate_coverage(&p, &[]).is_empty());
+        });
+        assert_eq!(missing.validate_coverage(&p, &[]).len(), 1);
         // duplicate an item
-        let mut sched = Schedule::from_partition(&analysis, &part, "broken2");
-        if let Phase::Doall(items) = &mut sched.phases[0] {
-            let dup = items[0].clone();
-            items.push(dup);
-        }
-        assert!(!sched.validate_coverage(&p, &[]).is_empty());
+        let duplicated = edited(&sched, |items| items.push(items[0].clone()));
+        let problems = duplicated.validate_coverage(&p, &[]);
+        assert_eq!(problems.len(), 1);
+        assert!(
+            problems[0].ends_with("scheduled 2 times, expected 1"),
+            "{problems:?}"
+        );
+    }
+
+    #[test]
+    fn debug_text_is_the_nested_form() {
+        // Two statements of depths 2 and 1; an empty item and an empty
+        // chain keep their place.
+        let mut b = ScheduleBuilder::new("s", &[2, 1]);
+        b.phase(PhaseKind::Doall);
+        b.single(0, &[1, 2]);
+        b.item();
+        b.phase(PhaseKind::ChainSet);
+        b.chain();
+        b.single(1, &[3]);
+        b.item();
+        b.instance(0, &[4, 5]);
+        b.instance(1, &[4]);
+        b.chain();
+        let s = b.finish();
+        assert_eq!(
+            format!("{s:?}"),
+            "Schedule { name: \"s\", phases: [Doall([WorkItem { instances: [(0, [1, 2])] }, \
+             WorkItem { instances: [] }]), ChainSet([[WorkItem { instances: [(1, [3])] }, \
+             WorkItem { instances: [(0, [4, 5]), (1, [4])] }], []])] }"
+        );
+        // Units and phases are contiguous instance ranges of the slab.
+        assert_eq!((s.n_phases(), s.n_items(), s.n_instances()), (2, 4, 4));
+        assert_eq!(s.phase(0).instance_range(), 0..1);
+        assert_eq!(s.phase(1).instance_range(), 1..4);
+        assert_eq!(s.phase(1).unit(0).instance_range(), 1..4);
+        assert!(s.phase(1).unit(1).is_empty());
+        assert_eq!((s.phase(0).depth(), s.phase(1).depth()), (1, 2));
+        assert_eq!(s.critical_path(), 3);
+        assert_eq!(s.instance(2), (0, &[4, 5][..]));
+        assert_eq!(s.instance(3), (1, &[4][..]));
     }
 }

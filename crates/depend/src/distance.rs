@@ -41,10 +41,19 @@ pub fn distance_set(relation: &DenseRelation) -> Vec<IVec> {
 /// existing dependence inside the space, which is equivalent to the
 /// definition for finite spaces.
 pub fn classify_uniformity(relation: &DenseRelation, phi: &DenseSet) -> Uniformity {
+    classify_with_distances(relation, phi, &distance_set(relation))
+}
+
+/// [`classify_uniformity`] given the relation's [`distance_set`], for
+/// callers that need the distances too and enumerate them once.
+pub fn classify_with_distances(
+    relation: &DenseRelation,
+    phi: &DenseSet,
+    distances: &[IVec],
+) -> Uniformity {
     if relation.is_empty() {
         return Uniformity::Independent;
     }
-    let distances = distance_set(relation);
     // Translation invariance: for every dependence (i, j) and every other
     // dependence distance d, the pair (i', i' + d) for all i' in phi with
     // i' + d in phi must be a dependence iff d is in the distance set...
@@ -54,7 +63,7 @@ pub fn classify_uniformity(relation: &DenseRelation, phi: &DenseSet) -> Uniformi
     // translations; any violation is non-uniformity.)
     let mut q = vec![0i64; phi.dim()];
     for p in phi.iter() {
-        for d in &distances {
+        for d in distances {
             for ((q, &x), &dx) in q.iter_mut().zip(p).zip(d) {
                 *q = x + dx;
             }

@@ -50,7 +50,8 @@ pub use analysis::{
     Granularity, LoopView, RefPair, ScreenSummary,
 };
 pub use distance::{
-    classify_analysis, classify_uniformity, distance_set, syntactically_uniform, Uniformity,
+    classify_analysis, classify_uniformity, classify_with_distances, distance_set,
+    syntactically_uniform, Uniformity,
 };
 pub use pairspace::{PairScreen, ScreenConfig, ScreenStats};
 pub use screening::{banerjee_test, gcd_test, Screening};

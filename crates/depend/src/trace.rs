@@ -18,9 +18,9 @@
 //!
 //! Points are the analysis's points.  At statement level each instance is
 //! one point; at loop level over a perfect nest the nest's `S` statements
-//! of one iteration form a point.  The interpreter lists instances in
-//! program order, which is `Φ`'s lexicographic order, so trace position
-//! `k` is `Φ` id `k`.
+//! of one iteration form a point.  The compiled loop walker lists
+//! instances in program order, which is `Φ`'s lexicographic order, so
+//! trace position `k` is `Φ` id `k`.
 //!
 //! # Why the levels are `Rd`'s longest-path levels
 //!
@@ -87,44 +87,49 @@ pub fn dataflow_levels(program: &Program, values: &[i64], granularity: Granulari
     let mut subscript = vec![0i64; max_rank];
     // (array slot, element id, is a write) of the current point's accesses.
     let mut touched: Vec<(usize, u32, bool)> = Vec::new();
-    let instances = program.enumerate_instances(&[]);
-    let mut levels = Vec::with_capacity(instances.len() / per_point);
-    for chunk in instances.chunks(per_point * TICK_POINTS) {
-        rcp_guard::tick(
-            rcp_guard::Stage::Partition,
-            chunk.len().div_ceil(per_point) as u64,
-        );
-        for point in chunk.chunks(per_point) {
-            touched.clear();
-            let mut level = 0u32;
-            for (stmt, indices) in point {
-                for access in &stmts[*stmt] {
-                    let table = &mut tables[access.slot];
-                    let subscript = &mut subscript[..table.rank];
-                    access.eval(indices, subscript);
-                    let e = table.id(subscript);
-                    let state = table.state[e as usize];
-                    level = level.max(state.writer);
-                    if access.write {
-                        level = level.max(state.reader);
-                    }
-                    touched.push((access.slot, e, access.write));
-                }
-            }
-            for &(slot, e, write) in &touched {
-                let state = &mut tables[slot].state[e as usize];
-                if write {
-                    *state = ElementState {
-                        writer: level + 1,
-                        reader: 0,
-                    };
-                } else {
-                    state.reader = state.reader.max(level + 1);
-                }
-            }
-            levels.push(level);
+    let walker = program.walker(&[]);
+    let points = walker.count() / per_point;
+    let mut levels = Vec::with_capacity(points);
+    let mut level = 0u32;
+    // Instances of the current point seen so far.
+    let mut seen = 0;
+    walker.for_each(|stmt, indices| {
+        if seen == 0 && levels.len() % TICK_POINTS == 0 {
+            let chunk = TICK_POINTS.min(points - levels.len());
+            rcp_guard::tick(rcp_guard::Stage::Partition, chunk as u64);
         }
-    }
+        for access in &stmts[stmt] {
+            let table = &mut tables[access.slot];
+            let subscript = &mut subscript[..table.rank];
+            access.eval(indices, subscript);
+            let e = table.id(subscript);
+            let state = table.state[e as usize];
+            level = level.max(state.writer);
+            if access.write {
+                level = level.max(state.reader);
+            }
+            touched.push((access.slot, e, access.write));
+        }
+        seen += 1;
+        if seen < per_point {
+            return;
+        }
+        for &(slot, e, write) in &touched {
+            let state = &mut tables[slot].state[e as usize];
+            if write {
+                *state = ElementState {
+                    writer: level + 1,
+                    reader: 0,
+                };
+            } else {
+                state.reader = state.reader.max(level + 1);
+            }
+        }
+        levels.push(level);
+        touched.clear();
+        level = 0;
+        seen = 0;
+    });
     levels
 }
 

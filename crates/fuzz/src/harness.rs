@@ -29,10 +29,9 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use rcp_codegen::{Phase, PointExpander, Schedule};
+use rcp_codegen::{PointExpander, Schedule};
 use rcp_core::{concrete_partition, symbolic_plan};
 use rcp_depend::DependenceAnalysis;
-use rcp_intlin::IVec;
 use rcp_loopir::Program;
 use rcp_presburger::DenseRelation;
 use rcp_runtime::{execute_schedule, execute_sequential, RefKernel, Verification};
@@ -115,26 +114,11 @@ pub fn ordering_violations(
 ) -> usize {
     // (phase, unit, step) per instance: unit = DOALL item or chain index,
     // step = sequential position inside the unit.
-    let mut pos: HashMap<(usize, IVec), (usize, usize, usize)> = HashMap::new();
-    for (phase_idx, phase) in schedule.phases.iter().enumerate() {
-        match phase {
-            Phase::Doall(items) => {
-                for (unit, item) in items.iter().enumerate() {
-                    for (step, inst) in item.instances.iter().enumerate() {
-                        pos.insert(inst.clone(), (phase_idx, unit, step));
-                    }
-                }
-            }
-            Phase::ChainSet(chains) => {
-                for (unit, chain) in chains.iter().enumerate() {
-                    let mut step = 0;
-                    for item in chain {
-                        for inst in &item.instances {
-                            pos.insert(inst.clone(), (phase_idx, unit, step));
-                            step += 1;
-                        }
-                    }
-                }
+    let mut pos: HashMap<(usize, &[i64]), (usize, usize, usize)> = HashMap::new();
+    for (phase_idx, phase) in schedule.phases().enumerate() {
+        for (unit, instances) in phase.units().enumerate() {
+            for (step, inst) in instances.instances().enumerate() {
+                pos.insert(inst, (phase_idx, unit, step));
             }
         }
     }
@@ -146,14 +130,12 @@ pub fn ordering_violations(
             // execution inside a work item.
             continue;
         }
-        let src_item = expander.item(src);
-        let dst_item = expander.item(dst);
-        for si in &src_item.instances {
-            for di in &dst_item.instances {
-                if si == di {
-                    continue;
+        expander.for_each_instance(src, |s, s_idx| {
+            expander.for_each_instance(dst, |d, d_idx| {
+                if (s, s_idx) == (d, d_idx) {
+                    return;
                 }
-                let ordered = match (pos.get(si), pos.get(di)) {
+                let ordered = match (pos.get(&(s, s_idx)), pos.get(&(d, d_idx))) {
                     (Some(&(ps, us, ss)), Some(&(pd, ud, sd))) => {
                         ps < pd || (ps == pd && us == ud && ss < sd)
                     }
@@ -162,8 +144,8 @@ pub fn ordering_violations(
                 if !ordered {
                     violations += 1;
                 }
-            }
-        }
+            });
+        });
     }
     violations
 }

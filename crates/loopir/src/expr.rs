@@ -132,35 +132,6 @@ impl LinExpr {
         }
         out
     }
-
-    /// Evaluates the expression under a name → value binding.
-    ///
-    /// # Panics
-    /// Panics when a variable with non-zero coefficient has no binding;
-    /// use [`Self::try_eval`] on unvalidated input.
-    // Panic-hygiene allow: documented panicking convenience over the
-    // fallible `try_eval`, for callers holding validated programs.
-    #[allow(clippy::panic)]
-    pub fn eval(&self, env: &BTreeMap<String, i64>) -> i64 {
-        self.try_eval(env).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Self::eval`]: reports the first unbound variable with a
-    /// non-zero coefficient instead of panicking.
-    pub fn try_eval(&self, env: &BTreeMap<String, i64>) -> Result<i64, UnknownVariable> {
-        let mut v = self.constant;
-        for (name, &c) in &self.terms {
-            if c == 0 {
-                continue;
-            }
-            let x = env.get(name).ok_or_else(|| UnknownVariable {
-                name: name.clone(),
-                expr: self.to_string(),
-            })?;
-            v += c * x;
-        }
-        Ok(v)
-    }
 }
 
 impl From<i64> for LinExpr {
@@ -288,11 +259,11 @@ mod tests {
 
     #[test]
     fn evaluation() {
-        let mut env = BTreeMap::new();
-        env.insert("i".to_string(), 3);
-        env.insert("j".to_string(), 5);
         let e = v("i") * 2 + v("j") - c(1);
-        assert_eq!(e.eval(&env), 10);
+        assert_eq!(e.resolve(&["j", "i"]), (vec![1, 2], -1));
+        let bound = e.bind("i", 3).bind("j", 5);
+        assert!(bound.is_constant());
+        assert_eq!(bound.constant, 10);
     }
 
     #[test]

@@ -2,122 +2,312 @@
 //! program (sequential) order.
 //!
 //! This is the one builder of program order: the sequential reference
-//! schedule and the schedule coverage check both take their instances
-//! from [`Program::enumerate_instances`], which walks the loop tree with
-//! the symbolic parameters bound to concrete values.  The statement-level
-//! analysis builds `Φ` as the unified space instead; the test-suite
-//! checks on every bundled kernel and on generated nests that the
-//! unified space, enumerated lexicographically and decoded, lists the
-//! same instances in the same order.
+//! schedule, the aggregated loop-level work items, the dataflow tracer and
+//! the schedule coverage check all take their instances from a
+//! [`LoopWalker`].  [`Program::walker`] compiles the loop tree once at
+//! concrete parameter values: every loop bound becomes an affine row over
+//! the enclosing loop indices, with the parameters folded into its
+//! constant, and every statement carries its id and depth.  A walk then
+//! evaluates each bound once per loop entry, looks up no name, copies no
+//! index vector and allocates nothing: the callback borrows the walker's
+//! index stack.
+//!
+//! The statement-level analysis builds `Φ` as the unified space instead;
+//! the test-suite checks on every bundled kernel and on generated nests
+//! that the unified space, enumerated lexicographically and decoded, lists
+//! the same instances in the same order.
 
 use crate::expr::LinExpr;
-use crate::program::{Node, Program};
+use crate::program::{LoopGroup, Node, Program};
 use rcp_intlin::IVec;
-use std::collections::BTreeMap;
 
 /// A statement instance in execution order: `(statement id, loop index
 /// values of its surrounding loops, outermost first)`.
 pub type Instance = (usize, IVec);
 
 impl Program {
-    /// Enumerates every statement instance of the program in sequential
-    /// execution order for the given parameter values.
-    pub fn enumerate_instances(&self, params: &[i64]) -> Vec<Instance> {
+    /// Compiles the loop tree at the parameter values `params` (see
+    /// [`LoopWalker`]).
+    ///
+    /// # Panics
+    /// Panics when `params` does not give one value per parameter, or when
+    /// a loop bound mentions a variable that is neither an enclosing loop
+    /// index nor a parameter (see [`Program::check_variables`]).
+    pub fn walker(&self, params: &[i64]) -> LoopWalker {
         assert_eq!(params.len(), self.params.len(), "parameter count mismatch");
-        let mut env: BTreeMap<String, i64> = BTreeMap::new();
-        for (name, &value) in self.params.iter().zip(params) {
-            env.insert(name.clone(), value);
+        let mut compiler = Compiler {
+            params: self.params.iter().map(String::as_str).collect(),
+            values: params,
+            scope: Vec::new(),
+            depths: Vec::new(),
+            max_depth: 0,
+        };
+        let body = compiler.nodes(&self.body);
+        LoopWalker {
+            body,
+            depths: compiler.depths,
+            max_depth: compiler.max_depth,
         }
+    }
+
+    /// Calls `f(statement id, loop indices)` for every statement instance
+    /// of the program in sequential execution order, at the given
+    /// parameter values.  The indices are borrowed for the call only.
+    pub fn for_each_instance(&self, params: &[i64], f: impl FnMut(usize, &[i64])) {
+        self.walker(params).for_each(f);
+    }
+
+    /// Every statement instance of the program in sequential execution
+    /// order for the given parameter values, each with its own index
+    /// vector.  Prefer [`Self::for_each_instance`], which copies nothing.
+    pub fn enumerate_instances(&self, params: &[i64]) -> Vec<Instance> {
         let mut out = Vec::new();
-        let mut indices = Vec::new();
-        let mut stmt_counter = 0usize;
-        walk(
-            &self.body,
-            &mut env,
-            &mut indices,
-            &mut stmt_counter,
-            &mut out,
-        );
+        self.for_each_instance(params, |stmt, indices| out.push((stmt, indices.to_vec())));
         out
     }
 
-    /// Counts the statement instances without materialising them.
+    /// Counts the statement instances without visiting them one by one:
+    /// a loop whose body holds only statements adds its trip count times
+    /// their number.
     pub fn count_instances(&self, params: &[i64]) -> usize {
-        self.enumerate_instances(params).len()
+        self.walker(params).count()
     }
 }
 
-// Panic-hygiene allow: the parser never produces a loop without bound
-// expressions, so the `expect`s guard a structural invariant.
-#[allow(clippy::expect_used)]
-fn eval_bound(exprs: &[LinExpr], env: &BTreeMap<String, i64>, is_lower: bool) -> i64 {
-    let values = exprs.iter().map(|e| e.eval(env));
-    if is_lower {
-        values.max().expect("loop with no lower bound")
+/// A program's loop tree compiled at concrete parameter values, built by
+/// [`Program::walker`]: walks the statement instances in program order.
+#[derive(Clone, Debug)]
+pub struct LoopWalker {
+    body: Vec<WalkNode>,
+    /// Statement id → number of surrounding loops.
+    depths: Vec<usize>,
+    /// The deepest loop's depth: the length of the index stack.
+    max_depth: usize,
+}
+
+#[derive(Clone, Debug)]
+enum WalkNode {
+    Stmt { id: usize, depth: usize },
+    Loop(WalkLoop),
+}
+
+#[derive(Clone, Debug)]
+struct WalkLoop {
+    /// The loop's position in the index stack (its number of enclosing
+    /// loops).
+    depth: usize,
+    /// Bound rows of `depth + 1` entries each: the constant, then one
+    /// coefficient per enclosing loop index, outermost first.  The lower
+    /// bound is the rows' maximum, the upper bound their minimum.
+    lower: Box<[i64]>,
+    upper: Box<[i64]>,
+    body: Vec<WalkNode>,
+    /// The number of statements in `body` when it holds no loop.
+    flat: Option<usize>,
+}
+
+impl WalkLoop {
+    /// The loop's bounds under the enclosing indices `outer`.
+    #[inline]
+    fn bounds(&self, outer: &[i64]) -> (i64, i64) {
+        let width = self.depth + 1;
+        let eval = |row: &[i64]| {
+            row[1..]
+                .iter()
+                .zip(outer)
+                .fold(row[0], |acc, (c, i)| acc + c * i)
+        };
+        let lo = self.lower.chunks_exact(width).map(eval).max();
+        let hi = self.upper.chunks_exact(width).map(eval).min();
+        // A loop always has a bound on each side (the compiler checks).
+        (lo.unwrap_or(i64::MAX), hi.unwrap_or(i64::MIN))
+    }
+}
+
+impl LoopWalker {
+    /// Statement id → the number of loops surrounding the statement.
+    pub fn depths(&self) -> &[usize] {
+        &self.depths
+    }
+
+    /// Calls `f(statement id, loop indices)` for every statement instance
+    /// in program order.
+    pub fn for_each(&self, mut f: impl FnMut(usize, &[i64])) {
+        with_stack(self.max_depth, |stack| walk(&self.body, stack, &mut f));
+    }
+
+    /// Calls `f` for every statement instance that one iteration of a loop
+    /// group's perfect prefix executes (the body of one loop-level
+    /// aggregation point), in program order.  `prefix` gives the prefix
+    /// loop values, outermost first; instance indices start with them.
+    ///
+    /// # Panics
+    /// Panics when `group` does not describe this walker's program.
+    // Panic-hygiene allow: a `LoopGroup` is only ever built from the same
+    // program, so the panic guards a structural invariant (a caller bug),
+    // not a runtime condition.
+    #[allow(clippy::panic)]
+    pub fn for_each_in_group(
+        &self,
+        group: &LoopGroup,
+        prefix: &[i64],
+        mut f: impl FnMut(usize, &[i64]),
+    ) {
+        assert_eq!(prefix.len(), group.depth(), "prefix arity mismatch");
+        let mut body = std::slice::from_ref(&self.body[group.group]);
+        for _ in 0..group.depth() {
+            let [WalkNode::Loop(l)] = body else {
+                panic!("loop group prefix does not match the program");
+            };
+            body = &l.body;
+        }
+        with_stack(self.max_depth, |stack| {
+            stack[..prefix.len()].copy_from_slice(prefix);
+            walk(body, stack, &mut f)
+        });
+    }
+
+    /// The number of statement instances (see
+    /// [`Program::count_instances`]).
+    pub fn count(&self) -> usize {
+        with_stack(self.max_depth, |stack| count(&self.body, stack))
+    }
+}
+
+/// Index stacks up to this depth live on the stack.
+const INLINE_DEPTH: usize = 16;
+
+/// Runs `f` on a zeroed index stack of `depth` entries, allocating only
+/// past [`INLINE_DEPTH`].
+fn with_stack<R>(depth: usize, f: impl FnOnce(&mut [i64]) -> R) -> R {
+    if depth <= INLINE_DEPTH {
+        f(&mut [0i64; INLINE_DEPTH][..depth])
     } else {
-        values.min().expect("loop with no upper bound")
+        f(&mut vec![0i64; depth])
     }
 }
 
-/// The instance-enumeration core, shared with
-/// [`Program::enumerate_group_instances`]: walks `nodes` with the
-/// surrounding loop environment `env` and index prefix `indices` already
-/// in place, assigning statement ids from `stmt_counter` onwards.
-pub(crate) fn walk_nodes(
-    nodes: &[Node],
-    env: &mut BTreeMap<String, i64>,
-    indices: &mut IVec,
-    stmt_counter: &mut usize,
-    out: &mut Vec<Instance>,
-) {
-    walk(nodes, env, indices, stmt_counter, out)
-}
-
-fn walk(
-    nodes: &[Node],
-    env: &mut BTreeMap<String, i64>,
-    indices: &mut IVec,
-    stmt_counter: &mut usize,
-    out: &mut Vec<Instance>,
-) {
+fn walk<F: FnMut(usize, &[i64])>(nodes: &[WalkNode], stack: &mut [i64], f: &mut F) {
     for node in nodes {
         match node {
-            Node::Stmt(_) => {
-                out.push((*stmt_counter, indices.clone()));
-                *stmt_counter += 1;
-            }
-            Node::Loop(l) => {
-                let lo = eval_bound(&l.lower, env, true);
-                let hi = eval_bound(&l.upper, env, false);
-                let stmts_in_subtree = count_statements(&l.body);
-                if lo > hi {
-                    // zero-trip loop: skip its statements but keep ids stable
-                    *stmt_counter += stmts_in_subtree;
-                    continue;
+            WalkNode::Stmt { id, depth } => f(*id, &stack[..*depth]),
+            WalkNode::Loop(l) => {
+                let (lo, hi) = l.bounds(&stack[..l.depth]);
+                for value in lo..=hi {
+                    stack[l.depth] = value;
+                    walk(&l.body, stack, f);
                 }
-                let saved_counter = *stmt_counter;
-                for v in lo..=hi {
-                    *stmt_counter = saved_counter;
-                    env.insert(l.index.clone(), v);
-                    indices.push(v);
-                    walk(&l.body, env, indices, stmt_counter, out);
-                    indices.pop();
-                }
-                env.remove(&l.index);
-                *stmt_counter = saved_counter + stmts_in_subtree;
             }
         }
     }
 }
 
-fn count_statements(nodes: &[Node]) -> usize {
-    nodes
-        .iter()
-        .map(|n| match n {
-            Node::Stmt(_) => 1,
-            Node::Loop(l) => count_statements(&l.body),
-        })
-        .sum()
+fn count(nodes: &[WalkNode], stack: &mut [i64]) -> usize {
+    let mut n = 0;
+    for node in nodes {
+        match node {
+            WalkNode::Stmt { .. } => n += 1,
+            WalkNode::Loop(l) => {
+                let (lo, hi) = l.bounds(&stack[..l.depth]);
+                if lo > hi {
+                    continue;
+                }
+                match l.flat {
+                    Some(stmts) => n += (hi - lo + 1) as usize * stmts,
+                    None => {
+                        for value in lo..=hi {
+                            stack[l.depth] = value;
+                            n += count(&l.body, stack);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    n
+}
+
+/// Compiles loop bounds to rows and numbers the statements.
+struct Compiler<'p> {
+    params: Vec<&'p str>,
+    values: &'p [i64],
+    /// The enclosing loop indices, outermost first.
+    scope: Vec<&'p str>,
+    depths: Vec<usize>,
+    max_depth: usize,
+}
+
+impl<'p> Compiler<'p> {
+    fn nodes(&mut self, nodes: &'p [Node]) -> Vec<WalkNode> {
+        nodes
+            .iter()
+            .map(|node| match node {
+                Node::Stmt(_) => {
+                    let depth = self.scope.len();
+                    self.depths.push(depth);
+                    WalkNode::Stmt {
+                        id: self.depths.len() - 1,
+                        depth,
+                    }
+                }
+                Node::Loop(l) => {
+                    let depth = self.scope.len();
+                    self.max_depth = self.max_depth.max(depth + 1);
+                    let lower = self.rows(&l.lower, "lower");
+                    let upper = self.rows(&l.upper, "upper");
+                    self.scope.push(&l.index);
+                    let body = self.nodes(&l.body);
+                    self.scope.pop();
+                    let flat = body
+                        .iter()
+                        .all(|n| matches!(n, WalkNode::Stmt { .. }))
+                        .then_some(body.len());
+                    WalkNode::Loop(WalkLoop {
+                        depth,
+                        lower,
+                        upper,
+                        body,
+                        flat,
+                    })
+                }
+            })
+            .collect()
+    }
+
+    /// The rows of one side's bound expressions.
+    // Panic-hygiene allow: the parser never produces a loop without bound
+    // expressions, so the panic guards a structural invariant.
+    #[allow(clippy::panic)]
+    fn rows(&self, exprs: &[LinExpr], side: &str) -> Box<[i64]> {
+        if exprs.is_empty() {
+            panic!("loop with no {side} bound");
+        }
+        // Innermost loop first, then the parameters: a name resolves to
+        // its innermost binding.
+        let names: Vec<&str> = self
+            .scope
+            .iter()
+            .rev()
+            .chain(&self.params)
+            .copied()
+            .collect();
+        let depth = self.scope.len();
+        let mut rows = Vec::with_capacity(exprs.len() * (depth + 1));
+        for e in exprs {
+            let (coeffs, constant) = e.resolve(&names);
+            let (loops, params) = coeffs.split_at(depth);
+            rows.push(
+                constant
+                    + params
+                        .iter()
+                        .zip(self.values)
+                        .map(|(c, v)| c * v)
+                        .sum::<i64>(),
+            );
+            rows.extend(loops.iter().rev());
+        }
+        rows.into_boxed_slice()
+    }
 }
 
 #[cfg(test)]
@@ -218,6 +408,59 @@ mod tests {
         // I=1: J loop is 1..0 (zero-trip) -> only B; I=2: J=1 -> A, then B.
         assert_eq!(inst, vec![(1, vec![1]), (0, vec![2, 1]), (1, vec![2])]);
         assert_eq!(p.count_instances(&[0]), 0);
+    }
+
+    #[test]
+    fn counts_and_group_walks_agree_with_the_walk() {
+        // Two top-level nests, the first imperfect below its I loop, with
+        // a zero-trip inner loop at I = 1.
+        let p = Program::new(
+            "groups",
+            &["N"],
+            vec![
+                loop_(
+                    "I",
+                    c(1),
+                    v("N"),
+                    vec![
+                        loop_("J", c(1), v("I") - c(1), vec![stmt("A", vec![])]),
+                        stmt("B", vec![]),
+                    ],
+                ),
+                loop_(
+                    "K",
+                    c(0),
+                    v("N"),
+                    vec![loop_("L", v("K"), v("N"), vec![stmt("C", vec![])])],
+                ),
+            ],
+        );
+        for n in [0, 1, 4] {
+            let walker = p.walker(&[n]);
+            let all = p.enumerate_instances(&[n]);
+            assert_eq!(walker.count(), all.len(), "N = {n}");
+            assert_eq!(walker.depths(), &[2, 1, 2]);
+            // The groups' prefix iterations, walked in order, list the
+            // program's instances in program order.
+            let mut grouped = Vec::new();
+            for group in p.loop_groups().unwrap() {
+                let (lo, hi) = if group.group == 0 { (1, n) } else { (0, n) };
+                for x in lo..=hi {
+                    let mut prefix = vec![x];
+                    let inner = if group.depth() == 2 { x..=n } else { 0..=0 };
+                    for y in inner {
+                        prefix.truncate(1);
+                        if group.depth() == 2 {
+                            prefix.push(y);
+                        }
+                        walker.for_each_in_group(&group, &prefix, |s, idx| {
+                            grouped.push((s, idx.to_vec()))
+                        });
+                    }
+                }
+            }
+            assert_eq!(grouped, all, "N = {n}");
+        }
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! * [`AccessMap`] — the `i ↦ i·A + a` affine access functions feeding the
 //!   dependence analyser,
 //! * [`CompiledRefs`] — every reference compiled once to an array slot and
-//!   subscript rows, for the passes that evaluate each statement instance.
+//!   subscript rows, for the passes that evaluate each statement instance,
+//! * [`LoopWalker`] — the loop tree compiled once at concrete parameter
+//!   values, walking the statement instances in program order without
+//!   allocating.
 //!
 //! # Example
 //!
@@ -56,7 +59,7 @@ pub mod spaces;
 
 pub use compiled::{CompiledRef, CompiledRefs};
 pub use expr::{LinExpr, UnknownVariable};
-pub use interp::Instance;
+pub use interp::{Instance, LoopWalker};
 pub use program::{
     build, AccessKind, ArrayRef, Loop, LoopGroup, Node, Program, Statement, StatementInfo,
     UnboundVariable,

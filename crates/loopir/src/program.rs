@@ -239,6 +239,21 @@ impl Program {
         out
     }
 
+    /// Statement id → the number of loops surrounding the statement.
+    pub fn statement_depths(&self) -> Vec<usize> {
+        fn collect(nodes: &[Node], depth: usize, out: &mut Vec<usize>) {
+            for node in nodes {
+                match node {
+                    Node::Stmt(_) => out.push(depth),
+                    Node::Loop(l) => collect(&l.body, depth + 1, out),
+                }
+            }
+        }
+        let mut out = Vec::new();
+        collect(&self.body, 0, &mut out);
+        out
+    }
+
     /// Maximum loop nesting depth over all statements.
     pub fn max_depth(&self) -> usize {
         self.statements()
@@ -341,47 +356,6 @@ impl Program {
             stmt_cursor += n;
         }
         Some(groups)
-    }
-
-    /// Enumerates, in program order, the statement instances executed by
-    /// one iteration of a loop group's perfect prefix (the body of one
-    /// loop-level aggregation point).  `prefix` gives the prefix loop
-    /// values, outermost first; instance index vectors include them.
-    // Panic-hygiene allow: a `LoopGroup` is only ever built from this same
-    // program, so the panics guard structural invariants (caller bugs), not
-    // runtime conditions.
-    #[allow(clippy::panic)]
-    pub fn enumerate_group_instances(
-        &self,
-        group: &LoopGroup,
-        prefix: &[i64],
-        params: &[i64],
-    ) -> Vec<crate::interp::Instance> {
-        assert_eq!(prefix.len(), group.depth(), "prefix arity mismatch");
-        assert_eq!(params.len(), self.params.len(), "parameter count mismatch");
-        let Node::Loop(root) = &self.body[group.group] else {
-            panic!("loop group root is not a loop");
-        };
-        let mut env: std::collections::BTreeMap<String, i64> = Default::default();
-        for (name, &value) in self.params.iter().zip(params) {
-            env.insert(name.clone(), value);
-        }
-        for (name, &value) in group.indices.iter().zip(prefix) {
-            env.insert(name.clone(), value);
-        }
-        // Descend the prefix chain to the aggregated body.
-        let mut body = &root.body;
-        for _ in 1..group.depth() {
-            let [Node::Loop(l)] = body.as_slice() else {
-                panic!("loop group prefix does not match the program");
-            };
-            body = &l.body;
-        }
-        let mut out = Vec::new();
-        let mut indices = prefix.to_vec();
-        let mut stmt_counter = group.statements.first().copied().unwrap_or(0);
-        crate::interp::walk_nodes(body, &mut env, &mut indices, &mut stmt_counter, &mut out);
-        out
     }
 
     /// Substitutes concrete values for all symbolic parameters, producing an

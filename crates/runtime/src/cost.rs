@@ -17,7 +17,7 @@
 //!   why PDM catches up with REC at 4 threads on Example 4, as the paper
 //!   observes).
 
-use rcp_codegen::{Phase, Schedule};
+use rcp_codegen::{Phase, Schedule, Unit};
 
 /// Cost-model parameters, in nanoseconds.
 #[derive(Clone, Copy, Debug)]
@@ -66,31 +66,25 @@ impl CostModel {
         schedule.n_instances() as f64 * self.instance_cost_ns
     }
 
+    /// Modelled cost of one unit of a phase: its instances plus the
+    /// overhead of each of its items (a DOALL unit is one item).
+    fn unit_cost_ns(&self, unit: &Unit) -> f64 {
+        unit.instance_range().len() as f64 * self.instance_cost_ns
+            + unit.len() as f64 * self.item_overhead_ns
+    }
+
     /// Modelled execution time of one phase on `threads` workers.
     pub fn phase_time_ns(&self, phase: &Phase, threads: usize) -> f64 {
         let threads = threads.max(1);
-        let unit_costs: Vec<f64> = match phase {
-            Phase::Doall(items) => items
-                .iter()
-                .map(|i| i.len() as f64 * self.instance_cost_ns + self.item_overhead_ns)
-                .collect(),
-            Phase::ChainSet(chains) => chains
-                .iter()
-                .map(|c| {
-                    c.iter().map(|i| i.len() as f64).sum::<f64>() * self.instance_cost_ns
-                        + c.len() as f64 * self.item_overhead_ns
-                })
-                .collect(),
-        };
+        let unit_costs: Vec<f64> = phase.units().map(|u| self.unit_cost_ns(&u)).collect();
         makespan(&unit_costs, threads) + self.barrier_cost_ns
     }
 
     /// Modelled execution time of a whole schedule on `threads` workers.
     pub fn schedule_time_ns(&self, schedule: &Schedule, threads: usize) -> f64 {
         schedule
-            .phases
-            .iter()
-            .map(|p| self.phase_time_ns(p, threads))
+            .phases()
+            .map(|p| self.phase_time_ns(&p, threads))
             .sum()
     }
 
@@ -113,25 +107,10 @@ impl CostModel {
         let threads = threads.max(1) as f64;
         let mut total = 0.0f64;
         let mut longest = 0.0f64;
-        let mut unit = |instances: f64, items: f64| {
-            let cost = instances * self.instance_cost_ns + items * self.item_overhead_ns;
+        for unit in phase.units() {
+            let cost = self.unit_cost_ns(&unit);
             total += cost;
             longest = longest.max(cost);
-        };
-        match phase {
-            Phase::Doall(items) => {
-                for i in items {
-                    unit(i.len() as f64, 1.0);
-                }
-            }
-            Phase::ChainSet(chains) => {
-                for c in chains {
-                    unit(
-                        c.iter().map(|i| i.len() as f64).sum::<f64>(),
-                        c.len() as f64,
-                    );
-                }
-            }
         }
         (total / threads).max(longest) + self.barrier_cost_ns
     }
@@ -151,9 +130,8 @@ impl CostModel {
             return false;
         }
         let parallel: f64 = schedule
-            .phases
-            .iter()
-            .map(|p| self.phase_time_estimate_ns(p, effective))
+            .phases()
+            .map(|p| self.phase_time_estimate_ns(&p, effective))
             .sum::<f64>()
             + self.pool_startup_ns(effective);
         parallel < self.sequential_time_ns(schedule)
@@ -216,26 +194,35 @@ pub fn makespan(costs: &[f64], workers: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcp_codegen::WorkItem;
+    use rcp_codegen::{PhaseKind, ScheduleBuilder};
 
-    fn doall(n: usize) -> Phase {
-        Phase::Doall(
-            (0..n)
-                .map(|i| WorkItem::single(0, vec![i as i64]))
-                .collect(),
-        )
+    /// A schedule of `phases` DOALL phases of `n` one-instance items.
+    fn doalls(phases: usize, n: usize) -> Schedule {
+        let mut builder = ScheduleBuilder::new("doall", &[1]);
+        for _ in 0..phases {
+            builder.phase(PhaseKind::Doall);
+            for i in 0..n {
+                builder.single(0, &[i as i64]);
+            }
+        }
+        builder.finish()
     }
 
-    fn chains(lens: &[usize]) -> Phase {
-        Phase::ChainSet(
-            lens.iter()
-                .map(|&l| {
-                    (0..l)
-                        .map(|i| WorkItem::single(0, vec![i as i64]))
-                        .collect()
-                })
-                .collect(),
-        )
+    fn doall(n: usize) -> Schedule {
+        doalls(1, n)
+    }
+
+    /// One chain-set phase of chains of `lens` one-instance items.
+    fn chains(lens: &[usize]) -> Schedule {
+        let mut builder = ScheduleBuilder::new("chains", &[1]);
+        builder.phase(PhaseKind::ChainSet);
+        for &l in lens {
+            builder.chain();
+            for i in 0..l {
+                builder.single(0, &[i as i64]);
+            }
+        }
+        builder.finish()
     }
 
     #[test]
@@ -258,9 +245,9 @@ mod tests {
             item_overhead_ns: 0.0,
             ..Default::default()
         };
-        let phase = doall(100);
-        let t1 = model.phase_time_ns(&phase, 1);
-        let t4 = model.phase_time_ns(&phase, 4);
+        let schedule = doall(100);
+        let t1 = model.phase_time_ns(&schedule.phase(0), 1);
+        let t4 = model.phase_time_ns(&schedule.phase(0), 4);
         assert!(
             (t1 / t4 - 4.0).abs() < 1e-9,
             "ideal DOALL speedup should be 4, got {}",
@@ -275,19 +262,16 @@ mod tests {
             item_overhead_ns: 0.0,
             ..Default::default()
         };
-        let phase = chains(&[10, 2, 2, 2]);
+        let schedule = chains(&[10, 2, 2, 2]);
         // with many threads the longest chain dominates
-        let t = model.phase_time_ns(&phase, 8);
+        let t = model.phase_time_ns(&schedule.phase(0), 8);
         assert_eq!(t, 10.0 * model.instance_cost_ns);
     }
 
     #[test]
     fn speedup_saturates_with_overheads() {
         let model = CostModel::default();
-        let schedule = Schedule {
-            name: "s".into(),
-            phases: vec![doall(1000)],
-        };
+        let schedule = doall(1000);
         let s1 = model.speedup(&schedule, 1);
         let s2 = model.speedup(&schedule, 2);
         let s4 = model.speedup(&schedule, 4);
@@ -300,14 +284,8 @@ mod tests {
     #[test]
     fn many_phases_penalise_speedup() {
         let model = CostModel::default();
-        let one_phase = Schedule {
-            name: "one".into(),
-            phases: vec![doall(1000)],
-        };
-        let many_phases = Schedule {
-            name: "many".into(),
-            phases: (0..100).map(|_| doall(10)).collect(),
-        };
+        let one_phase = doall(1000);
+        let many_phases = doalls(100, 10);
         assert!(model.speedup(&one_phase, 4) > model.speedup(&many_phases, 4));
     }
 
@@ -322,10 +300,7 @@ mod tests {
             doacross4 < doacross1,
             "pipelining must help over one thread"
         );
-        let doall_phase = Schedule {
-            name: "doall".into(),
-            phases: vec![doall(n_outer * inner)],
-        };
+        let doall_phase = doall(n_outer * inner);
         assert!(
             model.schedule_time_ns(&doall_phase, 4) < doacross4,
             "a fully parallel DOALL must beat the synchronised pipeline"
@@ -349,14 +324,8 @@ mod tests {
     #[test]
     fn fallback_decision_reflects_work_and_hardware() {
         let model = CostModel::default();
-        let small = Schedule {
-            name: "small".into(),
-            phases: vec![doall(10)],
-        };
-        let big = Schedule {
-            name: "big".into(),
-            phases: vec![doall(200_000)],
-        };
+        let small = doall(10);
+        let big = doall(200_000);
         // A tiny schedule never amortises pool start-up.
         assert!(!model.parallel_pays_off(&small, 4, 4));
         // A big DOALL does, when the hardware is really there…

@@ -31,7 +31,7 @@
 use crate::array::{ArrayStore, StoreView};
 use crate::cost::CostModel;
 use crate::kernel::Kernel;
-use rcp_codegen::{Phase, Schedule, WorkItem};
+use rcp_codegen::{Phase, Schedule};
 use rcp_intlin::IVec;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, OnceLock, RwLock};
@@ -86,13 +86,12 @@ impl ExecutionResult {
 pub fn execute_sequential(schedule: &Schedule, kernel: &dyn Kernel) -> ArrayStore {
     let _span = rcp_trace::span!("executor.sequential");
     let mut store = ArrayStore::new();
-    kernel.reserve(schedule, &mut store);
-    let mut view = StoreView::exclusive(&mut store);
-    for phase in &schedule.phases {
-        for item in phase_items(phase) {
-            run_item(item, kernel, &mut view);
-        }
+    {
+        let _span = rcp_trace::span!("executor.reserve");
+        kernel.reserve(schedule, &mut store);
     }
+    let mut view = StoreView::exclusive(&mut store);
+    run_instances(schedule, 0..schedule.n_instances(), kernel, &mut view);
     drop(view);
     store
 }
@@ -121,10 +120,6 @@ pub struct ParallelExecutor {
     detect_races: bool,
     sequential_fallback: bool,
 }
-
-/// One unit of intra-phase concurrency: the items execute sequentially in
-/// order, distinct units may run on different workers.
-type Unit<'s> = &'s [WorkItem];
 
 /// What one run leaves besides its store: per-phase times, the time of the
 /// phase loop, and the conflicts found.
@@ -206,7 +201,10 @@ impl ParallelExecutor {
         let _span = rcp_trace::span!("executor.run");
         let start = Instant::now();
         let mut store = ArrayStore::new();
-        kernel.reserve(schedule, &mut store);
+        {
+            let _span = rcp_trace::span!("executor.reserve");
+            kernel.reserve(schedule, &mut store);
+        }
         store.set_stamping(self.detect_races);
         let layout_time = start.elapsed();
         let (phase_times, run_time, mut races) = if self.uses_pool(schedule) {
@@ -241,28 +239,21 @@ impl ParallelExecutor {
         store: &mut ArrayStore,
     ) -> RunOutcome {
         let start_all = Instant::now();
-        let mut phase_times = Vec::with_capacity(schedule.phases.len());
+        let mut phase_times = Vec::with_capacity(schedule.n_phases());
         let mut view = StoreView::exclusive(store);
-        for (p, phase) in schedule.phases.iter().enumerate() {
+        for (p, phase) in schedule.phases().enumerate() {
             let start = Instant::now();
             rcp_guard::tick(rcp_guard::Stage::Execution, 1);
             rcp_guard::fail_point("runtime::phase", rcp_guard::Stage::Execution);
-            let n_units = match phase {
-                Phase::Doall(items) => items.len(),
-                Phase::ChainSet(chains) => chains.len(),
-            };
+            let n_units = phase.width();
             if self.detect_races && n_units > 1 {
-                for (k, unit) in phase_units(phase).into_iter().enumerate() {
+                for (k, unit) in phase.units().enumerate() {
                     view.set_unit(Some((p, k)));
-                    for item in unit {
-                        run_item(item, kernel, &mut view);
-                    }
+                    run_instances(schedule, unit.instance_range(), kernel, &mut view);
                 }
                 view.set_unit(None);
             } else {
-                for item in phase_items(phase) {
-                    run_item(item, kernel, &mut view);
-                }
+                run_instances(schedule, phase.instance_range(), kernel, &mut view);
             }
             if n_units > 1 {
                 rcp_guard::fail_point("runtime::barrier", rcp_guard::Stage::Execution);
@@ -292,12 +283,12 @@ impl ParallelExecutor {
         kernel: &(dyn Kernel + Sync),
         store: &ArrayStore,
     ) -> RunOutcome {
-        let mut phase_times = Vec::with_capacity(schedule.phases.len());
+        let mut phase_times = Vec::with_capacity(schedule.n_phases());
         let mut total_time = Duration::ZERO;
 
         struct PhaseTask<'s> {
-            phase: usize,
-            units: Vec<Unit<'s>>,
+            index: usize,
+            phase: Phase<'s>,
             batches: Vec<std::ops::Range<usize>>,
         }
         let task: RwLock<Option<PhaseTask>> = RwLock::new(None);
@@ -376,11 +367,14 @@ impl ParallelExecutor {
                                         };
                                         for unit_id in range.clone() {
                                             if detect_races {
-                                                view.set_unit(Some((task.phase, unit_id)));
+                                                view.set_unit(Some((task.index, unit_id)));
                                             }
-                                            for item in task.units[unit_id] {
-                                                run_item(item, kernel, &mut view);
-                                            }
+                                            run_instances(
+                                                schedule,
+                                                task.phase.unit(unit_id).instance_range(),
+                                                kernel,
+                                                &mut view,
+                                            );
                                         }
                                     }
                                     report(view);
@@ -403,26 +397,23 @@ impl ParallelExecutor {
             // panicked with workers parked, the scope's implicit join would
             // deadlock.
             let coordinator = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for (p, phase) in schedule.phases.iter().enumerate() {
+                for (p, phase) in schedule.phases().enumerate() {
                     let start = Instant::now();
                     rcp_guard::tick(rcp_guard::Stage::Execution, 1);
-                    let units = phase_units(phase);
                     // Fast path: a single unit has no intra-phase
                     // concurrency (and cannot race) — run it on the
                     // coordinator while the workers stay parked.
-                    if units.len() == 1 {
+                    if phase.width() == 1 {
                         let mut view = StoreView::shared(store);
-                        for item in units[0] {
-                            run_item(item, kernel, &mut view);
-                        }
+                        run_instances(schedule, phase.instance_range(), kernel, &mut view);
                         report(view);
                         phase_times.push(start.elapsed());
                         continue;
                     }
-                    let batches = self.batch_units(&units);
+                    let batches = self.batch_units(&phase);
                     *task.write().expect("task lock poisoned") = Some(PhaseTask {
-                        phase: p,
-                        units,
+                        index: p,
+                        phase,
                         batches,
                     });
                     cursor.store(0, Ordering::Relaxed);
@@ -460,49 +451,38 @@ impl ParallelExecutor {
         (phase_times, total_time, conflicts)
     }
 
-    /// Packs consecutive units into batches of at least
+    /// Packs consecutive units of a phase into batches of at least
     /// `min_batch_instances` statement instances.  Returns the unit-index
-    /// ranges of each batch (batches partition `0..units.len()`).
-    fn batch_units(&self, units: &[Unit]) -> Vec<std::ops::Range<usize>> {
+    /// ranges of each batch (batches partition `0..phase.width()`).
+    fn batch_units(&self, phase: &Phase) -> Vec<std::ops::Range<usize>> {
         let mut batches = Vec::new();
         let mut batch_start = 0;
         let mut batch_instances = 0usize;
-        for (k, unit) in units.iter().enumerate() {
-            batch_instances += unit.iter().map(|i| i.len()).sum::<usize>();
+        let n_units = phase.width();
+        for (k, unit) in phase.units().enumerate() {
+            batch_instances += unit.instance_range().len();
             if batch_instances >= self.min_batch_instances {
                 batches.push(batch_start..k + 1);
                 batch_start = k + 1;
                 batch_instances = 0;
             }
         }
-        if batch_start < units.len() {
-            batches.push(batch_start..units.len());
+        if batch_start < n_units {
+            batches.push(batch_start..n_units);
         }
         batches
     }
 }
 
-/// All work items of a phase in execution order (no per-unit structure).
-pub(crate) fn phase_items(phase: &Phase) -> impl Iterator<Item = &WorkItem> {
-    let chains: &[Vec<WorkItem>] = match phase {
-        Phase::Doall(items) => std::slice::from_ref(items),
-        Phase::ChainSet(chains) => chains.as_slice(),
-    };
-    chains.iter().flatten()
-}
-
-/// The units of intra-phase concurrency: items of a DOALL, whole chains of
-/// a chain set.
-fn phase_units(phase: &Phase) -> Vec<Unit<'_>> {
-    match phase {
-        Phase::Doall(items) => items.iter().map(std::slice::from_ref).collect(),
-        Phase::ChainSet(chains) => chains.iter().map(|c| c.as_slice()).collect(),
-    }
-}
-
-fn run_item(item: &WorkItem, kernel: &dyn Kernel, view: &mut StoreView) {
-    for (stmt, indices) in &item.instances {
-        kernel.run(*stmt, indices, view);
+/// Runs the schedule's instances `range` in slab order.
+fn run_instances(
+    schedule: &Schedule,
+    range: std::ops::Range<usize>,
+    kernel: &dyn Kernel,
+    view: &mut StoreView,
+) {
+    for (stmt, indices) in schedule.instances_in(range) {
+        kernel.run(stmt, indices, view);
     }
 }
 
@@ -562,11 +542,23 @@ pub fn verify_schedule(
 mod tests {
     use super::*;
     use crate::kernel::{FnKernel, RefKernel};
+    use rcp_codegen::{PhaseKind, ScheduleBuilder};
     use rcp_core::concrete_partition;
     use rcp_depend::DependenceAnalysis;
     use rcp_loopir::expr::{c, v};
     use rcp_loopir::program::build::{loop_, stmt};
     use rcp_loopir::{ArrayRef, Program};
+
+    /// One DOALL phase of single-instance items of statement 0 (depth 1)
+    /// at the loop index values `at`.
+    fn doall(name: &str, at: &[i64]) -> Schedule {
+        let mut builder = ScheduleBuilder::new(name, &[1]);
+        builder.phase(PhaseKind::Doall);
+        for &i in at {
+            builder.single(0, &[i]);
+        }
+        builder.finish()
+    }
 
     fn figure2() -> Program {
         Program::new(
@@ -669,11 +661,7 @@ mod tests {
         // Two work items writing the same element in one DOALL phase.
         let p = figure2();
         let kernel = RefKernel::new(&p);
-        let item = WorkItem::single(0, vec![6]);
-        let schedule = Schedule {
-            name: "racy".to_string(),
-            phases: vec![Phase::Doall(vec![item.clone(), item])],
-        };
+        let schedule = doall("racy", &[6, 6]);
         let result = execute_schedule(&schedule, &kernel, 2);
         assert!(!result.race_free());
     }
@@ -686,11 +674,7 @@ mod tests {
             }
             store.write("a", idx, 1.0);
         });
-        let items = (1..=20).map(|i| WorkItem::single(0, vec![i])).collect();
-        let schedule = Schedule {
-            name: "panicky".to_string(),
-            phases: vec![Phase::Doall(items)],
-        };
+        let schedule = doall("panicky", &(1..=20).collect::<Vec<_>>());
         for threads in [2, 4] {
             // Fallback disabled so the pool path itself is exercised even
             // for this tiny schedule (and on single-core machines).
@@ -839,15 +823,7 @@ mod tests {
             );
             let kernel = RefKernel::new(&p);
             let reference = execute_sequential(&Schedule::sequential(&p, &[]), &kernel);
-            let racy = Schedule {
-                name: what.to_string(),
-                phases: vec![Phase::Doall(
-                    order
-                        .iter()
-                        .map(|&i| WorkItem::single(0, vec![i]))
-                        .collect(),
-                )],
-            };
+            let racy = doall(what, &order);
             for threads in [1, 2, 4] {
                 let result = forced_pool(threads).execute(&racy, &kernel);
                 let v = Verification::check(&reference, &result);
@@ -863,12 +839,7 @@ mod tests {
         let kernel = FnKernel(|_s: usize, idx: &[i64], store: &mut StoreView| {
             store.write("a", idx, 1.0);
         });
-        let schedule = Schedule {
-            name: "unreserved".to_string(),
-            phases: vec![Phase::Doall(
-                (1..=4).map(|i| WorkItem::single(0, vec![i])).collect(),
-            )],
-        };
+        let schedule = doall("unreserved", &[1, 2, 3, 4]);
         let result = forced_pool(2).execute(&schedule, &kernel);
         assert_eq!(result.races.len(), 4);
         // Inline, the same kernel grows the store instead.

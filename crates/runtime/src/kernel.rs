@@ -16,7 +16,6 @@
 //! tracer), so running an instance allocates nothing.
 
 use crate::array::{ArrayStore, StoreView};
-use crate::executor::phase_items;
 use rcp_codegen::Schedule;
 use rcp_loopir::{CompiledRef, CompiledRefs, Program};
 
@@ -151,21 +150,17 @@ impl Kernel for RefKernel {
             .map(|a| (vec![i64::MAX; a.1], vec![i64::MIN; a.1]))
             .collect();
         let mut writes = 0u64;
-        for phase in &schedule.phases {
-            for item in phase_items(phase) {
-                for (stmt, indices) in &item.instances {
-                    let Some(accesses) = self.stmts.get(*stmt) else {
-                        continue;
-                    };
-                    writes += accesses.writes.len() as u64;
-                    for access in &accesses.writes {
-                        let (lo, hi) = &mut boxes[access.slot];
-                        for (d, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
-                            let x = access.subscript(d, indices);
-                            *l = (*l).min(x);
-                            *h = (*h).max(x);
-                        }
-                    }
+        for (stmt, indices) in schedule.instances() {
+            let Some(accesses) = self.stmts.get(stmt) else {
+                continue;
+            };
+            writes += accesses.writes.len() as u64;
+            for access in &accesses.writes {
+                let (lo, hi) = &mut boxes[access.slot];
+                for (d, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
+                    let x = access.subscript(d, indices);
+                    *l = (*l).min(x);
+                    *h = (*h).max(x);
                 }
             }
         }

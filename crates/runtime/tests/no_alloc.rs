@@ -78,19 +78,10 @@ fn ref_kernel_instances_do_not_allocate() {
     let kernel = RefKernel::new(&program);
     let mut store = ArrayStore::new();
     kernel.reserve(&schedule, &mut store);
-    let instances: Vec<&(usize, Vec<i64>)> = schedule
-        .phases
-        .iter()
-        .flat_map(|phase| match phase {
-            rcp_codegen::Phase::Doall(items) => items.iter().collect::<Vec<_>>(),
-            rcp_codegen::Phase::ChainSet(chains) => chains.iter().flatten().collect(),
-        })
-        .flat_map(|item| &item.instances)
-        .collect();
-    assert_eq!(instances.len(), 2 * 12 * 9);
+    assert_eq!(schedule.n_instances(), 2 * 12 * 9);
     let before = allocations();
-    for (stmt, indices) in &instances {
-        kernel.execute(*stmt, indices, &mut store);
+    for (stmt, indices) in schedule.instances() {
+        kernel.execute(stmt, indices, &mut store);
     }
     assert_eq!(allocations() - before, 0, "running instances allocated");
     assert_eq!(store.written_len(), 12 * 9 + 9);

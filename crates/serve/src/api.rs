@@ -240,7 +240,7 @@ pub fn analyze_report(
     let n_dependences = stage.rd_checked()?.len();
     let analysis = stage.analysis();
     let uniformity = stage.uniformity();
-    let distances = stage.distances();
+    let n_distances = stage.n_distances();
     let reason = fallback_reason(&stage);
     // For aggregated loop-level views the planning branch alone is not
     // the whole story: the partitioner may still salvage a validated
@@ -285,7 +285,7 @@ pub fn analyze_report(
         screen.n_classes,
         stage.phi().len(),
         n_dependences,
-        distances.len(),
+        n_distances,
         uniformity,
         strategy,
     );
@@ -342,7 +342,7 @@ pub fn analyze_report(
         ("n_dependences".to_string(), Json::Int(n_dependences as i64)),
         (
             "n_distinct_distances".to_string(),
-            Json::Int(distances.len() as i64),
+            Json::Int(n_distances as i64),
         ),
         (
             "uniformity".to_string(),
@@ -620,4 +620,26 @@ pub fn run_report(analyzed: &Analyzed, overrides: &[(String, i64)]) -> Result<Re
 pub fn cmd_run(source: &str, origin: &str, opts: &Options) -> Result<Report, RcpError> {
     let analyzed = opts.session().parse(source, origin)?;
     run_report(&analyzed, &[])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rcp_session::Session;
+
+    #[test]
+    fn a_warm_report_is_byte_identical_to_the_cold_one() {
+        // The second report on a stage reads the memoised uniformity,
+        // distance count and listing; its body must not move.
+        let analyzed = Session::new().bundled("example1").unwrap();
+        let overrides = [("N1".to_string(), 12), ("N2".to_string(), 9)];
+        let body = |r: Report| (r.text, r.data.to_string());
+        let cold = body(analyze_report(&analyzed, &overrides).unwrap());
+        let warm = body(analyze_report(&analyzed, &overrides).unwrap());
+        assert_eq!(cold, warm);
+        assert!(cold.1.contains("\"n_distinct_distances\""), "{}", cold.1);
+        let cold = body(codegen_report(&analyzed).unwrap());
+        assert_eq!(cold, body(codegen_report(&analyzed).unwrap()));
+        assert!(cold.0.contains("DOALL"), "{}", cold.0);
+    }
 }

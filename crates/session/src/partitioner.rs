@@ -22,12 +22,11 @@
 use crate::error::RcpError;
 use crate::pipeline::Partitioned;
 use rcp_baselines::{
-    doacross_plan, inner_parallel_schedule, pdm_schedule, pl_schedule, unique_sets_schedule,
-    DoacrossPlan,
+    doacross_plan, doacross_schedule, inner_parallel_schedule, pdm_schedule, pl_schedule,
+    unique_sets_schedule, DoacrossPlan,
 };
-use rcp_codegen::{Phase, PointExpander, Schedule, WorkItem};
+use rcp_codegen::{PointExpander, Schedule};
 use rcp_depend::Granularity;
-use std::collections::BTreeMap;
 
 /// The registry name of the paper's own scheme, used when a
 /// [`crate::Config`] names no scheme.
@@ -204,28 +203,10 @@ impl Partitioner for Doacross {
         let values = stage.runtime_values();
         let statement_level = stage.analyzed().granularity() == Granularity::StatementLevel;
         let plan = doacross_plan(program, values, stage.rd(), statement_level);
-        // The executable rendering: one phase per outer iteration, each a
-        // single sequential chain.  This is always a valid execution order
-        // (program order within an outer iteration, barriers between
-        // them); the pipelined overlap DOACROSS actually exploits is
-        // carried by the descriptor for the cost model.
-        let mut by_outer: BTreeMap<i64, Vec<WorkItem>> = BTreeMap::new();
-        for (stmt, idx) in program.enumerate_instances(values) {
-            let outer = *idx.first().unwrap_or(&0);
-            by_outer
-                .entry(outer)
-                .or_default()
-                .push(WorkItem::single(stmt, idx));
-        }
-        let schedule = Schedule {
-            name: label(stage, "doacross"),
-            phases: by_outer
-                .into_values()
-                .map(|items| Phase::ChainSet(vec![items]))
-                .collect(),
-        };
+        // The executable rendering: one sequential chain per outer
+        // iteration; the pipelined overlap is carried by the descriptor.
         Ok(SchemeSchedule {
-            schedule,
+            schedule: doacross_schedule(program, values, &label(stage, "doacross")),
             pipeline: Some(plan),
         })
     }

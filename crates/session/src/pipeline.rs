@@ -39,7 +39,7 @@ use rcp_core::{
     ConcretePartition, DataflowPartition, PlanStats, PlanUnavailable, Strategy, SymbolicPlan,
 };
 use rcp_depend::{
-    classify_uniformity, dataflow_levels, distance_set, iteration_space, DependenceAnalysis,
+    classify_with_distances, dataflow_levels, distance_set, iteration_space, DependenceAnalysis,
     Granularity, Uniformity,
 };
 use rcp_loopir::Program;
@@ -175,6 +175,7 @@ impl Session {
                 symbolic,
                 degradation,
                 plan: OnceLock::new(),
+                listing: OnceLock::new(),
                 stages: Mutex::new(HashMap::new()),
             }),
         })
@@ -294,6 +295,8 @@ struct AnalyzedInner {
     /// instead of a per-binding relation enumeration.  `Err` records the
     /// typed reason the recurrence-chain plan does not exist.
     plan: OnceLock<Result<Arc<SymbolicPlan>, PlanUnavailable>>,
+    /// The plan's rendered DOALL/WHILE listing, memoised on first use.
+    listing: OnceLock<String>,
     /// Memoised concrete stage payloads, keyed by parameter values.  The
     /// memo stores the cycle-free [`StageCore`] — not a [`Partitioned`],
     /// whose back-reference to this struct would form an `Arc` cycle and
@@ -553,6 +556,7 @@ impl Analyzed {
                                 phi: OnceLock::new(),
                                 rd: OnceLock::new(),
                                 partition: OnceLock::from(partition),
+                                summary: OnceLock::new(),
                                 concrete_reason: None,
                             });
                         }
@@ -585,6 +589,7 @@ impl Analyzed {
                 phi: OnceLock::new(),
                 rd: OnceLock::new(),
                 partition: OnceLock::new(),
+                summary: OnceLock::new(),
                 concrete_reason: Some(concrete_reason),
             };
             // Φ is enumerated eagerly, under this stage's guard.
@@ -624,9 +629,14 @@ impl Planned {
         &self.analyzed
     }
 
-    /// The paper-style DOALL/WHILE listing of the plan.
+    /// The paper-style DOALL/WHILE listing of the plan, rendered once per
+    /// plan.
     pub fn listing(&self) -> String {
-        generate_listing(&self.plan, &self.analyzed.program().name)
+        self.analyzed
+            .inner
+            .listing
+            .get_or_init(|| generate_listing(&self.plan, &self.analyzed.program().name))
+            .clone()
     }
 
     /// Why this plan cannot instantiate arbitrary bindings directly —
@@ -674,6 +684,10 @@ struct StageCore {
     /// [`SymbolicPlan::instantiate`] on the symbolic path, computed on
     /// first use on the fallback rung.
     partition: OnceLock<ConcretePartition>,
+    /// The uniformity verdict of Rd and its number of distinct distance
+    /// vectors, from one pass over the distance set on first use.  Two
+    /// numbers, not the distances: rcpd keeps a stage per served binding.
+    summary: OnceLock<(Uniformity, usize)>,
     /// `None` when `partition` came from the symbolic plan; `Some(reason)`
     /// records why this stage took the concrete fallback rung.
     concrete_reason: Option<PlanUnavailable>,
@@ -839,12 +853,22 @@ impl Partitioned {
 
     /// The dependence classification of this binding.
     pub fn uniformity(&self) -> Uniformity {
-        classify_uniformity(self.rd(), self.phi())
+        self.summary().0
     }
 
-    /// The distinct dependence distance vectors of this binding.
-    pub fn distances(&self) -> Vec<rcp_intlin::IVec> {
-        distance_set(self.rd())
+    /// The number of distinct dependence distance vectors of this binding.
+    pub fn n_distances(&self) -> usize {
+        self.summary().1
+    }
+
+    /// Both of the above, computed together once per stage.
+    fn summary(&self) -> (Uniformity, usize) {
+        let core = &self.inner.core;
+        *core.summary.get_or_init(|| {
+            let distances = distance_set(self.rd());
+            let uniformity = classify_with_distances(self.rd(), self.phi(), &distances);
+            (uniformity, distances.len())
+        })
     }
 
     /// The Algorithm-1 partition (computed once, then shared).  When
@@ -1136,6 +1160,29 @@ mod tests {
             weak.upgrade().is_none(),
             "the memo must not keep AnalyzedInner alive after the last user handle drops"
         );
+    }
+
+    #[test]
+    fn warm_reports_read_the_stage_memos() {
+        let values = [("N1", 10), ("N2", 10)];
+        let analyzed = Session::with_config(Config::new().with_params(&values))
+            .bundled("example1")
+            .unwrap();
+        let stage = analyzed.partition().unwrap();
+        assert!(stage.inner.core.summary.get().is_none());
+        let summary = (stage.uniformity(), stage.n_distances());
+        assert!(stage.inner.core.summary.get().is_some());
+        assert_eq!(summary.1, distance_set(stage.rd()).len());
+        // The next request for the binding gets the memoised stage, memo
+        // included.
+        let again = analyzed.partition().unwrap();
+        assert!(again.inner.core.summary.get().is_some());
+        assert_eq!((again.uniformity(), again.n_distances()), summary);
+        // The listing renders once per plan.
+        assert!(analyzed.inner.listing.get().is_none());
+        let listing = analyzed.plan().unwrap().listing();
+        assert!(analyzed.inner.listing.get().is_some());
+        assert_eq!(analyzed.plan().unwrap().listing(), listing);
     }
 
     #[test]

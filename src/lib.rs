@@ -89,7 +89,7 @@ pub use rcp_workloads as workloads;
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    pub use rcp_codegen::{Phase, Schedule, WorkItem};
+    pub use rcp_codegen::{Phase, PhaseKind, Schedule, WorkItem};
     pub use rcp_core::{
         concrete_partition, symbolic_plan, ConcretePartition, PlanUnavailable, Recurrence,
         Strategy, ThreeSetPartition,

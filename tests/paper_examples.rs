@@ -3,6 +3,7 @@
 //! semantics and against the concrete facts the paper states.
 
 use recurrence_chains::baselines::{pdm_schedule, pl_schedule, unique_sets_schedule};
+use recurrence_chains::codegen::PointExpander;
 use recurrence_chains::core::{longest_chain, symbolic_plan};
 use recurrence_chains::prelude::*;
 use recurrence_chains::presburger::{DenseRelation, DenseSet};
@@ -119,12 +120,15 @@ fn example3_empty_intermediate_set() {
     assert!(three.validate(&phi, &rd).is_empty());
 
     // Executing P1 then P3 as two DOALL phases matches sequential execution.
-    let p1_sched = Schedule::doall_phase(&analysis, &three.p1, "p1");
-    let p3_sched = Schedule::doall_phase(&analysis, &three.p3, "p3");
-    let combined = Schedule {
-        name: "example3-rec".to_string(),
-        phases: vec![p1_sched.phases[0].clone(), p3_sched.phases[0].clone()],
-    };
+    let expander = PointExpander::new(&analysis, &[]);
+    let mut builder = expander.builder("example3-rec");
+    for set in [&three.p1, &three.p3] {
+        builder.phase(PhaseKind::Doall);
+        for point in set.iter() {
+            expander.item(point, &mut builder);
+        }
+    }
+    let combined = builder.finish();
     assert!(combined.validate_coverage(&program, &[n]).is_empty());
     let kernel = RefKernel::new(&program);
     let sequential = Schedule::sequential(&program, &[n]);

@@ -97,7 +97,7 @@ fn assert_screen_equivalent(
     let sched_e =
         Schedule::from_partition_with(&PointExpander::new(&exact, values), &part_e, "screened");
     assert_eq!(
-        sched_s.phases, sched_e.phases,
+        sched_s, sched_e,
         "{name}: schedules diverge phase for phase"
     );
 }

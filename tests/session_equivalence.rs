@@ -127,9 +127,11 @@ fn assert_equivalent(name: &str, program: &Program, values: &[(&str, i64)]) {
     let scheduled = stage
         .schedule_with("recurrence-chains")
         .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let mut legacy_schedule = legacy.schedule.clone();
+    legacy_schedule.name.clone_from(&scheduled.schedule().name);
     assert_eq!(
-        scheduled.schedule().phases,
-        legacy.schedule.phases,
+        scheduled.schedule(),
+        &legacy_schedule,
         "{name}: schedules diverge"
     );
     // 5. Replay: the session's parallel execution equals the legacy
