@@ -8,6 +8,12 @@
 //! rewritten, so any change to a schedule — and hence to what the executor
 //! runs — shows up here.
 //!
+//! Rows named `kernel@loop` pin the aggregated loop-level view
+//! (`GranularityChoice::Loop` over an imperfect nest), which automatic
+//! granularity never picks: lu falls back to dataflow stages there, and
+//! `empty_prefix` is a hand-built nest whose first prefix iteration has an
+//! empty body, so its dataflow schedule holds an empty work item.
+//!
 //! Regenerate (only when a schedule is *meant* to change):
 //! `RCP_BLESS=1 cargo test --test dense_engine -- --nocapture` prints the
 //! table.
@@ -17,9 +23,10 @@
 //! must list exactly the pairs of `Φ × Φ` that `Relation::contains_pair`
 //! accepts.
 
+use recurrence_chains::loopir::Program;
 use recurrence_chains::presburger::{DenseRelation, DenseSet};
-use recurrence_chains::session::{scheme_names, Session};
-use recurrence_chains::workloads::BUNDLED_LOOPS;
+use recurrence_chains::session::{scheme_names, Config, GranularityChoice, Session};
+use recurrence_chains::workloads::{bundled_loop, BUNDLED_LOOPS};
 
 /// What one (kernel, scheme) pair must produce.
 enum Expect {
@@ -48,24 +55,82 @@ fn binding(kernel: &str, survey: Vec<i64>) -> Vec<i64> {
     }
 }
 
+/// An imperfect nest whose perfect prefix `(I, J)` runs an empty body at
+/// `I = J = 1`, with a wavefront of dependences between prefix
+/// iterations, so the aggregated view falls back to dataflow stages.
+const EMPTY_PREFIX: &str = "PROGRAM empty_prefix
+PARAM N
+DO I = 1, N
+  DO J = 1, N
+    DO K = 1, J - 1
+      S1: a(I, J) = a(I - 1, J), a(I, J - 1), b(K)
+    ENDDO
+    DO L = 1, I - 1
+      S2: c(I, J) = a(I, J), c(I, J - 1)
+    ENDDO
+  ENDDO
+ENDDO
+END
+";
+
+/// The programs scheduled at loop granularity (the aggregated view), each
+/// with its binding: lu at N = 16, the others at their survey binding.
+fn loop_views() -> Vec<(&'static str, Program, Vec<i64>)> {
+    let mut views: Vec<(&'static str, Program, Vec<i64>)> = [
+        ("lu@loop", "lu"),
+        ("mvt@loop", "mvt"),
+        ("jacobi1d@loop", "jacobi1d"),
+        ("example3@loop", "example3"),
+        ("tomcatv@loop", "tomcatv"),
+    ]
+    .into_iter()
+    .map(|(label, name)| {
+        let bundled = bundled_loop(name).unwrap_or_else(|| panic!("{name} is bundled"));
+        let values = match name {
+            "lu" => vec![16],
+            _ => bundled.survey_values(),
+        };
+        (label, bundled.program(), values)
+    })
+    .collect();
+    let empty = recurrence_chains::lang::parse_program(EMPTY_PREFIX)
+        .unwrap_or_else(|e| panic!("empty_prefix: {e}"));
+    views.push(("empty_prefix@loop", empty, vec![5]));
+    views
+}
+
 /// Schedules every (kernel, scheme) pair: `Ok(digest)` or `Err(error)`.
 fn outcomes() -> Vec<(&'static str, &'static str, Result<u64, String>)> {
-    let session = Session::new();
-    let mut out = Vec::new();
-    for bundled in BUNDLED_LOOPS {
+    let auto = BUNDLED_LOOPS.iter().map(|bundled| {
         let values = binding(bundled.name, bundled.survey_values());
+        (bundled.name, bundled.program(), values, Session::new())
+    });
+    let loop_level =
+        Session::with_config(Config::new().with_granularity(GranularityChoice::Loop));
+    let aggregated = loop_views()
+        .into_iter()
+        .map(|(label, program, values)| (label, program, values, loop_level.clone()));
+    let mut out = Vec::new();
+    for (kernel, program, values, session) in auto.chain(aggregated) {
         let analyzed = session
-            .load(bundled.program())
-            .unwrap_or_else(|e| panic!("{}: {e}", bundled.name));
+            .load(program)
+            .unwrap_or_else(|e| panic!("{kernel}: {e}"));
         let partitioned = analyzed
             .partition_values(&values)
-            .unwrap_or_else(|e| panic!("{}: {e}", bundled.name));
+            .unwrap_or_else(|e| panic!("{kernel}: {e}"));
         for scheme in scheme_names() {
             let outcome = partitioned
                 .schedule_with(scheme)
-                .map(|s| fnv1a(format!("{:?}", s.schedule()).as_bytes()))
+                .map(|s| format!("{:?}", s.schedule()))
                 .map_err(|e| e.to_string());
-            out.push((bundled.name, scheme, outcome));
+            if (kernel, scheme) == ("empty_prefix@loop", "recurrence-chains") {
+                let text = outcome.as_deref().unwrap_or_default();
+                assert!(
+                    text.contains("WorkItem { instances: [] }"),
+                    "{kernel}: the empty prefix iteration keeps its work item"
+                );
+            }
+            out.push((kernel, scheme, outcome.map(|text| fnv1a(text.as_bytes()))));
         }
     }
     out
@@ -228,5 +293,40 @@ const PINNED: &[(&str, &str, Expect)] = &[
     ("wavefront", "pl", Expect::Digest(0x1a9644dd063ffd79)),
     ("wavefront", "unique", Expect::Digest(0x5c57020ce41927f2)),
     ("wavefront", "doacross", Expect::Digest(0xae9d4405a96358b1)),
-    ("wavefront", "inner-parallel", Expect::Digest(0x42f7a29c880f4943)),
+    ("wavefront", "inner-parallel", Expect::Digest(0x42f7a29c880f4943)),    ("lu@loop", "recurrence-chains", Expect::Digest(0x67ab48c0cfda5aa1)),
+    ("lu@loop", "pdm", Expect::Refused("scheme `pdm` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("lu@loop", "pl", Expect::Refused("scheme `pl` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("lu@loop", "unique", Expect::Refused("scheme `unique` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("lu@loop", "doacross", Expect::Digest(0xb5ba8e53a5bb7db1)),
+    ("lu@loop", "inner-parallel", Expect::Digest(0x3d8dff6adcaf1447)),
+    ("mvt@loop", "recurrence-chains", Expect::Digest(0xc086bfa2ed780876)),
+    ("mvt@loop", "pdm", Expect::Refused("scheme `pdm` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("mvt@loop", "pl", Expect::Refused("scheme `pl` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("mvt@loop", "unique", Expect::Refused("scheme `unique` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("mvt@loop", "doacross", Expect::Digest(0x0ab466183254cd17)),
+    ("mvt@loop", "inner-parallel", Expect::Digest(0xa048d74b5228e3da)),
+    ("jacobi1d@loop", "recurrence-chains", Expect::Digest(0xe48dc2a5aa7c0c86)),
+    ("jacobi1d@loop", "pdm", Expect::Refused("scheme `pdm` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("jacobi1d@loop", "pl", Expect::Refused("scheme `pl` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("jacobi1d@loop", "unique", Expect::Refused("scheme `unique` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("jacobi1d@loop", "doacross", Expect::Digest(0x21ab641f97513cdd)),
+    ("jacobi1d@loop", "inner-parallel", Expect::Digest(0x075a827de486d61f)),
+    ("example3@loop", "recurrence-chains", Expect::Digest(0x7294a943caec0f71)),
+    ("example3@loop", "pdm", Expect::Refused("scheme `pdm` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("example3@loop", "pl", Expect::Refused("scheme `pl` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("example3@loop", "unique", Expect::Refused("scheme `unique` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("example3@loop", "doacross", Expect::Digest(0x9293593d0543de9f)),
+    ("example3@loop", "inner-parallel", Expect::Digest(0x390326b8a53bd842)),
+    ("tomcatv@loop", "recurrence-chains", Expect::Digest(0x98e386dfa1700bdf)),
+    ("tomcatv@loop", "pdm", Expect::Refused("scheme `pdm` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("tomcatv@loop", "pl", Expect::Refused("scheme `pl` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("tomcatv@loop", "unique", Expect::Refused("scheme `unique` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("tomcatv@loop", "doacross", Expect::Digest(0x2a63a0bfae0913ac)),
+    ("tomcatv@loop", "inner-parallel", Expect::Digest(0xd800fcec0ab496b5)),
+    ("empty_prefix@loop", "recurrence-chains", Expect::Digest(0xf47422b45b89dfcd)),
+    ("empty_prefix@loop", "pdm", Expect::Refused("scheme `pdm` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("empty_prefix@loop", "pl", Expect::Refused("scheme `pl` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("empty_prefix@loop", "unique", Expect::Refused("scheme `unique` does not apply: the scheme's lattice construction is defined on perfect nests, not on the aggregated loop-group view of an imperfect nest")),
+    ("empty_prefix@loop", "doacross", Expect::Digest(0xa8f4c9085dd5dea0)),
+    ("empty_prefix@loop", "inner-parallel", Expect::Digest(0xc600a663a0399186)),
 ];
