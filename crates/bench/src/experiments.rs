@@ -489,10 +489,10 @@ pub fn fig3_ex4(model: &CostModel, params: CholeskyParams, max_threads: usize) -
     let total = stages.total_iterations();
     // REC: one DOALL phase per dataflow stage.
     let rec_phases: Vec<PhaseShape> = stages
-        .stages
-        .iter()
-        .map(|s| PhaseShape::Doall {
-            items: s.len(),
+        .stage_sizes()
+        .into_iter()
+        .map(|items| PhaseShape::Doall {
+            items,
             unit_instances: 1.0,
         })
         .collect();
@@ -841,10 +841,25 @@ pub fn ablation(model: &CostModel, n1: i64, n2: i64, threads: usize) -> Experime
         stages: dataflow_partition(&phi, &rd),
     };
     let schedules = [
-        ("REC", Schedule::from_partition(&analysis, &rec, "rec")),
+        (
+            "REC",
+            Schedule::from_partition(
+                &analysis.program,
+                analysis.granularity,
+                &[n1, n2],
+                &rec,
+                "rec",
+            ),
+        ),
         (
             "pure-dataflow",
-            Schedule::from_partition(&analysis, &dataflow, "dataflow"),
+            Schedule::from_partition(
+                &analysis.program,
+                analysis.granularity,
+                &[n1, n2],
+                &dataflow,
+                "dataflow",
+            ),
         ),
     ];
     let mut text = format!(

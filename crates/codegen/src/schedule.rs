@@ -20,9 +20,9 @@
 //! slab through the borrowed views [`Phase`], [`Unit`] and [`WorkItem`];
 //! no instance owns a heap object.
 
-use rcp_core::ConcretePartition;
+use rcp_core::{ConcretePartition, DataflowPartition};
 use rcp_depend::{DependenceAnalysis, Granularity};
-use rcp_loopir::{LoopGroup, LoopWalker, Program, UnifiedDecoder};
+use rcp_loopir::{LoopWalker, Program, UnifiedDecoder};
 use rcp_presburger::DenseSet;
 use std::fmt;
 use std::ops::Range;
@@ -89,30 +89,32 @@ impl Schedule {
         builder.finish()
     }
 
-    /// Builds the schedule of a concrete Algorithm-1 partition.
+    /// Builds the schedule of a concrete Algorithm-1 partition of the
+    /// points of `program`'s analysis space at `granularity` and the
+    /// parameter values `params`.  No dependence analysis is involved.
     ///
     /// At loop-level granularity each partition point is one loop-body
-    /// iteration and expands to all statements of the (perfect) nest; at
-    /// statement-level granularity each point is a single statement
-    /// instance.  Aggregated loop-level points (imperfect nests) need the
-    /// parameter values to expand their inner loops — use
-    /// [`Self::from_partition_with`] and [`PointExpander::new`] for those.
+    /// iteration and expands to all statements of the (perfect) nest, or
+    /// to the whole body of one prefix iteration in the aggregated view of
+    /// an imperfect nest; at statement-level granularity each point is a
+    /// single statement instance.
     pub fn from_partition(
-        analysis: &DependenceAnalysis,
+        program: &Program,
+        granularity: Granularity,
+        params: &[i64],
         partition: &ConcretePartition,
         name: &str,
     ) -> Schedule {
-        Self::from_partition_with(&PointExpander::new(analysis, &[]), partition, name)
-    }
-
-    /// Builds the schedule of a concrete Algorithm-1 partition whose
-    /// points `expander` turns into work items.
-    pub fn from_partition_with(
-        expander: &PointExpander,
-        partition: &ConcretePartition,
-        name: &str,
-    ) -> Schedule {
+        let (p1, chains, p3) = match partition {
+            ConcretePartition::RecurrenceChains { p1, chains, p3, .. } => (p1, chains, p3),
+            ConcretePartition::Dataflow { stages } => {
+                return Self::dataflow(program, granularity, params, stages, name)
+            }
+        };
+        let expander = PointExpander::for_program(program, granularity, params);
         let mut builder = expander.builder(name);
+        let chained: usize = chains.iter().map(|c| c.len()).sum();
+        expander.reserve(&mut builder, p1.len() + chained + p3.len());
         let doall = |builder: &mut ScheduleBuilder, points: &DenseSet| {
             if !points.is_empty() {
                 builder.phase(PhaseKind::Doall);
@@ -121,27 +123,58 @@ impl Schedule {
                 }
             }
         };
-        match partition {
-            ConcretePartition::RecurrenceChains { p1, chains, p3, .. } => {
-                let chained: usize = chains.iter().map(|c| c.len()).sum();
-                expander.reserve(&mut builder, p1.len() + chained + p3.len());
-                doall(&mut builder, p1);
-                if !chains.is_empty() {
-                    builder.phase(PhaseKind::ChainSet);
-                    for chain in chains {
-                        builder.chain();
-                        for point in &chain.iterations {
-                            expander.item(point, &mut builder);
-                        }
-                    }
+        doall(&mut builder, p1);
+        if !chains.is_empty() {
+            builder.phase(PhaseKind::ChainSet);
+            for chain in chains {
+                builder.chain();
+                for point in &chain.iterations {
+                    expander.item(point, &mut builder);
                 }
-                doall(&mut builder, p3);
             }
-            ConcretePartition::Dataflow { stages } => {
-                let points = stages.stages.iter().map(DenseSet::len).sum();
-                expander.reserve(&mut builder, points);
-                for stage in &stages.stages {
-                    doall(&mut builder, stage);
+        }
+        doall(&mut builder, p3);
+        builder.finish()
+    }
+
+    /// The schedule of a dataflow partition, the one builder of dataflow
+    /// schedules, traced or built from `Rd`, at every view: a DOALL phase
+    /// per level whose items are the points at that level in id order.
+    /// Point `k` of the program-order walk ([`LoopWalker::for_each_point`])
+    /// is `Φ` id `k`, and expands to the instances the walk visits for it:
+    /// an empty work item when it runs none.
+    fn dataflow(
+        program: &Program,
+        granularity: Granularity,
+        params: &[i64],
+        stages: &DataflowPartition,
+        name: &str,
+    ) -> Schedule {
+        let walker = program.walker(params);
+        let loop_level = granularity == Granularity::LoopLevel;
+        // The points in program order, an item each.
+        let mut walk = ScheduleBuilder::new(name, walker.depths());
+        walk.reserve(walker.count(), stages.levels.len());
+        walk.phase(PhaseKind::Doall);
+        walker.for_each_point(loop_level, |point| {
+            walk.item();
+            point.for_each(|stmt, indices| walk.instance(stmt, indices));
+        });
+        let walk = walk.finish();
+        assert_eq!(walk.n_items(), stages.levels.len(), "one level per point");
+        // The point ids of every level, in id order.
+        let mut ids: Vec<Vec<u32>> = vec![Vec::new(); stages.n_stages()];
+        for (id, &level) in stages.levels.iter().enumerate() {
+            ids[level as usize].push(offset(id));
+        }
+        let mut builder = ScheduleBuilder::new(name, walker.depths());
+        builder.reserve(walk.n_instances(), walk.n_items());
+        for stage in ids.iter().filter(|ids| !ids.is_empty()) {
+            builder.phase(PhaseKind::Doall);
+            for &id in stage {
+                builder.item();
+                for (stmt, indices) in walk.item(id as usize).instances() {
+                    builder.instance(stmt, indices);
                 }
             }
         }
@@ -598,7 +631,13 @@ impl ScheduleBuilder {
     /// the open item.
     #[inline]
     pub fn instance(&mut self, stmt: usize, indices: &[i64]) {
-        self.row(stmt).copy_from_slice(indices);
+        let s = &mut self.schedule;
+        debug_assert!(!s.items.is_empty(), "instances belong to items");
+        let depth = s.depths[stmt] as usize;
+        s.stmts.push(offset(stmt));
+        let start = s.indices.len();
+        s.indices.resize(start + s.stride, 0);
+        s.indices[start..start + depth].copy_from_slice(indices);
     }
 
     /// Opens an item holding the one instance `(stmt, indices)`.
@@ -606,19 +645,6 @@ impl ScheduleBuilder {
     pub fn single(&mut self, stmt: usize, indices: &[i64]) {
         self.item();
         self.instance(stmt, indices);
-    }
-
-    /// Appends an instance of statement `stmt` to the open item and
-    /// returns its loop indices, zeroed, for the caller to fill.
-    #[inline]
-    pub fn row(&mut self, stmt: usize) -> &mut [i64] {
-        let s = &mut self.schedule;
-        debug_assert!(!s.items.is_empty(), "instances belong to items");
-        let depth = s.depths[stmt] as usize;
-        s.stmts.push(offset(stmt));
-        let start = s.indices.len();
-        s.indices.resize(start + s.stride, 0);
-        &mut s.indices[start..start + depth]
     }
 
     /// The finished schedule.
@@ -648,7 +674,7 @@ pub struct PointExpander {
 
 enum Expansion {
     /// Aggregated loop-level points `(group, prefix iteration, padding)`.
-    Groups(Vec<LoopGroup>, LoopWalker),
+    Groups(LoopWalker),
     /// Loop-level points of a perfect nest with this many statements.
     Nest(usize),
     /// Statement-level points of the unified space.
@@ -672,10 +698,7 @@ impl PointExpander {
         let depths = program.statement_depths();
         let expansion = match granularity {
             Granularity::LoopLevel if program.is_perfect_nest() => Expansion::Nest(depths.len()),
-            Granularity::LoopLevel => Expansion::Groups(
-                program.loop_groups().unwrap_or_default(),
-                program.walker(params),
-            ),
+            Granularity::LoopLevel => Expansion::Groups(program.walker(params)),
             Granularity::StatementLevel => Expansion::Unified(program.unified_decoder()),
         };
         PointExpander { depths, expansion }
@@ -698,46 +721,29 @@ impl PointExpander {
     }
 
     /// Appends the work item of one partition point to `builder`.
-    // Panic-hygiene allow: partition points come from the same analysis the
-    // expander was built from, so the instance lookup is an invariant.
-    #[allow(clippy::expect_used)]
     pub fn item(&self, point: &[i64], builder: &mut ScheduleBuilder) {
         builder.item();
-        match &self.expansion {
-            Expansion::Unified(decoder) => {
-                let stmt = decoder
-                    .statement(point)
-                    .expect("partition point decodes to a statement instance");
-                for (k, x) in builder.row(stmt).iter_mut().enumerate() {
-                    *x = point[2 * k + 1];
-                }
-            }
-            _ => self.for_each_instance(point, |stmt, indices| builder.instance(stmt, indices)),
-        }
+        self.for_each_instance(point, |stmt, indices| builder.instance(stmt, indices));
     }
 
     /// Calls `f(statement id, loop indices)` for every instance of one
     /// partition point's work item, in execution order.
-    // Panic-hygiene allow: as for `item`.
+    // Panic-hygiene allow: partition points come from the same analysis the
+    // expander was built from, so the instance lookup is an invariant.
     #[allow(clippy::expect_used)]
     pub fn for_each_instance(&self, point: &[i64], mut f: impl FnMut(usize, &[i64])) {
         match &self.expansion {
-            Expansion::Groups(groups, walker) => {
-                // An aggregated point executes the whole body of one
-                // prefix iteration in program order.
-                let group = groups
-                    .iter()
-                    .find(|g| g.group as i64 == point[0])
-                    .expect("aggregated point names a loop group");
-                walker.for_each_in_group(group, &point[1..1 + group.depth()], f);
+            // An aggregated point executes the whole body of one prefix
+            // iteration in program order.
+            Expansion::Groups(walker) => {
+                walker.for_each_in_group(point[0] as usize, &point[1..], f)
             }
             // All statements of the nest execute at these indices, in order.
             Expansion::Nest(statements) => (0..*statements).for_each(|id| f(id, point)),
             Expansion::Unified(decoder) => {
-                let stmt = decoder
-                    .statement(point)
+                let (stmt, indices) = decoder
+                    .decode(point)
                     .expect("partition point decodes to a statement instance");
-                let indices: Vec<i64> = (0..self.depths[stmt]).map(|k| point[2 * k + 1]).collect();
                 f(stmt, &indices);
             }
         }
@@ -789,7 +795,7 @@ mod tests {
         let p = figure2();
         let analysis = DependenceAnalysis::loop_level(&p);
         let part = concrete_partition(&analysis, &[]);
-        let sched = Schedule::from_partition(&analysis, &part, "figure2-rec");
+        let sched = Schedule::from_partition(&p, analysis.granularity, &[], &part, "figure2-rec");
         // Empty intermediate set: two DOALL phases.
         assert_eq!(sched.n_phases(), 2);
         assert_eq!(sched.n_items(), 20);
@@ -827,7 +833,8 @@ mod tests {
         );
         let analysis = DependenceAnalysis::loop_level(&p);
         let part = concrete_partition(&analysis, &[30, 40]);
-        let sched = Schedule::from_partition(&analysis, &part, "example1-rec");
+        let sched =
+            Schedule::from_partition(&p, analysis.granularity, &[30, 40], &part, "example1-rec");
         assert_eq!(sched.n_items(), 30 * 40);
         assert!(sched.validate_coverage(&p, &[30, 40]).is_empty());
         assert_eq!(sched.n_phases(), 3);
@@ -864,7 +871,7 @@ mod tests {
         let p = figure2();
         let analysis = DependenceAnalysis::loop_level(&p);
         let part = concrete_partition(&analysis, &[]);
-        let sched = Schedule::from_partition(&analysis, &part, "broken");
+        let sched = Schedule::from_partition(&p, analysis.granularity, &[], &part, "broken");
         assert!(sched.validate_coverage(&p, &[]).is_empty());
         assert_eq!(edited(&sched, |_| {}), sched);
         // remove one item

@@ -87,8 +87,15 @@ fn building_a_schedule_does_not_allocate_per_instance() {
         let instances = (values[0] * values[1]) as usize;
         let partition = concrete_partition(&analysis, &values);
         let (sequential, seq_allocs) = counted(|| Schedule::sequential(&program, &values));
-        let (rec, rec_allocs) =
-            counted(|| Schedule::from_partition(&analysis, &partition, "example1-rec"));
+        let (rec, rec_allocs) = counted(|| {
+            Schedule::from_partition(
+                &analysis.program,
+                analysis.granularity,
+                &values,
+                &partition,
+                "example1-rec",
+            )
+        });
         assert_eq!(sequential.n_instances(), instances);
         assert_eq!(rec.n_instances(), instances);
         assert_eq!(rec.n_phases(), 3, "P1, the chains and P3");

@@ -15,93 +15,66 @@
 //! and the number of peels is the length of the longest dependence path
 //! plus one — 238 steps for the Cholesky kernel at the paper's parameters.
 //!
-//! The implementation below computes the same layering in one topological
-//! pass (Kahn levels) over the dependence edges between point ids (indices
-//! into `Φ`'s sorted rows), which is equivalent to the repeated peeling but
-//! runs in `O(V + E)` and never hashes a point.
+//! The stage of a point is therefore its *level*, the number of edges on
+//! the longest dependence path that ends in it, and a partition is one
+//! level per point id (index into `Φ`'s sorted rows).  `Rd` points forward
+//! in id order at every view, because its pieces are cut by strict
+//! lexicographic order, so one forward pass over the edges sorted by
+//! source computes the levels in `O(V + E)` without hashing a point.
 
 use rcp_presburger::{DenseRelation, DenseSet};
 
-/// The result of dataflow partitioning: a sequence of fully parallel
-/// stages executed in order with a barrier after each.
+/// The result of dataflow partitioning: fully parallel stages executed in
+/// order with a barrier after each, held as the stage of every point.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DataflowPartition {
-    /// The stages in execution order; each stage is a fully parallel set.
-    pub stages: Vec<DenseSet>,
+    /// Per point id of `Φ`, the stage that executes it.
+    pub levels: Vec<u32>,
 }
 
 impl DataflowPartition {
-    /// The partition whose stage `k` holds the points of `phi` at level
-    /// `k`, where `levels[id]` is the level of `phi`'s point `id` — the
-    /// stages of [`dataflow_partition`] when the levels are the
-    /// longest-path levels of the dependence relation, as
-    /// `rcp_depend::dataflow_levels` computes them without the relation.
-    pub fn from_levels(phi: &DenseSet, levels: &[u32]) -> DataflowPartition {
-        debug_assert_eq!(levels.len(), phi.len(), "one level per point of phi");
-        let n_stages = levels.iter().max().map_or(0, |&m| m as usize + 1);
-        let mut ids: Vec<Vec<usize>> = vec![Vec::new(); n_stages];
-        for (id, &level) in levels.iter().enumerate() {
-            ids[level as usize].push(id);
-        }
-        DataflowPartition {
-            stages: ids.into_iter().map(|ids| phi.subset(ids)).collect(),
-        }
-    }
-
     /// Number of partitioning steps (stages).
     pub fn n_stages(&self) -> usize {
-        self.stages.len()
+        self.levels.iter().max().map_or(0, |&m| m as usize + 1)
     }
 
     /// Total number of iterations across all stages.
     pub fn total_iterations(&self) -> usize {
-        self.stages.iter().map(|s| s.len()).sum()
+        self.levels.len()
+    }
+
+    /// The number of points of every stage, in stage order.
+    pub fn stage_sizes(&self) -> Vec<usize> {
+        let mut sizes = vec![0; self.n_stages()];
+        for &level in &self.levels {
+            sizes[level as usize] += 1;
+        }
+        sizes
     }
 
     /// The largest stage size (determines the parallelism available).
     pub fn max_stage_size(&self) -> usize {
-        self.stages.iter().map(|s| s.len()).max().unwrap_or(0)
+        self.stage_sizes().into_iter().max().unwrap_or(0)
     }
 
-    /// Checks the structural invariants: stages are disjoint, cover `Φ`, no
-    /// dependence stays within a stage, and no dependence points backwards.
+    /// Checks the structural invariants: one stage per point of `Φ`, and
+    /// every dependence rises to a later stage.
     pub fn validate(&self, phi: &DenseSet, rd: &DenseRelation) -> Vec<String> {
-        let mut problems = Vec::new();
-        let staged = DenseSet::from_points(
-            phi.dim(),
-            self.stages
-                .iter()
-                .flat_map(|s| s.iter())
-                .filter(|p| p.len() == phi.dim()),
-        );
-        // The stage of every staged point (the last stage listing it).
-        let mut level = vec![0usize; staged.len()];
-        let mut seen = vec![false; staged.len()];
-        for (k, stage) in self.stages.iter().enumerate() {
-            for p in stage.iter() {
-                let Some(id) = staged.index_of(p) else {
-                    continue;
-                };
-                if std::mem::replace(&mut seen[id], true) {
-                    problems.push(format!("iteration {:?} appears in two stages", p));
-                }
-                level[id] = k;
-            }
-        }
-        if staged.len() != phi.len() {
-            problems.push(format!(
+        if self.levels.len() != phi.len() {
+            return vec![format!(
                 "stages cover {} of {} iterations",
-                staged.len(),
+                self.levels.len(),
                 phi.len()
-            ));
+            )];
         }
-        for (src, dst) in rd.edges_within(&staged) {
-            let (a, b) = (level[src as usize], level[dst as usize]);
+        let mut problems = Vec::new();
+        for (src, dst) in rd.edges_within(phi) {
+            let (a, b) = (self.levels[src as usize], self.levels[dst as usize]);
             if a >= b {
                 problems.push(format!(
                     "dependence {:?} (stage {a}) -> {:?} (stage {b}) not strictly forward",
-                    staged.point(src as usize),
-                    staged.point(dst as usize)
+                    phi.point(src as usize),
+                    phi.point(dst as usize)
                 ));
             }
         }
@@ -110,67 +83,37 @@ impl DataflowPartition {
 }
 
 /// Computes the dataflow partition of `phi` under the dependence relation
-/// `rd` (restricted to `phi`).
-///
-/// Kahn's algorithm over point ids: round `r` releases exactly the points
-/// whose longest chain of predecessors inside `phi` has `r` edges, so each
-/// round is one stage.
-///
-/// # Panics
-/// Panics when the relation restricted to `phi` has a cycle (forward
-/// dependence relations are acyclic by construction).
+/// `rd` (restricted to `phi`): every point's longest-path level, in one
+/// pass over the edges sorted by source.  Since every edge points forward
+/// in id order, a source's level is final before its first edge is read.
 pub fn dataflow_partition(phi: &DenseSet, rd: &DenseRelation) -> DataflowPartition {
-    let n = phi.len();
-    // Edges sorted by source: a CSR successor list once offsets are known.
-    let edges = rd.edges_within(phi);
-    let mut offsets = vec![0usize; n + 1];
-    let mut indegree = vec![0u32; n];
-    for &(src, dst) in &edges {
-        offsets[src as usize + 1] += 1;
-        indegree[dst as usize] += 1;
+    let mut levels = vec![0u32; phi.len()];
+    for (src, dst) in rd.edges_within(phi) {
+        debug_assert!(src < dst, "Rd points forward in id order");
+        levels[dst as usize] = levels[dst as usize].max(levels[src as usize] + 1);
     }
-    for k in 0..n {
-        offsets[k + 1] += offsets[k];
-    }
-    let mut frontier: Vec<usize> = (0..n).filter(|&p| indegree[p] == 0).collect();
-    let mut stages = Vec::new();
-    let mut processed = 0usize;
-    while !frontier.is_empty() {
-        frontier.sort_unstable();
-        stages.push(phi.subset(frontier.iter().copied()));
-        let mut next = Vec::new();
-        for &p in &frontier {
-            processed += 1;
-            for &(_, succ) in &edges[offsets[p]..offsets[p + 1]] {
-                let e = &mut indegree[succ as usize];
-                *e -= 1;
-                if *e == 0 {
-                    next.push(succ as usize);
-                }
-            }
-        }
-        frontier = next;
-    }
-    assert_eq!(
-        processed, n,
-        "dependence relation contains a cycle — forward relations are acyclic by construction"
-    );
-    DataflowPartition { stages }
+    DataflowPartition { levels }
 }
 
 /// The naive repeated-peeling formulation of the paper (used to
-/// cross-validate the topological implementation in tests; `O(steps · E)`).
+/// cross-validate the forward pass in tests; `O(steps · E)`).
 pub fn dataflow_partition_by_peeling(phi: &DenseSet, rd: &DenseRelation) -> DataflowPartition {
     let mut remaining = phi.clone();
-    let mut stages = Vec::new();
+    let mut levels = vec![0u32; phi.len()];
+    let mut level = 0;
     while !remaining.is_empty() {
         let restricted = rd.restrict_within(&remaining);
         let p1 = remaining.subtract(&restricted.range());
         assert!(!p1.is_empty(), "no progress: dependence cycle");
-        stages.push(p1.clone());
+        for p in p1.iter() {
+            if let Some(id) = phi.index_of(p) {
+                levels[id] = level;
+            }
+        }
         remaining = remaining.subtract(&p1);
+        level += 1;
     }
-    DataflowPartition { stages }
+    DataflowPartition { levels }
 }
 
 #[cfg(test)]
@@ -221,10 +164,10 @@ mod tests {
         let a = dataflow_partition(&phi, &rd);
         let b = dataflow_partition_by_peeling(&phi, &rd);
         assert_eq!(a, b);
-        assert_eq!(a.n_stages(), 4);
+        assert_eq!(a.levels, vec![0, 1, 1, 2, 3, 0, 0]);
         assert!(a.validate(&phi, &rd).is_empty());
         // stage 0 holds 0, 5, 6 (no predecessors)
-        assert_eq!(a.stages[0].len(), 3);
+        assert_eq!(a.stage_sizes(), vec![3, 2, 1, 1]);
     }
 
     #[test]
@@ -241,45 +184,26 @@ mod tests {
     }
 
     #[test]
-    fn stages_from_levels_match_kahn_rounds() {
-        // The diamond of `peeling_and_topological_agree` with its
-        // longest-path levels.
-        let phi = DenseSet::from_points(1, (0..=6).map(|i| vec![i]));
-        let rd = DenseRelation::from_pairs(
-            1,
-            1,
-            vec![
-                (vec![0], vec![1]),
-                (vec![0], vec![2]),
-                (vec![1], vec![3]),
-                (vec![2], vec![3]),
-                (vec![3], vec![4]),
-            ],
-        );
-        let from_levels = DataflowPartition::from_levels(&phi, &[0, 1, 1, 2, 3, 0, 0]);
-        assert_eq!(from_levels, dataflow_partition(&phi, &rd));
-        assert!(from_levels.validate(&phi, &rd).is_empty());
-        let empty = DenseSet::new(1);
-        assert_eq!(DataflowPartition::from_levels(&empty, &[]).n_stages(), 0);
-    }
-
-    #[test]
     fn validation_detects_bad_layerings() {
         let (phi, rd) = chain_relation(3);
         let good = dataflow_partition(&phi, &rd);
         assert!(good.validate(&phi, &rd).is_empty());
         // put everything in one stage: dependences stay inside the stage
-        let bad = DataflowPartition {
-            stages: vec![phi.clone()],
+        let bad = DataflowPartition { levels: vec![0; 3] };
+        assert_eq!(bad.validate(&phi, &rd).len(), 2);
+        // a dependence that points back a stage
+        let backwards = DataflowPartition {
+            levels: vec![0, 2, 1],
         };
-        assert!(!bad.validate(&phi, &rd).is_empty());
+        assert_eq!(
+            backwards.validate(&phi, &rd),
+            vec!["dependence [2] (stage 2) -> [3] (stage 1) not strictly forward".to_string()]
+        );
         // drop an iteration: coverage violated
-        let partial = DataflowPartition {
-            stages: vec![
-                DenseSet::from_points(1, vec![vec![1]]),
-                DenseSet::from_points(1, vec![vec![2]]),
-            ],
-        };
-        assert!(!partial.validate(&phi, &rd).is_empty());
+        let partial = DataflowPartition { levels: vec![0, 1] };
+        assert_eq!(
+            partial.validate(&phi, &rd),
+            vec!["stages cover 2 of 3 iterations".to_string()]
+        );
     }
 }

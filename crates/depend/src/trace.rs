@@ -16,11 +16,12 @@
 //! point is known, so the accesses of one point never constrain each
 //! other: `Rd` relates distinct points only.
 //!
-//! Points are the analysis's points.  At statement level each instance is
-//! one point; at loop level over a perfect nest the nest's `S` statements
-//! of one iteration form a point.  The compiled loop walker lists
-//! instances in program order, which is `Φ`'s lexicographic order, so
-//! trace position `k` is `Φ` id `k`.
+//! Points are the analysis's points, as the compiled loop walker lists
+//! them ([`rcp_loopir::LoopWalker::for_each_point`]): at statement level
+//! each instance is one point, at loop level over a perfect nest the
+//! statements of one iteration form a point.  The walk is in program
+//! order, which is `Φ`'s lexicographic order, so trace position `k` is
+//! `Φ` id `k`.
 //!
 //! # Why the levels are `Rd`'s longest-path levels
 //!
@@ -45,10 +46,9 @@
 //! `level(y) ≥ level(x) + 1`.
 //!
 //! The two directions give exactly the longest-path levels of `Rd`, which
-//! are the rounds of Kahn's algorithm over `Rd` (`rcp_core`'s
-//! `dataflow_partition`), stage by stage.  The walk records no edges: it
-//! holds one entry per touched element and costs one table probe per
-//! access.
+//! `rcp_core`'s `dataflow_partition` computes from `Rd`'s edges.  The walk
+//! records no edges: it holds one entry per touched element and costs one
+//! table probe per access.
 
 use crate::analysis::Granularity;
 use rcp_loopir::{CompiledRefs, Program};
@@ -79,42 +79,35 @@ pub fn dataflow_levels(program: &Program, values: &[i64], granularity: Granulari
         .iter()
         .map(|&(_, rank)| ElementTable::new(rank))
         .collect();
-    let per_point = match granularity {
-        Granularity::StatementLevel => 1,
-        Granularity::LoopLevel => stmts.len().max(1),
-    };
     let max_rank = tables.iter().map(|t| t.rank).max().unwrap_or(0);
     let mut subscript = vec![0i64; max_rank];
     // (array slot, element id, is a write) of the current point's accesses.
     let mut touched: Vec<(usize, u32, bool)> = Vec::new();
     let walker = program.walker(&[]);
-    let points = walker.count() / per_point;
+    let loop_level = granularity == Granularity::LoopLevel;
+    let points = walker.count_points(loop_level);
     let mut levels = Vec::with_capacity(points);
-    let mut level = 0u32;
-    // Instances of the current point seen so far.
-    let mut seen = 0;
-    walker.for_each(|stmt, indices| {
-        if seen == 0 && levels.len() % TICK_POINTS == 0 {
+    walker.for_each_point(loop_level, |point| {
+        if levels.len() % TICK_POINTS == 0 {
             let chunk = TICK_POINTS.min(points - levels.len());
             rcp_guard::tick(rcp_guard::Stage::Partition, chunk as u64);
         }
-        for access in &stmts[stmt] {
-            let table = &mut tables[access.slot];
-            let subscript = &mut subscript[..table.rank];
-            access.eval(indices, subscript);
-            let e = table.id(subscript);
-            let state = table.state[e as usize];
-            level = level.max(state.writer);
-            if access.write {
-                level = level.max(state.reader);
+        let mut level = 0u32;
+        point.for_each(|stmt, indices| {
+            for access in &stmts[stmt] {
+                let table = &mut tables[access.slot];
+                let subscript = &mut subscript[..table.rank];
+                access.eval(indices, subscript);
+                let e = table.id(subscript);
+                let state = table.state[e as usize];
+                level = level.max(state.writer);
+                if access.write {
+                    level = level.max(state.reader);
+                }
+                touched.push((access.slot, e, access.write));
             }
-            touched.push((access.slot, e, access.write));
-        }
-        seen += 1;
-        if seen < per_point {
-            return;
-        }
-        for &(slot, e, write) in &touched {
+        });
+        for (slot, e, write) in touched.drain(..) {
             let state = &mut tables[slot].state[e as usize];
             if write {
                 *state = ElementState {
@@ -126,9 +119,6 @@ pub fn dataflow_levels(program: &Program, values: &[i64], granularity: Granulari
             }
         }
         levels.push(level);
-        touched.clear();
-        level = 0;
-        seen = 0;
     });
     levels
 }
@@ -226,28 +216,9 @@ impl ElementTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::DependenceAnalysis;
     use rcp_loopir::expr::{c, v};
     use rcp_loopir::program::build::{loop_, stmt};
     use rcp_loopir::ArrayRef;
-    use rcp_presburger::{DenseRelation, DenseSet};
-
-    /// The longest-path levels of `Rd` over `Φ` ids: the reference the
-    /// trace must reproduce.  `Rd` points forward in id order, so one pass
-    /// over the edges sorted by target suffices.
-    fn rd_levels(program: &Program, values: &[i64], granularity: Granularity) -> Vec<u32> {
-        let analysis = DependenceAnalysis::analyze(program, granularity);
-        let (phi, relation) = analysis.bind_params(values);
-        let phi = DenseSet::from_union(&phi);
-        let mut edges = DenseRelation::from_relation(&relation).edges_within(&phi);
-        edges.sort_unstable_by_key(|&(src, dst)| (dst, src));
-        let mut levels = vec![0u32; phi.len()];
-        for (src, dst) in edges {
-            assert!(src < dst, "Rd points forward in program order");
-            levels[dst as usize] = levels[dst as usize].max(levels[src as usize] + 1);
-        }
-        levels
-    }
 
     fn single_loop(name: &str, refs: Vec<ArrayRef>) -> Program {
         Program::new(
@@ -255,105 +226,6 @@ mod tests {
             &["N"],
             vec![loop_("I", c(1), v("N"), vec![stmt("S", refs)])],
         )
-    }
-
-    #[test]
-    fn levels_equal_the_longest_paths_of_rd() {
-        let figure2 = single_loop(
-            "figure2",
-            vec![
-                ArrayRef::write("a", vec![v("I") * 2]),
-                ArrayRef::read("a", vec![c(21) - v("I")]),
-            ],
-        );
-        // Read-modify-write of one element every iteration, plus a second
-        // array: output, anti and flow dependences at every distance.
-        let rmw = single_loop(
-            "rmw",
-            vec![
-                ArrayRef::write("a", vec![v("I") * 2]),
-                ArrayRef::read("a", vec![c(21) - v("I")]),
-                ArrayRef::read("b", vec![c(1)]),
-                ArrayRef::write("b", vec![c(1)]),
-            ],
-        );
-        // Two statements per iteration: at loop level the write of `x`
-        // and its read inside one iteration must not constrain the point.
-        let pair = Program::new(
-            "pair",
-            &["N"],
-            vec![loop_(
-                "I",
-                c(1),
-                v("N"),
-                vec![
-                    stmt(
-                        "W",
-                        vec![
-                            ArrayRef::write("x", vec![v("I")]),
-                            ArrayRef::read("y", vec![v("I") - c(2)]),
-                        ],
-                    ),
-                    stmt(
-                        "R",
-                        vec![
-                            ArrayRef::write("y", vec![v("I")]),
-                            ArrayRef::read("x", vec![v("I")]),
-                            ArrayRef::read("x", vec![c(10) - v("I")]),
-                        ],
-                    ),
-                ],
-            )],
-        );
-        // An imperfect nest, traced per statement instance.
-        let imperfect = Program::new(
-            "imperfect",
-            &["N"],
-            vec![
-                loop_(
-                    "I",
-                    c(1),
-                    v("N"),
-                    vec![
-                        stmt("W", vec![ArrayRef::write("x", vec![v("I")])]),
-                        loop_(
-                            "J",
-                            c(1),
-                            v("I"),
-                            vec![stmt(
-                                "R",
-                                vec![
-                                    ArrayRef::write("x", vec![v("J")]),
-                                    ArrayRef::read("x", vec![v("I") - v("J") + c(1)]),
-                                ],
-                            )],
-                        ),
-                    ],
-                ),
-                loop_(
-                    "K",
-                    c(1),
-                    v("N"),
-                    vec![stmt("T", vec![ArrayRef::read("x", vec![v("K")])])],
-                ),
-            ],
-        );
-        for (program, values, granularity) in [
-            (&figure2, 20, Granularity::LoopLevel),
-            (&rmw, 15, Granularity::LoopLevel),
-            (&pair, 12, Granularity::LoopLevel),
-            (&pair, 12, Granularity::StatementLevel),
-            (&imperfect, 7, Granularity::StatementLevel),
-        ] {
-            let traced = dataflow_levels(program, &[values], granularity);
-            assert_eq!(
-                traced,
-                rd_levels(program, &[values], granularity),
-                "{} at {granularity:?}",
-                program.name
-            );
-            assert!(traced.iter().any(|&l| l > 0), "{}", program.name);
-        }
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //! program (sequential) order.
 //!
 //! This is the one builder of program order: the sequential reference
-//! schedule, the aggregated loop-level work items, the dataflow tracer and
-//! the schedule coverage check all take their instances from a
-//! [`LoopWalker`].  [`Program::walker`] compiles the loop tree once at
-//! concrete parameter values: every loop bound becomes an affine row over
-//! the enclosing loop indices, with the parameters folded into its
-//! constant, and every statement carries its id and depth.  A walk then
-//! evaluates each bound once per loop entry, looks up no name, copies no
-//! index vector and allocates nothing: the callback borrows the walker's
-//! index stack.
+//! schedule, the aggregated loop-level work items, the dataflow tracer,
+//! the dataflow schedules and the schedule coverage check all take their
+//! instances from a [`LoopWalker`].  [`Program::walker`] compiles the loop
+//! tree once at concrete parameter values: every loop bound becomes an
+//! affine row over the enclosing loop indices, with the parameters folded
+//! into its constant, and every statement carries its id and depth.  A
+//! walk then evaluates each bound once per loop entry, looks up no name,
+//! copies no index vector and allocates nothing: the callback borrows the
+//! walker's index stack.
 //!
 //! The statement-level analysis builds `Φ` as the unified space instead;
 //! the test-suite checks on every bundled kernel and on generated nests
@@ -18,7 +18,7 @@
 //! the same instances in the same order.
 
 use crate::expr::LinExpr;
-use crate::program::{LoopGroup, Node, Program};
+use crate::program::{Node, Program};
 use rcp_intlin::IVec;
 
 /// A statement instance in execution order: `(statement id, loop index
@@ -138,31 +138,17 @@ impl LoopWalker {
 
     /// Calls `f` for every statement instance that one iteration of a loop
     /// group's perfect prefix executes (the body of one loop-level
-    /// aggregation point), in program order.  `prefix` gives the prefix
-    /// loop values, outermost first; instance indices start with them.
-    ///
-    /// # Panics
-    /// Panics when `group` does not describe this walker's program.
-    // Panic-hygiene allow: a `LoopGroup` is only ever built from the same
-    // program, so the panic guards a structural invariant (a caller bug),
-    // not a runtime condition.
-    #[allow(clippy::panic)]
-    pub fn for_each_in_group(
-        &self,
-        group: &LoopGroup,
-        prefix: &[i64],
-        mut f: impl FnMut(usize, &[i64]),
-    ) {
-        assert_eq!(prefix.len(), group.depth(), "prefix arity mismatch");
-        let mut body = std::slice::from_ref(&self.body[group.group]);
-        for _ in 0..group.depth() {
-            let [WalkNode::Loop(l)] = body else {
-                panic!("loop group prefix does not match the program");
-            };
-            body = &l.body;
-        }
+    /// aggregation point), in program order.  `group` is the nest's index
+    /// among the top-level nodes, and `point` starts with the prefix loop
+    /// values, outermost first; instance indices start with them, and
+    /// entries past the prefix are ignored.
+    pub fn for_each_in_group(&self, group: usize, point: &[i64], mut f: impl FnMut(usize, &[i64])) {
         with_stack(self.max_depth, |stack| {
-            stack[..prefix.len()].copy_from_slice(prefix);
+            let mut body = std::slice::from_ref(&self.body[group]);
+            while let [WalkNode::Loop(l)] = body {
+                stack[l.depth] = point[l.depth];
+                body = &l.body;
+            }
             walk(body, stack, &mut f)
         });
     }
@@ -171,6 +157,73 @@ impl LoopWalker {
     /// [`Program::count_instances`]).
     pub fn count(&self) -> usize {
         with_stack(self.max_depth, |stack| count(&self.body, stack))
+    }
+
+    /// Calls `f` once per point of the program's analysis space, in
+    /// program order, which is the order of the space's point ids.  At
+    /// statement level (`loop_level` false) a point is one statement
+    /// instance.  At loop level it is one iteration of a top-level nest's
+    /// perfect prefix, the chain of single loops all the nest's statements
+    /// sit under (a perfect nest's prefix is the whole nest); a point whose
+    /// body runs no instance is still visited.
+    pub fn for_each_point(&self, loop_level: bool, mut f: impl FnMut(Point<'_>)) {
+        with_stack(self.max_depth, |stack| {
+            if !loop_level {
+                walk_stmts(&self.body, stack, &mut |node, stack| {
+                    let body = std::slice::from_ref(node);
+                    f(Point { body, stack })
+                });
+            } else if self.body.iter().all(|n| matches!(n, WalkNode::Loop(_))) {
+                for node in &self.body {
+                    prefix_points(std::slice::from_ref(node), stack, &mut f);
+                }
+            } else {
+                // A perfect nest without loops: one point.
+                f(Point {
+                    body: &self.body,
+                    stack,
+                });
+            }
+        });
+    }
+
+    /// The number of points [`Self::for_each_point`] visits.
+    pub fn count_points(&self, loop_level: bool) -> usize {
+        if !loop_level {
+            return self.count();
+        }
+        let mut n = 0;
+        self.for_each_point(true, |_| n += 1);
+        n
+    }
+}
+
+/// One point of a [`LoopWalker::for_each_point`] walk: the body one
+/// prefix iteration runs, or one statement, under the walk's loop indices.
+pub struct Point<'w> {
+    body: &'w [WalkNode],
+    stack: &'w mut [i64],
+}
+
+impl Point<'_> {
+    /// Calls `f(statement id, loop indices)` for every statement instance
+    /// of the point, in program order.
+    pub fn for_each(self, mut f: impl FnMut(usize, &[i64])) {
+        walk(self.body, self.stack, &mut f);
+    }
+}
+
+/// Loop level: one point per iteration of the perfect prefix of `nodes`.
+fn prefix_points<F: FnMut(Point<'_>)>(nodes: &[WalkNode], stack: &mut [i64], f: &mut F) {
+    match nodes {
+        [WalkNode::Loop(l)] => {
+            let (lo, hi) = l.bounds(&stack[..l.depth]);
+            for value in lo..=hi {
+                stack[l.depth] = value;
+                prefix_points(&l.body, stack, f);
+            }
+        }
+        body => f(Point { body, stack }),
     }
 }
 
@@ -188,14 +241,24 @@ fn with_stack<R>(depth: usize, f: impl FnOnce(&mut [i64]) -> R) -> R {
 }
 
 fn walk<F: FnMut(usize, &[i64])>(nodes: &[WalkNode], stack: &mut [i64], f: &mut F) {
+    walk_stmts(nodes, stack, &mut |node, stack| {
+        if let WalkNode::Stmt { id, depth } = node {
+            f(*id, &stack[..*depth]);
+        }
+    });
+}
+
+/// Calls `f(statement node, index stack)` for every statement instance
+/// below `nodes`, in program order.
+fn walk_stmts<F: FnMut(&WalkNode, &mut [i64])>(nodes: &[WalkNode], stack: &mut [i64], f: &mut F) {
     for node in nodes {
         match node {
-            WalkNode::Stmt { id, depth } => f(*id, &stack[..*depth]),
+            WalkNode::Stmt { .. } => f(node, stack),
             WalkNode::Loop(l) => {
                 let (lo, hi) = l.bounds(&stack[..l.depth]);
                 for value in lo..=hi {
                     stack[l.depth] = value;
-                    walk(&l.body, stack, f);
+                    walk_stmts(&l.body, stack, f);
                 }
             }
         }
@@ -441,25 +504,35 @@ mod tests {
             assert_eq!(walker.count(), all.len(), "N = {n}");
             assert_eq!(walker.depths(), &[2, 1, 2]);
             // The groups' prefix iterations, walked in order, list the
-            // program's instances in program order.
-            let mut grouped = Vec::new();
+            // program's instances in program order.  A point's entries past
+            // its group's prefix are padding.
+            let mut bodies = Vec::new();
             for group in p.loop_groups().unwrap() {
                 let (lo, hi) = if group.group == 0 { (1, n) } else { (0, n) };
                 for x in lo..=hi {
-                    let mut prefix = vec![x];
-                    let inner = if group.depth() == 2 { x..=n } else { 0..=0 };
+                    let inner = if group.depth() == 2 { x..=n } else { 99..=99 };
                     for y in inner {
-                        prefix.truncate(1);
-                        if group.depth() == 2 {
-                            prefix.push(y);
-                        }
-                        walker.for_each_in_group(&group, &prefix, |s, idx| {
-                            grouped.push((s, idx.to_vec()))
+                        let mut body = Vec::new();
+                        walker.for_each_in_group(group.group, &[x, y], |s, idx| {
+                            body.push((s, idx.to_vec()))
                         });
+                        bodies.push(body);
                     }
                 }
             }
-            assert_eq!(grouped, all, "N = {n}");
+            assert_eq!(bodies.concat(), all, "N = {n}");
+            // The loop-level point walk visits the same prefix iterations
+            // with the same bodies; the statement-level walk has a point
+            // per instance.
+            let mut points = Vec::new();
+            walker.for_each_point(true, |point| {
+                let mut body = Vec::new();
+                point.for_each(|s, idx| body.push((s, idx.to_vec())));
+                points.push(body);
+            });
+            assert_eq!(points, bodies, "N = {n}");
+            assert_eq!(walker.count_points(true), bodies.len());
+            assert_eq!(walker.count_points(false), all.len());
         }
     }
 

@@ -59,7 +59,7 @@ pub mod spaces;
 
 pub use compiled::{CompiledRef, CompiledRefs};
 pub use expr::{LinExpr, UnknownVariable};
-pub use interp::{Instance, LoopWalker};
+pub use interp::{Instance, LoopWalker, Point};
 pub use program::{
     build, AccessKind, ArrayRef, Loop, LoopGroup, Node, Program, Statement, StatementInfo,
     UnboundVariable,

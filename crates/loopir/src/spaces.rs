@@ -70,17 +70,8 @@ impl UnifiedDecoder {
     /// values)`.  Returns `None` when the point does not correspond to any
     /// statement of the program.
     pub fn decode(&self, point: &[i64]) -> Option<(usize, IVec)> {
-        let id = self.statement(point)?;
-        let depth = self.positions[id].len() - 1;
-        Some((id, (0..depth).map(|k| point[2 * k + 1]).collect()))
-    }
-
-    /// The statement id of a unified index vector, whose loop index values
-    /// sit at the odd positions `1, 3, …`; `None` when the point
-    /// corresponds to no statement of the program.
-    pub fn statement(&self, point: &[i64]) -> Option<usize> {
         assert_eq!(point.len(), self.dim, "unified point arity mismatch");
-        self.positions.iter().position(|positions| {
+        let id = self.positions.iter().position(|positions| {
             let depth = positions.len() - 1;
             // Position dims must match, padding dims must be zero.
             positions
@@ -88,7 +79,9 @@ impl UnifiedDecoder {
                 .enumerate()
                 .all(|(k, &p)| point[2 * k] == p)
                 && point[2 * depth + 1..].iter().all(|&x| x == 0)
-        })
+        })?;
+        let depth = self.positions[id].len() - 1;
+        Some((id, (0..depth).map(|k| point[2 * k + 1]).collect()))
     }
 }
 

@@ -611,7 +611,13 @@ mod tests {
         let p = figure2();
         let analysis = DependenceAnalysis::loop_level(&p);
         let part = concrete_partition(&analysis, &[]);
-        let parallel = Schedule::from_partition(&analysis, &part, "figure2-rec");
+        let parallel = Schedule::from_partition(
+            &analysis.program,
+            analysis.granularity,
+            &[],
+            &part,
+            "figure2-rec",
+        );
         let sequential = Schedule::sequential(&p, &[]);
         let kernel = RefKernel::new(&p);
         for threads in [1, 2, 4] {
@@ -629,7 +635,13 @@ mod tests {
         let p = example1();
         let analysis = DependenceAnalysis::loop_level(&p);
         let part = concrete_partition(&analysis, &[20, 25]);
-        let parallel = Schedule::from_partition(&analysis, &part, "example1-rec");
+        let parallel = Schedule::from_partition(
+            &analysis.program,
+            analysis.granularity,
+            &[20, 25],
+            &part,
+            "example1-rec",
+        );
         let sequential = Schedule::sequential(&p, &[20, 25]);
         let kernel = RefKernel::new(&p);
         let v = verify_schedule(&sequential, &parallel, &kernel, 4);
@@ -750,7 +762,13 @@ mod tests {
         let p = example1();
         let analysis = DependenceAnalysis::loop_level(&p);
         let part = concrete_partition(&analysis, &[12, 15]);
-        let parallel = Schedule::from_partition(&analysis, &part, "example1-rec");
+        let parallel = Schedule::from_partition(
+            &analysis.program,
+            analysis.granularity,
+            &[12, 15],
+            &part,
+            "example1-rec",
+        );
         let kernel = RefKernel::new(&p);
         let reference = execute_sequential(&Schedule::sequential(&p, &[12, 15]), &kernel);
         for threads in [2, 4] {

@@ -25,7 +25,7 @@ use rcp_baselines::{
     doacross_plan, doacross_schedule, inner_parallel_schedule, pdm_schedule, pl_schedule,
     unique_sets_schedule, DoacrossPlan,
 };
-use rcp_codegen::{PointExpander, Schedule};
+use rcp_codegen::Schedule;
 use rcp_depend::Granularity;
 
 /// The registry name of the paper's own scheme, used when a
@@ -92,15 +92,14 @@ impl Partitioner for RecurrenceChains {
     fn build(&self, stage: &Partitioned) -> Result<SchemeSchedule, RcpError> {
         // Points expand from the program alone, so the schedule never
         // forces the dependence analysis; `runtime_values` match
-        // `runtime_program`, and aggregated loop-level points need them to
-        // expand their inner loops.
-        let expander = PointExpander::for_program(
+        // `runtime_program`.
+        let schedule = Schedule::from_partition(
             stage.runtime_program(),
             stage.analyzed().granularity(),
             stage.runtime_values(),
+            stage.partition(),
+            &label(stage, "rcp"),
         );
-        let schedule =
-            Schedule::from_partition_with(&expander, stage.partition(), &label(stage, "rcp"));
         Ok(SchemeSchedule {
             schedule,
             pipeline: None,

@@ -22,12 +22,12 @@
 //! into the program first.  The staged API hides the difference: the
 //! pipeline is the same either way, only the memoisation boundary moves.
 //!
-//! A stage that is not an instantiation of the symbolic plan computes only
-//! `Φ` eagerly.  When Algorithm 1 takes its plain else-branch, the
-//! partition comes from one streaming pass over the program's accesses
-//! ([`rcp_depend::dataflow_levels`]); `Rd` and a deferred program's
-//! per-binding analysis are computed on first use, by the consumers that
-//! need them (`rcp analyze`, the baselines, validation).
+//! A stage computes nothing eagerly.  When Algorithm 1 takes its plain
+//! else-branch, the partition is one level per point from one streaming
+//! pass over the program's accesses ([`rcp_depend::dataflow_levels`]);
+//! `Φ`, `Rd` and a deferred program's per-binding analysis are computed on
+//! first use, by the consumers that need them (`rcp analyze`, the
+//! baselines, validation).
 
 use crate::config::Config;
 use crate::degrade::{DegradationLevel, DegradationReport};
@@ -528,59 +528,40 @@ impl Analyzed {
         let _span = rcp_trace::span!("session.partition");
         let inner = &self.inner;
         // The concrete stage — the symbolic instantiation (fast path), or
-        // the Φ enumeration of the fallback rung (which re-enters the
-        // presburger feasibility seams) — runs under one guarded scope.
-        // There is no ladder here: a concrete stage was explicitly
-        // requested, so exhaustion is a hard typed error rather than a
-        // weaker result.
+        // the fallback rung's stage, which defers its work to first use —
+        // runs under one guarded scope.  There is no ladder here: a
+        // concrete stage was explicitly requested, so exhaustion is a hard
+        // typed error rather than a weaker result.
         run_guarded(&inner.config.budget, || {
             rcp_guard::fail_point("session::partition", rcp_guard::Stage::Partition);
             // Fast path: an O(pieces) instantiation of the memoised
-            // symbolic plan — no relation re-binding, no pair
-            // re-enumeration, no Algorithm-1 re-run.  Φ and Rd stay
-            // unenumerated until something actually asks for them.
-            let concrete_reason = match &inner.symbolic {
-                Some(analysis) => {
-                    match self
-                        .plan_artifact()
-                        .and_then(|plan| plan.instantiate(values))
-                    {
-                        Ok(partition) => {
-                            rcp_trace::counter("session.plan.instantiate").add(1);
-                            return Arc::new(StageCore {
-                                values: values.to_vec(),
-                                runtime_program: inner.program.clone(),
-                                runtime_values: values.to_vec(),
-                                granularity: inner.granularity,
-                                analysis: OnceLock::from(analysis.clone()),
-                                phi: OnceLock::new(),
-                                rd: OnceLock::new(),
-                                partition: OnceLock::from(partition),
-                                summary: OnceLock::new(),
-                                concrete_reason: None,
-                            });
-                        }
-                        Err(reason) => reason,
-                    }
-                }
-                None => PlanUnavailable::ParametricSubscripts,
-            };
-            // Fallback rung: the per-binding concrete path, with the typed
-            // reason recorded on the stage.  A deferred program runs on
-            // its parameter-bound form; its analysis waits for a consumer.
-            let (runtime_program, runtime_values, analysis) = match &inner.symbolic {
+            // symbolic plan.  Otherwise the fallback rung records the typed
+            // reason and computes the partition on first use; a deferred
+            // program runs on its parameter-bound form.  Either way Φ and
+            // Rd wait until something asks for them.
+            let (runtime_program, runtime_values, analysis, instance) = match &inner.symbolic {
                 Some(analysis) => (
                     inner.program.clone(),
                     values.to_vec(),
                     OnceLock::from(analysis.clone()),
+                    self.plan_artifact()
+                        .and_then(|plan| plan.instantiate(values)),
                 ),
                 None => (
                     inner.program.bind_params(values),
                     Vec::new(),
                     OnceLock::new(),
+                    Err(PlanUnavailable::ParametricSubscripts),
                 ),
             };
-            let core = StageCore {
+            let (partition, concrete_reason) = match instance {
+                Ok(partition) => {
+                    rcp_trace::counter("session.plan.instantiate").add(1);
+                    (OnceLock::from(partition), None)
+                }
+                Err(reason) => (OnceLock::new(), Some(reason)),
+            };
+            Arc::new(StageCore {
                 values: values.to_vec(),
                 runtime_program,
                 runtime_values,
@@ -588,13 +569,10 @@ impl Analyzed {
                 analysis,
                 phi: OnceLock::new(),
                 rd: OnceLock::new(),
-                partition: OnceLock::new(),
+                partition,
                 summary: OnceLock::new(),
-                concrete_reason: Some(concrete_reason),
-            };
-            // Φ is enumerated eagerly, under this stage's guard.
-            core.phi();
-            Arc::new(core)
+                concrete_reason,
+            })
         })
         .map_err(RcpError::from)
     }
@@ -672,9 +650,9 @@ struct StageCore {
     /// for a deferred program, the analysis of `runtime_program`, run on
     /// first use.
     analysis: OnceLock<Arc<DependenceAnalysis>>,
-    /// The enumerated iteration space, from the program's own spaces.
-    /// Enumerated when the stage is built on the fallback rung; on the
-    /// symbolic instantiation path only when something asks for it.
+    /// The enumerated iteration space, from the program's own spaces,
+    /// enumerated on first use: neither the instantiation path nor the
+    /// traced else-branch needs it to run.
     phi: OnceLock<DenseSet>,
     /// The enumerated dependence relation, built on first use: the
     /// dominant per-binding cost, which the instantiation path and the
@@ -730,20 +708,21 @@ impl StageCore {
     }
 
     /// The partition of the fallback rung.  Algorithm 1's plain
-    /// else-branch over a direct view layers Φ by the access trace; the
-    /// then-branch (which validates its chains against Rd) and the
-    /// aggregated views (which try chains against Rd first) partition the
-    /// enumerated relation.
+    /// else-branch over a direct view takes the levels of the access
+    /// trace, without Φ; the then-branch (which validates its chains
+    /// against Rd) and the aggregated views (which try chains against Rd
+    /// first) partition the enumerated relation.
     fn concrete_partition(&self, config: &Config) -> ConcretePartition {
         match self.plan_unavailability() {
             Some(reason) if reason != PlanUnavailable::AggregatedLoopLevel => {
-                let levels = dataflow_levels(
-                    &self.runtime_program,
-                    &self.runtime_values,
-                    self.granularity,
-                );
                 ConcretePartition::Dataflow {
-                    stages: DataflowPartition::from_levels(self.phi(), &levels),
+                    stages: DataflowPartition {
+                        levels: dataflow_levels(
+                            &self.runtime_program,
+                            &self.runtime_values,
+                            self.granularity,
+                        ),
+                    },
                 }
             }
             _ => concrete_partition_from_dense(self.analysis(config), self.phi(), self.rd(config)),
@@ -815,8 +794,8 @@ impl Partitioned {
         &self.inner.core.runtime_values
     }
 
-    /// The enumerated iteration space `Φ` (enumerated on first use for
-    /// stages materialised by [`SymbolicPlan::instantiate`]).
+    /// The enumerated iteration space `Φ`, enumerated on first use: a
+    /// run needs it only when its partition is built from `Rd`.
     pub fn phi(&self) -> &DenseSet {
         self.inner.core.phi()
     }
@@ -873,8 +852,8 @@ impl Partitioned {
 
     /// The Algorithm-1 partition (computed once, then shared).  When
     /// Algorithm 1 takes its plain else-branch over a direct view, the
-    /// stages come from the access trace ([`rcp_depend::dataflow_levels`])
-    /// and neither the analysis nor `Rd` is computed.
+    /// levels come from the access trace ([`rcp_depend::dataflow_levels`])
+    /// and neither `Φ`, the analysis nor `Rd` is computed.
     ///
     /// The computation is a cooperative checkpoint: under an installed
     /// guard (a [`Scheduled`] built through [`Self::schedule`], a checked
@@ -888,7 +867,12 @@ impl Partitioned {
         core.partition.get_or_init(|| {
             let _span = rcp_trace::span!("core.partition");
             rcp_guard::fail_point("session::partition", rcp_guard::Stage::Partition);
-            rcp_guard::tick(rcp_guard::Stage::Partition, core.phi().len() as u64);
+            // The loop walker counts the points without enumerating Φ.
+            let points = core
+                .runtime_program
+                .walker(&core.runtime_values)
+                .count_points(core.granularity == Granularity::LoopLevel);
+            rcp_guard::tick(rcp_guard::Stage::Partition, points as u64);
             core.concrete_partition(self.inner.analyzed.config())
         })
     }
@@ -1347,16 +1331,21 @@ mod tests {
         assert_eq!(analyzed.cached_partitions(), 0, "the branch needs no stage");
         let stage = analyzed.partition().unwrap();
         let core = &stage.inner.core;
-        assert!(core.phi.get().is_some(), "Φ is eager on the fallback rung");
         assert!(
             core.partition.get().is_none(),
             "the partition waits for a consumer"
         );
         assert!(stage.schedule().unwrap().verify().passed());
         assert!(core.partition.get().is_some());
+        assert!(
+            core.phi.get().is_none(),
+            "a verified traced run leaves Φ unbuilt"
+        );
         assert!(core.analysis.get().is_none() && core.rd.get().is_none());
-        // Validation is a consumer: it runs the analysis and enumerates Rd.
+        // Validation is a consumer: it enumerates Φ, runs the analysis and
+        // enumerates Rd.
         assert!(stage.validate().is_empty());
+        assert!(core.phi.get().is_some());
         assert!(core.analysis.get().is_some() && core.rd.get().is_some());
     }
 
@@ -1406,10 +1395,11 @@ mod tests {
     }
 
     #[test]
-    fn deferred_programs_hit_budget_limits_at_partition_time() {
-        // Cholesky defers analysis to the partition stage; a starvation
-        // budget there is a hard typed error (the ladder lives at the
-        // analyze stage, where no concrete result was demanded yet).
+    fn deferred_programs_hit_budget_limits_at_their_first_partition_work() {
+        // Cholesky defers its analysis, and its stage defers the trace: a
+        // starvation budget is a hard typed error from the first call that
+        // does partition work (the ladder lives at the analyze stage, where
+        // no concrete result was demanded yet).
         let analyzed = Session::with_config(
             Config::new()
                 .with_param("NMAT", 2)
@@ -1424,11 +1414,17 @@ mod tests {
             analyzed.degradation().is_none(),
             "deferred: nothing ran yet"
         );
-        let err = analyzed.partition().unwrap_err();
-        assert!(
-            matches!(err, RcpError::BudgetExceeded { .. }),
-            "expected BudgetExceeded, got {err:?}"
-        );
+        let stage = analyzed.partition().unwrap();
+        for err in [
+            stage.schedule().map(|_| ()).unwrap_err(),
+            stage.partition_checked().map(|_| ()).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, RcpError::BudgetExceeded { limit: 1, .. }),
+                "expected BudgetExceeded, got {err:?}"
+            );
+        }
+        assert!(stage.inner.core.partition.get().is_none());
     }
 
     #[test]

@@ -63,7 +63,13 @@ fn main() {
 
     // Execute the partitioned schedule and verify it.
     let partition = concrete_partition(&analysis, &[]);
-    let schedule = Schedule::from_partition(&analysis, &partition, "figure2-rec");
+    let schedule = Schedule::from_partition(
+        &analysis.program,
+        analysis.granularity,
+        &[],
+        &partition,
+        "figure2-rec",
+    );
     let kernel = RefKernel::new(&program);
     let verdict = verify_schedule(&Schedule::sequential(&program, &[]), &schedule, &kernel, 2);
     println!(

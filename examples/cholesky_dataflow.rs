@@ -45,7 +45,7 @@ fn main() -> Result<(), RcpError> {
     let ConcretePartition::Dataflow { stages } = stage.partition() else {
         unreachable!("Cholesky takes Algorithm 1's else-branch");
     };
-    let sizes: Vec<usize> = stages.stages.iter().map(|s| s.len()).collect();
+    let sizes = stages.stage_sizes();
     let instances = stages.total_iterations();
     println!("{instances} statement instances");
     println!("dataflow partitioning finished in {} steps", sizes.len());

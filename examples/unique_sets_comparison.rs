@@ -34,7 +34,13 @@ fn main() {
             .collect();
         println!("REC intermediate set at N={n}: {{{}}}", p2.join(", "));
     }
-    let rec = Schedule::from_partition(&analysis, &partition, "example2-rec");
+    let rec = Schedule::from_partition(
+        &analysis.program,
+        analysis.granularity,
+        &[n],
+        &partition,
+        "example2-rec",
+    );
 
     // Unique-set partitioning (UNIQUE).
     let (phi, rel) = analysis.bind_params(&[n]);

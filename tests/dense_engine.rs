@@ -105,8 +105,7 @@ fn outcomes() -> Vec<(&'static str, &'static str, Result<u64, String>)> {
         let values = binding(bundled.name, bundled.survey_values());
         (bundled.name, bundled.program(), values, Session::new())
     });
-    let loop_level =
-        Session::with_config(Config::new().with_granularity(GranularityChoice::Loop));
+    let loop_level = Session::with_config(Config::new().with_granularity(GranularityChoice::Loop));
     let aggregated = loop_views()
         .into_iter()
         .map(|(label, program, values)| (label, program, values, loop_level.clone()));

@@ -32,7 +32,13 @@ fn example1_end_to_end() {
     assert!(partition.validate(&phi, &rd).is_empty());
 
     // The schedule covers the program and matches sequential execution.
-    let schedule = Schedule::from_partition(&analysis, &partition, "example1-rec");
+    let schedule = Schedule::from_partition(
+        &analysis.program,
+        analysis.granularity,
+        &params,
+        &partition,
+        "example1-rec",
+    );
     assert!(schedule.validate_coverage(&program, &params).is_empty());
     let kernel = RefKernel::new(&program);
     let sequential = Schedule::sequential(&program, &params);
@@ -81,7 +87,13 @@ fn example2_matches_paper_facts() {
         _ => panic!("example 2 must use recurrence chains"),
     }
     // REC: 3 fully parallel partitions; UNIQUE: more phases.
-    let schedule = Schedule::from_partition(&analysis, &partition, "example2-rec");
+    let schedule = Schedule::from_partition(
+        &analysis.program,
+        analysis.granularity,
+        &[12],
+        &partition,
+        "example2-rec",
+    );
     assert_eq!(schedule.n_phases(), 3);
     let (phi, rd) = dense(&analysis, &[12]);
     let unique = unique_sets_schedule(&analysis, &phi, &rd, "example2-unique")
@@ -145,7 +157,13 @@ fn figure2_partition_and_execution() {
     let program = figure2();
     let analysis = DependenceAnalysis::loop_level(&program);
     let partition = concrete_partition(&analysis, &[]);
-    let schedule = Schedule::from_partition(&analysis, &partition, "figure2-rec");
+    let schedule = Schedule::from_partition(
+        &analysis.program,
+        analysis.granularity,
+        &[],
+        &partition,
+        "figure2-rec",
+    );
     assert_eq!(
         schedule.n_phases(),
         2,

@@ -81,7 +81,13 @@ fn partition_respects_dependences_and_semantics() {
         assert_eq!(partition.stats().total_iterations, (n * n) as usize);
 
         // Schedule and execute: parallel result == sequential result.
-        let schedule = Schedule::from_partition(&analysis, &partition, "random");
+        let schedule = Schedule::from_partition(
+            &analysis.program,
+            analysis.granularity,
+            &params,
+            &partition,
+            "random",
+        );
         assert!(schedule.validate_coverage(&program, &params).is_empty());
         let kernel = RefKernel::new(&program);
         let sequential = Schedule::sequential(&program, &params);
@@ -158,7 +164,13 @@ fn parallel_executor_is_bit_identical_on_the_corpus() {
         let analysis = DependenceAnalysis::loop_level(&program);
         let params = [7i64];
         let partition = concrete_partition(&analysis, &params);
-        let schedule = Schedule::from_partition(&analysis, &partition, "corpus");
+        let schedule = Schedule::from_partition(
+            &analysis.program,
+            analysis.granularity,
+            &params,
+            &partition,
+            "corpus",
+        );
         let sequential = Schedule::sequential(&program, &params);
         let kernel = RefKernel::new(&program);
         let reference = execute_sequential(&sequential, &kernel);

@@ -9,7 +9,7 @@
 //! symbolic relation piece for piece, the enumerated `Φ`/`Rd`, the three
 //! sets, the chains and the schedule.
 
-use recurrence_chains::codegen::{PointExpander, Schedule};
+use recurrence_chains::codegen::Schedule;
 use recurrence_chains::core::{concrete_partition_from_dense, ConcretePartition};
 use recurrence_chains::depend::{AnalysisOptions, DependenceAnalysis, Granularity, ScreenConfig};
 use recurrence_chains::loopir::Program;
@@ -84,7 +84,7 @@ fn assert_screen_equivalent(
             ConcretePartition::Dataflow { stages: ss },
             ConcretePartition::Dataflow { stages: es },
         ) => {
-            assert_eq!(ss.stages, es.stages, "{name}: dataflow stages diverge");
+            assert_eq!(ss.levels, es.levels, "{name}: dataflow levels diverge");
         }
         (s, e) => panic!(
             "{name}: strategies diverge (screened {:?}, exact {:?})",
@@ -92,10 +92,20 @@ fn assert_screen_equivalent(
             e.strategy()
         ),
     }
-    let sched_s =
-        Schedule::from_partition_with(&PointExpander::new(&screened, values), &part_s, "screened");
-    let sched_e =
-        Schedule::from_partition_with(&PointExpander::new(&exact, values), &part_e, "screened");
+    let sched_s = Schedule::from_partition(
+        &screened.program,
+        screened.granularity,
+        values,
+        &part_s,
+        "screened",
+    );
+    let sched_e = Schedule::from_partition(
+        &exact.program,
+        exact.granularity,
+        values,
+        &part_e,
+        "screened",
+    );
     assert_eq!(
         sched_s, sched_e,
         "{name}: schedules diverge phase for phase"

@@ -40,7 +40,13 @@ fn legacy_pipeline(program: &Program, values: &[i64], granularity: Granularity) 
     let phi = DenseSet::from_union(&phi_u);
     let rd = DenseRelation::from_relation(&rel);
     let partition = concrete_partition_from_dense(&analysis, &phi, &rd);
-    let schedule = Schedule::from_partition(&analysis, &partition, "equiv");
+    let schedule = Schedule::from_partition(
+        &analysis.program,
+        analysis.granularity,
+        values,
+        &partition,
+        "equiv",
+    );
     Legacy {
         analysis,
         phi,
@@ -89,7 +95,7 @@ fn assert_equivalent(name: &str, program: &Program, values: &[(&str, i64)]) {
         "{name}: dependence relations diverge"
     );
     // 3. The Algorithm-1 partition is identical: strategy, three sets,
-    //    chain count and content, dataflow stages.
+    //    chain count and content, dataflow levels.
     match (stage.partition(), &legacy.partition) {
         (
             ConcretePartition::RecurrenceChains {
@@ -115,7 +121,7 @@ fn assert_equivalent(name: &str, program: &Program, values: &[(&str, i64)]) {
             ConcretePartition::Dataflow { stages: ss },
             ConcretePartition::Dataflow { stages: ls },
         ) => {
-            assert_eq!(ss.stages, ls.stages, "{name}: dataflow stages diverge");
+            assert_eq!(ss.levels, ls.levels, "{name}: dataflow levels diverge");
         }
         (s, l) => panic!(
             "{name}: strategies diverge (session {:?}, legacy {:?})",

@@ -4,9 +4,17 @@
 //! the relation gives: on every bundled kernel, at every granularity the
 //! session accepts and at two or more bindings, `Partitioned::partition`
 //! equals `concrete_partition_from_dense` over the analysis's `Φ` and
-//! `Rd`, stage by stage, and the stage's `Φ` is the analysis's `Φ`.
+//! `Rd`, level by level, and the stage's `Φ` is the analysis's `Φ`.  On
+//! hand-built programs the trace equals `dataflow_partition`'s forward
+//! pass over `Rd`.
 
-use recurrence_chains::core::{concrete_partition_from_dense, ConcretePartition, PlanUnavailable};
+use recurrence_chains::core::{
+    concrete_partition_from_dense, dataflow_partition, ConcretePartition, PlanUnavailable,
+};
+use recurrence_chains::depend::{dataflow_levels, DependenceAnalysis, Granularity};
+use recurrence_chains::loopir::expr::{c, v};
+use recurrence_chains::loopir::program::build::{loop_, stmt};
+use recurrence_chains::loopir::{ArrayRef, Program};
 use recurrence_chains::presburger::{DenseRelation, DenseSet};
 use recurrence_chains::session::{Config, GranularityChoice, RcpError, Session};
 use recurrence_chains::workloads::BUNDLED_LOOPS;
@@ -66,10 +74,7 @@ fn traced_stages_equal_the_stages_built_from_rd() {
                         ConcretePartition::Dataflow { stages },
                         ConcretePartition::Dataflow { stages: want },
                     ) => {
-                        assert_eq!(stages.n_stages(), want.n_stages(), "{what}");
-                        for (k, (got, want)) in stages.stages.iter().zip(&want.stages).enumerate() {
-                            assert_eq!(got, want, "{what}: stage {k} differs");
-                        }
+                        assert_eq!(stages.levels, want.levels, "{what}: levels differ");
                     }
                     _ => {
                         assert!(
@@ -102,4 +107,115 @@ fn cholesky_at_the_execute_size_has_158_stages() {
     assert_eq!(stats.n_phases, 158);
     assert!(!stage.instantiated());
     assert_eq!(stage.plan_provenance(), "concrete-fallback");
+}
+
+fn single_loop(name: &str, refs: Vec<ArrayRef>) -> Program {
+    Program::new(
+        name,
+        &["N"],
+        vec![loop_("I", c(1), v("N"), vec![stmt("S", refs)])],
+    )
+}
+
+#[test]
+fn hand_built_traces_equal_the_forward_pass_over_rd() {
+    let figure2 = single_loop(
+        "figure2",
+        vec![
+            ArrayRef::write("a", vec![v("I") * 2]),
+            ArrayRef::read("a", vec![c(21) - v("I")]),
+        ],
+    );
+    // Read-modify-write of one element every iteration, plus a second
+    // array: output, anti and flow dependences at every distance.
+    let rmw = single_loop(
+        "rmw",
+        vec![
+            ArrayRef::write("a", vec![v("I") * 2]),
+            ArrayRef::read("a", vec![c(21) - v("I")]),
+            ArrayRef::read("b", vec![c(1)]),
+            ArrayRef::write("b", vec![c(1)]),
+        ],
+    );
+    // Two statements per iteration: at loop level the write of `x`
+    // and its read inside one iteration must not constrain the point.
+    let pair = Program::new(
+        "pair",
+        &["N"],
+        vec![loop_(
+            "I",
+            c(1),
+            v("N"),
+            vec![
+                stmt(
+                    "W",
+                    vec![
+                        ArrayRef::write("x", vec![v("I")]),
+                        ArrayRef::read("y", vec![v("I") - c(2)]),
+                    ],
+                ),
+                stmt(
+                    "R",
+                    vec![
+                        ArrayRef::write("y", vec![v("I")]),
+                        ArrayRef::read("x", vec![v("I")]),
+                        ArrayRef::read("x", vec![c(10) - v("I")]),
+                    ],
+                ),
+            ],
+        )],
+    );
+    // An imperfect nest, traced per statement instance.
+    let imperfect = Program::new(
+        "imperfect",
+        &["N"],
+        vec![
+            loop_(
+                "I",
+                c(1),
+                v("N"),
+                vec![
+                    stmt("W", vec![ArrayRef::write("x", vec![v("I")])]),
+                    loop_(
+                        "J",
+                        c(1),
+                        v("I"),
+                        vec![stmt(
+                            "R",
+                            vec![
+                                ArrayRef::write("x", vec![v("J")]),
+                                ArrayRef::read("x", vec![v("I") - v("J") + c(1)]),
+                            ],
+                        )],
+                    ),
+                ],
+            ),
+            loop_(
+                "K",
+                c(1),
+                v("N"),
+                vec![stmt("T", vec![ArrayRef::read("x", vec![v("K")])])],
+            ),
+        ],
+    );
+    for (program, values, granularity) in [
+        (&figure2, 20, Granularity::LoopLevel),
+        (&rmw, 15, Granularity::LoopLevel),
+        (&pair, 12, Granularity::LoopLevel),
+        (&pair, 12, Granularity::StatementLevel),
+        (&imperfect, 7, Granularity::StatementLevel),
+    ] {
+        let traced = dataflow_levels(program, &[values], granularity);
+        let analysis = DependenceAnalysis::analyze(program, granularity);
+        let (phi, relation) = analysis.bind_params(&[values]);
+        let phi = DenseSet::from_union(&phi);
+        let rd = DenseRelation::from_relation(&relation);
+        assert_eq!(
+            traced,
+            dataflow_partition(&phi, &rd).levels,
+            "{} at {granularity:?}",
+            program.name
+        );
+        assert!(traced.iter().any(|&l| l > 0), "{}", program.name);
+    }
 }
