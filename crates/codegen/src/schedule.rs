@@ -18,11 +18,14 @@
 //! consecutive units.  Execution order is slab order, so every unit, and
 //! every phase, is one contiguous range of instances.  Callers read the
 //! slab through the borrowed views [`Phase`], [`Unit`] and [`WorkItem`];
-//! no instance owns a heap object.
+//! no instance owns a heap object.  As it appends instances, the builder
+//! also records each statement's box, the range of each loop index over
+//! its instances ([`Schedule::statement_boxes`]): the runtime lays its
+//! arrays out from them without a pass over the slab.
 
 use rcp_core::{ConcretePartition, DataflowPartition};
 use rcp_depend::{DependenceAnalysis, Granularity};
-use rcp_loopir::{LoopWalker, Program, UnifiedDecoder};
+use rcp_loopir::{LoopWalker, Program, StatementBox, UnifiedDecoder};
 use rcp_presburger::DenseSet;
 use std::fmt;
 use std::ops::Range;
@@ -61,6 +64,8 @@ pub struct Schedule {
     /// Per phase, its kind and first unit; phase `p`'s units end where
     /// phase `p + 1`'s begin.
     phases: Vec<(PhaseKind, u32)>,
+    /// Statement id → the box of its instances in the slab.
+    boxes: Vec<StatementBox>,
 }
 
 /// A slab offset as stored: a schedule addresses at most `u32::MAX`
@@ -265,6 +270,13 @@ impl Schedule {
     /// Statement id → the number of loop indices its instances carry.
     pub fn statement_depths(&self) -> Vec<usize> {
         self.depths.iter().map(|&d| d as usize).collect()
+    }
+
+    /// Statement id → the number of its instances in the schedule and the
+    /// range of each of their loop indices, recorded as they were
+    /// appended.
+    pub fn statement_boxes(&self) -> &[StatementBox] {
+        &self.boxes
     }
 
     fn item(&self, k: usize) -> WorkItem<'_> {
@@ -583,6 +595,7 @@ impl ScheduleBuilder {
                 items: Vec::new(),
                 units: Vec::new(),
                 phases: Vec::new(),
+                boxes: depths.iter().map(|&d| StatementBox::empty(d)).collect(),
             },
         }
     }
@@ -638,6 +651,7 @@ impl ScheduleBuilder {
         let start = s.indices.len();
         s.indices.resize(start + s.stride, 0);
         s.indices[start..start + depth].copy_from_slice(indices);
+        s.boxes[stmt].add(indices);
     }
 
     /// Opens an item holding the one instance `(stmt, indices)`.
@@ -921,5 +935,15 @@ mod tests {
         assert_eq!(s.critical_path(), 3);
         assert_eq!(s.instance(2), (0, &[4, 5][..]));
         assert_eq!(s.instance(3), (1, &[4][..]));
+        // Each statement's box, which the `Debug` text leaves out.
+        let boxes = s.statement_boxes();
+        assert_eq!(
+            (boxes[0].instances, &boxes[0].ranges[..]),
+            (2, &[(1, 4), (2, 5)][..])
+        );
+        assert_eq!(
+            (boxes[1].instances, &boxes[1].ranges[..]),
+            (2, &[(3, 4)][..])
+        );
     }
 }

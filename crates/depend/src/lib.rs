@@ -55,4 +55,4 @@ pub use distance::{
 };
 pub use pairspace::{PairScreen, ScreenConfig, ScreenStats};
 pub use screening::{banerjee_test, gcd_test, Screening};
-pub use trace::dataflow_levels;
+pub use trace::{dataflow_levels, statement_boxes};

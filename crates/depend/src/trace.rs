@@ -47,11 +47,23 @@
 //!
 //! The two directions give exactly the longest-path levels of `Rd`, which
 //! `rcp_core`'s `dataflow_partition` computes from `Rd`'s edges.  The walk
-//! records no edges: it holds one entry per touched element and costs one
-//! table probe per access.
+//! records no edges.
+//!
+//! # Where the state lives
+//!
+//! The walk keeps its two numbers per element in the program's
+//! [`ElementLayout`], over the statement boxes its loop bounds give
+//! ([`statement_boxes`]): one dense slab holds every laid-out array's box,
+//! and an access is one dot product of its reference's flat row.  An
+//! array whose box would pass the cell limit, such as a long diagonal,
+//! keeps its touched elements in a hash table instead, so its memory
+//! follows its touches.  A read outside every write's box, or of an array
+//! nothing writes, touches an element no point writes: it constrains
+//! nothing, and the walk skips it.
 
 use crate::analysis::Granularity;
-use rcp_loopir::{CompiledRefs, Program};
+use crate::pairspace::statement_var_intervals;
+use rcp_loopir::{Address, ArrayLayout, ElementLayout, Program, StatementBox};
 
 /// Points traced between two guard checkpoints.
 const TICK_POINTS: usize = 4096;
@@ -74,15 +86,31 @@ pub fn dataflow_levels(program: &Program, values: &[i64], granularity: Granulari
         bound = program.bind_params(values);
         &bound
     };
-    let CompiledRefs { arrays, stmts } = program.compile_refs();
-    let mut tables: Vec<ElementTable> = arrays
+    let refs = program.compile_refs();
+    let layout = ElementLayout::new(&refs, &statement_boxes(program));
+    // Dense boxes first, in slot order; hashed elements join the slab as
+    // their table interns them.
+    let mut starts = Vec::with_capacity(layout.arrays().len());
+    let mut dense = 0usize;
+    for array in layout.arrays() {
+        starts.push(dense);
+        if let ArrayLayout::Dense(b) = array {
+            dense += usize::try_from(b.cells()).unwrap_or(usize::MAX);
+        }
+    }
+    let mut states = vec![ElementState::default(); dense];
+    let mut tables: Vec<Option<ElementTable>> = refs
+        .arrays
         .iter()
-        .map(|&(_, rank)| ElementTable::new(rank))
+        .zip(layout.arrays())
+        .map(|(&(_, rank), array)| {
+            matches!(array, ArrayLayout::Hashed(_)).then(|| ElementTable::new(rank))
+        })
         .collect();
-    let max_rank = tables.iter().map(|t| t.rank).max().unwrap_or(0);
+    let max_rank = refs.arrays.iter().map(|a| a.1).max().unwrap_or(0);
     let mut subscript = vec![0i64; max_rank];
-    // (array slot, element id, is a write) of the current point's accesses.
-    let mut touched: Vec<(usize, u32, bool)> = Vec::new();
+    // (slab index, is a write) of the current point's accesses.
+    let mut touched: Vec<(usize, bool)> = Vec::new();
     let walker = program.walker(&[]);
     let loop_level = granularity == Granularity::LoopLevel;
     let points = walker.count_points(loop_level);
@@ -94,21 +122,34 @@ pub fn dataflow_levels(program: &Program, values: &[i64], granularity: Granulari
         }
         let mut level = 0u32;
         point.for_each(|stmt, indices| {
-            for access in &stmts[stmt] {
-                let table = &mut tables[access.slot];
-                let subscript = &mut subscript[..table.rank];
-                access.eval(indices, subscript);
-                let e = table.id(subscript);
-                let state = table.state[e as usize];
+            let rows = layout.statement(stmt);
+            for (k, access) in refs.stmts[stmt].iter().enumerate() {
+                let e = match rows.address(k, indices) {
+                    Address::Cell(offset) => starts[access.slot] + offset,
+                    Address::Unwritten => continue,
+                    Address::Subscripts => {
+                        let subscript = &mut subscript[..access.rank];
+                        access.eval(indices, subscript);
+                        match (&layout.arrays()[access.slot], &mut tables[access.slot]) {
+                            (_, Some(table)) => table.id(subscript, &mut states),
+                            (ArrayLayout::Dense(b), None) => match b.offset(subscript) {
+                                Some(offset) => starts[access.slot] + offset,
+                                None => continue,
+                            },
+                            _ => continue,
+                        }
+                    }
+                };
+                let state = states[e];
                 level = level.max(state.writer);
                 if access.write {
                     level = level.max(state.reader);
                 }
-                touched.push((access.slot, e, access.write));
+                touched.push((e, access.write));
             }
         });
-        for (slot, e, write) in touched.drain(..) {
-            let state = &mut tables[slot].state[e as usize];
+        for (e, write) in touched.drain(..) {
+            let state = &mut states[e];
             if write {
                 *state = ElementState {
                     writer: level + 1,
@@ -121,6 +162,35 @@ pub fn dataflow_levels(program: &Program, values: &[i64], granularity: Granulari
         levels.push(level);
     });
     levels
+}
+
+/// Every statement's box as its loop bounds give it, by interval
+/// arithmetic ([`statement_var_intervals`]), with its number of instances:
+/// the boxes the tracer lays its element state out from.  `program` must
+/// have its parameters bound.  Every instance the program's walk visits
+/// lies in its statement's box.
+pub fn statement_boxes(program: &Program) -> Vec<StatementBox> {
+    let counts = program.walker(&[]).statement_counts();
+    program
+        .statements()
+        .iter()
+        .zip(counts)
+        .map(|(info, instances)| {
+            let vars = statement_var_intervals(info, program);
+            let ranges = info
+                .loop_indices
+                .iter()
+                .map(|x| {
+                    let interval = vars.get(x);
+                    (
+                        interval.and_then(|i| i.lo).unwrap_or(i64::MIN),
+                        interval.and_then(|i| i.hi).unwrap_or(i64::MAX),
+                    )
+                })
+                .collect();
+            StatementBox { instances, ranges }
+        })
+        .collect()
 }
 
 /// What the walk knows about one array element.
@@ -136,17 +206,17 @@ struct ElementState {
 /// A bucket holding no element.
 const EMPTY: u32 = u32::MAX;
 
-/// The touched elements of one array with their dependence state.  An
-/// element is interned by its subscripts into one flat arena and found
-/// through an open-addressing table, so memory follows the elements the
-/// program touches, not their bounding box, and the walk allocates only
-/// when the table grows.
+/// The touched elements of one hashed array.  An element is interned by
+/// its subscripts into one flat arena, its state appended to the walk's
+/// slab, and found through an open-addressing table, so memory follows the
+/// elements the program touches, not their bounding box, and the walk
+/// allocates only when the table grows.
 struct ElementTable {
     rank: usize,
     /// Element `e`'s subscripts at `subscripts[e·rank .. (e+1)·rank]`.
     subscripts: Vec<i64>,
-    /// Per element, its dependence state.
-    state: Vec<ElementState>,
+    /// Element `e`'s index in the walk's state slab.
+    slab: Vec<usize>,
     /// Element ids by hash with linear probing; the length is a power of
     /// two, kept at least twice the element count.
     buckets: Vec<u32>,
@@ -159,7 +229,7 @@ impl ElementTable {
         ElementTable {
             rank,
             subscripts: Vec::new(),
-            state: Vec::new(),
+            slab: Vec::new(),
             buckets: vec![EMPTY; 16],
             shift: 60,
         }
@@ -177,25 +247,27 @@ impl ElementTable {
         &self.subscripts[start..start + self.rank]
     }
 
-    /// The id of the element at `subscript`, interned on first touch.
-    fn id(&mut self, subscript: &[i64]) -> u32 {
+    /// The slab index of the element at `subscript`, interned on first
+    /// touch with a fresh state appended to `states`.
+    fn id(&mut self, subscript: &[i64], states: &mut Vec<ElementState>) -> usize {
         let mask = self.buckets.len() - 1;
         let mut b = self.bucket(subscript);
         loop {
             match self.buckets[b] {
                 EMPTY => break,
-                e if self.key(e) == subscript => return e,
+                e if self.key(e) == subscript => return self.slab[e as usize],
                 _ => b = (b + 1) & mask,
             }
         }
-        let e = self.state.len() as u32;
+        let e = self.slab.len() as u32;
         self.subscripts.extend_from_slice(subscript);
-        self.state.push(ElementState::default());
+        self.slab.push(states.len());
+        states.push(ElementState::default());
         self.buckets[b] = e;
-        if 2 * self.state.len() > self.buckets.len() {
+        if 2 * self.slab.len() > self.buckets.len() {
             self.grow();
         }
-        e
+        self.slab[e as usize]
     }
 
     /// Doubles the bucket array and re-inserts every element.
@@ -203,7 +275,7 @@ impl ElementTable {
         self.shift -= 1;
         self.buckets = vec![EMPTY; 2 * self.buckets.len()];
         let mask = self.buckets.len() - 1;
-        for e in 0..self.state.len() as u32 {
+        for e in 0..self.slab.len() as u32 {
             let mut b = self.bucket(self.key(e));
             while self.buckets[b] != EMPTY {
                 b = (b + 1) & mask;

@@ -19,10 +19,10 @@ pub struct CompiledRef {
     /// The number of subscripts.
     pub rank: usize,
     /// The loop depth of the statement.
-    depth: usize,
+    pub(crate) depth: usize,
     /// Per subscript, `depth + 1` entries: the constant, then one
     /// coefficient per loop index (outermost first).
-    rows: Box<[i64]>,
+    pub(crate) rows: Box<[i64]>,
 }
 
 impl CompiledRef {

@@ -156,7 +156,17 @@ impl LoopWalker {
     /// The number of statement instances (see
     /// [`Program::count_instances`]).
     pub fn count(&self) -> usize {
-        with_stack(self.max_depth, |stack| count(&self.body, stack))
+        self.statement_counts().iter().sum::<u64>() as usize
+    }
+
+    /// Statement id → its number of instances, counted as
+    /// [`Program::count_instances`] counts them.
+    pub fn statement_counts(&self) -> Vec<u64> {
+        let mut counts = vec![0u64; self.depths.len()];
+        with_stack(self.max_depth, |stack| {
+            count(&self.body, stack, &mut counts)
+        });
+        counts
     }
 
     /// Calls `f` once per point of the program's analysis space, in
@@ -265,29 +275,30 @@ fn walk_stmts<F: FnMut(&WalkNode, &mut [i64])>(nodes: &[WalkNode], stack: &mut [
     }
 }
 
-fn count(nodes: &[WalkNode], stack: &mut [i64]) -> usize {
-    let mut n = 0;
+fn count(nodes: &[WalkNode], stack: &mut [i64], counts: &mut [u64]) {
     for node in nodes {
         match node {
-            WalkNode::Stmt { .. } => n += 1,
+            WalkNode::Stmt { id, .. } => counts[*id] += 1,
             WalkNode::Loop(l) => {
                 let (lo, hi) = l.bounds(&stack[..l.depth]);
                 if lo > hi {
                     continue;
                 }
-                match l.flat {
-                    Some(stmts) => n += (hi - lo + 1) as usize * stmts,
-                    None => {
-                        for value in lo..=hi {
-                            stack[l.depth] = value;
-                            n += count(&l.body, stack);
+                if l.flat.is_some() {
+                    for node in &l.body {
+                        if let WalkNode::Stmt { id, .. } = node {
+                            counts[*id] += (hi - lo + 1) as u64;
                         }
+                    }
+                } else {
+                    for value in lo..=hi {
+                        stack[l.depth] = value;
+                        count(&l.body, stack, counts);
                     }
                 }
             }
         }
     }
-    n
 }
 
 /// Compiles loop bounds to rows and numbers the statements.

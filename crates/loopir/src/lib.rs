@@ -16,6 +16,9 @@
 //!   dependence analyser,
 //! * [`CompiledRefs`] — every reference compiled once to an array slot and
 //!   subscript rows, for the passes that evaluate each statement instance,
+//! * [`ElementLayout`] — per binding, every array one dense box and every
+//!   reference one flat offset row into it, shared by the runtime and the
+//!   dataflow tracer, with the one cell limit both apply,
 //! * [`LoopWalker`] — the loop tree compiled once at concrete parameter
 //!   values, walking the statement instances in program order without
 //!   allocating.
@@ -54,12 +57,16 @@
 pub mod compiled;
 pub mod expr;
 pub mod interp;
+pub mod layout;
 pub mod program;
 pub mod spaces;
 
 pub use compiled::{CompiledRef, CompiledRefs};
 pub use expr::{LinExpr, UnknownVariable};
 pub use interp::{Instance, LoopWalker, Point};
+pub use layout::{
+    cell_limit, Address, ArrayBox, ArrayLayout, ElementLayout, StatementBox, StatementRows,
+};
 pub use program::{
     build, AccessKind, ArrayRef, Loop, LoopGroup, Node, Program, Statement, StatementInfo,
     UnboundVariable,

@@ -17,12 +17,21 @@
 //! are, and the store's slot order is a layout detail that no comparison
 //! sees.
 //!
+//! A store a kernel lays out as an [`rcp_loopir::ElementLayout`] keeps that
+//! layout while its geometry stays as laid out, checked once when it is
+//! laid out: the kernel then reaches a cell by its reference's flat offset
+//! instead of its per-dimension subscripts.  Any change of geometry or
+//! slot order drops the layout.
+//!
 //! A box costs memory in proportion to its bounding box, not to its
-//! writes, so a store lays out at most 32 cells per element written into
-//! it plus 2^20.  A reservation or growth beyond that is refused before
-//! anything is allocated: it unwinds with a typed
-//! [`rcp_guard::BudgetExceeded`] (stage `execution`, resource `cells`),
-//! which the session's checked entry points report as an error.
+//! writes, so a store applies the cell limit of [`rcp_loopir::cell_limit`]:
+//! 32 cells per write plus 2^20 in all its arrays together.  A reservation
+//! counts the write accesses the run will make (jacobi1d at TSTEPS=20,
+//! N=300 makes 11,920 writes into 596 elements); a write that grows a box
+//! counts the distinct elements the store holds after it.  A layout beyond
+//! the limit is refused before anything is allocated: it unwinds with a
+//! typed [`rcp_guard::BudgetExceeded`] (stage `execution`, resource
+//! `cells`), which the session's checked entry points report as an error.
 //!
 //! Kernels reach the store only through a [`StoreView`]: an exclusive view
 //! grows boxes, a shared view (one per worker and phase) does not, and on
@@ -35,9 +44,11 @@
 //! the stamp, then the value with `Release`, then sets the written bit
 //! with a `Release` read-modify-write; a read loads the bit and the value
 //! with `Acquire`, then the stamp.  A read that sees another unit's value
-//! therefore sees its stamp as well.
+//! therefore sees its stamp as well.  An exclusive view, which no other
+//! thread can see, writes with plain stores.
 
 use rcp_intlin::IVec;
+use rcp_loopir::{cell_limit, ArrayLayout, ElementLayout};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A dense, growable multi-dimensional array of `f64`.
@@ -273,6 +284,20 @@ impl Array {
         }
         previous
     }
+
+    /// [`Self::write`] through an exclusive reference: plain stores, with
+    /// no read-modify-write.
+    #[inline]
+    fn write_exclusive(&mut self, offset: usize, bits: u64, stamp: u64) -> u64 {
+        let previous = match self.stamps.get_mut(offset) {
+            Some(s) if stamp != 0 => std::mem::replace(s.get_mut(), stamp),
+            _ => 0,
+        };
+        *self.cells[offset].get_mut() = bits;
+        let (word, mask) = bit(offset);
+        *self.written[word].get_mut() |= mask;
+        previous
+    }
 }
 
 /// A box to lay an array out as.
@@ -306,23 +331,6 @@ impl Layout {
     }
 }
 
-/// How many cells a store may lay out per element written into it, on top
-/// of [`FREE_CELLS`].  The bundled workloads need at most about 20.
-const CELLS_PER_WRITE: u64 = 32;
-
-/// How many cells a store may lay out whatever it holds (8 MiB of values).
-const FREE_CELLS: u64 = 1 << 20;
-
-/// The most cells a store holding `writes` written elements may lay out.
-/// It keeps the dense layout within a constant factor of the writes, plus
-/// a few MiB: a diagonal or widely strided write pattern, whose bounding
-/// box dwarfs its writes, is refused instead of allocated.
-fn cell_limit(writes: u64) -> u64 {
-    writes
-        .saturating_mul(CELLS_PER_WRITE)
-        .saturating_add(FREE_CELLS)
-}
-
 impl std::fmt::Debug for Array {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Array")
@@ -336,74 +344,49 @@ impl std::fmt::Debug for Array {
 /// A named collection of arrays.
 #[derive(Debug, Default)]
 pub struct ArrayStore {
-    /// Slot → (name, array).  Kernels address arrays by slot
-    /// ([`Self::bind`]); every public operation goes by name.
-    arrays: Vec<(String, Array)>,
+    arrays: Arrays,
+    /// The element layout a kernel laid the arrays out as.
+    layout: Option<LaidOut>,
 }
 
-impl ArrayStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        ArrayStore::default()
-    }
+/// An element layout a store's arrays were laid out as.
+#[derive(Debug)]
+struct LaidOut {
+    /// The id of the kernel that laid the store out.
+    owner: u64,
+    /// The arrays' generation then: the layout holds while it is current.
+    generation: u64,
+    layout: ElementLayout,
+}
 
+/// A store's arrays by slot.  Kernels address arrays by slot
+/// ([`ArrayStore::bind`]); every public operation goes by name.
+#[derive(Debug, Default)]
+struct Arrays {
+    /// Slot → (name, array).
+    list: Vec<(String, Array)>,
+    /// Counts the changes of a box or of the slot order.
+    generation: u64,
+}
+
+impl Arrays {
     fn slot(&self, name: &str, rank: usize) -> Option<usize> {
-        self.arrays
+        self.list
             .iter()
             .position(|(n, a)| n == name && a.rank() == rank)
     }
 
     fn slot_or_insert(&mut self, name: &str, rank: usize) -> usize {
         self.slot(name, rank).unwrap_or_else(|| {
-            self.arrays.push((name.to_string(), Array::with_rank(rank)));
-            self.arrays.len() - 1
+            self.list.push((name.to_string(), Array::with_rank(rank)));
+            self.list.len() - 1
         })
     }
 
-    /// Makes slot `k` hold array `arrays[k]` (a name and a rank) for every
-    /// `k`, moving or creating arrays as needed.  Slot order is invisible to
-    /// every public operation, so binding never changes what the store
-    /// holds.
-    pub(crate) fn bind(&mut self, arrays: &[(String, usize)]) {
-        for (k, (name, rank)) in arrays.iter().enumerate() {
-            let bound = self
-                .arrays
-                .get(k)
-                .is_some_and(|(n, a)| n == name && a.rank() == *rank);
-            if !bound {
-                let from = self.slot_or_insert(name, *rank);
-                self.arrays.swap(k, from);
-            }
-        }
-    }
-
-    /// Grows each slot's box to contain its `lo..=hi` (`boxes` is indexed
-    /// by slot; a box with `lo > hi` leaves its slot alone) for a run that
-    /// writes `writes` elements, refusing the layout — before allocating
-    /// it — when it exceeds the store's cell limit (see [`Self::admit`]).
-    pub(crate) fn reserve(&mut self, boxes: &[(Vec<i64>, Vec<i64>)], writes: u64) {
-        let mut layouts = Vec::new();
-        let mut cells = self.cells();
-        for (slot, (lo, hi)) in boxes.iter().enumerate() {
-            let Some((_, array)) = self.arrays.get(slot) else {
-                continue;
-            };
-            let fits = lo.len() == array.rank() && hi.len() == array.rank();
-            if !fits || lo.iter().zip(hi).any(|(l, h)| l > h) || array.rank() == 0 {
-                continue;
-            }
-            let layout = array.covering(lo, hi);
-            let now = array.cells.len() as u64;
-            cells = (cells - now).saturating_add(layout.as_ref().map_or(u64::MAX, Layout::cells));
-            layouts.push((slot, layout));
-        }
-        self.admit(cells, writes.saturating_add(self.written_len() as u64));
-        for (slot, layout) in layouts {
-            if let (Some((_, array)), Some(layout)) = (self.arrays.get_mut(slot), layout) {
-                if layout.origin != array.origin || layout.extents != array.extents {
-                    array.relayout(layout);
-                }
-            }
+    fn relayout(&mut self, slot: usize, layout: Layout) {
+        if let Some((_, array)) = self.list.get_mut(slot) {
+            array.relayout(layout);
+            self.generation += 1;
         }
     }
 
@@ -411,7 +394,7 @@ impl ArrayStore {
     /// when the store's cell limit allows, else exactly, else not at all —
     /// the write is then refused with a typed unwind (see [`Self::admit`]).
     fn grow(&mut self, slot: usize, index: &[i64]) {
-        let Some((_, array)) = self.arrays.get(slot) else {
+        let Some((_, array)) = self.list.get(slot) else {
             return;
         };
         if index.len() != array.rank() {
@@ -429,14 +412,19 @@ impl ArrayStore {
             array.covering(index, index)
         };
         self.admit(total(&layout), writes);
-        if let (Some((_, array)), Some(layout)) = (self.arrays.get_mut(slot), layout) {
-            array.relayout(layout);
+        if let Some(layout) = layout {
+            self.relayout(slot, layout);
         }
     }
 
     /// The cells laid out across all arrays.
     fn cells(&self) -> u64 {
-        self.arrays.iter().map(|(_, a)| a.cells.len() as u64).sum()
+        self.list.iter().map(|(_, a)| a.cells.len() as u64).sum()
+    }
+
+    /// Number of written elements across all arrays.
+    fn written_len(&self) -> usize {
+        self.list.iter().map(|(_, a)| a.written_len()).sum()
     }
 
     /// Admits a layout of `cells` cells in all for a store holding
@@ -459,10 +447,126 @@ impl ArrayStore {
         );
     }
 
+    /// The name of the array in `slot`.
+    fn name(&self, slot: usize) -> &str {
+        self.list.get(slot).map_or("", |(n, _)| n.as_str())
+    }
+}
+
+impl ArrayStore {
+    /// Creates an empty store.
+    pub fn new() -> Self {
+        ArrayStore::default()
+    }
+
+    /// Makes slot `k` hold array `arrays[k]` (a name and a rank) for every
+    /// `k`, moving or creating arrays as needed.  Slot order is invisible to
+    /// every public operation, so binding never changes what the store
+    /// holds.
+    pub(crate) fn bind(&mut self, arrays: &[(String, usize)]) {
+        let store = &mut self.arrays;
+        for (k, (name, rank)) in arrays.iter().enumerate() {
+            let bound = store
+                .list
+                .get(k)
+                .is_some_and(|(n, a)| n == name && a.rank() == *rank);
+            if !bound {
+                let from = store.slot_or_insert(name, *rank);
+                store.list.swap(k, from);
+                store.generation += 1;
+            }
+        }
+    }
+
+    /// Lays the bound arrays out as `layout` for a run of kernel `owner`'s,
+    /// which makes [`ElementLayout::writes`] writes: reserves each dense
+    /// box, and each hashed array's write box, which the cell limit then
+    /// refuses (see [`Self::reserve`]).  The store keeps the layout when
+    /// every dense array's box is exactly the layout's and no array the
+    /// layout leaves unwritten holds a value, as in a store that held
+    /// nothing before.
+    pub(crate) fn lay_out(&mut self, owner: u64, layout: ElementLayout) {
+        let boxes: Vec<(Vec<i64>, Vec<i64>)> = layout
+            .arrays()
+            .iter()
+            .map(|array| match array {
+                ArrayLayout::Dense(b) | ArrayLayout::Hashed(b) => (b.lo.clone(), b.hi.clone()),
+                ArrayLayout::Unwritten => (Vec::new(), Vec::new()),
+            })
+            .collect();
+        self.reserve(&boxes, layout.writes());
+        let exact = layout.arrays().iter().enumerate().all(|(slot, laid)| {
+            let Some((_, array)) = self.arrays.list.get(slot) else {
+                return false;
+            };
+            match laid {
+                ArrayLayout::Dense(b) => {
+                    array.origin == b.lo
+                        && array.extents.len() == b.hi.len()
+                        && array
+                            .origin
+                            .iter()
+                            .zip(&b.hi)
+                            .zip(&array.extents)
+                            .all(|((&lo, &hi), &n)| hi as i128 - lo as i128 + 1 == n as i128)
+                }
+                ArrayLayout::Unwritten => array.written_len() == 0,
+                ArrayLayout::Hashed(_) => true,
+            }
+        });
+        self.layout = exact.then_some(LaidOut {
+            owner,
+            generation: self.arrays.generation,
+            layout,
+        });
+    }
+
+    /// Forgets the layout a kernel laid the store out as: later accesses
+    /// go by subscripts.
+    pub(crate) fn forget_layout(&mut self) {
+        self.layout = None;
+    }
+
+    /// Grows each slot's box to contain its `lo..=hi` (`boxes` is indexed
+    /// by slot; a box with `lo > hi` leaves its slot alone) for a run that
+    /// writes `writes` elements, refusing the layout — before allocating
+    /// it — when it exceeds the store's cell limit (see [`Arrays::admit`]).
+    pub(crate) fn reserve(&mut self, boxes: &[(Vec<i64>, Vec<i64>)], writes: u64) {
+        let store = &mut self.arrays;
+        let mut layouts = Vec::new();
+        let mut cells = store.cells();
+        for (slot, (lo, hi)) in boxes.iter().enumerate() {
+            let Some((_, array)) = store.list.get(slot) else {
+                continue;
+            };
+            let fits = lo.len() == array.rank() && hi.len() == array.rank();
+            if !fits || lo.iter().zip(hi).any(|(l, h)| l > h) || array.rank() == 0 {
+                continue;
+            }
+            let layout = array.covering(lo, hi);
+            let now = array.cells.len() as u64;
+            cells = (cells - now).saturating_add(layout.as_ref().map_or(u64::MAX, Layout::cells));
+            layouts.push((slot, layout));
+        }
+        store.admit(cells, writes.saturating_add(store.written_len() as u64));
+        for (slot, layout) in layouts {
+            let Some(layout) = layout else {
+                continue;
+            };
+            let same = store
+                .list
+                .get(slot)
+                .is_some_and(|(_, a)| layout.origin == a.origin && layout.extents == a.extents);
+            if !same {
+                store.relayout(slot, layout);
+            }
+        }
+    }
+
     /// Starts (`true`) or ends (`false`) per-cell writer stamping for a
     /// checked run.
     pub(crate) fn set_stamping(&mut self, on: bool) {
-        for (_, array) in &mut self.arrays {
+        for (_, array) in &mut self.arrays.list {
             array.stamps = if on {
                 zeroed(array.cells.len())
             } else {
@@ -471,15 +575,10 @@ impl ArrayStore {
         }
     }
 
-    /// The name of the array in `slot`.
-    pub(crate) fn name(&self, slot: usize) -> &str {
-        self.arrays.get(slot).map_or("", |(n, _)| n.as_str())
-    }
-
     /// Reads `array[index]`.
     pub fn get(&self, array: &str, index: &[i64]) -> f64 {
-        match self.slot(array, index.len()) {
-            Some(slot) => self.arrays[slot].1.get(index),
+        match self.arrays.slot(array, index.len()) {
+            Some(slot) => self.arrays.list[slot].1.get(index),
             None => Array::initial_value(index),
         }
     }
@@ -491,7 +590,7 @@ impl ArrayStore {
 
     /// Total number of written elements across all arrays.
     pub fn written_len(&self) -> usize {
-        self.arrays.iter().map(|(_, a)| a.written_len()).sum()
+        self.arrays.written_len()
     }
 
     /// Compares two stores element-wise; returns the mismatching
@@ -543,9 +642,9 @@ fn compare(
     tolerance: f64,
     mut mismatch: impl FnMut(&str, &[i64], f64, f64) -> bool,
 ) {
-    for (name, a) in &left.arrays {
-        let go = match right.slot(name, a.rank()) {
-            Some(s) => compare_arrays(name, a, &right.arrays[s].1, tolerance, &mut mismatch),
+    for (name, a) in &left.arrays.list {
+        let go = match right.arrays.slot(name, a.rank()) {
+            Some(s) => compare_arrays(name, a, &right.arrays.list[s].1, tolerance, &mut mismatch),
             None => compare_arrays(
                 name,
                 a,
@@ -558,8 +657,8 @@ fn compare(
             return;
         }
     }
-    for (name, b) in &right.arrays {
-        if left.slot(name, b.rank()).is_none()
+    for (name, b) in &right.arrays.list {
+        if left.arrays.slot(name, b.rank()).is_none()
             && !compare_arrays(
                 name,
                 &Array::with_rank(b.rank()),
@@ -624,13 +723,13 @@ fn compare_arrays(
     go
 }
 
-/// How a [`StoreView`] holds the store.
+/// How a [`StoreView`] holds the store's arrays.
 enum Holding<'s> {
     /// Sole access: writes may grow boxes.
-    Exclusive(&'s mut ArrayStore),
+    Exclusive(&'s mut Arrays),
     /// Shared with the other units of a parallel phase: boxes are fixed,
     /// cells are written atomically.
-    Shared(&'s ArrayStore),
+    Shared(&'s Arrays),
 }
 
 /// A kernel's access to the store while it runs one unit of work.
@@ -644,6 +743,10 @@ enum Holding<'s> {
 /// typed unwind (see the module docs).
 pub struct StoreView<'s> {
     store: Holding<'s>,
+    /// The element layout the arrays are laid out as and the kernel that
+    /// laid them out, while the layout holds: checked once, when the view
+    /// is made, and dropped when the view grows a box.
+    layout: Option<(u64, &'s ElementLayout)>,
     /// The running unit's `(phase + 1) << 32 | unit` stamp on checked
     /// runs, 0 otherwise.
     stamp: u64,
@@ -653,8 +756,14 @@ pub struct StoreView<'s> {
 impl<'s> StoreView<'s> {
     /// A view with sole access to `store`.
     pub(crate) fn exclusive(store: &'s mut ArrayStore) -> Self {
+        let ArrayStore { arrays, layout } = store;
+        let layout = layout
+            .as_ref()
+            .filter(|l| l.generation == arrays.generation)
+            .map(|l| (l.owner, &l.layout));
         StoreView {
-            store: Holding::Exclusive(store),
+            store: Holding::Exclusive(arrays),
+            layout,
             stamp: 0,
             conflicts: Vec::new(),
         }
@@ -662,8 +771,14 @@ impl<'s> StoreView<'s> {
 
     /// A view sharing `store` with other units of the same phase.
     pub(crate) fn shared(store: &'s ArrayStore) -> Self {
+        let layout = store
+            .layout
+            .as_ref()
+            .filter(|l| l.generation == store.arrays.generation)
+            .map(|l| (l.owner, &l.layout));
         StoreView {
-            store: Holding::Shared(store),
+            store: Holding::Shared(&store.arrays),
+            layout,
             stamp: 0,
             conflicts: Vec::new(),
         }
@@ -683,16 +798,91 @@ impl<'s> StoreView<'s> {
     }
 
     #[inline]
-    fn store(&self) -> &ArrayStore {
+    fn arrays(&self) -> &Arrays {
         match &self.store {
-            Holding::Exclusive(store) => store,
-            Holding::Shared(store) => store,
+            Holding::Exclusive(arrays) => arrays,
+            Holding::Shared(arrays) => arrays,
         }
     }
 
     fn conflict(&mut self, slot: usize, index: &[i64]) {
-        let name = self.store().name(slot).to_string();
+        let name = self.arrays().name(slot).to_string();
         self.conflicts.push((name, index.to_vec()));
+    }
+
+    /// The element layout the store is laid out as, when kernel `owner`
+    /// laid it out and it still holds.  It borrows the store, not the
+    /// view.
+    #[inline]
+    pub(crate) fn layout(&self, owner: u64) -> Option<&'s ElementLayout> {
+        match self.layout {
+            Some((id, layout)) if id == owner => Some(layout),
+            _ => None,
+        }
+    }
+
+    /// Reads the cell at `offset` of the array in `slot`: `Some` of its
+    /// value, `None` while it is unwritten.  Outside the array's cells it
+    /// reads nothing and returns `Err`.  A flat offset addresses the right
+    /// cell only while the layout that gave it holds.
+    #[inline]
+    pub(crate) fn read_cell(&mut self, slot: usize, offset: usize) -> Result<Option<f64>, ()> {
+        let stamp = self.stamp;
+        let Some((_, array)) = self.arrays().list.get(slot) else {
+            return Err(());
+        };
+        if offset >= array.cells.len() {
+            return Err(());
+        }
+        // Value (acquire) before stamp: see `write_slot`.
+        let value = array.cell(offset);
+        if stamp != 0
+            && collides(
+                array
+                    .stamps
+                    .get(offset)
+                    .map_or(0, |s| s.load(Ordering::Relaxed)),
+                stamp,
+            )
+        {
+            self.conflict_at(slot, offset);
+        }
+        Ok(value)
+    }
+
+    /// Writes the cell at `offset` of the array in `slot` (see
+    /// [`Self::read_cell`]); false, writing nothing, outside the array's
+    /// cells.
+    #[inline]
+    pub(crate) fn write_cell(&mut self, slot: usize, offset: usize, value: f64) -> bool {
+        let stamp = self.stamp;
+        let previous = match &mut self.store {
+            Holding::Exclusive(arrays) => match arrays.list.get_mut(slot) {
+                Some((_, array)) if offset < array.cells.len() => {
+                    array.write_exclusive(offset, value.to_bits(), stamp)
+                }
+                _ => return false,
+            },
+            Holding::Shared(arrays) => match arrays.list.get(slot) {
+                Some((_, array)) if offset < array.cells.len() => {
+                    array.write(offset, value.to_bits(), stamp)
+                }
+                _ => return false,
+            },
+        };
+        if collides(previous, stamp) {
+            self.conflict_at(slot, offset);
+        }
+        true
+    }
+
+    /// Reports a conflict on the cell at `offset` of the array in `slot`.
+    #[cold]
+    fn conflict_at(&mut self, slot: usize, offset: usize) {
+        let array = &self.arrays().list[slot].1;
+        let mut index = vec![0i64; array.rank()];
+        array.index_of(offset, &mut index);
+        self.conflict(slot, &index);
     }
 
     /// Reads element `index` of the array in `slot`.
@@ -700,8 +890,8 @@ impl<'s> StoreView<'s> {
     pub fn read_slot(&mut self, slot: usize, index: &[i64]) -> f64 {
         let stamp = self.stamp;
         let located = self
-            .store()
-            .arrays
+            .arrays()
+            .list
             .get(slot)
             .and_then(|(_, array)| array.offset(index).map(|o| (array, o)));
         let (value, collided) = match located {
@@ -726,23 +916,31 @@ impl<'s> StoreView<'s> {
     /// Writes element `index` of the array in `slot`.
     #[inline]
     pub fn write_slot(&mut self, slot: usize, index: &[i64], value: f64) {
-        let located = |store: &ArrayStore| {
-            store
-                .arrays
+        let located = |arrays: &Arrays| {
+            arrays
+                .list
                 .get(slot)
                 .and_then(|(_, array)| array.offset(index))
         };
-        let mut offset = located(self.store());
+        let mut offset = located(self.arrays());
         if offset.is_none() {
-            if let Holding::Exclusive(store) = &mut self.store {
-                store.grow(slot, index);
-                offset = located(store);
+            if let Holding::Exclusive(arrays) = &mut self.store {
+                arrays.grow(slot, index);
+                offset = located(arrays);
+                // The box moved: flat offsets no longer hold.
+                self.layout = None;
             }
         }
         let stamp = self.stamp;
-        let previous = offset.and_then(|o| {
-            let (_, array) = self.store().arrays.get(slot)?;
-            Some(array.write(o, value.to_bits(), stamp))
+        let previous = offset.and_then(|o| match &mut self.store {
+            Holding::Exclusive(arrays) => {
+                let (_, array) = arrays.list.get_mut(slot)?;
+                Some(array.write_exclusive(o, value.to_bits(), stamp))
+            }
+            Holding::Shared(arrays) => {
+                let (_, array) = arrays.list.get(slot)?;
+                Some(array.write(o, value.to_bits(), stamp))
+            }
         });
         match previous {
             Some(previous) if !collides(previous, stamp) => {}
@@ -752,7 +950,7 @@ impl<'s> StoreView<'s> {
 
     /// Reads `array[index]`.
     pub fn read(&mut self, array: &str, index: &[i64]) -> f64 {
-        match self.store().slot(array, index.len()) {
+        match self.arrays().slot(array, index.len()) {
             Some(slot) => self.read_slot(slot, index),
             None => Array::initial_value(index),
         }
@@ -761,8 +959,8 @@ impl<'s> StoreView<'s> {
     /// Writes `array[index] = value`.
     pub fn write(&mut self, array: &str, index: &[i64], value: f64) {
         let slot = match &mut self.store {
-            Holding::Exclusive(store) => Some(store.slot_or_insert(array, index.len())),
-            Holding::Shared(store) => store.slot(array, index.len()),
+            Holding::Exclusive(arrays) => Some(arrays.slot_or_insert(array, index.len())),
+            Holding::Shared(arrays) => arrays.slot(array, index.len()),
         };
         match slot {
             Some(slot) => self.write_slot(slot, index, value),
@@ -808,7 +1006,7 @@ mod tests {
             assert_eq!(s.get("a", &[i, -i]), i as f64);
         }
         assert_eq!(s.written_len(), 1000);
-        let a = &s.arrays[0].1;
+        let a = &s.arrays.list[0].1;
         assert!(a.extents.iter().all(|&n| (1000..2048).contains(&n)));
     }
 
@@ -905,7 +1103,7 @@ mod tests {
         let diagonal = (vec![1, 1], vec![100_000, 100_000]);
         let (spent, limit) = refusal(|| store.reserve(&[diagonal], 100_000));
         assert_eq!((spent, limit), (10_000_000_000, cell_limit(100_000)));
-        assert_eq!(store.cells(), 0, "nothing was allocated");
+        assert_eq!(store.arrays.cells(), 0, "nothing was allocated");
         // A strided write grows no box past the limit either, and the
         // store keeps what it held.
         let mut store = ArrayStore::new();
@@ -933,7 +1131,7 @@ mod tests {
             store.set("a", &[i, i], 0.0);
         }
         store.set("a", &[n, n], 0.0);
-        assert_eq!(store.arrays[0].1.extents, vec![n as usize + 1; 2]);
+        assert_eq!(store.arrays.list[0].1.extents, vec![n as usize + 1; 2]);
         assert_eq!(store.written_len(), n as usize + 1);
     }
 

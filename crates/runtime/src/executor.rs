@@ -86,10 +86,7 @@ impl ExecutionResult {
 pub fn execute_sequential(schedule: &Schedule, kernel: &dyn Kernel) -> ArrayStore {
     let _span = rcp_trace::span!("executor.sequential");
     let mut store = ArrayStore::new();
-    {
-        let _span = rcp_trace::span!("executor.reserve");
-        kernel.reserve(schedule, &mut store);
-    }
+    kernel.reserve(schedule, &mut store);
     let mut view = StoreView::exclusive(&mut store);
     run_instances(schedule, 0..schedule.n_instances(), kernel, &mut view);
     drop(view);
@@ -201,10 +198,7 @@ impl ParallelExecutor {
         let _span = rcp_trace::span!("executor.run");
         let start = Instant::now();
         let mut store = ArrayStore::new();
-        {
-            let _span = rcp_trace::span!("executor.reserve");
-            kernel.reserve(schedule, &mut store);
-        }
+        kernel.reserve(schedule, &mut store);
         store.set_stamping(self.detect_races);
         let layout_time = start.elapsed();
         let (phase_times, run_time, mut races) = if self.uses_pool(schedule) {

@@ -14,10 +14,20 @@
 //! Each reference is compiled once to an array slot and its affine
 //! subscript rows ([`rcp_loopir::CompiledRefs`], shared with the dataflow
 //! tracer), so running an instance allocates nothing.
+//!
+//! Before a run, [`RefKernel`] lays the store out as an
+//! [`rcp_loopir::ElementLayout`] of the statement boxes the schedule
+//! recorded as it was built: O(references) work, with no pass over the
+//! schedule's instances.  In a store it laid out, an access is one dot
+//! product of the reference's flat row and one range check.  It evaluates
+//! the per-dimension subscripts only for the initial value of an element
+//! nothing wrote, for a read the layout leaves outside the box, and in a
+//! store it did not lay out, where a write may grow a box.
 
-use crate::array::{ArrayStore, StoreView};
+use crate::array::{Array, ArrayStore, StoreView};
 use rcp_codegen::Schedule;
-use rcp_loopir::{CompiledRef, CompiledRefs, Program};
+use rcp_loopir::{Address, CompiledRef, CompiledRefs, ElementLayout, Program, StatementRows};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The computation of a program's statements.
 pub trait Kernel: Sync {
@@ -30,7 +40,8 @@ pub trait Kernel: Sync {
     /// around every element the schedule's instances write, so that
     /// parallel units can write in place without growing an array.  A
     /// layout beyond the store's cell limit is refused with a typed unwind
-    /// (see [`crate::array`]).
+    /// (see [`crate::array`]).  The store must hold nothing yet for the
+    /// kernel to reach it by flat offsets.
     ///
     /// The default reserves nothing.  Such a kernel still runs on the
     /// caller's thread, where writes grow boxes, but on the worker pool
@@ -79,11 +90,9 @@ fn with_index<R>(r: &CompiledRef, indices: &[i64], f: impl FnOnce(&[i64]) -> R) 
     }
 }
 
-/// The compiled references of one statement, in reference order.
-struct StatementAccesses {
-    writes: Vec<CompiledRef>,
-    reads: Vec<CompiledRef>,
-}
+/// Source of [`RefKernel`] ids, which tell the layouts of different
+/// kernels apart.
+static NEXT_KERNEL: AtomicU64 = AtomicU64::new(1);
 
 /// The canonical kernel derived from a program's array references.
 ///
@@ -92,25 +101,19 @@ struct StatementAccesses {
 /// result is stored to every write reference.  Statements without writes
 /// are no-ops (they still perform their reads).
 pub struct RefKernel {
-    /// Slot → `(array name, rank)`: the layout every store it runs against
-    /// is bound to.
-    arrays: Vec<(String, usize)>,
-    /// Indexed by statement id.
-    stmts: Vec<StatementAccesses>,
+    /// Identifies the stores this kernel laid out.
+    id: u64,
+    /// Slot → `(array name, rank)`, and every statement's references.
+    refs: CompiledRefs,
 }
 
 impl RefKernel {
     /// Builds the canonical kernel of a program.
     pub fn new(program: &Program) -> Self {
-        let CompiledRefs { arrays, stmts } = program.compile_refs();
-        let stmts = stmts
-            .into_iter()
-            .map(|refs| {
-                let (writes, reads) = refs.into_iter().partition(|r| r.write);
-                StatementAccesses { writes, reads }
-            })
-            .collect();
-        RefKernel { arrays, stmts }
+        RefKernel {
+            id: NEXT_KERNEL.fetch_add(1, Ordering::Relaxed),
+            refs: program.compile_refs(),
+        }
     }
 }
 
@@ -119,13 +122,29 @@ impl Kernel for RefKernel {
     // built from the same program, so every statement id is present.
     #[allow(clippy::expect_used)]
     fn run(&self, stmt_id: usize, indices: &[i64], store: &mut StoreView<'_>) {
-        let accesses = self.stmts.get(stmt_id).expect("unknown statement id");
+        let refs = self.refs.stmts.get(stmt_id).expect("unknown statement id");
+        // In a store this kernel laid out, each access is one dot product;
+        // in any other, it goes by subscripts.
+        let mut rows = store.layout(self.id).map(|l| l.statement(stmt_id));
+        let address = |rows: Option<&StatementRows>, k: usize| {
+            rows.map_or(Address::Subscripts, |rows| rows.address(k, indices))
+        };
         // Combine the read values with an order-sensitive function so that
         // any violation of a flow/anti dependence changes the result.
         let mut acc = 0.5;
-        for (k, access) in accesses.reads.iter().enumerate() {
-            let v = with_index(access, indices, |idx| store.read_slot(access.slot, idx));
-            acc = acc * 0.75 + v * (1.0 + 0.1 * (k as f64 + 1.0));
+        let reads = refs.iter().enumerate().filter(|(_, r)| !r.write);
+        for (n, (k, r)) in reads.enumerate() {
+            let cell = match address(rows, k) {
+                Address::Cell(offset) => store.read_cell(r.slot, offset),
+                Address::Unwritten => Ok(None),
+                Address::Subscripts => Err(()),
+            };
+            let v = match cell {
+                Ok(Some(v)) => v,
+                Ok(None) => with_index(r, indices, Array::initial_value),
+                Err(()) => with_index(r, indices, |idx| store.read_slot(r.slot, idx)),
+            };
+            acc = acc * 0.75 + v * (1.0 + 0.1 * (n as f64 + 1.0));
         }
         let index_term: f64 = indices
             .iter()
@@ -133,43 +152,34 @@ impl Kernel for RefKernel {
             .map(|(k, &x)| (x as f64) * 0.001 * (k as f64 + 1.0))
             .sum();
         let value = acc + index_term + 0.25;
-        for access in &accesses.writes {
-            with_index(access, indices, |idx| {
-                store.write_slot(access.slot, idx, value)
-            });
-        }
-    }
-
-    /// Reserves the bounding box of each array's writes over the
-    /// schedule's instances.
-    fn reserve(&self, schedule: &Schedule, store: &mut ArrayStore) {
-        store.bind(&self.arrays);
-        let mut boxes: Vec<(Vec<i64>, Vec<i64>)> = self
-            .arrays
-            .iter()
-            .map(|a| (vec![i64::MAX; a.1], vec![i64::MIN; a.1]))
-            .collect();
-        let mut writes = 0u64;
-        for (stmt, indices) in schedule.instances() {
-            let Some(accesses) = self.stmts.get(stmt) else {
-                continue;
+        for (k, r) in refs.iter().enumerate().filter(|(_, r)| r.write) {
+            let placed = match address(rows, k) {
+                Address::Cell(offset) => store.write_cell(r.slot, offset, value),
+                _ => false,
             };
-            writes += accesses.writes.len() as u64;
-            for access in &accesses.writes {
-                let (lo, hi) = &mut boxes[access.slot];
-                for (d, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
-                    let x = access.subscript(d, indices);
-                    *l = (*l).min(x);
-                    *h = (*h).max(x);
-                }
+            if !placed {
+                with_index(r, indices, |idx| store.write_slot(r.slot, idx, value));
+                // A write that grew a box moved the flat offsets.
+                rows = store.layout(self.id).map(|l| l.statement(stmt_id));
             }
         }
-        // Unwritten arrays keep lo > hi and stay as they are.
-        store.reserve(&boxes, writes);
     }
 
+    /// Lays the store out as the [`ElementLayout`] of the statement boxes
+    /// the schedule recorded.
+    fn reserve(&self, schedule: &Schedule, store: &mut ArrayStore) {
+        store.bind(&self.refs.arrays);
+        store.lay_out(
+            self.id,
+            ElementLayout::new(&self.refs, schedule.statement_boxes()),
+        );
+    }
+
+    /// Runs one instance by subscripts, growing boxes as it writes: the
+    /// instance need not belong to a schedule the store was laid out for.
     fn execute(&self, stmt_id: usize, indices: &[i64], store: &mut ArrayStore) {
-        store.bind(&self.arrays);
+        store.bind(&self.refs.arrays);
+        store.forget_layout();
         self.run(stmt_id, indices, &mut StoreView::exclusive(store));
     }
 }
@@ -234,6 +244,19 @@ mod tests {
         kernel.execute(0, &[9], &mut rev);
         kernel.execute(0, &[6], &mut rev);
         assert!(!fwd.diff(&rev, 0.0).is_empty(), "order must be observable");
+    }
+
+    #[test]
+    fn a_layout_holds_for_its_kernel_until_a_box_moves() {
+        let p = figure2();
+        let (kernel, other) = (RefKernel::new(&p), RefKernel::new(&p));
+        let mut store = ArrayStore::new();
+        kernel.reserve(&Schedule::sequential(&p, &[]), &mut store);
+        assert!(StoreView::exclusive(&mut store).layout(kernel.id).is_some());
+        assert!(StoreView::shared(&store).layout(other.id).is_none());
+        // a(2I) and a(21 - I) span 1..=40: a write at 1000 grows the box.
+        store.set("a", &[1000], 1.0);
+        assert!(StoreView::shared(&store).layout(kernel.id).is_none());
     }
 
     #[test]

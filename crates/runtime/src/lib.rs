@@ -10,8 +10,9 @@
 //!   deterministic initial values,
 //! * [`kernel`] — statement kernels; [`RefKernel`] derives an
 //!   order-sensitive computation directly from a program's array
-//!   references, compiled once to slots and subscript rows, so that
-//!   schedule correctness is observable,
+//!   references, compiled once to slots and subscript rows and, per run,
+//!   to one flat offset row each into the store's boxes, so that schedule
+//!   correctness is observable,
 //! * [`executor`] — the sequential reference executor, the multi-threaded
 //!   [`ParallelExecutor`] with per-phase barriers, per-chain work batching,
 //!   in-place writes and per-cell conflict stamps, and schedule

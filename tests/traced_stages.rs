@@ -11,10 +11,12 @@
 use recurrence_chains::core::{
     concrete_partition_from_dense, dataflow_partition, ConcretePartition, PlanUnavailable,
 };
-use recurrence_chains::depend::{dataflow_levels, DependenceAnalysis, Granularity};
+use recurrence_chains::depend::{
+    dataflow_levels, statement_boxes, DependenceAnalysis, Granularity,
+};
 use recurrence_chains::loopir::expr::{c, v};
 use recurrence_chains::loopir::program::build::{loop_, stmt};
-use recurrence_chains::loopir::{ArrayRef, Program};
+use recurrence_chains::loopir::{ArrayLayout, ArrayRef, ElementLayout, Program};
 use recurrence_chains::presburger::{DenseRelation, DenseSet};
 use recurrence_chains::session::{Config, GranularityChoice, RcpError, Session};
 use recurrence_chains::workloads::BUNDLED_LOOPS;
@@ -217,5 +219,57 @@ fn hand_built_traces_equal_the_forward_pass_over_rd() {
             program.name
         );
         assert!(traced.iter().any(|&l| l > 0), "{}", program.name);
+    }
+}
+
+#[test]
+fn a_hashed_diagonal_beside_a_dense_array_traces_as_rd_orders_it() {
+    // At N = 2 000 the diagonal a(I, I) spans 4·10^6 cells for 4 000
+    // writes, past the cell limit, so the tracer keeps it in a table, while
+    // b(I) is one dense box.  S reads a three iterations back and b across
+    // the middle; T reads the a(I, I) that S just wrote.
+    let program = Program::new(
+        "mixed",
+        &["N"],
+        vec![loop_(
+            "I",
+            c(1),
+            v("N"),
+            vec![
+                stmt(
+                    "S",
+                    vec![
+                        ArrayRef::write("a", vec![v("I"), v("I")]),
+                        ArrayRef::read("a", vec![v("I") - c(3), v("I") - c(3)]),
+                        ArrayRef::read("b", vec![c(2001) - v("I")]),
+                    ],
+                ),
+                stmt(
+                    "T",
+                    vec![
+                        ArrayRef::write("b", vec![v("I")]),
+                        ArrayRef::read("a", vec![v("I"), v("I")]),
+                    ],
+                ),
+            ],
+        )],
+    );
+    let n = 2_000;
+    let bound = program.bind_params(&[n]);
+    let layout = ElementLayout::new(&bound.compile_refs(), &statement_boxes(&bound));
+    assert!(matches!(layout.arrays()[0], ArrayLayout::Hashed(_)));
+    assert!(matches!(layout.arrays()[1], ArrayLayout::Dense(_)));
+    for granularity in [Granularity::LoopLevel, Granularity::StatementLevel] {
+        let traced = dataflow_levels(&program, &[n], granularity);
+        let analysis = DependenceAnalysis::analyze(&program, granularity);
+        let (phi, relation) = analysis.bind_params(&[n]);
+        let phi = DenseSet::from_union(&phi);
+        let rd = DenseRelation::from_relation(&relation);
+        assert_eq!(
+            traced,
+            dataflow_partition(&phi, &rd).levels,
+            "{granularity:?}"
+        );
+        assert!(traced.iter().max() > Some(&100), "{granularity:?}");
     }
 }
