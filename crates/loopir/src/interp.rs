@@ -102,8 +102,8 @@ struct WalkLoop {
     lower: Box<[i64]>,
     upper: Box<[i64]>,
     body: Vec<WalkNode>,
-    /// The number of statements in `body` when it holds no loop.
-    flat: Option<usize>,
+    /// True when `body` holds no loop.
+    flat: bool,
 }
 
 impl WalkLoop {
@@ -284,7 +284,7 @@ fn count(nodes: &[WalkNode], stack: &mut [i64], counts: &mut [u64]) {
                 if lo > hi {
                     continue;
                 }
-                if l.flat.is_some() {
+                if l.flat {
                     for node in &l.body {
                         if let WalkNode::Stmt { id, .. } = node {
                             counts[*id] += (hi - lo + 1) as u64;
@@ -332,10 +332,7 @@ impl<'p> Compiler<'p> {
                     self.scope.push(&l.index);
                     let body = self.nodes(&l.body);
                     self.scope.pop();
-                    let flat = body
-                        .iter()
-                        .all(|n| matches!(n, WalkNode::Stmt { .. }))
-                        .then_some(body.len());
+                    let flat = body.iter().all(|n| matches!(n, WalkNode::Stmt { .. }));
                     WalkNode::Loop(WalkLoop {
                         depth,
                         lower,

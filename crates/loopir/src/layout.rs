@@ -15,12 +15,16 @@
 //!
 //! An array that no reference writes has no box: every read of it reads an
 //! element nothing wrote.  A written array's box is the hull of all its
-//! references' boxes, or of its writes alone when that hull would pass the
-//! cell limit.  A read whose box the array's box does not contain is
-//! *outside*: it keeps its per-dimension subscripts
-//! ([`Address::Subscripts`]).  An array whose write box
-//! alone would pass the limit is *hashed*: the tracer keeps its elements in
-//! a table, and the runtime refuses the layout.
+//! references' boxes, or of its writes alone when taking in its reads
+//! would pass 32 cells per write access: reads never spend the limit's
+//! free cells, so a far read costs a small program no more memory or work
+//! budget than its writes do.  A read whose box the array's box does not
+//! contain is *outside*: it keeps its per-dimension subscripts
+//! ([`Address::Subscripts`]).  An array whose write box alone would pass
+//! the limit is *hashed*: the tracer keeps its elements in a table, and
+//! the runtime reserves the exact box of the writes its schedule holds,
+//! which a band or a coupled subscript keeps far smaller than the
+//! interval box.
 //!
 //! # The cell limit
 //!
@@ -47,10 +51,10 @@ use crate::compiled::{CompiledRef, CompiledRefs};
 
 /// How many cells a layout may hold per write, on top of [`FREE_CELLS`].
 /// The bundled workloads need at most about 20.
-pub const CELLS_PER_WRITE: u64 = 32;
+const CELLS_PER_WRITE: u64 = 32;
 
 /// How many cells a layout may hold whatever it writes (8 MiB of `f64`s).
-pub const FREE_CELLS: u64 = 1 << 20;
+const FREE_CELLS: u64 = 1 << 20;
 
 /// The most cells a layout for `writes` writes may hold.  It keeps a dense
 /// layout within a constant factor of its writes, plus a few MiB: a
@@ -90,16 +94,6 @@ impl StatementBox {
             *lo = (*lo).min(x);
             *hi = (*hi).max(x);
         }
-    }
-
-    /// True when the instance at `indices` lies in the box.
-    pub fn contains(&self, indices: &[i64]) -> bool {
-        indices.len() == self.ranges.len()
-            && self
-                .ranges
-                .iter()
-                .zip(indices)
-                .all(|(&(lo, hi), &x)| lo <= x && x <= hi)
     }
 
     fn is_empty(&self) -> bool {
@@ -326,7 +320,8 @@ impl ElementLayout {
             })
             .collect();
         // With every written array dense, each takes in its reads while the
-        // total still fits.
+        // total stays within the limit's share per write.
+        let share = writes.saturating_mul(CELLS_PER_WRITE);
         if !arrays.iter().any(|a| matches!(a, ArrayLayout::Hashed(_))) {
             for (array, hull) in arrays.iter_mut().zip(&all) {
                 let (ArrayLayout::Dense(dense), Some(hull)) = (&*array, hull) else {
@@ -334,7 +329,7 @@ impl ElementLayout {
                 };
                 let (wider, cells) = to_box(hull);
                 let now = dense.cells();
-                if cells <= limit - (total - now) {
+                if cells <= share.saturating_sub(total - now) {
                     total = total - now + cells;
                     *array = ArrayLayout::Dense(wider);
                 }
@@ -574,6 +569,51 @@ mod tests {
         assert_eq!(rows.address(1, &[7]), Address::Subscripts, "outside");
         assert_eq!(rows.address(2, &[7]), Address::Unwritten);
         assert_eq!(check_every_access(&p, &layout), 1000);
+    }
+
+    #[test]
+    fn reads_spend_no_free_cells() {
+        // 100 instances write a(I) and b(I): 200 writes, a share of 6 400
+        // cells.  a's read widens its box to 2 100 cells within the share;
+        // b's would bring the total to 7 200, which the limit's free cells
+        // would hold but reads do not spend, so it stays outside.
+        let p = Program::new(
+            "reads",
+            &[],
+            vec![loop_(
+                "I",
+                c(1),
+                c(100),
+                vec![stmt(
+                    "S",
+                    vec![
+                        ArrayRef::write("a", vec![v("I")]),
+                        ArrayRef::read("a", vec![v("I") + c(2000)]),
+                        ArrayRef::write("b", vec![v("I")]),
+                        ArrayRef::read("b", vec![v("I") + c(5000)]),
+                    ],
+                )],
+            )],
+        );
+        let layout = ElementLayout::new(&p.compile_refs(), &walked_boxes(&p));
+        assert_eq!(layout.writes(), 200);
+        assert_eq!(
+            layout.arrays(),
+            &[
+                ArrayLayout::Dense(ArrayBox {
+                    lo: vec![1],
+                    hi: vec![2100]
+                }),
+                ArrayLayout::Dense(ArrayBox {
+                    lo: vec![1],
+                    hi: vec![100]
+                })
+            ]
+        );
+        let rows = layout.statement(0);
+        assert_eq!(rows.address(1, &[7]), Address::Cell(2006));
+        assert_eq!(rows.address(3, &[7]), Address::Subscripts, "outside");
+        assert_eq!(check_every_access(&p, &layout), 300);
     }
 
     #[test]

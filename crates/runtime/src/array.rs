@@ -44,8 +44,7 @@
 //! the stamp, then the value with `Release`, then sets the written bit
 //! with a `Release` read-modify-write; a read loads the bit and the value
 //! with `Acquire`, then the stamp.  A read that sees another unit's value
-//! therefore sees its stamp as well.  An exclusive view, which no other
-//! thread can see, writes with plain stores.
+//! therefore sees its stamp as well.
 
 use rcp_intlin::IVec;
 use rcp_loopir::{cell_limit, ArrayLayout, ElementLayout};
@@ -284,20 +283,6 @@ impl Array {
         }
         previous
     }
-
-    /// [`Self::write`] through an exclusive reference: plain stores, with
-    /// no read-modify-write.
-    #[inline]
-    fn write_exclusive(&mut self, offset: usize, bits: u64, stamp: u64) -> u64 {
-        let previous = match self.stamps.get_mut(offset) {
-            Some(s) if stamp != 0 => std::mem::replace(s.get_mut(), stamp),
-            _ => 0,
-        };
-        *self.cells[offset].get_mut() = bits;
-        let (word, mask) = bit(offset);
-        *self.written[word].get_mut() |= mask;
-        previous
-    }
 }
 
 /// A box to lay an array out as.
@@ -481,9 +466,10 @@ impl ArrayStore {
     /// Lays the bound arrays out as `layout` for a run of kernel `owner`'s,
     /// which makes [`ElementLayout::writes`] writes: reserves each dense
     /// box, and each hashed array's write box, which the cell limit then
-    /// refuses (see [`Self::reserve`]).  The store keeps the layout when
-    /// every dense array's box is exactly the layout's and no array the
-    /// layout leaves unwritten holds a value, as in a store that held
+    /// refuses (see [`Self::reserve`]; `RefKernel` reserves the writes of
+    /// a layout that hashes an array itself).  The store keeps the layout
+    /// when every dense array's box is exactly the layout's and no array
+    /// the layout leaves unwritten holds a value, as in a store that held
     /// nothing before.
     pub(crate) fn lay_out(&mut self, owner: u64, layout: ElementLayout) {
         let boxes: Vec<(Vec<i64>, Vec<i64>)> = layout
@@ -856,19 +842,11 @@ impl<'s> StoreView<'s> {
     #[inline]
     pub(crate) fn write_cell(&mut self, slot: usize, offset: usize, value: f64) -> bool {
         let stamp = self.stamp;
-        let previous = match &mut self.store {
-            Holding::Exclusive(arrays) => match arrays.list.get_mut(slot) {
-                Some((_, array)) if offset < array.cells.len() => {
-                    array.write_exclusive(offset, value.to_bits(), stamp)
-                }
-                _ => return false,
-            },
-            Holding::Shared(arrays) => match arrays.list.get(slot) {
-                Some((_, array)) if offset < array.cells.len() => {
-                    array.write(offset, value.to_bits(), stamp)
-                }
-                _ => return false,
-            },
+        let previous = match self.arrays().list.get(slot) {
+            Some((_, array)) if offset < array.cells.len() => {
+                array.write(offset, value.to_bits(), stamp)
+            }
+            _ => return false,
         };
         if collides(previous, stamp) {
             self.conflict_at(slot, offset);
@@ -932,15 +910,9 @@ impl<'s> StoreView<'s> {
             }
         }
         let stamp = self.stamp;
-        let previous = offset.and_then(|o| match &mut self.store {
-            Holding::Exclusive(arrays) => {
-                let (_, array) = arrays.list.get_mut(slot)?;
-                Some(array.write_exclusive(o, value.to_bits(), stamp))
-            }
-            Holding::Shared(arrays) => {
-                let (_, array) = arrays.list.get(slot)?;
-                Some(array.write(o, value.to_bits(), stamp))
-            }
+        let previous = offset.and_then(|o| {
+            let (_, array) = self.arrays().list.get(slot)?;
+            Some(array.write(o, value.to_bits(), stamp))
         });
         match previous {
             Some(previous) if !collides(previous, stamp) => {}

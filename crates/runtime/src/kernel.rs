@@ -22,11 +22,18 @@
 //! product of the reference's flat row and one range check.  It evaluates
 //! the per-dimension subscripts only for the initial value of an element
 //! nothing wrote, for a read the layout leaves outside the box, and in a
-//! store it did not lay out, where a write may grow a box.
+//! store it did not lay out, where a write may grow a box.  When the
+//! layout hashes an array, whose box from the statement boxes would pass
+//! the cell limit, the kernel instead reserves the exact box of the
+//! schedule's writes, from one pass over its instances, and holds no
+//! layout: a band such as `a(J - I, I)` for `J = I, I + 1` writes 2·N
+//! elements, which its interval box of 2·N² cells would not admit.
 
 use crate::array::{Array, ArrayStore, StoreView};
 use rcp_codegen::Schedule;
-use rcp_loopir::{Address, CompiledRef, CompiledRefs, ElementLayout, Program, StatementRows};
+use rcp_loopir::{
+    Address, ArrayLayout, CompiledRef, CompiledRefs, ElementLayout, Program, StatementRows,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The computation of a program's statements.
@@ -115,6 +122,34 @@ impl RefKernel {
             refs: program.compile_refs(),
         }
     }
+
+    /// Reserves the box of the elements `schedule`'s instances write, one
+    /// pass over them; an array none writes keeps its box.
+    fn reserve_writes(&self, schedule: &Schedule, store: &mut ArrayStore) {
+        let mut boxes: Vec<(Vec<i64>, Vec<i64>)> = self
+            .refs
+            .arrays
+            .iter()
+            .map(|&(_, rank)| (vec![i64::MAX; rank], vec![i64::MIN; rank]))
+            .collect();
+        let mut writes = 0u64;
+        for (stmt, indices) in schedule.instances() {
+            let Some(refs) = self.refs.stmts.get(stmt) else {
+                continue;
+            };
+            for r in refs.iter().filter(|r| r.write) {
+                writes += 1;
+                let (lo, hi) = &mut boxes[r.slot];
+                for (d, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
+                    let x = r.subscript(d, indices);
+                    *l = (*l).min(x);
+                    *h = (*h).max(x);
+                }
+            }
+        }
+        // Unwritten arrays keep lo > hi and stay as they are.
+        store.reserve(&boxes, writes);
+    }
 }
 
 impl Kernel for RefKernel {
@@ -166,13 +201,22 @@ impl Kernel for RefKernel {
     }
 
     /// Lays the store out as the [`ElementLayout`] of the statement boxes
-    /// the schedule recorded.
+    /// the schedule recorded, or, when that layout hashes an array,
+    /// reserves the boxes of the schedule's writes (see the
+    /// [module docs](self)).
     fn reserve(&self, schedule: &Schedule, store: &mut ArrayStore) {
         store.bind(&self.refs.arrays);
-        store.lay_out(
-            self.id,
-            ElementLayout::new(&self.refs, schedule.statement_boxes()),
-        );
+        let layout = ElementLayout::new(&self.refs, schedule.statement_boxes());
+        if layout
+            .arrays()
+            .iter()
+            .any(|a| matches!(a, ArrayLayout::Hashed(_)))
+        {
+            store.forget_layout();
+            self.reserve_writes(schedule, store);
+        } else {
+            store.lay_out(self.id, layout);
+        }
     }
 
     /// Runs one instance by subscripts, growing boxes as it writes: the
@@ -187,9 +231,10 @@ impl Kernel for RefKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcp_codegen::{PhaseKind, ScheduleBuilder};
     use rcp_loopir::expr::{c, v};
     use rcp_loopir::program::build::{loop_, stmt};
-    use rcp_loopir::ArrayRef;
+    use rcp_loopir::{ArrayBox, ArrayRef};
 
     fn figure2() -> Program {
         Program::new(
@@ -257,6 +302,59 @@ mod tests {
         // a(2I) and a(21 - I) span 1..=40: a write at 1000 grows the box.
         store.set("a", &[1000], 1.0);
         assert!(StoreView::shared(&store).layout(kernel.id).is_none());
+    }
+
+    #[test]
+    fn a_reservation_lays_out_the_recorded_boxes_not_the_instances() {
+        // a(I + J) = a(I + J - 1) over the two corners (1, 50) and (50, 1)
+        // of I, J in 1..50: both write a(51), but the store is laid out
+        // from the recorded box alone, a(2..100); the read's hull, 100
+        // cells for 2 writes, stays outside.
+        let p = Program::new(
+            "sum",
+            &[],
+            vec![loop_(
+                "I",
+                c(1),
+                c(50),
+                vec![loop_(
+                    "J",
+                    c(1),
+                    c(50),
+                    vec![stmt(
+                        "S",
+                        vec![
+                            ArrayRef::write("a", vec![v("I") + v("J")]),
+                            ArrayRef::read("a", vec![v("I") + v("J") - c(1)]),
+                        ],
+                    )],
+                )],
+            )],
+        );
+        let mut builder = ScheduleBuilder::new("corners", &[2]);
+        builder.phase(PhaseKind::ChainSet);
+        builder.chain();
+        builder.single(0, &[1, 50]);
+        builder.single(0, &[50, 1]);
+        let corners = builder.finish();
+        let kernel = RefKernel::new(&p);
+        let mut store = ArrayStore::new();
+        kernel.reserve(&corners, &mut store);
+        let laid = StoreView::exclusive(&mut store)
+            .layout(kernel.id)
+            .cloned()
+            .expect("the store holds the layout it was laid out as");
+        assert_eq!(
+            laid,
+            ElementLayout::new(&kernel.refs, corners.statement_boxes())
+        );
+        assert_eq!(
+            laid.arrays(),
+            &[ArrayLayout::Dense(ArrayBox {
+                lo: vec![2],
+                hi: vec![100]
+            })]
+        );
     }
 
     #[test]
