@@ -34,7 +34,7 @@ use rcp_core::{concrete_partition, symbolic_plan};
 use rcp_depend::DependenceAnalysis;
 use rcp_loopir::Program;
 use rcp_presburger::DenseRelation;
-use rcp_runtime::{execute_schedule, execute_sequential, RefKernel, Verification};
+use rcp_runtime::{execute_sequential, ParallelExecutor, RefKernel, Verification};
 use rcp_session::{scheme_names, Config, RcpError, Session, DEFAULT_SCHEME};
 
 use crate::generator::generate;
@@ -210,9 +210,13 @@ pub fn run_case(program: &Program, params: &[(String, i64)]) -> Result<CaseResul
                     } else {
                         let mut verdict = Verdict::Passed;
                         for threads in FUZZ_THREADS {
+                            // The fallback would run these small nests on
+                            // the caller alone at any thread count.
+                            let executor =
+                                ParallelExecutor::new(threads).with_sequential_fallback(false);
                             let check = Verification::check(
                                 &reference,
-                                &execute_schedule(schedule, &kernel, threads),
+                                &executor.execute(schedule, &kernel),
                             );
                             if !check.passed() {
                                 verdict = Verdict::Discrepancy(Discrepancy {

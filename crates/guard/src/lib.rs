@@ -148,11 +148,6 @@ impl BudgetSpec {
         self.max_millis = Some(millis);
         self
     }
-
-    /// True when neither resource is capped.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_work.is_none() && self.max_millis.is_none()
-    }
 }
 
 /// The unwind payload of a tripped budget checkpoint, and the data behind
@@ -535,7 +530,7 @@ pub fn suppress_control_flow_panic_output() {
 /// | `depend::pair-analysis` | per-reference-pair relation construction (pool worker) |
 /// | `core::chains` | recurrence-chain enumeration |
 /// | `session::partition` | concrete partition stage construction |
-/// | `runtime::phase` | executor phase body (pool worker) |
+/// | `runtime::phase` | executor phase body (every thread that runs a block) |
 /// | `runtime::barrier` | executor barrier closing a multi-unit phase |
 pub const FAILPOINT_SITES: &[&str] = &[
     "intlin::hnf",

@@ -293,12 +293,6 @@ impl RatMat {
             .collect()
     }
 
-    /// Row-vector-times-matrix product with an integer row vector.
-    pub fn apply_int_row(&self, v: &[i64]) -> Vec<Rational> {
-        let rv: Vec<Rational> = v.iter().map(|&x| Rational::from_int(x)).collect();
-        self.apply_row(&rv)
-    }
-
     /// Determinant by Gaussian elimination with exact rationals.
     pub fn det(&self) -> Rational {
         assert_eq!(self.rows, self.cols, "determinant of non-square matrix");

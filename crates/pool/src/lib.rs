@@ -1,10 +1,10 @@
 //! A `scope`/`par_map` facility on OS threads.
 //!
-//! This is the generalisation of the `ParallelExecutor` worker pool into a
-//! reusable building block: any data-parallel, *non-schedule* work — sharded
-//! dependence analysis over reference pairs, concurrent benchmark
-//! experiments — runs through [`par_map`] instead of hand-rolling its own
-//! `std::thread::scope` loop.
+//! Any data-parallel, *non-schedule* work — sharded dependence analysis
+//! over reference pairs, concurrent benchmark experiments — runs through
+//! [`par_map`] instead of hand-rolling its own `std::thread::scope` loop.
+//! Schedules do not: `rcp_runtime::ParallelExecutor` cuts each phase it
+//! shares into one contiguous block per thread before its threads start.
 //! It sits directly above `rcp-guard` and below every other workspace crate,
 //! so both the analysis front end (`rcp-depend`) and the runtime
 //! (`rcp-runtime`, which re-exports this crate as `rcp_runtime::pool`) can
@@ -57,16 +57,11 @@ struct PoolMetrics {
 
 fn metrics() -> &'static PoolMetrics {
     static METRICS: OnceLock<PoolMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        // Nothing shards by range any more; the counter stays registered
-        // (at 0) so that the profile's counter set does not change.
-        rcp_trace::counter("pool.shard_ranges.shards");
-        PoolMetrics {
-            calls: rcp_trace::counter("pool.par_map.calls"),
-            items: rcp_trace::counter("pool.par_map.items"),
-            inline: rcp_trace::counter("pool.par_map.inline"),
-            workers: rcp_trace::counter("pool.par_map.workers"),
-        }
+    METRICS.get_or_init(|| PoolMetrics {
+        calls: rcp_trace::counter("pool.par_map.calls"),
+        items: rcp_trace::counter("pool.par_map.items"),
+        inline: rcp_trace::counter("pool.par_map.inline"),
+        workers: rcp_trace::counter("pool.par_map.workers"),
     })
 }
 

@@ -49,16 +49,6 @@ impl Affine {
         Affine { coeffs, constant }
     }
 
-    /// Builds `Σ coeffs[v]·xᵥ + constant` for a given space, padding
-    /// parameter coefficients with zeros when `coeffs` only covers the set
-    /// dimensions.
-    pub fn from_dims(space: &Space, dim_coeffs: &[i64], constant: i64) -> Self {
-        assert!(dim_coeffs.len() <= space.total(), "too many coefficients");
-        let mut coeffs = dim_coeffs.to_vec();
-        coeffs.resize(space.total(), 0);
-        Affine { coeffs, constant }
-    }
-
     /// Number of variables this expression ranges over.
     pub fn total(&self) -> usize {
         self.coeffs.len()
@@ -82,11 +72,6 @@ impl Affine {
     /// Constant term.
     pub fn constant_term(&self) -> i64 {
         self.constant
-    }
-
-    /// Mutable constant term.
-    pub fn constant_mut(&mut self) -> &mut i64 {
-        &mut self.constant
     }
 
     /// True if every coefficient is zero.

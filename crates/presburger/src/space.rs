@@ -116,15 +116,6 @@ impl Space {
             param_names: self.param_names.clone(),
         }
     }
-
-    /// A space with the same parameters but a different number of anonymous
-    /// set dimensions.
-    pub fn with_dim(&self, dim: usize) -> Space {
-        Space {
-            dim_names: (0..dim).map(|i| format!("x{i}")).collect(),
-            param_names: self.param_names.clone(),
-        }
-    }
 }
 
 impl fmt::Debug for Space {

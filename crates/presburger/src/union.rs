@@ -7,7 +7,6 @@
 //! operations on such unions, plus enumeration and the disjoint splitting
 //! required before code generation.
 
-use crate::constraint::Constraint;
 use crate::convex::ConvexSet;
 use crate::dense::DenseSet;
 use crate::space::Space;
@@ -127,11 +126,6 @@ impl UnionSet {
         }
     }
 
-    /// Intersection with a single convex set.
-    pub fn intersect_convex(&self, other: &ConvexSet) -> UnionSet {
-        self.intersect(&UnionSet::from_convex(other.clone()))
-    }
-
     /// Set difference `self \ other`.
     pub fn subtract(&self, other: &UnionSet) -> UnionSet {
         assert_eq!(self.space.total(), other.space.total(), "space mismatch");
@@ -149,17 +143,6 @@ impl UnionSet {
         let mut u = UnionSet {
             space: self.space.clone(),
             pieces: current,
-        };
-        u.coalesce();
-        u
-    }
-
-    /// Adds a constraint to every piece.
-    pub fn with_constraint(&self, c: Constraint) -> UnionSet {
-        let pieces = self.pieces.iter().map(|p| p.with(c.clone())).collect();
-        let mut u = UnionSet {
-            space: self.space.clone(),
-            pieces,
         };
         u.coalesce();
         u
@@ -308,6 +291,7 @@ impl std::fmt::Debug for UnionSet {
 mod tests {
     use super::*;
     use crate::affine::Affine;
+    use crate::constraint::Constraint;
 
     fn interval(space: &Space, var: usize, lo: i64, hi: i64) -> ConvexSet {
         ConvexSet::universe(space.clone()).with_all(vec![

@@ -30,8 +30,10 @@ pub struct CostModel {
     pub item_overhead_ns: f64,
     /// Cost of one point-to-point synchronisation (DOACROSS P/V pair).
     pub sync_cost_ns: f64,
-    /// One-time cost of spawning a pool worker thread (paid per thread per
-    /// `ParallelExecutor::execute`, since the pool lives for one schedule).
+    /// One-time cost of spawning a thread for one
+    /// `ParallelExecutor::execute`.  A run of `n` threads spawns `n − 1`,
+    /// since the caller is one of them, but [`Self::pool_startup_ns`] still
+    /// charges `n`.
     pub thread_spawn_cost_ns: f64,
 }
 

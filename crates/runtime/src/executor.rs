@@ -4,38 +4,44 @@
 //!   order — the reference both for correctness and for speedup
 //!   normalisation.
 //! * [`ParallelExecutor`] (and its [`execute_schedule`] convenience
-//!   wrapper) runs a [`Schedule`] phase by phase on `n_threads` OS worker
-//!   threads.  Work items of a DOALL phase and different chains of a chain
-//!   phase — the independent recurrence chains of the paper's Theorem-1
-//!   partition — execute concurrently; small units are packed into batches
-//!   so per-unit scheduling overhead stays amortised.  Like the threads of
-//!   the paper's OpenMP code, units write the shared arrays in place: the
-//!   kernel reserves every array's box before the run
-//!   ([`Kernel::reserve`]), so nothing reallocates under concurrency, and
-//!   Theorem 1 makes the units of a phase touch disjoint elements.  On
-//!   checked runs (the default) each cell records the unit that last wrote
-//!   it, and a unit that reads or writes a cell another unit of the same
-//!   phase wrote is reported as a race.  A cost-model-driven sequential
-//!   fallback (see [`ParallelExecutor::with_sequential_fallback`]) runs
-//!   schedules too small to amortise pool overhead inline instead.
+//!   wrapper) runs a [`Schedule`] phase by phase on up to `n_threads` OS
+//!   threads, the caller among them.  The paper's generated code runs each
+//!   DOALL set and each set of WHILE chains as one OpenMP parallel region
+//!   closed by a barrier.  Here a phase worth sharing is cut, in slab
+//!   order, into one contiguous block of units per thread — the units being
+//!   the work items of a DOALL phase, or the independent recurrence chains
+//!   of the paper's Theorem-1 partition — and every thread runs its block
+//!   between two waits on one barrier (a static schedule).  A phase too
+//!   small to pay for the barrier runs on the caller alone, unit after
+//!   unit, which is a legal order.  Like the threads of the paper's OpenMP
+//!   code, units write the
+//!   shared arrays in place: the kernel reserves every array's box before
+//!   the run ([`Kernel::reserve`]), so nothing reallocates under
+//!   concurrency, and Theorem 1 makes the units of a phase touch disjoint
+//!   elements.  On checked runs (the default) each cell records the unit
+//!   that last wrote it, and a unit that reads or writes a cell another
+//!   unit of the same phase wrote is reported as a race.  A
+//!   cost-model-driven sequential fallback (see
+//!   [`ParallelExecutor::with_sequential_fallback`]) runs schedules too
+//!   small to amortise thread start-up on the caller alone.
 //! * [`verify_schedule`] checks the parallel result against the
 //!   sequential result bit for bit ([`Verification::check`]).
 //!
-//! The thread pool is built on `std::thread::scope` with a shared atomic
-//! work queue (dynamic self-scheduling, like OpenMP `schedule(dynamic)`).
-//! The workspace builds in fully offline environments, so rayon cannot be
-//! assumed; the executor keeps the same phase/barrier semantics a
-//! rayon-backed implementation would have, and `ParallelExecutor` is the
-//! single seam to swap one in.
+//! The threads are `std::thread::scope` threads that live for one run: the
+//! workspace builds in fully offline environments, so rayon cannot be
+//! assumed.
 
 use crate::array::{ArrayStore, StoreView};
 use crate::cost::CostModel;
 use crate::kernel::Kernel;
 use rcp_codegen::{Phase, Schedule};
+use rcp_guard::Stage;
 use rcp_intlin::IVec;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, OnceLock, RwLock};
-use std::time::{Duration, Instant};
+use std::any::Any;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Barrier, Mutex, OnceLock, PoisonError};
+use std::time::Instant;
 
 /// Registry handles for the executor's phase statistics — the
 /// `executor.*` metrics a profile or `rcp stats` reports.  Resolved once;
@@ -60,10 +66,6 @@ fn metrics() -> &'static ExecMetrics {
 pub struct ExecutionResult {
     /// The final array contents.
     pub store: ArrayStore,
-    /// Wall-clock time per phase.
-    pub phase_times: Vec<Duration>,
-    /// Total wall-clock time.
-    pub total_time: Duration,
     /// Elements some unit read or wrote after another unit of the same
     /// phase wrote them (checked runs), and writes the reserved layout
     /// could not place, in array and index order (empty for a valid
@@ -93,7 +95,7 @@ pub fn execute_sequential(schedule: &Schedule, kernel: &dyn Kernel) -> ArrayStor
     store
 }
 
-/// Executes a schedule with `n_threads` workers (see [`ParallelExecutor`]).
+/// Executes a schedule with `n_threads` threads (see [`ParallelExecutor`]).
 pub fn execute_schedule(
     schedule: &Schedule,
     kernel: &(dyn Kernel + Sync),
@@ -102,48 +104,30 @@ pub fn execute_schedule(
     ParallelExecutor::new(n_threads).execute(schedule, kernel)
 }
 
-/// A phase-by-phase parallel executor over a pool of OS threads.
+/// A phase-by-phase parallel executor on OS threads.
 ///
-/// Independent units — the work items of a DOALL phase, the whole
-/// recurrence chains of a chain phase — are distributed over the workers
-/// through a shared atomic queue.  Consecutive small units are packed into
-/// *batches* of at least [`ParallelExecutor::with_min_batch_instances`]
-/// statement instances each, so that a phase of ten thousand one-instance
-/// items does not pay ten thousand queue operations.
+/// The calling thread is thread 0 of a run and spawns the others for the
+/// run's duration.  Before they start, each phase is either left to the
+/// caller or cut, in slab order, into one contiguous block of units per
+/// thread — the work items of a DOALL phase, the whole recurrence chains
+/// of a chain phase — each within one unit's instances of an even share
+/// of the phase's statement instances.
 #[derive(Clone, Debug)]
 pub struct ParallelExecutor {
     n_threads: usize,
-    min_batch_instances: usize,
     detect_races: bool,
     sequential_fallback: bool,
 }
 
-/// What one run leaves besides its store: per-phase times, the time of the
-/// phase loop, and the conflicts found.
-type RunOutcome = (Vec<Duration>, Duration, Vec<(String, IVec)>);
-
 impl ParallelExecutor {
-    /// Default number of statement instances a batch is grown to before the
-    /// next unit starts a new batch.
-    pub const DEFAULT_MIN_BATCH_INSTANCES: usize = 64;
-
-    /// An executor with `n_threads` workers (0 and 1 both mean "run
-    /// inline"), default batching, and the cost-model-driven sequential
-    /// fallback enabled.
+    /// An executor with `n_threads` threads (0 and 1 both mean "run on the
+    /// caller") and the cost-model-driven sequential fallback enabled.
     pub fn new(n_threads: usize) -> Self {
         ParallelExecutor {
             n_threads: n_threads.max(1),
-            min_batch_instances: Self::DEFAULT_MIN_BATCH_INSTANCES,
             detect_races: true,
             sequential_fallback: true,
         }
-    }
-
-    /// Overrides the batching granularity; `1` disables batching (every
-    /// unit is its own queue entry).
-    pub fn with_min_batch_instances(mut self, min_batch_instances: usize) -> Self {
-        self.min_batch_instances = min_batch_instances.max(1);
-        self
     }
 
     /// Enables or disables intra-phase race detection.
@@ -163,315 +147,252 @@ impl ParallelExecutor {
 
     /// Enables or disables the cost-model-driven sequential fallback.
     ///
-    /// With the fallback on (the default), a schedule whose pool execution
-    /// as [`CostModel::default`] models it — thread spawning, per-phase
-    /// barriers, work divided over at most the hardware's threads — does
-    /// not beat inline sequential execution runs on the calling thread
-    /// instead.  Small schedules then no longer pay pool overhead for a
-    /// guaranteed slowdown, and thread counts beyond the hardware are never
-    /// oversubscribed.
+    /// With the fallback on (the default), a run uses at most the
+    /// hardware's threads, and a schedule whose parallel run as
+    /// [`CostModel::default`] models it — thread spawning, per-phase
+    /// barriers, work divided over those threads — does not beat
+    /// sequential execution runs on the caller alone; of a schedule that
+    /// does, a phase is shared only when the model finds that splitting it
+    /// beats running it on the caller.  With the fallback off, a run uses
+    /// exactly `n_threads` threads and shares every phase of more than one
+    /// unit, however small: this is how tests reach the threads.
     pub fn with_sequential_fallback(mut self, sequential_fallback: bool) -> Self {
         self.sequential_fallback = sequential_fallback;
         self
     }
 
-    /// The number of worker threads the executor schedules onto.
+    /// The number of threads the executor schedules onto.
     pub fn n_threads(&self) -> usize {
         self.n_threads
     }
 
-    /// True when `execute` would run the schedule on the worker pool rather
-    /// than inline on the caller.
+    /// True when `execute` would run the schedule on more than one thread
+    /// rather than on the caller alone.
     pub fn uses_pool(&self, schedule: &Schedule) -> bool {
-        self.n_threads > 1
-            && (!self.sequential_fallback
-                || CostModel::default().parallel_pays_off(
-                    schedule,
-                    self.n_threads,
-                    rcp_pool::available_threads(),
-                ))
+        self.threads_for(schedule) > 1
     }
 
-    /// Executes the schedule and returns the final store, per-phase wall
-    /// clock, and any intra-phase conflicts.
+    /// The threads a run of `schedule` uses, the caller included.
+    fn threads_for(&self, schedule: &Schedule) -> usize {
+        if !self.sequential_fallback || self.n_threads == 1 {
+            return self.n_threads;
+        }
+        let available = rcp_pool::available_threads();
+        if CostModel::default().parallel_pays_off(schedule, self.n_threads, available) {
+            self.n_threads.min(available)
+        } else {
+            1
+        }
+    }
+
+    /// Per phase of `schedule`, the unit each of `threads` threads' blocks
+    /// starts at followed by the phase's width ([`blocks`]), or nothing
+    /// when the caller runs the phase alone.  A phase of more than one unit
+    /// is shared when the fallback is off, or when the default model's
+    /// estimate at `threads` beats its work on the caller alone, which
+    /// waits at no barrier.
+    fn plan(&self, schedule: &Schedule, threads: usize) -> Vec<Vec<usize>> {
+        let model = CostModel::default();
+        let split = |phase: Phase| {
+            let shared = threads > 1
+                && phase.width() > 1
+                && (!self.sequential_fallback
+                    || model.phase_time_estimate_ns(&phase, threads)
+                        < model.phase_time_estimate_ns(&phase, 1) - model.barrier_cost_ns);
+            if shared {
+                blocks(&phase, threads)
+            } else {
+                Vec::new()
+            }
+        };
+        schedule.phases().map(split).collect()
+    }
+
+    /// Executes the schedule and returns the final store and any
+    /// intra-phase conflicts.
+    ///
+    /// A panic or a tripped budget on any thread fails the run: every
+    /// thread skips the rest of its work but still meets the others at
+    /// each barrier, and the first payload is re-raised on the caller once
+    /// all have finished, with the frame `executor worker k` of the thread
+    /// `k` that raised it (budget payloads pass through untouched).
     pub fn execute(&self, schedule: &Schedule, kernel: &(dyn Kernel + Sync)) -> ExecutionResult {
         let _span = rcp_trace::span!("executor.run");
-        let start = Instant::now();
         let mut store = ArrayStore::new();
         kernel.reserve(schedule, &mut store);
         store.set_stamping(self.detect_races);
-        let layout_time = start.elapsed();
-        let (phase_times, run_time, mut races) = if self.uses_pool(schedule) {
-            self.execute_on_pool(schedule, kernel, &store)
-        } else {
-            self.execute_on_caller(schedule, kernel, &mut store)
+        let threads = self.threads_for(schedule);
+        let run = Run {
+            schedule,
+            kernel,
+            detect_races: self.detect_races,
+            blocks: self.plan(schedule, threads),
+            barrier: Barrier::new(threads),
+            failed: AtomicBool::new(false),
+            payload: Mutex::new(None),
         };
+        let mut races = if threads == 1 {
+            run.thread(0, StoreView::exclusive(&mut store))
+        } else {
+            run.on_threads(&store, threads)
+        };
+        let payload = run.payload.into_inner();
+        if let Some(payload) = payload.unwrap_or_else(PoisonError::into_inner) {
+            std::panic::resume_unwind(payload);
+        }
         store.set_stamping(false);
         races.sort();
         races.dedup();
         let m = metrics();
-        m.phases.add(phase_times.len() as u64);
+        m.phases.add(schedule.n_phases() as u64);
         m.races.add(races.len() as u64);
-        for phase in &phase_times {
-            m.phase_us
-                .observe(u64::try_from(phase.as_micros()).unwrap_or(u64::MAX));
-        }
-        ExecutionResult {
-            store,
-            phase_times,
-            total_time: layout_time + run_time,
-            races,
+        ExecutionResult { store, races }
+    }
+}
+
+/// The unit each of `threads` contiguous blocks of `phase`'s units starts
+/// at, followed by the phase's width.  Block `t` holds the units that
+/// start within the `t`-th of `threads` even shares of the phase's
+/// instances, so it is within one unit's instances of that share.
+fn blocks(phase: &Phase, threads: usize) -> Vec<usize> {
+    let instances = phase.instance_range();
+    let mut bounds = Vec::with_capacity(threads + 1);
+    bounds.push(0);
+    for (k, unit) in phase.units().enumerate() {
+        let offset = unit.instance_range().start - instances.start;
+        while bounds.len() < threads && offset * threads >= bounds.len() * instances.len() {
+            bounds.push(k);
         }
     }
+    bounds.resize(threads + 1, phase.width());
+    bounds
+}
 
-    /// Single-worker execution: every phase runs on the calling thread,
-    /// unit after unit, stamped per unit when race detection is on.
-    fn execute_on_caller(
-        &self,
-        schedule: &Schedule,
-        kernel: &(dyn Kernel + Sync),
-        store: &mut ArrayStore,
-    ) -> RunOutcome {
-        let start_all = Instant::now();
-        let mut phase_times = Vec::with_capacity(schedule.n_phases());
-        let mut view = StoreView::exclusive(store);
-        for (p, phase) in schedule.phases().enumerate() {
-            let start = Instant::now();
-            rcp_guard::tick(rcp_guard::Stage::Execution, 1);
-            rcp_guard::fail_point("runtime::phase", rcp_guard::Stage::Execution);
-            let n_units = phase.width();
-            if self.detect_races && n_units > 1 {
-                for (k, unit) in phase.units().enumerate() {
-                    view.set_unit(Some((p, k)));
-                    run_instances(schedule, unit.instance_range(), kernel, &mut view);
-                }
-                view.set_unit(None);
-            } else {
-                run_instances(schedule, phase.instance_range(), kernel, &mut view);
-            }
-            if n_units > 1 {
-                rcp_guard::fail_point("runtime::barrier", rcp_guard::Stage::Execution);
-            }
-            phase_times.push(start.elapsed());
-        }
-        (phase_times, start_all.elapsed(), view.into_conflicts())
-    }
+/// One run of a schedule: what its threads share.
+struct Run<'a> {
+    schedule: &'a Schedule,
+    kernel: &'a (dyn Kernel + Sync),
+    detect_races: bool,
+    /// [`ParallelExecutor::plan`].
+    blocks: Vec<Vec<usize>>,
+    barrier: Barrier,
+    /// Set once a thread panicked or a budget tripped.  It publishes no
+    /// data (the payload sits behind its lock), and the barrier orders it
+    /// before every thread's next phase.
+    failed: AtomicBool,
+    /// The first panic payload, with the frame of the thread that raised
+    /// it.
+    payload: Mutex<Option<Box<dyn Any + Send>>>,
+}
 
-    /// Multi-worker execution on a pool of `n_threads` OS threads that
-    /// persists across all phases of the schedule (one spawn/join per
-    /// execution, not per phase — many-phase dataflow schedules would
-    /// otherwise drown in thread churn).
-    ///
-    /// Workers park on a barrier between phases; the coordinator publishes
-    /// each phase's units and batches and releases the workers, which write
-    /// the reserved store in place through shared views.
-    // Panic-hygiene allow: the lock `expect`s fire only when a sibling
-    // thread already panicked while holding the lock; every panic here is
-    // caught by the surrounding catch_unwind frames, recorded with worker
-    // context, and re-raised once all workers have parked — the documented
-    // propagation path, never a silent hang.
-    #[allow(clippy::expect_used)]
-    fn execute_on_pool(
-        &self,
-        schedule: &Schedule,
-        kernel: &(dyn Kernel + Sync),
-        store: &ArrayStore,
-    ) -> RunOutcome {
-        let mut phase_times = Vec::with_capacity(schedule.n_phases());
-        let mut total_time = Duration::ZERO;
-
-        struct PhaseTask<'s> {
-            index: usize,
-            phase: Phase<'s>,
-            batches: Vec<std::ops::Range<usize>>,
-        }
-        let task: RwLock<Option<PhaseTask>> = RwLock::new(None);
-        let conflicts: Mutex<Vec<(String, IVec)>> = Mutex::new(Vec::new());
-        let report = |view: StoreView| {
-            let found = view.into_conflicts();
-            if !found.is_empty() {
-                conflicts
-                    .lock()
-                    .expect("conflict list poisoned")
-                    .extend(found);
-            }
-        };
-        let cursor = AtomicUsize::new(0);
-        let ready = Barrier::new(self.n_threads + 1);
-        let phase_start = Barrier::new(self.n_threads + 1);
-        let phase_end = Barrier::new(self.n_threads + 1);
-        let shutdown = AtomicBool::new(false);
-        let detect_races = self.detect_races;
-        // First panic payload from any worker or the coordinator's phase
-        // loop.  Worker bodies are wrapped in catch_unwind so a panicking
-        // kernel can never strand the other side at a barrier (the rayon
-        // executor this replaces propagated panics; a deadlock would turn a
-        // crash into a silent hang).  The payload is enriched with which
-        // worker it came from (`rcp_guard::with_context`) instead of being
-        // flattened into a generic "worker panicked".
-        let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let record_panic = |payload: Box<dyn std::any::Any + Send>, context: String| {
-            let payload = rcp_guard::with_context(payload, context);
-            // The slot lock is only ever held for this insert, so a poison
-            // marker (another thread recording while panicking) protects
-            // nothing: recover and keep the first payload.
-            let mut slot = match panic_payload.lock() {
-                Ok(slot) => slot,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            slot.get_or_insert(payload);
-        };
-        // Re-install the caller's budget guard inside every worker so
+impl Run<'_> {
+    /// Runs threads 1.. on scoped threads beside the caller's thread 0,
+    /// each through a view sharing `store`, and returns their conflicts.
+    fn on_threads(&self, store: &ArrayStore, threads: usize) -> Vec<(String, IVec)> {
+        // Re-install the caller's budget guard inside every thread so
         // kernel-side checkpoints keep charging the session budget.
-        let active_guard = rcp_guard::current();
-
+        let guard = rcp_guard::current();
+        let guard = guard.as_ref();
+        let share = |t| self.thread(t, StoreView::shared(store));
         std::thread::scope(|scope| {
-            for worker_id in 0..self.n_threads {
-                // Shadow the shared state with references so the `move`
-                // closure moves only those (and the copyable worker id).
-                #[allow(clippy::redundant_locals)]
-                let (task, report, cursor) = (&task, &report, &cursor);
-                let (ready, phase_start, phase_end) = (&ready, &phase_start, &phase_end);
-                let (shutdown, record_panic, active_guard) =
-                    (&shutdown, &record_panic, &active_guard);
-                scope.spawn(move || {
-                    rcp_guard::maybe_scope(active_guard.as_ref(), || {
-                        ready.wait();
-                        loop {
-                            phase_start.wait();
-                            if shutdown.load(Ordering::Acquire) {
-                                break;
-                            }
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    rcp_guard::fail_point(
-                                        "runtime::phase",
-                                        rcp_guard::Stage::Execution,
-                                    );
-                                    let task_guard = task.read().expect("task lock poisoned");
-                                    let task = task_guard.as_ref().expect("phase task published");
-                                    let mut view = StoreView::shared(store);
-                                    // Dynamic self-scheduling: claim the next
-                                    // unclaimed batch from the shared cursor until
-                                    // the queue drains.
-                                    loop {
-                                        let b = cursor.fetch_add(1, Ordering::Relaxed);
-                                        let Some(range) = task.batches.get(b) else {
-                                            break;
-                                        };
-                                        for unit_id in range.clone() {
-                                            if detect_races {
-                                                view.set_unit(Some((task.index, unit_id)));
-                                            }
-                                            run_instances(
-                                                schedule,
-                                                task.phase.unit(unit_id).instance_range(),
-                                                kernel,
-                                                &mut view,
-                                            );
-                                        }
-                                    }
-                                    report(view);
-                                }));
-                            if let Err(payload) = outcome {
-                                record_panic(payload, format!("executor worker {worker_id}"));
-                            }
-                            phase_end.wait();
-                        }
-                    })
-                });
-            }
-
-            // Exclude pool start-up from the measured execution time: wait
-            // until every worker is parked at its first phase barrier.
-            ready.wait();
-            let start_all = Instant::now();
-
-            // The coordinator's phase loop is also unwind-guarded: if it
-            // panicked with workers parked, the scope's implicit join would
-            // deadlock.
-            let coordinator = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for (p, phase) in schedule.phases().enumerate() {
-                    let start = Instant::now();
-                    rcp_guard::tick(rcp_guard::Stage::Execution, 1);
-                    // Fast path: a single unit has no intra-phase
-                    // concurrency (and cannot race) — run it on the
-                    // coordinator while the workers stay parked.
-                    if phase.width() == 1 {
-                        let mut view = StoreView::shared(store);
-                        run_instances(schedule, phase.instance_range(), kernel, &mut view);
-                        report(view);
-                        phase_times.push(start.elapsed());
-                        continue;
-                    }
-                    let batches = self.batch_units(&phase);
-                    *task.write().expect("task lock poisoned") = Some(PhaseTask {
-                        index: p,
-                        phase,
-                        batches,
-                    });
-                    cursor.store(0, Ordering::Relaxed);
-                    phase_start.wait();
-                    phase_end.wait();
-                    if panic_payload.lock().expect("panic slot poisoned").is_some() {
-                        break;
-                    }
-                    rcp_guard::fail_point("runtime::barrier", rcp_guard::Stage::Execution);
-                    phase_times.push(start.elapsed());
+            let workers: Vec<_> = (1..threads)
+                .map(|t| scope.spawn(move || rcp_guard::maybe_scope(guard, || share(t))))
+                .collect();
+            let mut conflicts = share(0);
+            for (t, worker) in (1..).zip(workers) {
+                match worker.join() {
+                    Ok(found) => conflicts.extend(found),
+                    Err(payload) => self.fail(t, payload),
                 }
-            }));
-            if let Err(payload) = coordinator {
-                record_panic(payload, "executor coordinator".to_string());
             }
-            total_time = start_all.elapsed();
-            // Release the workers to exit; every worker is parked at
-            // phase_start (their bodies cannot unwind), so this cannot
-            // hang.
-            shutdown.store(true, Ordering::Release);
-            phase_start.wait();
-        });
-
-        let recorded = match panic_payload.into_inner() {
-            Ok(slot) => slot,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(payload) = recorded {
-            std::panic::resume_unwind(payload);
-        }
-        let conflicts = match conflicts.into_inner() {
-            Ok(list) => list,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        (phase_times, total_time, conflicts)
+            conflicts
+        })
     }
 
-    /// Packs consecutive units of a phase into batches of at least
-    /// `min_batch_instances` statement instances.  Returns the unit-index
-    /// ranges of each batch (batches partition `0..phase.width()`).
-    fn batch_units(&self, phase: &Phase) -> Vec<std::ops::Range<usize>> {
-        let mut batches = Vec::new();
-        let mut batch_start = 0;
-        let mut batch_instances = 0usize;
-        let n_units = phase.width();
-        for (k, unit) in phase.units().enumerate() {
-            batch_instances += unit.instance_range().len();
-            if batch_instances >= self.min_batch_instances {
-                batches.push(batch_start..k + 1);
-                batch_start = k + 1;
-                batch_instances = 0;
+    /// Thread `t`'s share of the run through `view`, and the conflicts it
+    /// found: on the caller (`t` 0) the per-phase budget tick and every
+    /// phase left to it, and on every thread its block of each shared
+    /// phase, between two waits on the barrier.
+    fn thread(&self, t: usize, mut view: StoreView) -> Vec<(String, IVec)> {
+        for (p, phase) in self.schedule.phases().enumerate() {
+            let shared = !self.blocks[p].is_empty();
+            let units = match self.blocks[p].get(t..t + 2) {
+                Some(&[first, end]) => first..end,
+                _ if t == 0 => 0..phase.width(),
+                _ => continue,
+            };
+            let start = Instant::now();
+            if t == 0 {
+                self.guarded(t, || rcp_guard::tick(Stage::Execution, 1));
+            }
+            if shared {
+                self.barrier.wait();
+            }
+            self.guarded(t, || {
+                rcp_guard::fail_point("runtime::phase", Stage::Execution);
+                self.run_units(&mut view, p, &phase, units);
+            });
+            if shared {
+                self.barrier.wait();
+            }
+            if t == 0 {
+                if phase.width() > 1 {
+                    self.guarded(t, || {
+                        rcp_guard::fail_point("runtime::barrier", Stage::Execution)
+                    });
+                }
+                if !self.failed.load(Ordering::Relaxed) {
+                    let us = u64::try_from(start.elapsed().as_micros());
+                    metrics().phase_us.observe(us.unwrap_or(u64::MAX));
+                }
             }
         }
-        if batch_start < n_units {
-            batches.push(batch_start..n_units);
+        view.into_conflicts()
+    }
+
+    /// Runs units `units` of phase `p` in order, each stamped as itself on
+    /// checked runs of a phase of more than one unit.
+    fn run_units(&self, view: &mut StoreView, p: usize, phase: &Phase, units: Range<usize>) {
+        if self.detect_races && phase.width() > 1 {
+            for k in units {
+                view.set_unit(Some((p, k)));
+                let range = phase.unit(k).instance_range();
+                run_instances(self.schedule, range, self.kernel, view);
+            }
+            view.set_unit(None);
+        } else if !units.is_empty() {
+            let first = phase.unit(units.start).instance_range().start;
+            let end = phase.unit(units.end - 1).instance_range().end;
+            run_instances(self.schedule, first..end, self.kernel, view);
         }
-        batches
+    }
+
+    /// Runs `f` on thread `t` unless the run has failed; a panic or a
+    /// budget trip in `f` fails it.
+    fn guarded(&self, t: usize, f: impl FnOnce()) {
+        if self.failed.load(Ordering::Relaxed) {
+            return;
+        }
+        if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+            self.fail(t, payload);
+        }
+    }
+
+    /// Fails the run with `payload` from thread `t`, keeping the first.
+    fn fail(&self, t: usize, payload: Box<dyn Any + Send>) {
+        let payload = rcp_guard::with_context(payload, format!("executor worker {t}"));
+        // The slot lock is only ever held for this insert, so a poison
+        // marker protects nothing: recover and keep the first payload.
+        let mut slot = self.payload.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.get_or_insert(payload);
+        self.failed.store(true, Ordering::Relaxed);
     }
 }
 
 /// Runs the schedule's instances `range` in slab order.
 fn run_instances(
     schedule: &Schedule,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     kernel: &dyn Kernel,
     view: &mut StoreView,
 ) {
@@ -542,14 +463,36 @@ mod tests {
     use rcp_loopir::expr::{c, v};
     use rcp_loopir::program::build::{loop_, stmt};
     use rcp_loopir::{ArrayRef, Program};
+    use std::time::Duration;
 
-    /// One DOALL phase of single-instance items of statement 0 (depth 1)
-    /// at the loop index values `at`.
-    fn doall(name: &str, at: &[i64]) -> Schedule {
+    /// `phases` DOALL phases, each of single-instance items of statement 0
+    /// (depth 1) at the loop index values `at`.
+    fn doalls(name: &str, phases: usize, at: &[i64]) -> Schedule {
         let mut builder = ScheduleBuilder::new(name, &[1]);
-        builder.phase(PhaseKind::Doall);
-        for &i in at {
-            builder.single(0, &[i]);
+        for _ in 0..phases {
+            builder.phase(PhaseKind::Doall);
+            for &i in at {
+                builder.single(0, &[i]);
+            }
+        }
+        builder.finish()
+    }
+
+    /// One DOALL phase (see [`doalls`]).
+    fn doall(name: &str, at: &[i64]) -> Schedule {
+        doalls(name, 1, at)
+    }
+
+    /// One chain-set phase whose chain `k` holds `lens[k]` single-instance
+    /// items.
+    fn chains(lens: &[usize]) -> Schedule {
+        let mut builder = ScheduleBuilder::new("chains", &[1]);
+        builder.phase(PhaseKind::ChainSet);
+        for &len in lens {
+            builder.chain();
+            for i in 0..len {
+                builder.single(0, &[i as i64]);
+            }
         }
         builder.finish()
     }
@@ -672,43 +615,89 @@ mod tests {
         assert!(!result.race_free());
     }
 
-    #[test]
-    fn worker_panics_propagate_instead_of_hanging() {
-        let kernel = FnKernel(|_s: usize, idx: &[i64], store: &mut StoreView| {
-            if idx[0] == 7 {
-                panic!("kernel boom");
-            }
-            store.write("a", idx, 1.0);
-        });
-        let schedule = doall("panicky", &(1..=20).collect::<Vec<_>>());
-        for threads in [2, 4] {
-            // Fallback disabled so the pool path itself is exercised even
-            // for this tiny schedule (and on single-core machines).
-            let executor = ParallelExecutor::new(threads)
-                .with_min_batch_instances(1)
-                .with_sequential_fallback(false);
-            assert!(executor.uses_pool(&schedule));
+    /// Runs `executor` on `schedule` under a guard of `budget`, on a thread
+    /// of its own, and returns the work the guard was charged and the
+    /// panic payload `execute` raised, if any; fails when `execute` has
+    /// not returned within 60 s.
+    fn run_on_a_thread<K: Kernel + Send + 'static>(
+        executor: ParallelExecutor,
+        schedule: Schedule,
+        kernel: K,
+        budget: rcp_guard::BudgetSpec,
+    ) -> (u64, Option<Box<dyn Any + Send>>) {
+        let (sender, receiver) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let guard = rcp_guard::Guard::new(budget);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                executor.execute(&schedule, &kernel)
+                rcp_guard::scope(&guard, || executor.execute(&schedule, &kernel))
             }));
-            match outcome {
-                Err(payload) => {
-                    // The payload must survive the worker boundary with the
-                    // original message plus which worker raised it — not be
-                    // flattened into a generic "worker panicked".
-                    let captured = payload
-                        .downcast::<rcp_guard::CapturedPanic>()
-                        .expect("worker panics carry a CapturedPanic payload");
-                    assert_eq!(captured.message, "kernel boom");
-                    assert_eq!(captured.context.len(), 1, "{:?}", captured.context);
-                    assert!(
-                        captured.context[0].starts_with("executor worker "),
-                        "context names the worker: {:?}",
-                        captured.context
-                    );
-                }
-                Ok(_) => panic!("the kernel panic must propagate, not hang or vanish"),
+            let _ = sender.send((guard.work_spent(), outcome.err()));
+        });
+        receiver
+            .recv_timeout(Duration::from_secs(60))
+            .expect("execute returns within 60 s instead of hanging")
+    }
+
+    #[test]
+    fn panics_in_any_block_propagate_with_their_thread() {
+        // Three DOALL phases of I = 1..20: thread 0's block of the first
+        // holds I = 1, the last thread's holds I = 20.  Every thread skips
+        // the two later phases but still meets the others at their
+        // barriers.
+        for threads in [2, 4] {
+            for (at, thread) in [(1, 0), (20, threads - 1)] {
+                let kernel = FnKernel(move |_s: usize, idx: &[i64], store: &mut StoreView| {
+                    if idx[0] == at {
+                        panic!("kernel boom");
+                    }
+                    store.read("a", idx);
+                });
+                let executor = ParallelExecutor::new(threads).with_sequential_fallback(false);
+                let schedule = doalls("panicky", 3, &(1..=20).collect::<Vec<_>>());
+                assert_eq!(executor.threads_for(&schedule), threads);
+                let unlimited = rcp_guard::BudgetSpec::unlimited();
+                let (_, payload) = run_on_a_thread(executor, schedule, kernel, unlimited);
+                // The payload survives the thread boundary with the
+                // original message plus which thread raised it.
+                let captured = payload
+                    .expect("the kernel panic must propagate")
+                    .downcast::<rcp_guard::CapturedPanic>()
+                    .expect("kernel panics carry a CapturedPanic payload");
+                assert_eq!(captured.message, "kernel boom");
+                assert_eq!(
+                    captured.context,
+                    vec![format!("executor worker {thread}")],
+                    "{threads} threads, I = {at}"
+                );
             }
+        }
+    }
+
+    #[test]
+    fn a_budget_trip_at_a_phase_tick_propagates() {
+        // Six DOALL phases over figure 2's statement: the reservation
+        // charges its cells, then each phase one tick.  A budget three
+        // ticks short of a whole run trips at the fourth phase's tick.
+        let p = figure2();
+        let schedule = doalls("budgeted", 6, &(1..=20).collect::<Vec<_>>());
+        for threads in [2, 4] {
+            let executor = ParallelExecutor::new(threads).with_sequential_fallback(false);
+            let run = |budget| {
+                let kernel = RefKernel::new(&p);
+                run_on_a_thread(executor.clone(), schedule.clone(), kernel, budget)
+            };
+            let (whole, payload) = run(rcp_guard::BudgetSpec::unlimited());
+            assert!(payload.is_none(), "an unlimited run completes");
+            assert!(whole > 6, "the reservation charges its cells: {whole}");
+            let limit = whole - 3;
+            let (_, payload) = run(rcp_guard::BudgetSpec::unlimited().with_max_work(limit));
+            let exceeded = payload
+                .expect("the budget trip must propagate")
+                .downcast::<rcp_guard::BudgetExceeded>()
+                .expect("a budget trip carries its BudgetExceeded payload");
+            assert_eq!(exceeded.stage, rcp_guard::Stage::Execution);
+            assert_eq!(exceeded.resource, rcp_guard::Resource::WorkUnits);
+            assert_eq!((exceeded.spent, exceeded.limit), (limit + 1, limit));
         }
     }
 
@@ -716,8 +705,8 @@ mod tests {
     fn small_schedules_fall_back_to_inline_execution() {
         let p = figure2();
         let seq = Schedule::sequential(&p, &[]);
-        // 20 instances can never amortise pool start-up: the default
-        // executor must choose the inline path at any thread count…
+        // 20 instances can never amortise thread start-up: the default
+        // executor must run on the caller alone at any thread count…
         for threads in [2, 4, 16] {
             assert!(!ParallelExecutor::new(threads).uses_pool(&seq));
         }
@@ -726,10 +715,102 @@ mod tests {
         let a = execute_sequential(&seq, &kernel);
         let b = ParallelExecutor::new(4).execute(&seq, &kernel);
         assert!(Verification::check(&a, &b).passed());
-        // Opting out restores the pool path.
+        // Opting out restores the threads.
         assert!(ParallelExecutor::new(4)
             .with_sequential_fallback(false)
             .uses_pool(&seq));
+    }
+
+    #[test]
+    fn runs_never_use_more_threads_than_the_hardware() {
+        let big = doall("big", &(0..200_000).collect::<Vec<_>>());
+        let available = rcp_pool::available_threads();
+        for threads in [1, 2, 4, 64] {
+            assert_eq!(
+                ParallelExecutor::new(threads).threads_for(&big),
+                threads.min(available)
+            );
+            // With the fallback off, as tests force the threads: exactly
+            // the count asked for.
+            assert_eq!(
+                ParallelExecutor::new(threads)
+                    .with_sequential_fallback(false)
+                    .threads_for(&big),
+                threads
+            );
+        }
+        assert_eq!(
+            ParallelExecutor::new(64).threads_for(&doall("small", &[1, 2])),
+            1
+        );
+    }
+
+    #[test]
+    fn blocks_are_contiguous_even_shares_of_the_instances() {
+        let cases: [&[usize]; 6] = [
+            &[1; 10],
+            &[5, 1, 1, 1, 1, 1],
+            &[1, 1, 1, 1, 1, 9],
+            &[0, 0, 3, 0, 2, 0],
+            &[1, 1],
+            &[0, 0, 0],
+        ];
+        for lens in cases {
+            let schedule = chains(lens);
+            let phase = schedule.phase(0);
+            let total: usize = lens.iter().sum();
+            let longest = lens.iter().copied().max().unwrap_or(0);
+            for threads in 1..=5 {
+                let bounds = blocks(&phase, threads);
+                assert_eq!(bounds.len(), threads + 1, "{lens:?}");
+                assert_eq!((bounds[0], bounds[threads]), (0, lens.len()));
+                for (t, pair) in bounds.windows(2).enumerate() {
+                    assert!(pair[0] <= pair[1], "{lens:?} on {threads}: {bounds:?}");
+                    let held: usize = lens[pair[0]..pair[1]].iter().sum();
+                    let share = total as f64 / threads as f64;
+                    assert!(
+                        (held as f64 - share).abs() <= longest as f64,
+                        "{lens:?} on {threads}: block {t} holds {held} of {total}"
+                    );
+                }
+                // Fewer non-empty units than threads: one unit per block.
+                if lens.len() < threads && !lens.contains(&0) {
+                    assert!(bounds.windows(2).all(|pair| pair[1] - pair[0] <= 1));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_model_leaves_small_phases_to_the_caller() {
+        // A DOALL of 1,000 items, one of 20 items, and one chain of 1,000.
+        let mut builder = ScheduleBuilder::new("mixed", &[1]);
+        for items in [1_000, 20] {
+            builder.phase(PhaseKind::Doall);
+            for i in 0..items {
+                builder.single(0, &[i]);
+            }
+        }
+        builder.phase(PhaseKind::ChainSet);
+        builder.chain();
+        for i in 0..1_000 {
+            builder.single(0, &[i]);
+        }
+        let schedule = builder.finish();
+        let first = blocks(&schedule.phase(0), 2);
+        let modelled = ParallelExecutor::new(2).plan(&schedule, 2);
+        assert_eq!(modelled, vec![first.clone(), Vec::new(), Vec::new()]);
+        let forced = ParallelExecutor::new(2)
+            .with_sequential_fallback(false)
+            .plan(&schedule, 2);
+        assert_eq!(
+            forced,
+            vec![first, blocks(&schedule.phase(1), 2), Vec::new()]
+        );
+        assert!(ParallelExecutor::new(2)
+            .plan(&schedule, 1)
+            .iter()
+            .all(Vec::is_empty));
     }
 
     #[test]
@@ -742,13 +823,10 @@ mod tests {
         assert!(Verification::check(&a, &b).passed());
     }
 
-    /// An executor that runs on the worker pool whatever the schedule's
-    /// size, with every unit of a phase in one batch: one worker then runs
-    /// a phase's units in program order, in place.
+    /// An executor that runs on `threads` threads whatever the schedule's
+    /// size and shares every phase of more than one unit.
     fn forced_pool(threads: usize) -> ParallelExecutor {
-        ParallelExecutor::new(threads)
-            .with_sequential_fallback(false)
-            .with_min_batch_instances(usize::MAX)
+        ParallelExecutor::new(threads).with_sequential_fallback(false)
     }
 
     #[test]
@@ -766,23 +844,18 @@ mod tests {
         let kernel = RefKernel::new(&p);
         let reference = execute_sequential(&Schedule::sequential(&p, &[12, 15]), &kernel);
         for threads in [2, 4] {
-            for batch in [1, usize::MAX] {
-                let executor = ParallelExecutor::new(threads)
-                    .with_sequential_fallback(false)
-                    .with_min_batch_instances(batch);
-                let result = executor.execute(&parallel, &kernel);
-                let v = Verification::check(&reference, &result);
-                assert!(v.passed(), "{threads} threads, batch {batch}: {v}");
-                assert!(reference == result.store);
-            }
+            let result = forced_pool(threads).execute(&parallel, &kernel);
+            let v = Verification::check(&reference, &result);
+            assert!(v.passed(), "{threads} threads: {v}");
+            assert!(reference == result.store);
         }
     }
 
     #[test]
     fn an_invalid_doall_cannot_verify_by_luck() {
-        // Figure 2 as one DOALL, run by one worker in program order: in
-        // place, that reproduces the sequential store exactly, so only the
-        // per-cell stamps can tell the schedule is wrong.
+        // Figure 2 as one DOALL.  I = 6 writes a(12) before I = 9 reads it,
+        // and at 1, 2 and 4 threads both lie in one thread's block, so the
+        // per-cell stamps flag the schedule whatever the threads' timing.
         let p = figure2();
         let analysis = DependenceAnalysis::loop_level(&p);
         let all = rcp_presburger::DenseSet::from_union(&analysis.phi.bind_params(&[]));
@@ -803,7 +876,9 @@ mod tests {
     #[test]
     fn cross_unit_conflicts_are_caught() {
         // One statement `a(w) = f(b or a(r))` over I = 1..2, and a phase
-        // running both iterations as two units in the given order.
+        // running the two iterations as two units in the given order, once
+        // per thread: each thread's block holds one copy of the pair, so
+        // the conflict falls inside one thread whatever the timing.
         let conflicts: [(&str, ArrayRef, ArrayRef, [i64; 2]); 3] = [
             // Both units write a(1).
             (
@@ -835,26 +910,29 @@ mod tests {
             );
             let kernel = RefKernel::new(&p);
             let reference = execute_sequential(&Schedule::sequential(&p, &[]), &kernel);
-            let racy = doall(what, &order);
             for threads in [1, 2, 4] {
+                let racy = doall(what, &order.repeat(threads));
+                let bounds = blocks(&racy.phase(0), threads);
+                assert!(bounds.iter().enumerate().all(|(t, &b)| b == 2 * t));
                 let result = forced_pool(threads).execute(&racy, &kernel);
                 let v = Verification::check(&reference, &result);
                 assert!(!v.passed(), "{what} at {threads} threads was not caught");
+                assert!(!result.race_free(), "{what} at {threads} threads: {v}");
             }
         }
     }
 
     #[test]
     fn pool_writes_outside_the_reservation_are_conflicts() {
-        // `FnKernel` reserves nothing: on the pool its writes cannot be
-        // placed, and say so, instead of vanishing.
+        // `FnKernel` reserves nothing: on more than one thread its writes
+        // cannot be placed, and say so, instead of vanishing.
         let kernel = FnKernel(|_s: usize, idx: &[i64], store: &mut StoreView| {
             store.write("a", idx, 1.0);
         });
         let schedule = doall("unreserved", &[1, 2, 3, 4]);
         let result = forced_pool(2).execute(&schedule, &kernel);
         assert_eq!(result.races.len(), 4);
-        // Inline, the same kernel grows the store instead.
+        // On the caller alone, the same kernel grows the store instead.
         let inline = ParallelExecutor::new(1).execute(&schedule, &kernel);
         assert!(inline.race_free());
         assert_eq!(inline.store.written_len(), 4);

@@ -50,10 +50,10 @@ pub trait Kernel: Sync {
     /// (see [`crate::array`]).  The store must hold nothing yet for the
     /// kernel to reach it by flat offsets.
     ///
-    /// The default reserves nothing.  Such a kernel still runs on the
-    /// caller's thread, where writes grow boxes, but on the worker pool
-    /// every write it makes lands outside the reservation and is reported
-    /// as a conflict.
+    /// The default reserves nothing.  Such a kernel still runs on one
+    /// thread, where writes grow boxes, but on more than one every write
+    /// it makes lands outside the reservation and is reported as a
+    /// conflict.
     fn reserve(&self, schedule: &Schedule, store: &mut ArrayStore) {
         let _ = (schedule, store);
     }

@@ -14,7 +14,8 @@
 //!   to one flat offset row each into the store's boxes, so that schedule
 //!   correctness is observable,
 //! * [`executor`] — the sequential reference executor, the multi-threaded
-//!   [`ParallelExecutor`] with per-phase barriers, per-chain work batching,
+//!   [`ParallelExecutor`] (the caller is thread 0; each shared phase is one
+//!   contiguous block of units per thread between two barrier waits) with
 //!   in-place writes and per-cell conflict stamps, and schedule
 //!   verification (parallel result == sequential result),
 //! * [`cost`] — the calibrated analytic cost model that turns schedules
@@ -22,10 +23,11 @@
 //!   cores to show real scaling (measured wall-clock speedups come from
 //!   [`ParallelExecutor`] via the benchmark harness); it also drives the
 //!   executor's sequential fallback for schedules too small to amortise
-//!   pool overhead,
-//! * [`pool`] — the generalised `scope`/`par_map` thread-pool facility
-//!   (re-exported [`rcp_pool`]) that non-schedule work — sharded dependence
-//!   analysis, concurrent benchmark experiments — shares with the executor.
+//!   thread start-up, and decides which phases the caller runs alone,
+//! * [`pool`] — the `scope`/`par_map` thread-pool facility (re-exported
+//!   [`rcp_pool`]) that non-schedule work — sharded dependence analysis,
+//!   concurrent benchmark experiments — runs on; the executor takes only
+//!   the hardware's thread count from it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -131,26 +131,9 @@ impl Config {
         self
     }
 
-    /// Forces statement-level granularity (the CLI's `--stmt`); `false`
-    /// restores the automatic choice.
-    pub fn with_statement_level(mut self, force: bool) -> Self {
-        self.granularity = if force {
-            GranularityChoice::Statement
-        } else {
-            GranularityChoice::Auto
-        };
-        self
-    }
-
     /// Selects the analysis granularity.
     pub fn with_granularity(mut self, granularity: GranularityChoice) -> Self {
         self.granularity = granularity;
-        self
-    }
-
-    /// Selects a partitioning scheme by registry name.
-    pub fn with_scheme(mut self, scheme: &str) -> Self {
-        self.scheme = Some(scheme.to_string());
         self
     }
 

@@ -74,11 +74,6 @@ impl Session {
         &self.config
     }
 
-    /// Mutable access to the configuration (before loading).
-    pub fn config_mut(&mut self) -> &mut Config {
-        &mut self.config
-    }
-
     /// Parses `.loop` source and runs the dependence analysis, producing
     /// the [`Analyzed`] stage.  `origin` (a file name) prefixes parse
     /// diagnostics so they read like compiler output.
@@ -436,17 +431,6 @@ impl Analyzed {
             .plan
             .get_or_init(|| symbolic_plan(analysis).map(Arc::new))
             .clone()
-    }
-
-    /// Why [`SymbolicPlan::instantiate`] cannot serve this program's
-    /// concrete bindings — `None` when every binding is an O(pieces)
-    /// instantiation of the memoised plan, `Some(reason)` when bindings
-    /// take the legacy per-binding concrete rung.
-    pub fn symbolic_instantiability(&self) -> Option<PlanUnavailable> {
-        match self.plan_artifact() {
-            Ok(plan) => plan.instantiability().cloned(),
-            Err(reason) => Some(reason),
-        }
     }
 
     /// The compile-time recurrence-chain plan ([`Planned`] stage), or a

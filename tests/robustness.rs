@@ -231,8 +231,8 @@ fn worker_panics_cross_the_session_api_as_typed_data() {
         },
     );
     let interrupt = recurrence_chains::guard::catch(|| {
-        // Force the worker pool (the cost model would run this small nest
-        // inline, where no worker context exists to preserve).
+        // Force two threads (the cost model would run this small nest on
+        // the caller alone).
         let executor = ParallelExecutor::new(2).with_sequential_fallback(false);
         executor.execute(&schedule, &kernel);
     })
