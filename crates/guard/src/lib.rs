@@ -489,6 +489,20 @@ pub fn resume_with_context(payload: Box<dyn Any + Send>, context: String) -> ! {
     }
 }
 
+/// Re-raises an [`Interrupt`] that [`catch`] converted to data, as the
+/// unwind it was caught from: a boundary that handles some interrupts
+/// (a budget trip it can degrade from) passes the rest on to the next
+/// catch boundary unchanged.
+// Sanctioned `panic_any` (see `tick`).
+#[allow(clippy::panic)]
+pub fn resume(interrupt: Interrupt) -> ! {
+    suppress_control_flow_panic_output();
+    match interrupt {
+        Interrupt::Budget(exceeded) => std::panic::panic_any(exceeded),
+        Interrupt::Panic(captured) => std::panic::panic_any(captured),
+    }
+}
+
 static QUIET_HOOK: Once = Once::new();
 
 /// Installs (once per process) a panic hook that stays silent for the
@@ -883,6 +897,17 @@ mod tests {
             resume_with_context(payload, "worker 0".to_string());
         });
         assert!(matches!(result, Err(Interrupt::Budget(b)) if b.stage == Stage::Execution));
+    }
+
+    #[test]
+    fn resumed_interrupts_are_caught_unchanged() {
+        let guard = Guard::new(BudgetSpec::unlimited().with_max_work(0));
+        let tripped = catch(|| scope(&guard, || tick(Stage::Analysis, 2))).unwrap_err();
+        let foreign = catch::<()>(|| panic!("inner")).unwrap_err();
+        for interrupt in [tripped, foreign] {
+            let again = catch::<()>(|| resume(interrupt.clone())).unwrap_err();
+            assert_eq!(again, interrupt);
+        }
     }
 
     #[test]

@@ -40,9 +40,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// The number of hardware threads available to this process (at least 1).
+/// The number of hardware threads available to this process (at least 1),
+/// asked of the OS once per process: the answer reads the process's
+/// cgroup limits, tens of microseconds a call, and every multi-threaded
+/// run asks.
 pub fn available_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Registry counter handles, resolved once: `par_map` can be called in

@@ -229,15 +229,18 @@ pub fn analyze_report(
     analyzed: &Analyzed,
     overrides: &[(String, i64)],
 ) -> Result<Report, RcpError> {
+    // The report reads Rd, which reads the analysis: built by the load
+    // when the program's partition reads it, otherwise here, by the first
+    // checked call that asks, under the request's budget.  Either way a
+    // budget trip there leaves the session on a lower rung of the ladder.
+    let counted = analyzed
+        .partition_with(overrides)
+        .and_then(|stage| Ok((stage.rd_checked()?.len(), stage)));
     if let Some(report) = analyzed.degradation() {
         return degraded_analyze(analyzed, report, overrides);
     }
-    let stage = analyzed.partition_with(overrides)?;
+    let (n_dependences, stage) = counted?;
     let program = analyzed.program();
-    // A stage off the symbolic path computes its analysis and Rd on first
-    // use; Rd is enumerated from the analysis, so one checked call bounds
-    // both by the request's budget.
-    let n_dependences = stage.rd_checked()?.len();
     let analysis = stage.analysis();
     let uniformity = stage.uniformity();
     let n_distances = stage.n_distances();

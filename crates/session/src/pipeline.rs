@@ -22,12 +22,19 @@
 //! into the program first.  The staged API hides the difference: the
 //! pipeline is the same either way, only the memoisation boundary moves.
 //!
-//! A stage computes nothing eagerly.  When Algorithm 1 takes its plain
-//! else-branch, the partition is one level per point from one streaming
-//! pass over the program's accesses ([`rcp_depend::dataflow_levels`]);
+//! A stage computes nothing its partition does not read.  Algorithm 1's
+//! branch is decided from the program's references alone, and the
+//! parameter-independent analysis is built at load only when the
+//! partition reads it: on the then-branch, whose plan every partition
+//! instantiates, and on an aggregated loop-level view, which tries chains
+//! against `Rd` first.  On the plain else-branch over a direct view the
+//! partition is one level per point from one streaming pass over the
+//! program's accesses ([`rcp_depend::dataflow_levels`]), so the analysis,
 //! `Φ`, `Rd` and a deferred program's per-binding analysis are computed on
 //! first use, by the consumers that need them (`rcp analyze`, the
-//! baselines, validation).
+//! baselines, validation).  Whoever builds the parameter-independent
+//! analysis, it is built once, under a fresh guard over the configured
+//! budget, and a trip walks the degradation ladder ([`crate::degrade`]).
 
 use crate::config::Config;
 use crate::degrade::{DegradationLevel, DegradationReport};
@@ -35,8 +42,8 @@ use crate::error::RcpError;
 use crate::partitioner::{partitioner, SchemeSchedule, DEFAULT_SCHEME};
 use rcp_codegen::{generate_listing, Schedule};
 use rcp_core::{
-    concrete_partition_from_dense, plan_unavailability, plan_unavailability_of, symbolic_plan,
-    ConcretePartition, DataflowPartition, PlanStats, PlanUnavailable, Strategy, SymbolicPlan,
+    concrete_partition_from_dense, plan_unavailability_of, symbolic_plan, ConcretePartition,
+    DataflowPartition, PlanStats, PlanUnavailable, Strategy, SymbolicPlan,
 };
 use rcp_depend::{
     classify_with_distances, dataflow_levels, distance_set, iteration_space, DependenceAnalysis,
@@ -74,9 +81,10 @@ impl Session {
         &self.config
     }
 
-    /// Parses `.loop` source and runs the dependence analysis, producing
-    /// the [`Analyzed`] stage.  `origin` (a file name) prefixes parse
-    /// diagnostics so they read like compiler output.
+    /// Parses `.loop` source and loads it, producing the [`Analyzed`]
+    /// stage (see [`Self::load`] for when the dependence analysis runs).
+    /// `origin` (a file name) prefixes parse diagnostics so they read like
+    /// compiler output.
     pub fn parse(&self, source: &str, origin: &str) -> Result<Analyzed, RcpError> {
         self.sync_tracing();
         let program = {
@@ -86,10 +94,14 @@ impl Session {
         self.analyze_program(program, origin)
     }
 
-    /// Analyses an in-memory program, producing the [`Analyzed`] stage.
-    /// Unlike parsed source (whose scope the parser already validated),
-    /// hand-built programs can reference undeclared variables; those are
-    /// reported as [`RcpError::UnboundVariable`] instead of panicking.
+    /// Loads an in-memory program, producing the [`Analyzed`] stage.  It
+    /// decides Algorithm 1's branch from the references and runs the
+    /// dependence analysis only when the program's partition reads it
+    /// (the then-branch, an aggregated loop-level view); otherwise the
+    /// first consumer that needs the analysis builds it.  Unlike parsed
+    /// source (whose scope the parser already validated), hand-built
+    /// programs can reference undeclared variables; those are reported as
+    /// [`RcpError::UnboundVariable`] instead of panicking.
     pub fn load(&self, program: Program) -> Result<Analyzed, RcpError> {
         self.analyze_program(program, "<memory>")
     }
@@ -144,80 +156,83 @@ impl Session {
                 }
             }
         };
-        let deferred = subscripts_mention_params(&program);
-        let mut degradation = None;
-        let symbolic = if deferred {
-            None
-        } else {
-            // The exact analysis runs under the configured budget guard
-            // and behind a catch boundary: a tripped checkpoint (or any
-            // panic below) arrives here as a typed Interrupt, never as an
-            // unwind through the public API.
-            match self.run_analysis_guarded(&program, granularity) {
-                Ok(analysis) => Some(Arc::new(analysis)),
-                Err(interrupt) => {
-                    degradation = Some(self.degrade_after(interrupt, &program)?);
-                    None
-                }
-            }
-        };
-        Ok(Analyzed {
+        // A program whose subscripts mention parameters is analysed per
+        // binding, on its bound form; every other program decides
+        // Algorithm 1's branch once, from its references.
+        let symbolic = (!subscripts_mention_params(&program)).then(|| Symbolic {
+            branch: plan_unavailability_of(&program, granularity),
+            analysis: Arc::default(),
+        });
+        let analyzed = Analyzed {
             inner: Arc::new(AnalyzedInner {
                 config: self.config.clone(),
                 origin: origin.to_string(),
                 program,
                 granularity,
                 symbolic,
-                degradation,
                 plan: OnceLock::new(),
                 listing: OnceLock::new(),
                 stages: Mutex::new(HashMap::new()),
             }),
-        })
-    }
-
-    fn run_analysis_guarded(
-        &self,
-        program: &Program,
-        granularity: Granularity,
-    ) -> Result<DependenceAnalysis, rcp_guard::Interrupt> {
-        run_guarded(&self.config.budget, || {
-            run_analysis(&self.config, program, granularity)
-        })
-    }
-
-    /// Walks the degradation ladder after the exact analysis was
-    /// interrupted.  Only budget exhaustion degrades (and only when the
-    /// configuration allows it); a genuine panic is never papered over —
-    /// it surfaces as a typed [`RcpError::WorkerPanic`].
-    fn degrade_after(
-        &self,
-        interrupt: rcp_guard::Interrupt,
-        program: &Program,
-    ) -> Result<DegradationReport, RcpError> {
-        let cause: RcpError = match interrupt {
-            rcp_guard::Interrupt::Budget(b) if self.config.degrade => b.into(),
-            other => return Err(other.into()),
         };
-        // Middle rung: the screen-only pass.  It runs *outside* any guard
-        // scope — it must not be charged to the budget that just ran out —
-        // and behind its own catch: if it unwinds too (an armed failpoint,
-        // a pathological program), fall to the bottom rung instead of
-        // letting the panic escape.
-        match rcp_guard::catch(|| {
-            rcp_depend::screen_summary(program, rcp_depend::ScreenConfig::full())
-        }) {
-            Ok(screen) => Ok(DegradationReport {
-                level: DegradationLevel::ScreenedConservative,
-                cause,
-                screen: Some(screen),
-            }),
-            Err(_) => Ok(DegradationReport {
-                level: DegradationLevel::Sequential,
-                cause,
-                screen: None,
-            }),
+        let inner = &analyzed.inner;
+        if let Some(symbolic) = &inner.symbolic {
+            if partition_reads_analysis(symbolic.branch.as_ref()) {
+                // Every partition of this program reads the analysis, so it
+                // is built now.  A budget trip leaves the stage on a lower
+                // rung of the ladder; anything else that unwinds (a panic,
+                // a trip with degradation off) fails the load as a typed
+                // error.
+                if let Err(interrupt) = rcp_guard::catch(|| {
+                    symbolic
+                        .analysis
+                        .get_or_build(&inner.config, &inner.program, inner.granularity)
+                        .is_ok()
+                }) {
+                    return Err(interrupt.into());
+                }
+            }
         }
+        Ok(analyzed)
+    }
+}
+
+/// True when Algorithm 1's partition of a program reads its dependence
+/// analysis: on the then-branch (`branch` is `None`), whose plan every
+/// partition instantiates, and on an aggregated loop-level view, which
+/// tries chains against `Rd` first.  The plain else-branch over a direct
+/// view takes its levels from the access trace instead.
+fn partition_reads_analysis(branch: Option<&PlanUnavailable>) -> bool {
+    matches!(branch, None | Some(PlanUnavailable::AggregatedLoopLevel))
+}
+
+/// Walks the degradation ladder after the exact analysis of `program` ran
+/// out of budget (`trip`): the screen-only pass, or the sequential rung
+/// when that unwinds too.
+fn degrade_after(trip: rcp_guard::BudgetExceeded, program: &Program) -> DegradationReport {
+    let cause = RcpError::from(trip);
+    // Middle rung: the screen-only pass.  It runs under an unlimited guard
+    // of its own, so it is charged neither to the budget that just ran out
+    // nor to the guard of whichever consumer asked for the analysis.  It
+    // also runs behind its own catch: if it unwinds too (an armed
+    // failpoint, a pathological program), fall to the bottom rung instead
+    // of letting the panic escape.
+    let unlimited = rcp_guard::Guard::new(rcp_guard::BudgetSpec::unlimited());
+    match rcp_guard::catch(|| {
+        rcp_guard::scope(&unlimited, || {
+            rcp_depend::screen_summary(program, rcp_depend::ScreenConfig::full())
+        })
+    }) {
+        Ok(screen) => DegradationReport {
+            level: DegradationLevel::ScreenedConservative,
+            cause,
+            screen: Some(screen),
+        },
+        Err(_) => DegradationReport {
+            level: DegradationLevel::Sequential,
+            cause,
+            screen: None,
+        },
     }
 }
 
@@ -242,7 +257,8 @@ fn run_analysis(
 /// session's lifetime.  What a stage computes on first use (`Rd`, a
 /// deferred program's analysis, the partition) is bounded by the checked
 /// accessors of [`Partitioned`], or by the guard of the stage entry that
-/// first asks for it.
+/// first asks for it; the parameter-independent analysis gets a fresh
+/// guard of its own ([`SymbolicAnalysis::get_or_build`]).
 fn run_guarded<R>(
     budget: &Option<rcp_guard::BudgetSpec>,
     f: impl FnOnce() -> R,
@@ -272,23 +288,109 @@ fn subscripts_mention_params(program: &Program) -> bool {
     })
 }
 
+/// A program's parameter-independent dependence analysis, or the rung of
+/// the degradation ladder its budget left it on: one guarded `OnceLock`,
+/// shared through an `Arc` by the [`Analyzed`] stage and its concrete
+/// stages, and filled once, by [`Self::get_or_build`], for whichever of
+/// them first needs it.  Anything that unwinds through the build (a trip
+/// with degradation off, a genuine panic) leaves it empty, as a tripped
+/// `Rd` does.
+#[derive(Default)]
+struct SymbolicAnalysis(OnceLock<Result<DependenceAnalysis, Box<Degraded>>>);
+
+/// An analysis its budget interrupted: the ladder's report, and the trip
+/// that knocked it off the exact rung, raised again to every consumer that
+/// asks for the analysis.
+struct Degraded {
+    report: DegradationReport,
+    trip: rcp_guard::BudgetExceeded,
+}
+
+impl SymbolicAnalysis {
+    /// The analysis of `program`, built on first use under a fresh guard
+    /// over the configured budget, whichever consumer asks: a trip walks
+    /// the degradation ladder when the configuration allows it.  A genuine
+    /// panic is never papered over, and without the ladder a trip is the
+    /// final error: both unwind to the caller's catch boundary.
+    fn get_or_build(
+        &self,
+        config: &Config,
+        program: &Program,
+        granularity: Granularity,
+    ) -> Result<&DependenceAnalysis, &Degraded> {
+        self.0
+            .get_or_init(|| {
+                match run_guarded(&config.budget, || {
+                    run_analysis(config, program, granularity)
+                }) {
+                    Ok(analysis) => Ok(analysis),
+                    Err(rcp_guard::Interrupt::Budget(trip)) if config.degrade => {
+                        Err(Box::new(Degraded {
+                            report: degrade_after(trip, program),
+                            trip,
+                        }))
+                    }
+                    Err(interrupt) => rcp_guard::resume(interrupt),
+                }
+            })
+            .as_ref()
+            .map_err(Box::as_ref)
+    }
+
+    /// [`Self::get_or_build`] for a consumer that needs the exact analysis:
+    /// a degraded one raises its trip again, for the consumer's catch
+    /// boundary to return as the typed cause.
+    fn exact(
+        &self,
+        config: &Config,
+        program: &Program,
+        granularity: Granularity,
+    ) -> &DependenceAnalysis {
+        match self.get_or_build(config, program, granularity) {
+            Ok(analysis) => analysis,
+            Err(degraded) => rcp_guard::resume(rcp_guard::Interrupt::Budget(degraded.trip)),
+        }
+    }
+
+    /// The exact analysis, once something has built it.
+    fn built(&self) -> Option<&DependenceAnalysis> {
+        self.0.get()?.as_ref().ok()
+    }
+
+    /// The ladder's report, once a build ran out of budget.
+    fn degradation(&self) -> Option<&DegradationReport> {
+        self.0
+            .get()?
+            .as_ref()
+            .err()
+            .map(|degraded| &degraded.report)
+    }
+}
+
+/// What a program whose subscripts mention no parameter decides once, for
+/// every binding.
+struct Symbolic {
+    /// Why Algorithm 1's then-branch does not apply, `None` when it does:
+    /// decided from the references alone, at load.
+    branch: Option<PlanUnavailable>,
+    /// The dependence analysis, shared with every concrete stage.
+    analysis: Arc<SymbolicAnalysis>,
+}
+
 struct AnalyzedInner {
     config: Config,
     origin: String,
     program: Program,
     granularity: Granularity,
-    /// The parameter-independent analysis; `None` when subscripts mention
-    /// parameters and analysis is deferred to the partition stage, or when
-    /// the session degraded (see `degradation`).
-    symbolic: Option<Arc<DependenceAnalysis>>,
-    /// Set when the exact analysis was interrupted by budget exhaustion
-    /// and the session stepped down the degradation ladder.
-    degradation: Option<DegradationReport>,
-    /// The memoised symbolic plan — the primary partitioning artifact.
-    /// Computed once per session from the symbolic analysis; every
-    /// concrete binding is then an O(pieces) [`SymbolicPlan::instantiate`]
-    /// instead of a per-binding relation enumeration.  `Err` records the
-    /// typed reason the recurrence-chain plan does not exist.
+    /// The parameter-independent branch and analysis; `None` when
+    /// subscripts mention parameters and each binding analyses its bound
+    /// program instead.
+    symbolic: Option<Symbolic>,
+    /// The memoised symbolic plan of a then-branch program — the primary
+    /// partitioning artifact.  Computed once per session from the symbolic
+    /// analysis; every concrete binding is then an O(pieces)
+    /// [`SymbolicPlan::instantiate`] instead of a per-binding relation
+    /// enumeration.  `Err` keeps [`symbolic_plan`]'s typed refusal.
     plan: OnceLock<Result<Arc<SymbolicPlan>, PlanUnavailable>>,
     /// The plan's rendered DOALL/WHILE listing, memoised on first use.
     listing: OnceLock<String>,
@@ -361,24 +463,26 @@ impl Analyzed {
         &self.inner.config
     }
 
-    /// The parameter-independent dependence analysis, when one exists.
-    /// `None` for programs whose subscripts mention parameters — use a
-    /// [`Partitioned`] stage, whose analysis is always present — and for
-    /// degraded sessions (see [`Self::degradation`]).
+    /// The parameter-independent dependence analysis, once something has
+    /// built it: `Session::load` when the program's partition reads it,
+    /// otherwise the first consumer that needs it (`Rd`, validation, the
+    /// baselines, the `analyze` report).  Asking here builds nothing.
+    /// `None` until then, for programs whose subscripts mention parameters
+    /// — use a [`Partitioned`] stage, whose analysis is always present —
+    /// and for degraded sessions (see [`Self::degradation`]).
     pub fn symbolic_analysis(&self) -> Option<&DependenceAnalysis> {
-        self.inner.symbolic.as_deref()
+        self.inner.symbolic.as_ref()?.analysis.built()
     }
 
-    /// How far this session degraded, or `None` on the exact rung.
+    /// How far this session degraded, or `None` on the exact rung (and
+    /// while no consumer has built the analysis yet).
     pub fn degradation(&self) -> Option<&DegradationReport> {
-        self.inner.degradation.as_ref()
+        self.inner.symbolic.as_ref()?.analysis.degradation()
     }
 
     /// The degradation-ladder rung of this session's result.
     pub fn degradation_level(&self) -> DegradationLevel {
-        self.inner
-            .degradation
-            .as_ref()
+        self.degradation()
             .map_or(DegradationLevel::Exact, |report| report.level)
     }
 
@@ -392,15 +496,14 @@ impl Analyzed {
     }
 
     /// Why Algorithm 1's recurrence-chain branch is unavailable, or `None`
-    /// when it applies.  The branch is a function of the program, so no
-    /// analysis runs; a deferred-analysis program is bound at the
-    /// configuration's parameter values first.
+    /// when it applies.  The branch is a function of the program, decided
+    /// at load, so no analysis runs; a deferred-analysis program is bound
+    /// at the configuration's parameter values first.
     pub fn plan_unavailability(&self) -> Result<Option<PlanUnavailable>, RcpError> {
         let inner = &self.inner;
-        match (inner.symbolic.as_deref(), &inner.degradation) {
-            (Some(analysis), _) => Ok(plan_unavailability(analysis)),
-            (None, Some(report)) => Err(report.cause.clone()),
-            (None, None) => {
+        match &inner.symbolic {
+            Some(symbolic) => Ok(symbolic.branch.clone()),
+            None => {
                 let values = inner.config.resolve_params(&inner.program, &[])?;
                 Ok(plan_unavailability_of(
                     &inner.program.bind_params(&values),
@@ -418,15 +521,9 @@ impl Analyzed {
         })
     }
 
-    /// The memoised symbolic plan, or the typed reason none exists.  For
-    /// deferred-analysis programs (subscripts mention parameters) and
-    /// degraded sessions there is no parameter-independent analysis to
-    /// plan from, reported as [`PlanUnavailable::ParametricSubscripts`].
-    fn plan_artifact(&self) -> Result<Arc<SymbolicPlan>, PlanUnavailable> {
-        let analysis = match self.inner.symbolic.as_deref() {
-            Some(analysis) => analysis,
-            None => return Err(PlanUnavailable::ParametricSubscripts),
-        };
+    /// The memoised symbolic plan of a then-branch program, from its
+    /// parameter-independent analysis.
+    fn plan_of(&self, analysis: &DependenceAnalysis) -> Result<Arc<SymbolicPlan>, PlanUnavailable> {
         self.inner
             .plan
             .get_or_init(|| symbolic_plan(analysis).map(Arc::new))
@@ -436,17 +533,26 @@ impl Analyzed {
     /// The compile-time recurrence-chain plan ([`Planned`] stage), or a
     /// typed error saying exactly why the then-branch does not apply.
     /// For symbolic programs the plan is memoised on this stage — the same
-    /// artifact [`Self::partition_with`] instantiates per binding.
+    /// artifact [`Self::partition_with`] instantiates per binding — and is
+    /// planned from the analysis the load built; a degraded session has
+    /// none and reports the ladder's cause.
     pub fn plan(&self) -> Result<Planned, RcpError> {
         let _span = rcp_trace::span!("session.plan");
-        let plan = match self.inner.symbolic.as_deref() {
-            Some(_) => self.plan_artifact().map_err(RcpError::from)?,
-            None => {
-                if let Some(reason) = self.plan_unavailability()? {
-                    return Err(reason.into());
-                }
-                Arc::new(symbolic_plan(self.partition()?.analysis_checked()?)?)
+        if let Some(reason) = self.plan_unavailability()? {
+            return Err(reason.into());
+        }
+        let inner = &self.inner;
+        let plan = match &inner.symbolic {
+            Some(symbolic) => {
+                let analysis = rcp_guard::catch(|| {
+                    symbolic
+                        .analysis
+                        .exact(&inner.config, &inner.program, inner.granularity)
+                })
+                .map_err(RcpError::from)?;
+                self.plan_of(analysis)?
             }
+            None => Arc::new(symbolic_plan(self.partition()?.analysis_checked()?)?),
         };
         Ok(Planned {
             analyzed: self.clone(),
@@ -474,10 +580,17 @@ impl Analyzed {
     /// The concrete [`Partitioned`] stage at explicit parameter values (in
     /// declaration order).
     pub fn partition_values(&self, values: &[i64]) -> Result<Partitioned, RcpError> {
-        if let Some(report) = &self.inner.degradation {
+        if let Some(report) = self
+            .inner
+            .symbolic
+            .as_ref()
+            .filter(|symbolic| partition_reads_analysis(symbolic.branch.as_ref()))
+            .and_then(|symbolic| symbolic.analysis.degradation())
+        {
             // A degraded session has no exact analysis to partition; the
             // typed cause says why.  Screen verdicts and the sequential
-            // schedule remain available on the Analyzed stage.
+            // schedule remain available on the Analyzed stage.  A traced
+            // partition reads no analysis, so it is never refused.
             return Err(report.cause.clone());
         }
         if self.inner.config.reuse_partitions {
@@ -524,17 +637,26 @@ impl Analyzed {
             // program runs on its parameter-bound form.  Either way Φ and
             // Rd wait until something asks for them.
             let (runtime_program, runtime_values, analysis, instance) = match &inner.symbolic {
-                Some(analysis) => (
+                Some(symbolic) => (
                     inner.program.clone(),
                     values.to_vec(),
-                    OnceLock::from(analysis.clone()),
-                    self.plan_artifact()
-                        .and_then(|plan| plan.instantiate(values)),
+                    StageAnalysis::Shared(symbolic.analysis.clone()),
+                    match &symbolic.branch {
+                        Some(reason) => Err(reason.clone()),
+                        // The then-branch's analysis was built at load.
+                        None => self
+                            .plan_of(symbolic.analysis.exact(
+                                &inner.config,
+                                &inner.program,
+                                inner.granularity,
+                            ))
+                            .and_then(|plan| plan.instantiate(values)),
+                    },
                 ),
                 None => (
                     inner.program.bind_params(values),
                     Vec::new(),
-                    OnceLock::new(),
+                    StageAnalysis::Bound(OnceLock::new()),
                     Err(PlanUnavailable::ParametricSubscripts),
                 ),
             };
@@ -630,10 +752,8 @@ struct StageCore {
     runtime_values: Vec<i64>,
     /// The granularity of the analysis space.
     granularity: Granularity,
-    /// The analysis behind this stage: the shared symbolic analysis, or,
-    /// for a deferred program, the analysis of `runtime_program`, run on
-    /// first use.
-    analysis: OnceLock<Arc<DependenceAnalysis>>,
+    /// The analysis behind this stage, built on first use.
+    analysis: StageAnalysis,
     /// The enumerated iteration space, from the program's own spaces,
     /// enumerated on first use: neither the instantiation path nor the
     /// traced else-branch needs it to run.
@@ -655,15 +775,40 @@ struct StageCore {
     concrete_reason: Option<PlanUnavailable>,
 }
 
+/// Where a concrete stage's dependence analysis comes from.
+enum StageAnalysis {
+    /// The program's parameter-independent analysis, shared with the
+    /// [`Analyzed`] stage and every other binding.  A degraded one raises
+    /// its budget trip to the consumer that asks.
+    Shared(Arc<SymbolicAnalysis>),
+    /// A deferred program's analysis of `runtime_program`, its
+    /// parameter-bound form, charged to whatever guard is installed.
+    Bound(OnceLock<Box<DependenceAnalysis>>),
+}
+
 impl StageCore {
     fn analysis(&self, config: &Config) -> &DependenceAnalysis {
-        self.analysis.get_or_init(|| {
-            Arc::new(run_analysis(
-                config,
-                &self.runtime_program,
-                self.granularity,
-            ))
-        })
+        match &self.analysis {
+            StageAnalysis::Shared(symbolic) => {
+                symbolic.exact(config, &self.runtime_program, self.granularity)
+            }
+            StageAnalysis::Bound(bound) => bound.get_or_init(|| {
+                Box::new(run_analysis(
+                    config,
+                    &self.runtime_program,
+                    self.granularity,
+                ))
+            }),
+        }
+    }
+
+    /// True once this stage's analysis has been built.
+    #[cfg(test)]
+    fn analysis_built(&self) -> bool {
+        match &self.analysis {
+            StageAnalysis::Shared(symbolic) => symbolic.built().is_some(),
+            StageAnalysis::Bound(bound) => bound.get().is_some(),
+        }
     }
 
     fn phi(&self) -> &DenseSet {
@@ -697,19 +842,21 @@ impl StageCore {
     /// against Rd) and the aggregated views (which try chains against Rd
     /// first) partition the enumerated relation.
     fn concrete_partition(&self, config: &Config) -> ConcretePartition {
-        match self.plan_unavailability() {
-            Some(reason) if reason != PlanUnavailable::AggregatedLoopLevel => {
-                ConcretePartition::Dataflow {
-                    stages: DataflowPartition {
-                        levels: dataflow_levels(
-                            &self.runtime_program,
-                            &self.runtime_values,
-                            self.granularity,
-                        ),
-                    },
-                }
-            }
-            _ => concrete_partition_from_dense(self.analysis(config), self.phi(), self.rd(config)),
+        if partition_reads_analysis(self.plan_unavailability().as_ref()) {
+            return concrete_partition_from_dense(
+                self.analysis(config),
+                self.phi(),
+                self.rd(config),
+            );
+        }
+        ConcretePartition::Dataflow {
+            stages: DataflowPartition {
+                levels: dataflow_levels(
+                    &self.runtime_program,
+                    &self.runtime_values,
+                    self.granularity,
+                ),
+            },
         }
     }
 }
@@ -732,7 +879,11 @@ struct PartitionedInner {
 /// budget guard and a catch boundary, like [`Scheduled::verify_checked`],
 /// so that a budget trip or a panic there comes back as a typed error.
 /// Inside a guarded call (schedule construction, a checked execution)
-/// they charge that call's guard instead of a fresh one.
+/// they charge that call's guard instead of a fresh one.  The
+/// parameter-independent analysis is the exception: it is built under a
+/// fresh guard of its own and, on a trip, walks the degradation ladder;
+/// the accessors that read it then return the ladder's cause, and the
+/// unchecked ones unwind with it.
 #[derive(Clone)]
 pub struct Partitioned {
     inner: Arc<PartitionedInner>,
@@ -761,9 +912,10 @@ impl Partitioned {
         &self.inner.core.values
     }
 
-    /// The dependence analysis backing this stage.  For a
-    /// deferred-analysis program it is the analysis of the
-    /// parameter-bound program, run on first use.
+    /// The dependence analysis backing this stage, built on first use:
+    /// the program's shared parameter-independent analysis or, for a
+    /// deferred-analysis program, the analysis of the parameter-bound
+    /// program.
     pub fn analysis(&self) -> &DependenceAnalysis {
         self.inner.core.analysis(self.inner.analyzed.config())
     }
@@ -1305,32 +1457,121 @@ mod tests {
 
     #[test]
     fn the_else_branch_runs_without_the_analysis_or_rd() {
-        // Cholesky defers its analysis and takes Algorithm 1's plain
-        // else-branch: a verified run builds its stages from the access
-        // trace, and neither the per-binding analysis nor Rd is computed
-        // until a consumer asks for them.
-        let config = Config::new().with_params(&[("NMAT", 2), ("M", 2), ("N", 6), ("NRHS", 1)]);
-        let analyzed = Session::with_config(config).bundled("cholesky").unwrap();
-        assert_eq!(analyzed.strategy().unwrap(), Strategy::Dataflow);
-        assert_eq!(analyzed.cached_partitions(), 0, "the branch needs no stage");
+        // Algorithm 1's plain else-branch over a direct view: a verified run
+        // builds its stages from the access trace, and neither the analysis
+        // (the shared parameter-independent one, or Cholesky's per-binding
+        // one), Φ nor Rd is computed until a consumer asks for them.
+        const ELSE_BRANCH: [&str; 10] = [
+            "applu",
+            "cholesky",
+            "example3",
+            "jacobi1d",
+            "lu",
+            "mvt",
+            "swim",
+            "syr2k",
+            "tomcatv",
+            "wavefront",
+        ];
+        for bundled in rcp_workloads::BUNDLED_LOOPS {
+            let name = bundled.name;
+            if !ELSE_BRANCH.contains(&name) {
+                continue;
+            }
+            let config = Config::new().with_params(bundled.survey_params);
+            let analyzed = Session::with_config(config).bundled(name).unwrap();
+            assert_eq!(analyzed.strategy().unwrap(), Strategy::Dataflow, "{name}");
+            assert!(analyzed.symbolic_analysis().is_none(), "{name}");
+            assert_eq!(analyzed.cached_partitions(), 0, "the branch needs no stage");
+            let stage = analyzed.partition().unwrap();
+            let core = &stage.inner.core;
+            assert!(
+                core.partition.get().is_none(),
+                "the partition waits for a consumer"
+            );
+            assert!(stage.schedule().unwrap().verify().passed(), "{name}");
+            assert!(core.partition.get().is_some());
+            assert!(
+                core.phi.get().is_none(),
+                "{name}: a verified traced run leaves Φ unbuilt"
+            );
+            assert!(!core.analysis_built() && core.rd.get().is_none(), "{name}");
+            // Validation is a consumer: it enumerates Φ, builds the
+            // analysis and enumerates Rd.  The parameter-independent
+            // analysis it builds is the one the Analyzed stage shares.
+            assert!(stage.validate().is_empty(), "{name}");
+            assert!(core.phi.get().is_some(), "{name}");
+            assert!(core.analysis_built() && core.rd.get().is_some(), "{name}");
+            assert_eq!(
+                analyzed.symbolic_analysis().is_some(),
+                name != "cholesky",
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn partitions_that_read_the_analysis_build_it_at_load() {
+        // The then-branch instantiates its plan, and an aggregated
+        // loop-level view tries chains against Rd: both analyse at load.
+        let then_branch = Session::with_config(Config::new().with_params(&[("N1", 6), ("N2", 6)]))
+            .bundled("example1")
+            .unwrap();
+        assert_eq!(then_branch.strategy().unwrap(), Strategy::RecurrenceChains);
+        assert!(then_branch.symbolic_analysis().is_some());
+        let aggregated = Session::with_config(
+            Config::new()
+                .with_param("N", 8)
+                .with_granularity(crate::GranularityChoice::Loop),
+        )
+        .bundled("mvt")
+        .unwrap();
+        assert_eq!(
+            aggregated.plan_unavailability().unwrap(),
+            Some(PlanUnavailable::AggregatedLoopLevel)
+        );
+        assert!(aggregated.symbolic_analysis().is_some());
+    }
+
+    #[test]
+    fn a_budget_that_covers_the_run_but_not_the_analysis_lets_the_run_through() {
+        // lu's analysis spends more than 5 000 work units; its traced run
+        // does not.  The run verifies, and the consumer that builds the
+        // analysis walks the ladder there, once, for every stage.
+        let config = Config::new().with_param("N", 14).with_work_budget(5_000);
+        let analyzed = Session::with_config(config.clone()).bundled("lu").unwrap();
         let stage = analyzed.partition().unwrap();
-        let core = &stage.inner.core;
+        assert!(stage.schedule().unwrap().verify_checked().unwrap().passed());
+        assert!(analyzed.degradation().is_none(), "the run analysed nothing");
+        let err = stage.validate_checked().unwrap_err();
         assert!(
-            core.partition.get().is_none(),
-            "the partition waits for a consumer"
+            matches!(err, RcpError::BudgetExceeded { limit: 5_000, .. }),
+            "expected BudgetExceeded, got {err:?}"
         );
-        assert!(stage.schedule().unwrap().verify().passed());
-        assert!(core.partition.get().is_some());
-        assert!(
-            core.phi.get().is_none(),
-            "a verified traced run leaves Φ unbuilt"
-        );
-        assert!(core.analysis.get().is_none() && core.rd.get().is_none());
-        // Validation is a consumer: it enumerates Φ, runs the analysis and
-        // enumerates Rd.
-        assert!(stage.validate().is_empty());
-        assert!(core.phi.get().is_some());
-        assert!(core.analysis.get().is_some() && core.rd.get().is_some());
+        let report = analyzed.degradation().expect("the analysis degraded");
+        assert_eq!(report.level, DegradationLevel::ScreenedConservative);
+        assert_eq!(report.cause, err);
+        // Every consumer of the analysis gets the same cause; the traced
+        // run is still served, from a fresh binding too.
+        assert_eq!(stage.analysis_checked().map(|_| ()).unwrap_err(), err);
+        let other = analyzed.partition_with(&[("N".to_string(), 12)]).unwrap();
+        assert_eq!(other.rd_checked().map(|_| ()).unwrap_err(), err);
+        assert!(other.schedule().unwrap().verify_checked().unwrap().passed());
+        // Without the ladder the trip is a hard error that leaves the
+        // analysis unbuilt, so a later consumer tries again.
+        let analyzed = Session::with_config(config.without_degradation())
+            .bundled("lu")
+            .unwrap();
+        let stage = analyzed.partition().unwrap();
+        assert!(stage.schedule().unwrap().verify_checked().unwrap().passed());
+        for _ in 0..2 {
+            let err = stage.validate_checked().unwrap_err();
+            assert!(
+                matches!(err, RcpError::BudgetExceeded { limit: 5_000, .. }),
+                "expected BudgetExceeded, got {err:?}"
+            );
+            assert!(analyzed.degradation().is_none() && !stage.inner.core.analysis_built());
+        }
     }
 
     #[test]
@@ -1357,7 +1598,7 @@ mod tests {
             );
         }
         let core = &stage.inner.core;
-        assert!(core.analysis.get().is_none() && core.rd.get().is_none());
+        assert!(!core.analysis_built() && core.rd.get().is_none());
         assert!(stage.schedule().unwrap().verify().passed());
         assert!(stage.partition_checked().is_ok());
         // Inside a guarded call they charge that call's guard, not a fresh

@@ -32,8 +32,8 @@
 //! ## Quick start
 //!
 //! The staged session pipeline is the canonical way to drive the system:
-//! configure once, analyse once, then re-partition, schedule, and verify
-//! as many bindings and schemes as needed.
+//! configure once, analyse at most once, then re-partition, schedule, and
+//! verify as many bindings and schemes as needed.
 //!
 //! ```
 //! use recurrence_chains::prelude::*;

@@ -101,6 +101,23 @@ fn cli_analyze_of_cholesky_matches_the_golden_json() {
         .contains("statement-level"));
 }
 
+/// The analyze JSON for lu — Algorithm 1's traced else-branch, whose
+/// analysis the report builds on first use rather than the load — matches
+/// the golden file recorded when every load analysed, screen counts
+/// included.
+#[test]
+fn cli_analyze_of_lu_matches_the_golden_json() {
+    let (source, origin) = loop_file("lu.loop");
+    let report = cmd_analyze(&source, &origin, &opts(&[("N", 10)])).unwrap();
+    let golden = include_str!("golden/lu_analyze.json");
+    assert_eq!(
+        format!("{}\n", report.data.pretty()),
+        golden,
+        "rcp analyze output drifted from tests/golden/lu_analyze.json — \
+         regenerate with: rcp analyze examples/loops/lu.loop --param N=10 --json"
+    );
+}
+
 /// Every bundled file goes through `rcp parse` cleanly and round-trips.
 #[test]
 fn cli_parse_accepts_every_bundled_file() {

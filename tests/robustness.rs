@@ -13,7 +13,7 @@
 //!    `WorkerPanic` data with their context, never as an unwind.
 
 use rcp_json::Json;
-use recurrence_chains::cli::{cmd_analyze, error_json, Options};
+use recurrence_chains::cli::{cmd_analyze, cmd_run, error_json, Options};
 use recurrence_chains::core::PlanUnavailable;
 use recurrence_chains::guard::BudgetSpec;
 use recurrence_chains::prelude::*;
@@ -188,33 +188,66 @@ fn a_bounded_session_walks_the_ladder_and_stays_sound() {
 
 /// The same bound surfaces through the CLI: `rcp analyze --budget-work 1`
 /// succeeds with the degradation fields, `--no-degrade` is the hard error.
+/// That holds whether the load builds the analysis (example 1, on
+/// Algorithm 1's then-branch) or the report does (lu, on its traced
+/// else-branch).
 #[test]
 fn the_cli_reports_the_ladder_alongside_fallback_reason() {
-    let source = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/examples/loops/example1.loop"
-    ))
-    .unwrap();
+    for (name, params) in [
+        ("example1", vec![("N1".into(), 8), ("N2".into(), 8)]),
+        ("lu", vec![("N".into(), 10)]),
+    ] {
+        let source = loop_source(name);
+        let origin = format!("{name}.loop");
+        let opts = Options {
+            params,
+            budget_work: Some(1),
+            ..Options::default()
+        };
+        let report = cmd_analyze(&source, &origin, &opts).unwrap();
+        assert!(!report.failed, "{name}");
+        assert_eq!(
+            report.data["degradation"].as_str(),
+            Some("screened-conservative"),
+            "{name}"
+        );
+        let cause = report.data["degradation_cause"].as_str().unwrap();
+        assert!(cause.starts_with("budget exceeded in stage `"), "{cause}");
+
+        let hard = Options {
+            no_degrade: true,
+            ..opts
+        };
+        let err = cmd_analyze(&source, &origin, &hard).unwrap_err();
+        assert!(matches!(err, RcpError::BudgetExceeded { .. }), "{err}");
+    }
+}
+
+/// A budget that covers lu's traced run but not its analysis: `rcp run`
+/// runs and verifies, since the run reads no analysis, while `rcp
+/// analyze` under the same budget degrades.
+#[test]
+fn a_budget_that_covers_the_run_but_not_the_analysis_lets_the_run_through() {
+    let source = loop_source("lu");
     let opts = Options {
-        params: vec![("N1".into(), 8), ("N2".into(), 8)],
-        budget_work: Some(1),
+        params: vec![("N".into(), 14)],
+        threads: Some(2),
+        budget_work: Some(5_000),
         ..Options::default()
     };
-    let report = cmd_analyze(&source, "example1.loop", &opts).unwrap();
-    assert!(!report.failed);
+    let run = cmd_run(&source, "lu.loop", &opts).unwrap();
+    assert!(!run.failed, "{}", run.text);
+    assert_eq!(run.data["passed"].as_bool(), Some(true));
+    let analyze = cmd_analyze(&source, "lu.loop", &opts).unwrap();
     assert_eq!(
-        report.data["degradation"].as_str(),
+        analyze.data["degradation"].as_str(),
         Some("screened-conservative")
     );
-    let cause = report.data["degradation_cause"].as_str().unwrap();
-    assert!(cause.starts_with("budget exceeded in stage `"), "{cause}");
+}
 
-    let hard = Options {
-        no_degrade: true,
-        ..opts
-    };
-    let err = cmd_analyze(&source, "example1.loop", &hard).unwrap_err();
-    assert!(matches!(err, RcpError::BudgetExceeded { .. }), "{err}");
+fn loop_source(name: &str) -> String {
+    let path = format!("{}/examples/loops/{name}.loop", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(path).unwrap()
 }
 
 /// A panicking kernel crosses the executor as a typed `WorkerPanic` whose
