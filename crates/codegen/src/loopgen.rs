@@ -178,25 +178,19 @@ pub fn while_chain_subroutine(recurrence: &Recurrence, dim_names: &[String]) -> 
 /// Generates the full pseudo-Fortran listing of a symbolic plan: the three
 /// partition sets as DOALL nests plus the WHILE chain subroutine.
 pub fn generate_listing(plan: &SymbolicPlan, workload: &str) -> String {
+    let partition = plan.partition();
     let mut out = String::new();
     let _ = writeln!(
         out,
         "C ===== recurrence-chain partitioning of {workload} ====="
     );
+    out.push_str(&doall_nests(&partition.p1, "initial partition P1 (DOALL)"));
     out.push_str(&doall_nests(
-        &plan.partition.p1,
-        "initial partition P1 (DOALL)",
-    ));
-    out.push_str(&doall_nests(
-        &plan.partition.w,
+        &partition.w,
         "intermediate partition: WHILE chain starts W (DOALL over chains)",
     ));
-    out.push_str(&doall_nests(
-        &plan.partition.p3,
-        "final partition P3 (DOALL)",
-    ));
-    let dim_names: Vec<String> = plan
-        .partition
+    out.push_str(&doall_nests(&partition.p3, "final partition P3 (DOALL)"));
+    let dim_names: Vec<String> = partition
         .p1
         .space()
         .dim_names()

@@ -17,11 +17,12 @@
 use crate::chains::{chains_in_intermediate, longest_chain, Chain};
 use crate::dataflow::{dataflow_partition, DataflowPartition};
 use crate::recurrence::Recurrence;
-use crate::three_set::{DenseThreeSet, ThreeSetPartition};
+use crate::three_set::{intermediate, DenseThreeSet, ThreeSetPartition};
 use rcp_depend::{coupled_pair_check, CoupledPairCheck, DependenceAnalysis, Granularity};
 use rcp_loopir::Program;
-use rcp_presburger::{ConvexSet, DenseRelation, DenseSet, UnionSet};
+use rcp_presburger::{ConvexSet, DenseRelation, DenseSet, Relation, UnionSet};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The branch of Algorithm 1 chosen for a program.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -80,10 +81,10 @@ pub enum PlanUnavailable {
         /// relation pieces.
         array: String,
     },
-    /// At least one symbolic partition set (`P1`, `P2`, `P3`, `W`, or `Φ`)
-    /// is flagged as a Fourier–Motzkin over-approximation: enumerating it
-    /// could yield extra points, so only the per-binding concrete path is
-    /// exact.
+    /// At least one symbolic set that instantiation enumerates (`Φ`,
+    /// `ran Rd` or `P2`) is flagged as a Fourier–Motzkin
+    /// over-approximation: enumerating it could yield extra points, so only
+    /// the per-binding concrete path is exact.
     ApproximatePartitionSets,
     /// The program's subscripts mention loop parameters, so no binding-free
     /// symbolic analysis (and hence no symbolic plan) exists; analysis is
@@ -162,21 +163,28 @@ impl std::error::Error for PlanUnavailable {}
 
 /// The compile-time (symbolic) plan of the then-branch: the primary
 /// parametric artifact of the pipeline.  Computed once per program, it
+/// holds what a run reads — `Φ`, `ran Rd`, `P2` and the recurrence — and
 /// materialises any parameter binding through [`SymbolicPlan::instantiate`]
 /// in O(pieces) — no relation re-binding, no pair re-enumeration, no
-/// Algorithm-1 re-run.
+/// Algorithm-1 re-run.  The symbolic `P1`, `P3` and `W`, which only the
+/// listing prints, are built on first use by [`SymbolicPlan::partition`].
 #[derive(Clone, Debug)]
 pub struct SymbolicPlan {
-    /// The symbolic three-set partition (`P1`, `P2`, `P3`, `W`).
-    pub partition: ThreeSetPartition,
     /// The recurrence `T`, `u` driving the WHILE chains.
     pub recurrence: Recurrence,
     /// The symbolic iteration space `Φ`, kept so instantiation can
     /// enumerate the space and filter recurrence images without the
     /// originating analysis.
     phi: UnionSet,
+    /// The dependence relation `Rd`, from which [`Self::partition`] builds
+    /// `P1`, `P3` and `W`.
+    relation: Relation,
     /// `ran Rd`, from which instantiation derives `P1` and `P3` (eq. 5).
     ran: UnionSet,
+    /// `P2 = ran Rd ∩ dom Rd ∩ Φ`, the intermediate set.
+    p2: UnionSet,
+    /// The symbolic three-set partition, built on first use.
+    partition: OnceLock<ThreeSetPartition>,
     /// Why [`SymbolicPlan::instantiate`] must refuse and the caller fall
     /// back to the validated per-binding concrete path; `None` when the
     /// plan is symbolically instantiable.
@@ -196,11 +204,21 @@ impl SymbolicPlan {
         self.instantiability.is_none()
     }
 
-    /// Binds the plan at a concrete parameter binding in O(pieces): every
-    /// partition set and `Φ` get their parameters substituted piece by
-    /// piece — no relation re-binding, no pair re-enumeration, no
-    /// Algorithm-1 re-run, and crucially no point enumeration at all.  The
-    /// returned [`PlanInstance`] answers membership queries
+    /// The symbolic three-set partition (`P1`, `P2`, `P3`, `W`) that the
+    /// paper's generated code prints, built from `Rd` and `ran Rd` on the
+    /// first call.  Instantiation never reads it.
+    pub fn partition(&self) -> &ThreeSetPartition {
+        self.partition.get_or_init(|| {
+            let _span = rcp_trace::span!("core.listing_sets");
+            ThreeSetPartition::from_range(&self.phi, &self.relation, &self.ran)
+        })
+    }
+
+    /// Binds the plan at a concrete parameter binding in O(pieces): `Φ`,
+    /// `ran Rd` and `P2` get their parameters substituted piece by piece —
+    /// no relation re-binding, no pair re-enumeration, no Algorithm-1
+    /// re-run, and crucially no point enumeration at all.  The returned
+    /// [`PlanInstance`] answers membership queries
     /// ([`PlanInstance::phase_of`]) in O(pieces) and materialises the full
     /// dense partition on demand ([`PlanInstance::materialise`]).
     ///
@@ -212,17 +230,18 @@ impl SymbolicPlan {
             return Err(reason.clone());
         }
         Ok(PlanInstance {
-            partition: self.partition.bind_params(values),
             phi: self.phi.bind_params(values),
-            // Piece by piece: `ran Rd` is only enumerated, and an empty
-            // piece scans to nothing, so it skips the feasibility check
-            // with which `UnionSet::bind_params` drops empty pieces.
+            // Piece by piece: `ran Rd` is only enumerated and tested for
+            // membership, and an empty piece scans to nothing, so it skips
+            // the feasibility check with which `UnionSet::bind_params`
+            // drops empty pieces.
             ran: self
                 .ran
                 .pieces()
                 .iter()
                 .map(|p| p.bind_params(values))
                 .collect(),
+            p2: self.p2.bind_params(values),
             recurrence: self.recurrence.clone(),
         })
     }
@@ -249,6 +268,7 @@ impl SymbolicPlan {
     /// falls back to the concrete path, which itself falls back to
     /// dataflow stages — exactly what the legacy pipeline does).
     pub fn instantiate(&self, values: &[i64]) -> Result<ConcretePartition, PlanUnavailable> {
+        let _span = rcp_trace::span!("core.instantiate");
         self.instance(values)?.materialise()
     }
 }
@@ -265,36 +285,61 @@ pub enum PartitionPhase {
 }
 
 /// A symbolic plan bound at one parameter binding — the O(pieces)
-/// instantiation artifact.  Holds the bound (but not enumerated) partition
-/// sets, the bound iteration space, and the recurrence, so per-binding
-/// queries cost piece evaluations rather than point enumerations; the
-/// dense [`ConcretePartition`] is pay-as-you-go via [`Self::materialise`].
+/// instantiation artifact.  Holds the bound (but not enumerated) `Φ`,
+/// `ran Rd` and `P2`, and the recurrence, so per-binding queries cost
+/// piece evaluations rather than point enumerations; the dense
+/// [`ConcretePartition`] is pay-as-you-go via [`Self::materialise`].
 #[derive(Clone, Debug)]
 pub struct PlanInstance {
-    /// The bound three-set partition (piece descriptions, not points).
-    pub partition: ThreeSetPartition,
     /// The bound iteration space `Φ`.
     phi: UnionSet,
     /// The pieces of the bound `ran Rd`.
     ran: Vec<ConvexSet>,
+    /// The bound intermediate set `P2`.
+    p2: UnionSet,
     /// The recurrence `T`, `u` (binding-independent).
     recurrence: Recurrence,
 }
 
 impl PlanInstance {
     /// Classifies one iteration into its partition phase in O(pieces):
-    /// piece-membership tests against the bound sets, no enumeration.
-    /// Returns `None` for points outside `Φ`.
+    /// piece-membership tests against the bound `Φ`, `ran Rd` and `P2`,
+    /// no enumeration.  By eq. 5 a point of `Φ` outside `ran Rd` is in
+    /// `P1`, and one inside it is in `P2` or else `P3`.  Returns `None`
+    /// for points outside `Φ`.
     pub fn phase_of(&self, x: &[i64]) -> Option<PartitionPhase> {
-        if self.partition.p1.contains(x, &[]) {
-            Some(PartitionPhase::Initial)
-        } else if self.partition.p2.contains(x, &[]) {
-            Some(PartitionPhase::Intermediate)
-        } else if self.partition.p3.contains(x, &[]) {
-            Some(PartitionPhase::Final)
-        } else {
+        if !self.phi.contains(x, &[]) {
             None
+        } else if !self.ran.iter().any(|piece| piece.contains(x, &[])) {
+            Some(PartitionPhase::Initial)
+        } else if self.p2.contains(x, &[]) {
+            Some(PartitionPhase::Intermediate)
+        } else {
+            Some(PartitionPhase::Final)
         }
+    }
+
+    /// The integral images `apply(x)` and `apply_inverse(x)`: the
+    /// iteration whose write `x` reads and the iteration that reads `x`'s
+    /// write.  Under the provenance gate, `x`'s neighbours in `Rd` are the
+    /// images inside `Φ`, its predecessors the lexicographically earlier
+    /// ones and its successors the later ones.
+    fn images(&self, x: &[i64]) -> impl Iterator<Item = rcp_intlin::IVec> {
+        [self.recurrence.apply(x), self.recurrence.apply_inverse(x)]
+            .into_iter()
+            .flatten()
+    }
+
+    /// The dependence successors of `x`: its lexicographically forward
+    /// [`Self::images`] inside `Φ`.
+    fn successors(&self, x: &[i64]) -> Vec<rcp_intlin::IVec> {
+        let mut out: Vec<rcp_intlin::IVec> = Vec::with_capacity(2);
+        for cand in self.images(x) {
+            if cand.as_slice() > x && self.phi.contains(&cand, &[]) && !out.contains(&cand) {
+                out.push(cand);
+            }
+        }
+        out
     }
 
     /// Enumerates the bound partition sets and walks the WHILE chains
@@ -310,46 +355,35 @@ impl PlanInstance {
         // `P1 = Φ \ ran Rd` and `P3 = (ran Rd ∩ Φ) \ P2`.  `ran Rd` has
         // fewer pieces than `P1` and `P3`, which the subtractions that
         // define them fragment, and each piece costs a compiled scan.
-        // `W ⊆ P2` is read off `P2` by piece membership.
-        let part = &self.partition;
         let phi = DenseSet::from_union(&self.phi);
         let ran = DenseSet::union_all(self.ran.iter().map(ConvexSet::enumerate).collect())
             .unwrap_or_else(|| DenseSet::new(phi.dim()));
-        let p2 = DenseSet::from_union(&part.p2);
+        let p2 = DenseSet::from_union(&self.p2);
         let p1 = phi.subtract(&ran);
         let p3 = phi.intersect(&ran).subtract(&p2);
-        let w = p2.subset((0..p2.len()).filter(|&id| part.w.contains(p2.point(id), &[])));
+        // `W = {j ∈ P2 | (i → j) ∈ Rd, i ∈ P1}`, read off the recurrence:
+        // a predecessor of `j` is one of its images that lies
+        // lexicographically before it, and `P1 ⊆ Φ`.
+        let w = p2.subset((0..p2.len()).filter(|&id| {
+            let x = p2.point(id);
+            self.images(x)
+                .any(|pred| pred.as_slice() < x && p1.contains(&pred))
+        }));
         let dense = DenseThreeSet { p1, p2, p3, w };
 
         // The WHILE chain walk of `chains_in_intermediate`, with the dense
-        // relation's successor lookup replaced by the recurrence maps: the
-        // successors of `x` are `{apply(x), apply_inverse(x)}` — the
-        // iteration whose write `x` reads and the iteration that reads
-        // `x`'s write — filtered to integral images inside `Φ` that are
-        // lexicographically forward.  Same guard stage and failpoint site
-        // as the legacy walk, so budgets and chaos campaigns see one
-        // partitioning pipeline.
+        // relation's successor lookup replaced by the recurrence maps.
+        // Same guard stage and failpoint site as the legacy walk, so
+        // budgets and chaos campaigns see one partitioning pipeline.
         rcp_guard::tick(rcp_guard::Stage::ChainEnumeration, dense.w.len() as u64 + 1);
         rcp_guard::fail_point("core::chains", rcp_guard::Stage::ChainEnumeration);
-        let successors = |x: &[i64]| -> Vec<rcp_intlin::IVec> {
-            let mut out: Vec<rcp_intlin::IVec> = Vec::with_capacity(2);
-            for cand in [self.recurrence.apply(x), self.recurrence.apply_inverse(x)]
-                .into_iter()
-                .flatten()
-            {
-                if cand.as_slice() > x && self.phi.contains(&cand, &[]) && !out.contains(&cand) {
-                    out.push(cand);
-                }
-            }
-            out
-        };
         let mut chains = Vec::new();
         for start in dense.w.iter() {
             let mut chain = Vec::new();
             let mut current = start.to_vec();
             while dense.p2.contains(&current) {
                 chain.push(current.clone());
-                let mut succs = successors(&current);
+                let mut succs = self.successors(&current);
                 match succs.pop() {
                     Some(next) if succs.is_empty() => current = next,
                     _ => break,
@@ -367,10 +401,10 @@ impl PlanInstance {
         // candidate too.  Set disjointness, coverage of `Φ`, and `W ⊆ P2`
         // are *not* re-checked densely: the exactness gate
         // (`ApproximatePartitionSets`) guarantees the bound pieces are the
-        // true projections, and the symbolic construction (`P1 = Φ \ ran`,
-        // `P2 = ran ∩ dom`, `P3 = ran \ dom`, `W ⊆ P2`) makes those
-        // invariants hold by algebra, not by enumeration.
-        if let Some(detail) = self.validate_instance(&dense, &chains, &successors) {
+        // true sets, and the construction (`P1 = Φ \ ran`, `P2 ⊆ ran`,
+        // `P3 = (ran ∩ Φ) \ P2`, `W ⊆ P2`) makes those invariants hold by
+        // algebra, not by enumeration.
+        if let Some(detail) = self.validate_instance(&dense.p2, &chains) {
             return Err(PlanUnavailable::InstantiationInvalid { detail });
         }
         Ok(ConcretePartition::RecurrenceChains {
@@ -385,13 +419,8 @@ impl PlanInstance {
     /// [`SymbolicPlan::instantiate`]: the chains exactly covering `P2`,
     /// and no recurrence edge crossing two chains.  Returns the first
     /// violated invariant.
-    fn validate_instance(
-        &self,
-        dense: &DenseThreeSet,
-        chains: &[Chain],
-        successors: &dyn Fn(&[i64]) -> Vec<rcp_intlin::IVec>,
-    ) -> Option<String> {
-        if let Some(problem) = crate::chains::validate_chain_cover(chains, &dense.p2).pop() {
+    fn validate_instance(&self, p2: &DenseSet, chains: &[Chain]) -> Option<String> {
+        if let Some(problem) = crate::chains::validate_chain_cover(chains, p2).pop() {
             return Some(problem);
         }
         // The chains cover P2 exactly once.  The walk followed each
@@ -399,14 +428,14 @@ impl PlanInstance {
         // an edge can leave a chain only from its last iteration, and then
         // every successor inside P2 lies on another chain (chains rise
         // lexicographically, and successors are lexicographically forward).
+        // Every chain starts in W, whose points have a predecessor, so no
+        // chain point of a materialised instance has two successors: this
+        // check guards the walk rather than rejecting any instance.
         for (k, c) in chains.iter().enumerate() {
             let Some(last) = c.iterations.last() else {
                 continue;
             };
-            for succ in successors(last)
-                .into_iter()
-                .filter(|s| dense.p2.contains(s))
-            {
+            for succ in self.successors(last).into_iter().filter(|s| p2.contains(s)) {
                 if let Some(other) = chains.iter().position(|c| c.iterations.contains(&succ)) {
                     return Some(format!(
                         "dependence {:?} -> {:?} crosses chains {k} and {other}",
@@ -601,13 +630,15 @@ pub fn plan_unavailability_of(
 
 /// Builds the symbolic (compile-time) plan when the then-branch of
 /// Algorithm 1 applies, i.e. the program has a single coupled reference
-/// pair with full-rank matrices.  On failure the error says exactly which
+/// pair with full-rank matrices: `ran Rd`, `P2` and the recurrence, which
+/// is all an instantiation reads.  On failure the error says exactly which
 /// precondition broke, so callers can report *why* the program fell back
 /// to dataflow partitioning.
 // Panic-hygiene allow: both `expect`s restate what `plan_unavailability`
 // just verified — the pair and recurrence exist when it returns `None`.
 #[allow(clippy::expect_used)]
 pub fn symbolic_plan(analysis: &DependenceAnalysis) -> Result<SymbolicPlan, PlanUnavailable> {
+    let _span = rcp_trace::span!("core.plan");
     if let Some(reason) = plan_unavailability(analysis) {
         return Err(reason);
     }
@@ -617,33 +648,30 @@ pub fn symbolic_plan(analysis: &DependenceAnalysis) -> Result<SymbolicPlan, Plan
     let recurrence = Recurrence::from_pair(&pair)
         .expect("plan_unavailability returned None, so the recurrence exists");
     let ran = analysis.relation.range();
-    let partition = ThreeSetPartition::from_range(&analysis.phi, &analysis.relation, &ran);
+    let p2 = intermediate(&analysis.phi, &ran, &analysis.relation.domain());
     // Instantiability gates: the symbolic walk in `instantiate` is only
     // bit-identical to the dense pipeline when (a) every relation piece
     // comes from the coupled pair — otherwise the recurrence maps miss
     // dependences (e.g. a second array coupling the statements) — and
-    // (b) none of the symbolic sets is a Fourier–Motzkin
+    // (b) none of the sets it enumerates is a Fourier–Motzkin
     // over-approximation, since enumerating an over-approximate set can
     // yield points the exact dense path never sees.
     let instantiability = if let Some(foreign) = analysis.foreign_piece_source() {
         Some(PlanUnavailable::ForeignDependenceSource {
             array: foreign.array.clone(),
         })
-    } else if analysis.phi.is_approximate()
-        || partition.p1.is_approximate()
-        || partition.p2.is_approximate()
-        || partition.p3.is_approximate()
-        || partition.w.is_approximate()
-    {
+    } else if analysis.phi.is_approximate() || ran.is_approximate() || p2.is_approximate() {
         Some(PlanUnavailable::ApproximatePartitionSets)
     } else {
         None
     };
     Ok(SymbolicPlan {
-        partition,
         recurrence,
         phi: analysis.phi.clone(),
+        relation: analysis.relation.clone(),
         ran,
+        p2,
+        partition: OnceLock::new(),
         instantiability,
     })
 }
@@ -949,32 +977,67 @@ mod tests {
         }
     }
 
+    /// `a(I + 1) = a(I)`: one uniform chain through the whole loop.
+    fn uniform_chain() -> Program {
+        Program::new(
+            "uniform-chain",
+            &["N"],
+            vec![loop_(
+                "I",
+                c(1),
+                v("N"),
+                vec![stmt(
+                    "S",
+                    vec![
+                        ArrayRef::write("a", vec![v("I") + c(1)]),
+                        ArrayRef::read("a", vec![v("I")]),
+                    ],
+                )],
+            )],
+        )
+    }
+
     #[test]
     fn instance_phase_queries_match_the_dense_partition() {
-        let analysis = rcp_depend::DependenceAnalysis::loop_level(&example1());
-        let plan = symbolic_plan(&analysis).unwrap();
-        let instance = plan.instance(&[10, 10]).unwrap();
-        let dense = match instance.materialise().unwrap() {
-            ConcretePartition::RecurrenceChains { three_set, .. } => three_set,
-            ConcretePartition::Dataflow { .. } => panic!("example 1 uses chains"),
-        };
-        for i in 0..=11i64 {
-            for j in 0..=11i64 {
-                let p = [i, j];
-                let expected = if dense.p1.contains(&p) {
-                    Some(PartitionPhase::Initial)
-                } else if dense.p2.contains(&p) {
-                    Some(PartitionPhase::Intermediate)
-                } else if dense.p3.contains(&p) {
-                    Some(PartitionPhase::Final)
-                } else {
-                    None
+        for (program, bindings) in [
+            (example1(), vec![vec![10i64, 10], vec![12, 7]]),
+            (example2(), vec![vec![12i64], vec![20]]),
+            (uniform_chain(), vec![vec![6i64], vec![11]]),
+        ] {
+            let analysis = rcp_depend::DependenceAnalysis::loop_level(&program);
+            let plan = symbolic_plan(&analysis).unwrap();
+            for values in &bindings {
+                let instance = plan.instance(values).unwrap();
+                // The dense three sets of the concrete path, computed from
+                // the enumerated relation rather than from the plan.
+                let dense = match concrete_partition(&analysis, values) {
+                    ConcretePartition::RecurrenceChains { three_set, .. } => three_set,
+                    ConcretePartition::Dataflow { .. } => panic!("{} uses chains", program.name),
                 };
-                assert_eq!(
-                    instance.phase_of(&p),
-                    expected,
-                    "phase of {p:?} diverges from the enumerated partition"
-                );
+                // Every point of a box that reaches past every bound.
+                let side = values.iter().max().copied().unwrap_or(0) + 2;
+                let points = (0..dense.p1.dim()).fold(vec![Vec::new()], |prefixes, _| {
+                    let extend =
+                        |p: Vec<i64>| (0..=side).map(move |x| [p.as_slice(), &[x]].concat());
+                    prefixes.into_iter().flat_map(extend).collect::<Vec<_>>()
+                });
+                for p in points {
+                    let expected = if dense.p1.contains(&p) {
+                        Some(PartitionPhase::Initial)
+                    } else if dense.p2.contains(&p) {
+                        Some(PartitionPhase::Intermediate)
+                    } else if dense.p3.contains(&p) {
+                        Some(PartitionPhase::Final)
+                    } else {
+                        None
+                    };
+                    assert_eq!(
+                        instance.phase_of(&p),
+                        expected,
+                        "{} at {values:?}: phase of {p:?} diverges from the dense partition",
+                        program.name
+                    );
+                }
             }
         }
     }
@@ -1049,10 +1112,11 @@ mod tests {
     }
 
     /// `a[I] = a[-2·I]` for `-4 ≤ I ≤ 8`: the recurrence `x ↦ -2x` gives
-    /// `-2` two forward successors, `4` and `1`, so a chain ends there.
-    /// The partition sets are hand-made, so only the instance's own
+    /// `-2` two forward successors, `4` and `1`, and every dependence links
+    /// a negative iteration to a positive one, so the true `P2` is empty.
+    /// `ran Rd` and `P2` are hand-made instead, so only the instance's own
     /// validation stands between bad sets and a partition.
-    fn branching_instance(p2: &[i64], w: &[i64]) -> PlanInstance {
+    fn branching_instance(ran: &[i64], p2: &[i64]) -> PlanInstance {
         use rcp_presburger::{Affine, Constraint};
         let program = Program::new(
             "branch",
@@ -1080,45 +1144,50 @@ mod tests {
             });
             UnionSet::from_pieces(space.clone(), pieces.collect())
         };
-        let phi = analysis.phi.bind_params(&[]);
         PlanInstance {
-            partition: ThreeSetPartition {
-                p1: phi.subtract(&points(p2)),
-                p2: points(p2),
-                p3: points(&[]),
-                w: points(w),
-            },
-            phi,
-            ran: points(p2).pieces().to_vec(),
+            phi: analysis.phi.bind_params(&[]),
+            ran: points(ran).pieces().to_vec(),
+            p2: points(p2),
             recurrence: Recurrence::from_pair(&pair).expect("full-rank pair"),
         }
     }
 
     #[test]
-    fn materialise_rejects_chains_that_miss_p2_or_cross() {
-        let detail = |instance: PlanInstance| match instance.materialise() {
-            Err(PlanUnavailable::InstantiationInvalid { detail }) => detail,
+    fn materialise_rejects_chains_that_miss_p2() {
+        // -2 has no earlier image, so no chain starts there, and 1 and 4
+        // follow -2; only 6, whose predecessor -3 is initial, starts one.
+        match branching_instance(&[-2, 1, 4, 6], &[-2, 1, 4, 6]).materialise() {
+            Err(PlanUnavailable::InstantiationInvalid { detail }) => {
+                assert_eq!(detail, "chains cover 1 of 4 intermediate iterations");
+            }
             other => panic!("expected an invalid instantiation, got {other:?}"),
-        };
-        // No chain reaches 6.
-        assert_eq!(
-            detail(branching_instance(&[-2, 1, 4, 6], &[-2, 1, 4])),
-            "chains cover 3 of 4 intermediate iterations"
-        );
-        // The chain of -2 ends at its two successors, and 4 is intermediate
-        // on a chain of its own.
-        assert_eq!(
-            detail(branching_instance(&[-2, 1, 4], &[-2, 1, 4])),
-            "dependence [-2] -> [4] crosses chains 0 and 2"
-        );
-        // With -2 the only intermediate iteration the chain is valid.
-        match branching_instance(&[-2], &[-2]).materialise() {
+        }
+        // With 1 and 4 intermediate, each follows the initial -2 and
+        // starts a chain of its own; 8 is final.
+        match branching_instance(&[1, 4, 8], &[1, 4]).materialise() {
             Ok(ConcretePartition::RecurrenceChains { chains, p3, .. }) => {
-                assert_eq!(chains.len(), 1);
-                assert_eq!(chains[0].iterations, vec![vec![-2]]);
-                assert!(p3.is_empty());
+                let chains: Vec<_> = chains.into_iter().map(|c| c.iterations).collect();
+                assert_eq!(chains, vec![vec![vec![1]], vec![vec![4]]]);
+                assert_eq!(p3.to_vec(), vec![vec![8]]);
             }
             other => panic!("expected recurrence chains, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn validation_rejects_a_dependence_that_crosses_chains() {
+        // A walk from W never leaves a point with two successors, so no
+        // materialised instance reaches the crossing check: it is tested
+        // on hand-made chains.  -2's two successors, 4 and 1, lie on
+        // chains of their own.
+        let instance = branching_instance(&[-2, 1, 4], &[-2, 1, 4]);
+        let p2 = DenseSet::from_points(1, [[-2i64], [1], [4]]);
+        let chain = |x: i64| Chain {
+            iterations: vec![vec![x]],
+        };
+        assert_eq!(
+            instance.validate_instance(&p2, &[chain(-2), chain(1), chain(4)]),
+            Some("dependence [-2] -> [4] crosses chains 0 and 2".to_string())
+        );
     }
 }

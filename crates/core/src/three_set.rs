@@ -19,6 +19,11 @@
 
 use rcp_presburger::{DenseRelation, DenseSet, Relation, UnionSet};
 
+/// `P2 = ran Rd ∩ dom Rd ∩ Φ`, given `ran Rd` and `dom Rd`.
+pub(crate) fn intermediate(phi: &UnionSet, ran: &UnionSet, dom: &UnionSet) -> UnionSet {
+    ran.intersect(dom).intersect(phi)
+}
+
 /// The symbolic three-set partition.
 #[derive(Clone, Debug)]
 pub struct ThreeSetPartition {
@@ -44,7 +49,7 @@ impl ThreeSetPartition {
     pub(crate) fn from_range(phi: &UnionSet, rd: &Relation, ran: &UnionSet) -> ThreeSetPartition {
         let dom = rd.domain();
         let p1 = phi.subtract(ran);
-        let p2 = ran.intersect(&dom).intersect(phi);
+        let p2 = intermediate(phi, ran, &dom);
         let p3 = ran.subtract(&dom).intersect(phi);
         // W = {j | (i -> j) in Rd, i in P1, j in P2}
         let w = rd.restrict_domain(&p1).restrict_range(&p2).range();

@@ -685,8 +685,9 @@ impl Analyzed {
 }
 
 /// The compile-time (symbolic) recurrence-chain plan of Algorithm 1's
-/// then-branch: the three-set partition and the recurrence `i = j·T + u`,
-/// plus the paper-style generated listing.
+/// then-branch: `ran Rd`, the intermediate set and the recurrence
+/// `i = j·T + u`, plus the paper-style generated listing, whose three sets
+/// are built when it is first rendered.
 #[derive(Clone)]
 pub struct Planned {
     analyzed: Analyzed,
@@ -703,7 +704,7 @@ impl fmt::Debug for Planned {
 }
 
 impl Planned {
-    /// The underlying symbolic plan (three sets + recurrence).
+    /// The underlying symbolic plan (`ran Rd`, `P2` + recurrence).
     pub fn plan(&self) -> &SymbolicPlan {
         &self.plan
     }

@@ -45,7 +45,7 @@
 //! );
 //! let analyzed = session.bundled("example1")?;
 //!
-//! // Compile-time (symbolic) plan: three-set partition + recurrence T, u.
+//! // Compile-time (symbolic) plan: ran Rd, P2 + recurrence T, u.
 //! // A fallback would be a typed error saying *why* (PlanUnavailable).
 //! let planned = analyzed.plan()?;
 //! assert_eq!(

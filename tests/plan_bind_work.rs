@@ -7,6 +7,11 @@
 //! iteration space.  Work units are counted, not timed, so the check is
 //! exact on any machine.
 //!
+//! The plan itself builds only what instantiation reads (`ran Rd`, `P2`
+//! and the recurrence); the listing's `P1`, `P3` and `W` wait for
+//! `SymbolicPlan::partition`, so planning charges a small share of the
+//! work of planning and building the listing sets.
+//!
 //! One test function, in a binary of its own, on purpose: the solver and
 //! emptiness caches are process-global, and a warm emptiness cache makes
 //! the same bind charge nothing, so every count starts from reset caches
@@ -43,9 +48,23 @@ fn binding_a_plan_charges_the_same_work_at_every_binding() {
         ),
     ];
     for (name, program, bindings) in sweeps {
-        let plan = symbolic_plan(&DependenceAnalysis::loop_level(&program))
+        let analysis = DependenceAnalysis::loop_level(&program);
+        let plan = symbolic_plan(&analysis)
             .unwrap_or_else(|reason| panic!("{name} has a symbolic plan: {reason}"));
         assert!(plan.is_instantiable(), "{name}");
+        let planning = cold_work(|| {
+            symbolic_plan(&analysis).expect("a symbolic plan");
+        });
+        let with_listing_sets = cold_work(|| {
+            symbolic_plan(&analysis)
+                .expect("a symbolic plan")
+                .partition();
+        });
+        assert!(
+            planning > 0 && 4 * planning < with_listing_sets,
+            "{name}: the plan charged {planning} work units, not under a quarter of the \
+             {with_listing_sets} that the plan and its listing sets charge"
+        );
         let bind: Vec<u64> = bindings
             .iter()
             .map(|b| {
