@@ -30,26 +30,53 @@ impl CompiledRef {
     #[inline]
     pub fn subscript(&self, d: usize, indices: &[i64]) -> i64 {
         let width = self.depth + 1;
-        affine(&self.rows[d * width..(d + 1) * width], indices)
+        affine(&self.rows[d * width..][..width], indices)
     }
 
     /// Evaluates the subscripts at `indices` into `out`, which holds
     /// [`Self::rank`] entries.
     #[inline]
     pub fn eval(&self, indices: &[i64], out: &mut [i64]) {
-        for (x, row) in out.iter_mut().zip(self.rows.chunks_exact(self.depth + 1)) {
-            *x = affine(row, indices);
+        for (x, row) in out.iter_mut().zip(self.subscripts(indices)) {
+            *x = row;
         }
+    }
+
+    /// The subscripts at `indices`, in order, computed as they are taken.
+    #[inline]
+    pub fn subscripts<'a>(&'a self, indices: &'a [i64]) -> impl Iterator<Item = i64> + 'a {
+        (0..self.rank).map(move |d| self.subscript(d, indices))
     }
 }
 
-/// `row[0] + Σ row[k + 1] · indices[k]`.
+/// `row[0] + Σ row[k + 1] · indices[k]`, modulo 2^64, written out for up
+/// to four indices (most nests' depths): a general fold pays about twenty
+/// instructions of set-up per call, several times the work of a shallow
+/// row.
 #[inline]
-fn affine(row: &[i64], indices: &[i64]) -> i64 {
-    row[1..]
-        .iter()
-        .zip(indices)
-        .fold(row[0], |acc, (c, i)| acc + c * i)
+pub(crate) fn affine(row: &[i64], indices: &[i64]) -> i64 {
+    let term = |c: i64, i: i64| c.wrapping_mul(i);
+    match (row, indices) {
+        ([base], []) => *base,
+        ([base, c0], [i0]) => base.wrapping_add(term(*c0, *i0)),
+        ([base, c0, c1], [i0, i1]) => base
+            .wrapping_add(term(*c0, *i0))
+            .wrapping_add(term(*c1, *i1)),
+        ([base, c0, c1, c2], [i0, i1, i2]) => base
+            .wrapping_add(term(*c0, *i0))
+            .wrapping_add(term(*c1, *i1))
+            .wrapping_add(term(*c2, *i2)),
+        ([base, c0, c1, c2, c3], [i0, i1, i2, i3]) => base
+            .wrapping_add(term(*c0, *i0))
+            .wrapping_add(term(*c1, *i1))
+            .wrapping_add(term(*c2, *i2))
+            .wrapping_add(term(*c3, *i3)),
+        _ => {
+            let (base, coefficients) = row.split_first().unwrap_or((&0, &[]));
+            (coefficients.iter().zip(indices))
+                .fold(*base, |acc, (&c, &i)| acc.wrapping_add(term(c, i)))
+        }
+    }
 }
 
 /// Every reference of a program, compiled once.
@@ -167,6 +194,7 @@ mod tests {
                         .map(|d| compiled.subscript(d, &point))
                         .collect();
                     assert_eq!(each, want);
+                    assert_eq!(compiled.subscripts(&point).collect::<Vec<_>>(), want);
                 }
             }
         }

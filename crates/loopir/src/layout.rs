@@ -47,7 +47,7 @@
 //! their boxes: a schedule records the boxes of the instances it holds,
 //! and the tracer takes them from the loop bounds.
 
-use crate::compiled::{CompiledRef, CompiledRefs};
+use crate::compiled::{affine, CompiledRef, CompiledRefs};
 
 /// How many cells a layout may hold per write, on top of [`FREE_CELLS`].
 /// The bundled workloads need at most about 20.
@@ -205,12 +205,8 @@ impl StatementRows {
     pub fn address(&self, k: usize, indices: &[i64]) -> Address {
         match self.routes[k] {
             Route::Flat => {
-                let row = &self.rows[k * self.width..(k + 1) * self.width];
-                let offset = row[1..]
-                    .iter()
-                    .zip(indices)
-                    .fold(row[0], |acc, (&c, &i)| acc.wrapping_add(c.wrapping_mul(i)));
-                Address::Cell(offset as usize)
+                let row = &self.rows[k * self.width..][..self.width];
+                Address::Cell(affine(row, indices) as usize)
             }
             Route::Subscripts => Address::Subscripts,
             Route::Unwritten => Address::Unwritten,

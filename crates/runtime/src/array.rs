@@ -33,18 +33,30 @@
 //! typed [`rcp_guard::BudgetExceeded`] (stage `execution`, resource
 //! `cells`), which the session's checked entry points report as an error.
 //!
-//! Kernels reach the store only through a [`StoreView`]: an exclusive view
-//! grows boxes, a shared view (one per worker and phase) does not, and on
-//! checked runs either one stamps every cell it writes with the writing
-//! unit, so that a unit touching a cell another unit of the same phase
-//! wrote is reported as a conflict.
+//! Kernels reach the store only through a [`StoreView`].  An exclusive
+//! view grows boxes.  Every other view has fixed boxes and borrows each
+//! array's cells, written bits and stamps once, when it is made: a shared
+//! view (one per thread of a parallel run), and the view of a one-thread
+//! run over a store a kernel laid out, through which that kernel reaches
+//! cells by flat offset (`StoreView::cells`).  On checked runs every
+//! view stamps each cell it writes with the writing unit, so that a unit
+//! touching a cell another unit of the same phase wrote is reported as a
+//! conflict.
 //!
 //! Memory ordering: the executor's phase barrier orders one phase's
-//! writes before the next phase's reads.  Within a phase a write stores
-//! the stamp, then the value with `Release`, then sets the written bit
-//! with a `Release` read-modify-write; a read loads the bit and the value
-//! with `Acquire`, then the stamp.  A read that sees another unit's value
-//! therefore sees its stamp as well.
+//! writes before the next phase's reads.  Where no other thread touches
+//! the store — an exclusive view, the view of a one-thread run, and a
+//! shared view while its thread runs a phase the others skip, waiting at
+//! the barrier (`StoreView::set_alone`) — a write sets the stamp and the
+//! written bit with plain loads and stores, not a locked
+//! read-modify-write: the barrier, or the thread that made the store and
+//! gets it back, orders them before any other thread's access.  Otherwise
+//! a write swaps the stamp (`AcqRel`), stores the value with `Release`,
+//! then, when the written bit is still clear, sets it with a `Release`
+//! `fetch_or`, since the other cells of its 64-bit word may belong to
+//! other threads; a read loads the bit and the value with `Acquire`, then
+//! the stamp.  A read that sees another unit's value therefore sees its
+//! stamp as well.
 
 use rcp_intlin::IVec;
 use rcp_loopir::{cell_limit, ArrayLayout, ElementLayout};
@@ -166,10 +178,17 @@ impl Array {
     /// The deterministic initial value of an element.
     #[inline]
     pub fn initial_value(index: &[i64]) -> f64 {
+        Self::initial_value_at(index.iter().copied())
+    }
+
+    /// [`Self::initial_value`] of the element whose subscripts `index`
+    /// yields in order.
+    #[inline]
+    pub(crate) fn initial_value_at(index: impl Iterator<Item = i64>) -> f64 {
         // A small, smooth, index-dependent value keeps kernels numerically
         // tame while making distinct elements distinguishable.
         let mut acc = 1.0f64;
-        for (k, &x) in index.iter().enumerate() {
+        for (k, x) in index.enumerate() {
             acc += (x as f64) * 0.01 * (k as f64 + 1.0);
         }
         acc
@@ -261,27 +280,74 @@ impl Array {
         }
         Layout::spanning(&lo, &hi)
     }
+}
 
-    /// Writes `bits` to the cell at `offset` through a shared reference,
-    /// stamping it with `stamp` unless that is 0; returns the cell's
-    /// previous stamp (0 when unstamped).
+/// One array's cells, written bits and stamps, borrowed from the store:
+/// everything an access by flat offset touches.
+#[derive(Clone, Copy)]
+struct ArrayCells<'s> {
+    cells: &'s [AtomicU64],
+    written: &'s [AtomicU64],
+    stamps: &'s [AtomicU64],
+}
+
+impl<'s> ArrayCells<'s> {
+    fn of(array: &'s Array) -> Self {
+        ArrayCells {
+            cells: &array.cells,
+            written: &array.written,
+            stamps: &array.stamps,
+        }
+    }
+
+    /// The value at `offset`: `Some` of the written value or of `None`
+    /// while unwritten, `None` outside the cells.
     #[inline]
-    fn write(&self, offset: usize, bits: u64, stamp: u64) -> u64 {
+    fn read(&self, offset: usize) -> Option<Option<f64>> {
+        let cell = self.cells.get(offset)?;
+        let (word, mask) = bit(offset);
+        let written = self.written[word].load(Ordering::Acquire) & mask != 0;
+        Some(written.then(|| f64::from_bits(cell.load(Ordering::Acquire))))
+    }
+
+    /// The stamp of the last unit that wrote the cell at `offset`, 0 when
+    /// unstamped.
+    #[inline]
+    fn stamp(&self, offset: usize) -> u64 {
+        self.stamps
+            .get(offset)
+            .map_or(0, |s| s.load(Ordering::Relaxed))
+    }
+
+    /// Writes `bits` to the cell at `offset`, stamping it with `stamp`
+    /// unless that is 0, and returns the cell's previous stamp (0 when
+    /// unstamped); `None`, writing nothing, outside the cells.  `alone`
+    /// says that no other thread touches the store (see the module docs).
+    #[inline]
+    fn write(&self, offset: usize, bits: u64, stamp: u64, alone: bool) -> Option<u64> {
+        let cell = self.cells.get(offset)?;
         // Stamp, then value (release), then written bit: a reader whose
         // acquire load sees the value also sees the stamp.  Unstamped
         // writes (single-unit phases, unchecked runs) leave the stamp
         // alone: no other unit runs beside them.
         let previous = match self.stamps.get(offset) {
+            Some(s) if stamp != 0 && alone => {
+                let previous = s.load(Ordering::Relaxed);
+                s.store(stamp, Ordering::Relaxed);
+                previous
+            }
             Some(s) if stamp != 0 => s.swap(stamp, Ordering::AcqRel),
             _ => 0,
         };
-        self.cells[offset].store(bits, Ordering::Release);
+        cell.store(bits, Ordering::Release);
         let (word, mask) = bit(offset);
         let word = &self.written[word];
-        if word.load(Ordering::Relaxed) & mask == 0 {
+        if alone {
+            word.store(word.load(Ordering::Relaxed) | mask, Ordering::Relaxed);
+        } else if word.load(Ordering::Relaxed) & mask == 0 {
             word.fetch_or(mask, Ordering::Release);
         }
-        previous
+        Some(previous)
     }
 }
 
@@ -513,6 +579,15 @@ impl ArrayStore {
         self.layout = None;
     }
 
+    /// The element layout a kernel laid the store out as and that
+    /// kernel's id, while the layout holds.
+    fn current_layout(&self) -> Option<(u64, &ElementLayout)> {
+        self.layout
+            .as_ref()
+            .filter(|l| l.generation == self.arrays.generation)
+            .map(|l| (l.owner, &l.layout))
+    }
+
     /// Grows each slot's box to contain its `lo..=hi` (`boxes` is indexed
     /// by slot; a box with `lo > hi` leaves its slot alone) for a run that
     /// writes `writes` elements, refusing the layout — before allocating
@@ -713,61 +788,99 @@ fn compare_arrays(
 enum Holding<'s> {
     /// Sole access: writes may grow boxes.
     Exclusive(&'s mut Arrays),
-    /// Shared with the other units of a parallel phase: boxes are fixed,
-    /// cells are written atomically.
-    Shared(&'s Arrays),
+    /// Fixed boxes (see [`Fixed`]).
+    Fixed(Fixed<'s>),
+}
+
+impl Holding<'_> {
+    #[inline]
+    fn arrays(&self) -> &Arrays {
+        match self {
+            Holding::Exclusive(arrays) => arrays,
+            Holding::Fixed(fixed) => fixed.arrays,
+        }
+    }
+}
+
+/// A store's arrays with their boxes fixed for the life of a view.
+struct Fixed<'s> {
+    arrays: &'s Arrays,
+    /// Slot → its array's cells, written bits and stamps, borrowed once.
+    slots: Vec<ArrayCells<'s>>,
+    /// The element layout the arrays are laid out as and the kernel that
+    /// laid them out, while the layout holds.
+    layout: Option<(u64, &'s ElementLayout)>,
+    /// True while no other thread touches the store (see the module
+    /// docs).
+    alone: bool,
+}
+
+impl<'s> Fixed<'s> {
+    fn new(store: &'s ArrayStore, alone: bool) -> Self {
+        Fixed {
+            arrays: &store.arrays,
+            slots: store
+                .arrays
+                .list
+                .iter()
+                .map(|(_, a)| ArrayCells::of(a))
+                .collect(),
+            layout: store.current_layout(),
+            alone,
+        }
+    }
 }
 
 /// A kernel's access to the store while it runs one unit of work.
 ///
 /// Compiled kernels address arrays by slot ([`Self::read_slot`],
-/// [`Self::write_slot`]); [`Self::read`] and [`Self::write`] go by name.
-/// A write outside a shared view's reserved box is not made and is
-/// reported as a conflict, as is, on checked runs, any access to a cell
-/// another unit of the same phase wrote.  An exclusive view grows the box
-/// instead, and refuses a growth beyond the store's cell limit with a
-/// typed unwind (see the module docs).
+/// [`Self::write_slot`]), or by flat offset in a store they laid out
+/// (`Self::cells`); [`Self::read`] and [`Self::write`] go by name.  A
+/// write outside a box that cannot grow is not made and is reported as a
+/// conflict, as is, on checked runs, any access to a cell another unit of
+/// the same phase wrote.  An exclusive view grows the box instead, and
+/// refuses a growth beyond the store's cell limit with a typed unwind (see
+/// the module docs).
 pub struct StoreView<'s> {
     store: Holding<'s>,
-    /// The element layout the arrays are laid out as and the kernel that
-    /// laid them out, while the layout holds: checked once, when the view
-    /// is made, and dropped when the view grows a box.
-    layout: Option<(u64, &'s ElementLayout)>,
     /// The running unit's `(phase + 1) << 32 | unit` stamp on checked
     /// runs, 0 otherwise.
     stamp: u64,
     conflicts: Vec<(String, IVec)>,
+    /// The instances of a run a kernel ran by subscripts through the view,
+    /// charged to `executor.instances.by_subscripts` once, when the view
+    /// ends.
+    by_subscripts: u64,
 }
 
 impl<'s> StoreView<'s> {
-    /// A view with sole access to `store`.
-    pub(crate) fn exclusive(store: &'s mut ArrayStore) -> Self {
-        let ArrayStore { arrays, layout } = store;
-        let layout = layout
-            .as_ref()
-            .filter(|l| l.generation == arrays.generation)
-            .map(|l| (l.owner, &l.layout));
+    fn new(store: Holding<'s>) -> Self {
         StoreView {
-            store: Holding::Exclusive(arrays),
-            layout,
+            store,
             stamp: 0,
             conflicts: Vec::new(),
+            by_subscripts: 0,
         }
     }
 
-    /// A view sharing `store` with other units of the same phase.
-    pub(crate) fn shared(store: &'s ArrayStore) -> Self {
-        let layout = store
-            .layout
-            .as_ref()
-            .filter(|l| l.generation == store.arrays.generation)
-            .map(|l| (l.owner, &l.layout));
-        StoreView {
-            store: Holding::Shared(&store.arrays),
-            layout,
-            stamp: 0,
-            conflicts: Vec::new(),
+    /// A view with sole access to `store`, whose writes grow boxes.
+    pub(crate) fn exclusive(store: &'s mut ArrayStore) -> Self {
+        Self::new(Holding::Exclusive(&mut store.arrays))
+    }
+
+    /// The view of a run on one thread: the fixed boxes of the layout a
+    /// kernel laid `store` out as while it holds, else an exclusive view.
+    pub(crate) fn alone(store: &'s mut ArrayStore) -> Self {
+        if store.current_layout().is_some() {
+            Self::new(Holding::Fixed(Fixed::new(store, true)))
+        } else {
+            Self::exclusive(store)
         }
+    }
+
+    /// A view sharing `store` with the other threads of a run.
+    pub(crate) fn shared(store: &'s ArrayStore) -> Self {
+        Self::new(Holding::Fixed(Fixed::new(store, false)))
     }
 
     /// Stamps later accesses as unit `unit` of phase `phase`, or stops
@@ -778,151 +891,95 @@ impl<'s> StoreView<'s> {
         });
     }
 
-    /// The conflicts found so far.
-    pub(crate) fn into_conflicts(self) -> Vec<(String, IVec)> {
-        self.conflicts
-    }
-
-    #[inline]
-    fn arrays(&self) -> &Arrays {
-        match &self.store {
-            Holding::Exclusive(arrays) => arrays,
-            Holding::Shared(arrays) => arrays,
+    /// Says whether no other thread touches the store until the next call:
+    /// writes then set written bits and stamps with plain loads and stores
+    /// (see the module docs).  An exclusive view is always alone.
+    pub(crate) fn set_alone(&mut self, alone: bool) {
+        if let Holding::Fixed(fixed) = &mut self.store {
+            fixed.alone = alone;
         }
     }
 
-    fn conflict(&mut self, slot: usize, index: &[i64]) {
-        let name = self.arrays().name(slot).to_string();
-        self.conflicts.push((name, index.to_vec()));
+    /// Counts `instances` instances of a run that a kernel runs by
+    /// subscripts.
+    pub(crate) fn ran_by_subscripts(&mut self, instances: usize) {
+        self.by_subscripts += instances as u64;
     }
 
-    /// The element layout the store is laid out as, when kernel `owner`
-    /// laid it out and it still holds.  It borrows the store, not the
-    /// view.
+    /// The conflicts found so far.
+    pub(crate) fn into_conflicts(mut self) -> Vec<(String, IVec)> {
+        std::mem::take(&mut self.conflicts)
+    }
+
+    /// The cells of the store kernel `owner` laid out, by flat offset, for
+    /// one range of a run: `None` unless the view's boxes are fixed and
+    /// that kernel's layout holds.
     #[inline]
-    pub(crate) fn layout(&self, owner: u64) -> Option<&'s ElementLayout> {
-        match self.layout {
-            Some((id, layout)) if id == owner => Some(layout),
+    pub(crate) fn cells(&mut self, owner: u64) -> Option<Cells<'_, 's>> {
+        let StoreView {
+            store: Holding::Fixed(fixed),
+            stamp,
+            conflicts,
+            ..
+        } = self
+        else {
+            return None;
+        };
+        match fixed.layout {
+            Some((id, layout)) if id == owner => Some(Cells {
+                layout,
+                slots: &fixed.slots,
+                arrays: fixed.arrays,
+                alone: fixed.alone,
+                stamp: *stamp,
+                conflicts,
+            }),
             _ => None,
         }
-    }
-
-    /// Reads the cell at `offset` of the array in `slot`: `Some` of its
-    /// value, `None` while it is unwritten.  Outside the array's cells it
-    /// reads nothing and returns `Err`.  A flat offset addresses the right
-    /// cell only while the layout that gave it holds.
-    #[inline]
-    pub(crate) fn read_cell(&mut self, slot: usize, offset: usize) -> Result<Option<f64>, ()> {
-        let stamp = self.stamp;
-        let Some((_, array)) = self.arrays().list.get(slot) else {
-            return Err(());
-        };
-        if offset >= array.cells.len() {
-            return Err(());
-        }
-        // Value (acquire) before stamp: see `write_slot`.
-        let value = array.cell(offset);
-        if stamp != 0
-            && collides(
-                array
-                    .stamps
-                    .get(offset)
-                    .map_or(0, |s| s.load(Ordering::Relaxed)),
-                stamp,
-            )
-        {
-            self.conflict_at(slot, offset);
-        }
-        Ok(value)
-    }
-
-    /// Writes the cell at `offset` of the array in `slot` (see
-    /// [`Self::read_cell`]); false, writing nothing, outside the array's
-    /// cells.
-    #[inline]
-    pub(crate) fn write_cell(&mut self, slot: usize, offset: usize, value: f64) -> bool {
-        let stamp = self.stamp;
-        let previous = match self.arrays().list.get(slot) {
-            Some((_, array)) if offset < array.cells.len() => {
-                array.write(offset, value.to_bits(), stamp)
-            }
-            _ => return false,
-        };
-        if collides(previous, stamp) {
-            self.conflict_at(slot, offset);
-        }
-        true
-    }
-
-    /// Reports a conflict on the cell at `offset` of the array in `slot`.
-    #[cold]
-    fn conflict_at(&mut self, slot: usize, offset: usize) {
-        let array = &self.arrays().list[slot].1;
-        let mut index = vec![0i64; array.rank()];
-        array.index_of(offset, &mut index);
-        self.conflict(slot, &index);
     }
 
     /// Reads element `index` of the array in `slot`.
     #[inline]
     pub fn read_slot(&mut self, slot: usize, index: &[i64]) -> f64 {
-        let stamp = self.stamp;
-        let located = self
-            .arrays()
-            .list
-            .get(slot)
-            .and_then(|(_, array)| array.offset(index).map(|o| (array, o)));
-        let (value, collided) = match located {
-            Some((array, o)) => {
-                // Value (acquire) before stamp: see `write_slot`.
-                let value = array.cell(o);
-                let collided = stamp != 0
-                    && collides(
-                        array.stamps.get(o).map_or(0, |s| s.load(Ordering::Relaxed)),
-                        stamp,
-                    );
-                (value, collided)
-            }
-            None => (None, false),
-        };
-        if collided {
-            self.conflict(slot, index);
-        }
-        value.unwrap_or_else(|| Array::initial_value(index))
+        read_index(
+            self.store.arrays(),
+            slot,
+            index,
+            self.stamp,
+            &mut self.conflicts,
+        )
     }
 
     /// Writes element `index` of the array in `slot`.
     #[inline]
     pub fn write_slot(&mut self, slot: usize, index: &[i64], value: f64) {
-        let located = |arrays: &Arrays| {
-            arrays
-                .list
-                .get(slot)
-                .and_then(|(_, array)| array.offset(index))
-        };
-        let mut offset = located(self.arrays());
-        if offset.is_none() {
-            if let Holding::Exclusive(arrays) = &mut self.store {
-                arrays.grow(slot, index);
-                offset = located(arrays);
-                // The box moved: flat offsets no longer hold.
-                self.layout = None;
+        let alone = match &mut self.store {
+            Holding::Exclusive(arrays) => {
+                let inside = arrays
+                    .list
+                    .get(slot)
+                    .is_some_and(|(_, array)| array.offset(index).is_some());
+                if !inside {
+                    arrays.grow(slot, index);
+                }
+                true
             }
-        }
-        let stamp = self.stamp;
-        let previous = offset.and_then(|o| {
-            let (_, array) = self.arrays().list.get(slot)?;
-            Some(array.write(o, value.to_bits(), stamp))
-        });
-        match previous {
-            Some(previous) if !collides(previous, stamp) => {}
-            _ => self.conflict(slot, index),
-        }
+            Holding::Fixed(fixed) => fixed.alone,
+        };
+        write_index(
+            self.store.arrays(),
+            slot,
+            index,
+            value,
+            self.stamp,
+            alone,
+            &mut self.conflicts,
+        );
     }
 
     /// Reads `array[index]`.
     pub fn read(&mut self, array: &str, index: &[i64]) -> f64 {
-        match self.arrays().slot(array, index.len()) {
+        match self.store.arrays().slot(array, index.len()) {
             Some(slot) => self.read_slot(slot, index),
             None => Array::initial_value(index),
         }
@@ -932,12 +989,158 @@ impl<'s> StoreView<'s> {
     pub fn write(&mut self, array: &str, index: &[i64], value: f64) {
         let slot = match &mut self.store {
             Holding::Exclusive(arrays) => Some(arrays.slot_or_insert(array, index.len())),
-            Holding::Shared(arrays) => arrays.slot(array, index.len()),
+            Holding::Fixed(fixed) => fixed.arrays.slot(array, index.len()),
         };
         match slot {
             Some(slot) => self.write_slot(slot, index, value),
             None => self.conflicts.push((array.to_string(), index.to_vec())),
         }
+    }
+}
+
+/// A view charges the instances a kernel ran through it by subscripts
+/// when it ends.
+impl Drop for StoreView<'_> {
+    fn drop(&mut self) {
+        if self.by_subscripts > 0 {
+            crate::executor::metrics()
+                .by_subscripts
+                .add(self.by_subscripts);
+        }
+    }
+}
+
+/// The cells of a store a kernel laid out, reached by the flat offsets of
+/// its [`ElementLayout`] for one range of a run (`StoreView::cells`).
+pub(crate) struct Cells<'v, 's> {
+    /// The layout whose flat rows address the cells.
+    pub(crate) layout: &'s ElementLayout,
+    /// [`Fixed`]'s slots, arrays and `alone`, and the view's stamp and
+    /// conflicts.
+    slots: &'v [ArrayCells<'s>],
+    arrays: &'s Arrays,
+    alone: bool,
+    stamp: u64,
+    conflicts: &'v mut Vec<(String, IVec)>,
+}
+
+impl Cells<'_, '_> {
+    /// The cell at `offset` of the array in `slot`: `Some` of its value,
+    /// or of `None` while it is unwritten; `None` outside the array's
+    /// cells.  A flat offset addresses the right cell only for an instance
+    /// inside its statement's box.
+    #[inline]
+    pub(crate) fn read(&mut self, slot: usize, offset: usize) -> Option<Option<f64>> {
+        let cells = self.slots.get(slot)?;
+        // Value (acquire) before stamp: see the module docs.
+        let value = cells.read(offset)?;
+        if self.stamp != 0 && collides(cells.stamp(offset), self.stamp) {
+            conflict_at(self.conflicts, self.arrays, slot, offset);
+        }
+        Some(value)
+    }
+
+    /// Writes the cell at `offset` of the array in `slot` (see
+    /// [`Self::read`]); false, writing nothing, outside the array's cells.
+    #[inline]
+    pub(crate) fn write(&mut self, slot: usize, offset: usize, value: f64) -> bool {
+        let written = (self.slots.get(slot))
+            .and_then(|cells| cells.write(offset, value.to_bits(), self.stamp, self.alone));
+        match written {
+            Some(previous) => {
+                if collides(previous, self.stamp) {
+                    conflict_at(self.conflicts, self.arrays, slot, offset);
+                }
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Reads element `index` of the array in `slot` by its subscripts: a
+    /// read the layout leaves outside the box.
+    pub(crate) fn read_index(&mut self, slot: usize, index: &[i64]) -> f64 {
+        read_index(self.arrays, slot, index, self.stamp, self.conflicts)
+    }
+
+    /// Writes element `index` of the array in `slot` by its subscripts:
+    /// outside the fixed box it is a conflict.
+    pub(crate) fn write_index(&mut self, slot: usize, index: &[i64], value: f64) {
+        let (stamp, alone) = (self.stamp, self.alone);
+        write_index(
+            self.arrays,
+            slot,
+            index,
+            value,
+            stamp,
+            alone,
+            self.conflicts,
+        );
+    }
+}
+
+/// Element `index` of the array in `slot` as the unit stamped `stamp`
+/// reads it, the initial value where nothing wrote it; a read of another
+/// unit's write of the same phase is recorded in `conflicts`.
+#[inline]
+fn read_index(
+    arrays: &Arrays,
+    slot: usize,
+    index: &[i64],
+    stamp: u64,
+    conflicts: &mut Vec<(String, IVec)>,
+) -> f64 {
+    let located = arrays
+        .list
+        .get(slot)
+        .and_then(|(_, array)| array.offset(index).map(|o| (ArrayCells::of(array), o)));
+    let Some((cells, offset)) = located else {
+        return Array::initial_value(index);
+    };
+    // Value (acquire) before stamp: see the module docs.
+    let value = cells.read(offset).flatten();
+    if stamp != 0 && collides(cells.stamp(offset), stamp) {
+        conflict(conflicts, arrays, slot, index);
+    }
+    value.unwrap_or_else(|| Array::initial_value(index))
+}
+
+/// Writes element `index` of the array in `slot` as the unit stamped
+/// `stamp`, `alone` or not (see [`ArrayCells::write`]); a write outside
+/// the array's box, which is not made, or over another unit's write of
+/// the same phase is recorded in `conflicts`.
+#[inline]
+fn write_index(
+    arrays: &Arrays,
+    slot: usize,
+    index: &[i64],
+    value: f64,
+    stamp: u64,
+    alone: bool,
+    conflicts: &mut Vec<(String, IVec)>,
+) {
+    let previous = arrays.list.get(slot).and_then(|(_, array)| {
+        ArrayCells::of(array).write(array.offset(index)?, value.to_bits(), stamp, alone)
+    });
+    match previous {
+        Some(previous) if !collides(previous, stamp) => {}
+        _ => conflict(conflicts, arrays, slot, index),
+    }
+}
+
+/// Records a conflict on element `index` of the array in `slot`.
+#[cold]
+fn conflict(conflicts: &mut Vec<(String, IVec)>, arrays: &Arrays, slot: usize, index: &[i64]) {
+    conflicts.push((arrays.name(slot).to_string(), index.to_vec()));
+}
+
+/// Records a conflict on the cell at `offset` of the array in `slot`.
+#[cold]
+fn conflict_at(conflicts: &mut Vec<(String, IVec)>, arrays: &Arrays, slot: usize, offset: usize) {
+    if let Some((_, array)) = arrays.list.get(slot) {
+        let mut index = vec![0i64; array.rank()];
+        array.index_of(offset, &mut index);
+        conflict(conflicts, arrays, slot, &index);
     }
 }
 

@@ -46,18 +46,22 @@ use std::time::Instant;
 /// Registry handles for the executor's phase statistics — the
 /// `executor.*` metrics a profile or `rcp stats` reports.  Resolved once;
 /// each use is one relaxed `fetch_add`.
-struct ExecMetrics {
+pub(crate) struct ExecMetrics {
     phases: rcp_trace::Counter,
     races: rcp_trace::Counter,
     phase_us: rcp_trace::Histogram,
+    /// The instances a kernel ran by subscripts, outside its compiled
+    /// path ([`crate::RefKernel`]).
+    pub(crate) by_subscripts: rcp_trace::Counter,
 }
 
-fn metrics() -> &'static ExecMetrics {
+pub(crate) fn metrics() -> &'static ExecMetrics {
     static METRICS: OnceLock<ExecMetrics> = OnceLock::new();
     METRICS.get_or_init(|| ExecMetrics {
         phases: rcp_trace::counter("executor.phases"),
         races: rcp_trace::counter("executor.races"),
         phase_us: rcp_trace::histogram("executor.phase_us"),
+        by_subscripts: rcp_trace::counter("executor.instances.by_subscripts"),
     })
 }
 
@@ -89,8 +93,8 @@ pub fn execute_sequential(schedule: &Schedule, kernel: &dyn Kernel) -> ArrayStor
     let _span = rcp_trace::span!("executor.sequential");
     let mut store = ArrayStore::new();
     kernel.reserve(schedule, &mut store);
-    let mut view = StoreView::exclusive(&mut store);
-    run_instances(schedule, 0..schedule.n_instances(), kernel, &mut view);
+    let mut view = StoreView::alone(&mut store);
+    kernel.run_range(schedule, 0..schedule.n_instances(), &mut view);
     drop(view);
     store
 }
@@ -232,7 +236,7 @@ impl ParallelExecutor {
             payload: Mutex::new(None),
         };
         let mut races = if threads == 1 {
-            run.thread(0, StoreView::exclusive(&mut store))
+            run.thread(0, StoreView::alone(&mut store))
         } else {
             run.on_threads(&store, threads)
         };
@@ -328,6 +332,9 @@ impl Run<'_> {
             if shared {
                 self.barrier.wait();
             }
+            // The other threads skip a phase they do not share: they wait
+            // at the next shared phase's barrier.
+            view.set_alone(!shared);
             self.guarded(t, || {
                 rcp_guard::fail_point("runtime::phase", Stage::Execution);
                 self.run_units(&mut view, p, &phase, units);
@@ -357,13 +364,13 @@ impl Run<'_> {
             for k in units {
                 view.set_unit(Some((p, k)));
                 let range = phase.unit(k).instance_range();
-                run_instances(self.schedule, range, self.kernel, view);
+                self.kernel.run_range(self.schedule, range, view);
             }
             view.set_unit(None);
         } else if !units.is_empty() {
             let first = phase.unit(units.start).instance_range().start;
             let end = phase.unit(units.end - 1).instance_range().end;
-            run_instances(self.schedule, first..end, self.kernel, view);
+            self.kernel.run_range(self.schedule, first..end, view);
         }
     }
 
@@ -386,18 +393,6 @@ impl Run<'_> {
         let mut slot = self.payload.lock().unwrap_or_else(PoisonError::into_inner);
         slot.get_or_insert(payload);
         self.failed.store(true, Ordering::Relaxed);
-    }
-}
-
-/// Runs the schedule's instances `range` in slab order.
-fn run_instances(
-    schedule: &Schedule,
-    range: Range<usize>,
-    kernel: &dyn Kernel,
-    view: &mut StoreView,
-) {
-    for (stmt, indices) in schedule.instances_in(range) {
-        kernel.run(stmt, indices, view);
     }
 }
 

@@ -4,7 +4,9 @@
 //! statement; the runtime additionally needs the statement's actual
 //! computation to execute and verify schedules.  A [`Kernel`] maps a
 //! statement id and its loop index values to reads and writes through a
-//! [`StoreView`].
+//! [`StoreView`]; the executors hand it one slab range of a schedule per
+//! call ([`Kernel::run_range`]): a checked unit, a thread's block of a
+//! phase, or a whole one-thread run.
 //!
 //! [`RefKernel`] derives a canonical kernel directly from the references of
 //! a [`Program`]: every statement computes
@@ -13,27 +15,32 @@
 //! contents — which is exactly what the schedule-verification tests rely on.
 //! Each reference is compiled once to an array slot and its affine
 //! subscript rows ([`rcp_loopir::CompiledRefs`], shared with the dataflow
-//! tracer), so running an instance allocates nothing.
+//! tracer), and each statement to one access list: its reads, each with
+//! its weight in the combine, then its writes.
 //!
 //! Before a run, [`RefKernel`] lays the store out as an
 //! [`rcp_loopir::ElementLayout`] of the statement boxes the schedule
 //! recorded as it was built: O(references) work, with no pass over the
-//! schedule's instances.  In a store it laid out, an access is one dot
-//! product of the reference's flat row and one range check.  It evaluates
-//! the per-dimension subscripts only for the initial value of an element
-//! nothing wrote, for a read the layout leaves outside the box, and in a
-//! store it did not lay out, where a write may grow a box.  When the
-//! layout hashes an array, whose box from the statement boxes would pass
-//! the cell limit, the kernel instead reserves the exact box of the
-//! schedule's writes, from one pass over its instances, and holds no
+//! schedule's instances.  A range over a store it laid out runs through
+//! the access lists: it takes the layout and the cells the view borrowed
+//! when it was made once per range (`StoreView::cells`), and an access is
+//! one dot product of the reference's flat row and one slice index;
+//! nothing is allocated per range or unit.  An unwritten element's initial
+//! value comes from its subscripts as they are computed.  The kernel goes by
+//! subscripts only for a read the layout leaves outside the box, for
+//! [`Kernel::execute`], and in a store it did not lay out, where a write
+//! may grow a box; a run over such a store goes instance by instance, and
+//! the `executor.instances.by_subscripts` counter counts its instances.
+//! When the layout hashes an array, whose box from the statement boxes
+//! would pass the cell limit, the kernel instead reserves the exact box of
+//! the schedule's writes, from one pass over its instances, and holds no
 //! layout: a band such as `a(J - I, I)` for `J = I, I + 1` writes 2·N
 //! elements, which its interval box of 2·N² cells would not admit.
 
-use crate::array::{Array, ArrayStore, StoreView};
+use crate::array::{Array, ArrayStore, Cells, StoreView};
 use rcp_codegen::Schedule;
-use rcp_loopir::{
-    Address, ArrayLayout, CompiledRef, CompiledRefs, ElementLayout, Program, StatementRows,
-};
+use rcp_loopir::{Address, ArrayLayout, CompiledRef, CompiledRefs, ElementLayout, Program};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The computation of a program's statements.
@@ -41,6 +48,14 @@ pub trait Kernel: Sync {
     /// Runs statement `stmt_id` at the given loop index values through the
     /// store view.
     fn run(&self, stmt_id: usize, indices: &[i64], store: &mut StoreView<'_>);
+
+    /// Runs the instances `range` of `schedule`'s slab, in slab order,
+    /// through the store view.  The default runs them one by one.
+    fn run_range(&self, schedule: &Schedule, range: Range<usize>, store: &mut StoreView<'_>) {
+        for (stmt, indices) in schedule.instances_in(range) {
+            self.run(stmt, indices, store);
+        }
+    }
 
     /// Lays `store` out for a run of `schedule` before any instance runs:
     /// binds the arrays the kernel addresses by slot, and reserves a box
@@ -97,9 +112,66 @@ fn with_index<R>(r: &CompiledRef, indices: &[i64], f: impl FnOnce(&[i64]) -> R) 
     }
 }
 
+/// Reads by subscripts the element `r` addresses at `indices`: a read the
+/// layout leaves outside its array's box.
+#[inline(never)]
+fn read_outside(cells: &mut Cells, r: &CompiledRef, indices: &[i64]) -> f64 {
+    with_index(r, indices, |index| cells.read_index(r.slot, index))
+}
+
+/// Writes by subscripts the element `r` addresses at `indices`, which no
+/// flat offset placed: a conflict, since the boxes are fixed.
+#[inline(never)]
+fn write_outside(cells: &mut Cells, r: &CompiledRef, indices: &[i64], value: f64) {
+    with_index(r, indices, |index| cells.write_index(r.slot, index, value));
+}
+
 /// Source of [`RefKernel`] ids, which tell the layouts of different
 /// kernels apart.
 static NEXT_KERNEL: AtomicU64 = AtomicU64::new(1);
+
+/// One statement's accesses, compiled once: each reference's index into
+/// the statement's [`CompiledRefs`] entry and its array slot.
+struct Accesses {
+    /// Each read in reference order, with its weight in the combine.
+    reads: Box<[(usize, usize, f64)]>,
+    /// Each write in reference order.
+    writes: Box<[(usize, usize)]>,
+}
+
+impl Accesses {
+    fn new(refs: &[CompiledRef]) -> Self {
+        let reads = refs.iter().enumerate().filter(|(_, r)| !r.write);
+        Accesses {
+            reads: reads
+                .enumerate()
+                .map(|(n, (k, r))| (k, r.slot, 1.0 + 0.1 * (n as f64 + 1.0)))
+                .collect(),
+            writes: (refs.iter().enumerate())
+                .filter(|(_, r)| r.write)
+                .map(|(k, r)| (k, r.slot))
+                .collect(),
+        }
+    }
+
+    /// The value the statement stores at `indices`: its reads, each taken
+    /// through `read` by reference index, combined with an
+    /// order-sensitive function of the loop indices, so that any
+    /// violation of a flow or anti dependence changes the result.
+    #[inline]
+    fn value(&self, indices: &[i64], mut read: impl FnMut(usize, usize) -> f64) -> f64 {
+        let mut acc = 0.5;
+        for &(k, slot, weight) in self.reads.iter() {
+            acc = acc * 0.75 + read(k, slot) * weight;
+        }
+        let index_term: f64 = indices
+            .iter()
+            .enumerate()
+            .map(|(k, &x)| (x as f64) * 0.001 * (k as f64 + 1.0))
+            .sum();
+        acc + index_term + 0.25
+    }
+}
 
 /// The canonical kernel derived from a program's array references.
 ///
@@ -112,15 +184,29 @@ pub struct RefKernel {
     id: u64,
     /// Slot → `(array name, rank)`, and every statement's references.
     refs: CompiledRefs,
+    /// Statement id → its access list.
+    stmts: Vec<Accesses>,
 }
 
 impl RefKernel {
     /// Builds the canonical kernel of a program.
     pub fn new(program: &Program) -> Self {
+        let refs = program.compile_refs();
         RefKernel {
             id: NEXT_KERNEL.fetch_add(1, Ordering::Relaxed),
-            refs: program.compile_refs(),
+            stmts: refs.stmts.iter().map(|s| Accesses::new(s)).collect(),
+            refs,
         }
+    }
+
+    /// Statement `stmt`'s references and access list.
+    // Panic-hygiene allow: schedules executed against a `RefKernel` are
+    // built from the same program, so every statement id is present.
+    #[allow(clippy::expect_used)]
+    #[inline]
+    fn statement(&self, stmt: usize) -> (&[CompiledRef], &Accesses) {
+        let refs = self.refs.stmts.get(stmt).expect("unknown statement id");
+        (refs, &self.stmts[stmt])
     }
 
     /// Reserves the box of the elements `schedule`'s instances write, one
@@ -153,49 +239,52 @@ impl RefKernel {
 }
 
 impl Kernel for RefKernel {
-    // Panic-hygiene allow: schedules executed against a `RefKernel` are
-    // built from the same program, so every statement id is present.
-    #[allow(clippy::expect_used)]
+    /// Runs one instance by subscripts.
     fn run(&self, stmt_id: usize, indices: &[i64], store: &mut StoreView<'_>) {
-        let refs = self.refs.stmts.get(stmt_id).expect("unknown statement id");
-        // In a store this kernel laid out, each access is one dot product;
-        // in any other, it goes by subscripts.
-        let mut rows = store.layout(self.id).map(|l| l.statement(stmt_id));
-        let address = |rows: Option<&StatementRows>, k: usize| {
-            rows.map_or(Address::Subscripts, |rows| rows.address(k, indices))
-        };
-        // Combine the read values with an order-sensitive function so that
-        // any violation of a flow/anti dependence changes the result.
-        let mut acc = 0.5;
-        let reads = refs.iter().enumerate().filter(|(_, r)| !r.write);
-        for (n, (k, r)) in reads.enumerate() {
-            let cell = match address(rows, k) {
-                Address::Cell(offset) => store.read_cell(r.slot, offset),
-                Address::Unwritten => Ok(None),
-                Address::Subscripts => Err(()),
-            };
-            let v = match cell {
-                Ok(Some(v)) => v,
-                Ok(None) => with_index(r, indices, Array::initial_value),
-                Err(()) => with_index(r, indices, |idx| store.read_slot(r.slot, idx)),
-            };
-            acc = acc * 0.75 + v * (1.0 + 0.1 * (n as f64 + 1.0));
+        let (refs, accesses) = self.statement(stmt_id);
+        let value = accesses.value(indices, |k, slot| {
+            with_index(&refs[k], indices, |index| store.read_slot(slot, index))
+        });
+        for &(k, slot) in accesses.writes.iter() {
+            with_index(&refs[k], indices, |index| {
+                store.write_slot(slot, index, value)
+            });
         }
-        let index_term: f64 = indices
-            .iter()
-            .enumerate()
-            .map(|(k, &x)| (x as f64) * 0.001 * (k as f64 + 1.0))
-            .sum();
-        let value = acc + index_term + 0.25;
-        for (k, r) in refs.iter().enumerate().filter(|(_, r)| r.write) {
-            let placed = match address(rows, k) {
-                Address::Cell(offset) => store.write_cell(r.slot, offset, value),
-                _ => false,
-            };
-            if !placed {
-                with_index(r, indices, |idx| store.write_slot(r.slot, idx, value));
-                // A write that grew a box moved the flat offsets.
-                rows = store.layout(self.id).map(|l| l.statement(stmt_id));
+    }
+
+    /// Runs the range through the access lists and the flat rows of a
+    /// store this kernel laid out, else instance by instance by subscripts
+    /// (see the [module docs](self)).
+    fn run_range(&self, schedule: &Schedule, range: Range<usize>, store: &mut StoreView<'_>) {
+        let Some(mut cells) = store.cells(self.id) else {
+            store.ran_by_subscripts(range.len());
+            for (stmt, indices) in schedule.instances_in(range) {
+                self.run(stmt, indices, store);
+            }
+            return;
+        };
+        let layout = cells.layout;
+        for (stmt, indices) in schedule.instances_in(range) {
+            let (refs, accesses) = self.statement(stmt);
+            let rows = layout.statement(stmt);
+            let initial = |k: usize| Array::initial_value_at(refs[k].subscripts(indices));
+            let value = accesses.value(indices, |k, slot| match rows.address(k, indices) {
+                Address::Cell(offset) => match cells.read(slot, offset) {
+                    Some(Some(value)) => value,
+                    Some(None) => initial(k),
+                    None => read_outside(&mut cells, &refs[k], indices),
+                },
+                Address::Unwritten => initial(k),
+                Address::Subscripts => read_outside(&mut cells, &refs[k], indices),
+            });
+            for &(k, slot) in accesses.writes.iter() {
+                let placed = match rows.address(k, indices) {
+                    Address::Cell(offset) => cells.write(slot, offset, value),
+                    _ => false,
+                };
+                if !placed {
+                    write_outside(&mut cells, &refs[k], indices, value);
+                }
             }
         }
     }
@@ -297,11 +386,12 @@ mod tests {
         let (kernel, other) = (RefKernel::new(&p), RefKernel::new(&p));
         let mut store = ArrayStore::new();
         kernel.reserve(&Schedule::sequential(&p, &[]), &mut store);
-        assert!(StoreView::exclusive(&mut store).layout(kernel.id).is_some());
-        assert!(StoreView::shared(&store).layout(other.id).is_none());
+        assert!(StoreView::alone(&mut store).cells(kernel.id).is_some());
+        assert!(StoreView::shared(&store).cells(other.id).is_none());
+        assert!(StoreView::exclusive(&mut store).cells(kernel.id).is_none());
         // a(2I) and a(21 - I) span 1..=40: a write at 1000 grows the box.
         store.set("a", &[1000], 1.0);
-        assert!(StoreView::shared(&store).layout(kernel.id).is_none());
+        assert!(StoreView::shared(&store).cells(kernel.id).is_none());
     }
 
     #[test]
@@ -340,9 +430,9 @@ mod tests {
         let kernel = RefKernel::new(&p);
         let mut store = ArrayStore::new();
         kernel.reserve(&corners, &mut store);
-        let laid = StoreView::exclusive(&mut store)
-            .layout(kernel.id)
-            .cloned()
+        let laid = StoreView::shared(&store)
+            .cells(kernel.id)
+            .map(|cells| cells.layout.clone())
             .expect("the store holds the layout it was laid out as");
         assert_eq!(
             laid,

@@ -93,11 +93,15 @@ impl Partitioner for RecurrenceChains {
         // Points expand from the program alone, so the schedule never
         // forces the dependence analysis; `runtime_values` match
         // `runtime_program`.
+        // The partition (like a baseline's Φ and Rd) is built under its
+        // own spans, outside `codegen.schedule`.
+        let partition = stage.partition();
+        let _span = rcp_trace::span!("codegen.schedule");
         let schedule = Schedule::from_partition(
             stage.runtime_program(),
             stage.analyzed().granularity(),
             stage.runtime_values(),
-            stage.partition(),
+            partition,
             &label(stage, "rcp"),
         );
         Ok(SchemeSchedule {
@@ -119,12 +123,9 @@ impl Partitioner for Pdm {
     }
     fn build(&self, stage: &Partitioned) -> Result<SchemeSchedule, RcpError> {
         require_loop_level(stage, self.name())?;
-        let (_, schedule) = pdm_schedule(
-            stage.analysis(),
-            stage.phi(),
-            stage.rd(),
-            &label(stage, "pdm"),
-        );
+        let (analysis, phi, rd) = (stage.analysis(), stage.phi(), stage.rd());
+        let _span = rcp_trace::span!("codegen.schedule");
+        let (_, schedule) = pdm_schedule(analysis, phi, rd, &label(stage, "pdm"));
         Ok(SchemeSchedule {
             schedule,
             pipeline: None,
@@ -144,12 +145,9 @@ impl Partitioner for Pl {
     }
     fn build(&self, stage: &Partitioned) -> Result<SchemeSchedule, RcpError> {
         require_loop_level(stage, self.name())?;
-        let schedule = pl_schedule(
-            stage.analysis(),
-            stage.phi(),
-            stage.rd(),
-            &label(stage, "pl"),
-        );
+        let (analysis, phi, rd) = (stage.analysis(), stage.phi(), stage.rd());
+        let _span = rcp_trace::span!("codegen.schedule");
+        let schedule = pl_schedule(analysis, phi, rd, &label(stage, "pl"));
         Ok(SchemeSchedule {
             schedule,
             pipeline: None,
@@ -169,17 +167,14 @@ impl Partitioner for Unique {
     }
     fn build(&self, stage: &Partitioned) -> Result<SchemeSchedule, RcpError> {
         require_loop_level(stage, self.name())?;
-        let schedule = unique_sets_schedule(
-            stage.analysis(),
-            stage.phi(),
-            stage.rd(),
-            &label(stage, "unique"),
-        )
-        .ok_or_else(|| RcpError::SchemeUnsupported {
-            scheme: self.name(),
-            reason: "role-class graph is cyclic: no sequential order of unique sets exists"
-                .to_string(),
-        })?;
+        let (analysis, phi, rd) = (stage.analysis(), stage.phi(), stage.rd());
+        let _span = rcp_trace::span!("codegen.schedule");
+        let schedule = unique_sets_schedule(analysis, phi, rd, &label(stage, "unique"))
+            .ok_or_else(|| RcpError::SchemeUnsupported {
+                scheme: self.name(),
+                reason: "role-class graph is cyclic: no sequential order of unique sets exists"
+                    .to_string(),
+            })?;
         Ok(SchemeSchedule {
             schedule,
             pipeline: None,
@@ -201,7 +196,9 @@ impl Partitioner for Doacross {
         let program = stage.runtime_program();
         let values = stage.runtime_values();
         let statement_level = stage.analyzed().granularity() == Granularity::StatementLevel;
-        let plan = doacross_plan(program, values, stage.rd(), statement_level);
+        let rd = stage.rd();
+        let _span = rcp_trace::span!("codegen.schedule");
+        let plan = doacross_plan(program, values, rd, statement_level);
         // The executable rendering: one sequential chain per outer
         // iteration; the pipelined overlap is carried by the descriptor.
         Ok(SchemeSchedule {
@@ -222,6 +219,7 @@ impl Partitioner for InnerParallel {
         "outer loop sequential, the inner loops of each iteration one DOALL"
     }
     fn build(&self, stage: &Partitioned) -> Result<SchemeSchedule, RcpError> {
+        let _span = rcp_trace::span!("codegen.schedule");
         let schedule = inner_parallel_schedule(
             stage.runtime_program(),
             stage.runtime_values(),

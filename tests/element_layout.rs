@@ -5,15 +5,20 @@
 //! instance writes.  Every write has a flat row.  Checked on every
 //! bundled kernel at two bindings and both granularities, on generated
 //! nests, and on a hand-built schedule whose points lie outside the
-//! program's loop bounds.
+//! program's loop bounds.  On the same kernels and bindings, the runtime's
+//! compiled runs over a laid-out store compute what the kernel computes
+//! instance by instance by subscripts.
 
 use recurrence_chains::codegen::{PhaseKind, Schedule, ScheduleBuilder};
+use recurrence_chains::core::{dataflow_partition, ConcretePartition};
 use recurrence_chains::depend::statement_boxes;
 use recurrence_chains::loopir::expr::{c, v};
 use recurrence_chains::loopir::program::build::{loop_, stmt};
 use recurrence_chains::loopir::{Address, ArrayLayout, ArrayRef, ElementLayout, Program};
-use recurrence_chains::runtime::{execute_sequential, ArrayStore, Kernel, RefKernel};
-use recurrence_chains::session::{Config, GranularityChoice, RcpError, Session};
+use recurrence_chains::runtime::{
+    execute_sequential, ArrayStore, Kernel, ParallelExecutor, RefKernel,
+};
+use recurrence_chains::session::{Config, GranularityChoice, Partitioned, RcpError, Session};
 use recurrence_chains::workloads::rng::SmallRng;
 use recurrence_chains::workloads::{random_nest, BUNDLED_LOOPS};
 
@@ -81,9 +86,11 @@ fn check_both(bound: &Program, schedule: &Schedule, what: &str) {
     );
 }
 
-#[test]
-fn every_bundled_kernel_is_laid_out_soundly() {
-    let mut checked = 0;
+/// Calls `f(stage, what)` for every bundled kernel at two bindings (its
+/// survey binding and a larger one) and both granularities it accepts;
+/// returns the number of stages.
+fn for_each_bundled_stage(mut f: impl FnMut(&Partitioned, &str)) -> usize {
+    let mut stages = 0;
     for bundled in BUNDLED_LOOPS {
         let survey = bundled.survey_values();
         let bindings = match bundled.name {
@@ -104,18 +111,75 @@ fn every_bundled_kernel_is_laid_out_soundly() {
                 let stage = analyzed
                     .partition_values(values)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
-                let scheduled = stage.schedule().unwrap_or_else(|e| panic!("{what}: {e}"));
-                let bound = stage.runtime_program().bind_params(stage.runtime_values());
-                check_both(&bound, scheduled.schedule(), &what);
-                check_both(
-                    &bound,
-                    scheduled.sequential(),
-                    &format!("{what}, sequential"),
-                );
-                checked += 1;
+                f(&stage, &what);
+                stages += 1;
             }
         }
     }
+    stages
+}
+
+#[test]
+fn every_bundled_kernel_is_laid_out_soundly() {
+    let checked = for_each_bundled_stage(|stage, what| {
+        let scheduled = stage.schedule().unwrap_or_else(|e| panic!("{what}: {e}"));
+        let bound = stage.runtime_program().bind_params(stage.runtime_values());
+        check_both(&bound, scheduled.schedule(), what);
+        check_both(
+            &bound,
+            scheduled.sequential(),
+            &format!("{what}, sequential"),
+        );
+    });
+    assert!(checked >= 30, "only {checked} stages checked");
+}
+
+#[test]
+fn compiled_runs_equal_instance_by_instance_runs_on_every_bundled_kernel() {
+    // The recurrence-chains schedule, and the dataflow schedule of the
+    // stage's Φ and Rd, run through the kernel's compiled statement lists
+    // over the store it laid out.  Each must compute, bit for bit, what
+    // `Kernel::execute` computes by subscripts instance by instance in the
+    // same slab order, and so must checked runs on 1, 2 and 4 threads,
+    // which stamp every unit's accesses, with no race.
+    let checked = for_each_bundled_stage(|stage, what| {
+        let scheduled = stage.schedule().unwrap_or_else(|e| panic!("{what}: {e}"));
+        let dataflow = ConcretePartition::Dataflow {
+            stages: dataflow_partition(stage.phi(), stage.rd()),
+        };
+        let dataflow = Schedule::from_partition(
+            stage.runtime_program(),
+            stage.analyzed().granularity(),
+            stage.runtime_values(),
+            &dataflow,
+            "dataflow",
+        );
+        let kernel = scheduled.kernel();
+        for (schedule, scheme) in [(scheduled.schedule(), "rcp"), (&dataflow, "dataflow")] {
+            let mut want = ArrayStore::new();
+            for (s, indices) in schedule.instances() {
+                kernel.execute(s, indices, &mut want);
+            }
+            assert!(want.written_len() > 0, "{what}, {scheme}");
+            assert!(
+                execute_sequential(schedule, &kernel) == want,
+                "{what}, {scheme}: the sequential run differs"
+            );
+            for threads in [1, 2, 4] {
+                let result = ParallelExecutor::new(threads)
+                    .with_sequential_fallback(false)
+                    .execute(schedule, &kernel);
+                assert!(
+                    result.race_free(),
+                    "{what}, {scheme} at {threads} thread(s)"
+                );
+                assert!(
+                    result.store == want,
+                    "{what}, {scheme} at {threads} thread(s): the store differs"
+                );
+            }
+        }
+    });
     assert!(checked >= 30, "only {checked} stages checked");
 }
 

@@ -127,9 +127,10 @@ fn instantiate_equals_concrete_on_200_corpus_nests_at_three_bindings() {
             instantiable.push((name, nest));
         }
     }
-    // The corpus generator mostly emits nests the symbolic plan gates
-    // (rank-deficient or multi-pair); the sweep only has teeth if a solid
-    // handful instantiate.  The pinned seed yields a stable count.
+    // The sweep compares only nests whose plan instantiates at every
+    // binding; the others are left out above.  It must compare at least
+    // 5, so that a change to the generator or to the plan's gate that
+    // leaves it (nearly) empty fails here instead of passing vacuously.
     assert!(
         instantiable.len() >= 5,
         "expected at least 5 instantiable corpus nests, got {}",
