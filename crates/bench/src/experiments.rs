@@ -135,8 +135,7 @@ pub fn fig2_chains() -> ExperimentReport {
         &chains
             .iter()
             .map(|c| {
-                c.iterations
-                    .iter()
+                c.iter()
                     .map(|p| p[0].to_string())
                     .collect::<Vec<_>>()
                     .join("->")
@@ -160,7 +159,7 @@ pub fn fig2_chains() -> ExperimentReport {
     text.push_str("paper: P1 = {1..6} ∪ {7,12,14,16,18,20}, P2 empty, chains of length 2\n");
     let data = json!({
         "n_chains": chains.len(),
-        "longest_chain": longest_chain(&chains),
+        "longest_chain": chains.iter().map(Vec::len).max().unwrap_or(0),
         "p1": part.p1.iter().map(|p| p[0]).collect::<Vec<_>>(),
         "p2": part.p2.iter().map(|p| p[0]).collect::<Vec<_>>(),
         "p3": part.p3.iter().map(|p| p[0]).collect::<Vec<_>>(),
@@ -183,15 +182,10 @@ pub fn ex1_partition(n1: i64, n2: i64) -> ExperimentReport {
     let partition = concrete_partition(&analysis, &[n1, n2]);
     let stats = partition.stats();
     let (p1, p2, p3, chains, longest) = match &partition {
-        ConcretePartition::RecurrenceChains {
-            p1,
-            chains,
-            p3,
-            three_set,
-        } => (
-            p1.len(),
+        ConcretePartition::RecurrenceChains { three_set, chains } => (
+            three_set.p1.len(),
             three_set.p2.len(),
-            p3.len(),
+            three_set.p3.len(),
             chains.len(),
             longest_chain(chains),
         ),

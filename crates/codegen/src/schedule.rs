@@ -110,16 +110,16 @@ impl Schedule {
         partition: &ConcretePartition,
         name: &str,
     ) -> Schedule {
-        let (p1, chains, p3) = match partition {
-            ConcretePartition::RecurrenceChains { p1, chains, p3, .. } => (p1, chains, p3),
+        let (three_set, chains) = match partition {
+            ConcretePartition::RecurrenceChains { three_set, chains } => (three_set, chains),
             ConcretePartition::Dataflow { stages } => {
                 return Self::dataflow(program, granularity, params, stages, name)
             }
         };
+        let (p1, p2, p3) = (&three_set.p1, &three_set.p2, &three_set.p3);
         let expander = PointExpander::for_program(program, granularity, params);
         let mut builder = expander.builder(name);
-        let chained: usize = chains.iter().map(|c| c.len()).sum();
-        expander.reserve(&mut builder, p1.len() + chained + p3.len());
+        expander.reserve(&mut builder, p1.len() + chains.ids().len() + p3.len());
         let doall = |builder: &mut ScheduleBuilder, points: &DenseSet| {
             if !points.is_empty() {
                 builder.phase(PhaseKind::Doall);
@@ -131,10 +131,10 @@ impl Schedule {
         doall(&mut builder, p1);
         if !chains.is_empty() {
             builder.phase(PhaseKind::ChainSet);
-            for chain in chains {
+            for chain in chains.iter() {
                 builder.chain();
-                for point in &chain.iterations {
-                    expander.item(point, &mut builder);
+                for &id in chain {
+                    expander.item(p2.point(id as usize), &mut builder);
                 }
             }
         }

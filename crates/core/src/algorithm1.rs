@@ -14,7 +14,7 @@
 //! chains once parameters are bound, which is what the runtime executes and
 //! what the benchmarks measure.
 
-use crate::chains::{chains_in_intermediate, longest_chain, Chain};
+use crate::chains::{chains_in_intermediate, longest_chain, Chains, NO_CHAIN};
 use crate::dataflow::{dataflow_partition, DataflowPartition};
 use crate::recurrence::Recurrence;
 use crate::three_set::{intermediate, DenseThreeSet, ThreeSetPartition};
@@ -369,29 +369,25 @@ impl PlanInstance {
             self.images(x)
                 .any(|pred| pred.as_slice() < x && p1.contains(&pred))
         }));
-        let dense = DenseThreeSet { p1, p2, p3, w };
 
         // The WHILE chain walk of `chains_in_intermediate`, with the dense
         // relation's successor lookup replaced by the recurrence maps.
         // Same guard stage and failpoint site as the legacy walk, so
         // budgets and chaos campaigns see one partitioning pipeline.
-        rcp_guard::tick(rcp_guard::Stage::ChainEnumeration, dense.w.len() as u64 + 1);
+        rcp_guard::tick(rcp_guard::Stage::ChainEnumeration, w.len() as u64 + 1);
         rcp_guard::fail_point("core::chains", rcp_guard::Stage::ChainEnumeration);
-        let mut chains = Vec::new();
-        for start in dense.w.iter() {
-            let mut chain = Vec::new();
+        let mut chains = Chains::default();
+        for start in w.iter() {
             let mut current = start.to_vec();
-            while dense.p2.contains(&current) {
-                chain.push(current.clone());
+            while let Some(id) = p2.index_of(&current) {
+                chains.push(id);
                 let mut succs = self.successors(&current);
                 match succs.pop() {
                     Some(next) if succs.is_empty() => current = next,
                     _ => break,
                 }
             }
-            if !chain.is_empty() {
-                chains.push(Chain { iterations: chain });
-            }
+            chains.close();
         }
 
         // Validation without the dense relation: the chain invariants the
@@ -404,22 +400,18 @@ impl PlanInstance {
         // true sets, and the construction (`P1 = Φ \ ran`, `P2 ⊆ ran`,
         // `P3 = (ran ∩ Φ) \ P2`, `W ⊆ P2`) makes those invariants hold by
         // algebra, not by enumeration.
-        if let Some(detail) = self.validate_instance(&dense.p2, &chains) {
+        if let Some(detail) = self.validate_instance(&p2, &chains) {
             return Err(PlanUnavailable::InstantiationInvalid { detail });
         }
-        Ok(ConcretePartition::RecurrenceChains {
-            p1: dense.p1.clone(),
-            chains,
-            p3: dense.p3.clone(),
-            three_set: dense,
-        })
+        let three_set = DenseThreeSet { p1, p2, p3, w };
+        Ok(ConcretePartition::RecurrenceChains { three_set, chains })
     }
 
     /// The materialise-time validation behind
     /// [`SymbolicPlan::instantiate`]: the chains exactly covering `P2`,
     /// and no recurrence edge crossing two chains.  Returns the first
     /// violated invariant.
-    fn validate_instance(&self, p2: &DenseSet, chains: &[Chain]) -> Option<String> {
+    fn validate_instance(&self, p2: &DenseSet, chains: &Chains) -> Option<String> {
         if let Some(problem) = crate::chains::validate_chain_cover(chains, p2).pop() {
             return Some(problem);
         }
@@ -431,15 +423,14 @@ impl PlanInstance {
         // Every chain starts in W, whose points have a predecessor, so no
         // chain point of a materialised instance has two successors: this
         // check guards the walk rather than rejecting any instance.
-        for (k, c) in chains.iter().enumerate() {
-            let Some(last) = c.iterations.last() else {
-                continue;
-            };
-            for succ in self.successors(last).into_iter().filter(|s| p2.contains(s)) {
-                if let Some(other) = chains.iter().position(|c| c.iterations.contains(&succ)) {
+        let owner = chains.owners(p2.len());
+        for (k, &last) in chains.iter().filter_map(<[u32]>::last).enumerate() {
+            let last = p2.point(last as usize);
+            for succ in self.successors(last) {
+                if let Some(id) = p2.index_of(&succ) {
                     return Some(format!(
-                        "dependence {:?} -> {:?} crosses chains {k} and {other}",
-                        last, succ
+                        "dependence {last:?} -> {succ:?} crosses chains {k} and {}",
+                        owner[id]
                     ));
                 }
             }
@@ -452,17 +443,16 @@ impl PlanInstance {
 /// scheduling and execution.
 #[derive(Clone, Debug)]
 pub enum ConcretePartition {
-    /// Result of the then-branch.
+    /// Result of the then-branch: the fully parallel `P1`, the chains
+    /// through `P2`, then the fully parallel `P3`.  Each point is stored
+    /// once, in `three_set`; a chain lists ids into `three_set.p2`.
     RecurrenceChains {
-        /// Fully parallel first set (independent + initial iterations).
-        p1: DenseSet,
-        /// The WHILE chains covering the intermediate set; each chain is
-        /// sequential, different chains are independent.
-        chains: Vec<Chain>,
-        /// Fully parallel final set.
-        p3: DenseSet,
-        /// The dense three-set partition backing the plan.
+        /// The dense three-set partition: `P1` (independent + initial
+        /// iterations), `P2`, `P3` (final iterations) and `W`.
         three_set: DenseThreeSet,
+        /// The WHILE chains covering `P2`; each chain is sequential,
+        /// different chains are independent.
+        chains: Chains,
     },
     /// Result of the else-branch.
     Dataflow {
@@ -490,9 +480,9 @@ impl ConcretePartition {
     /// Statistics of the plan.
     pub fn stats(&self) -> PlanStats {
         match self {
-            ConcretePartition::RecurrenceChains { p1, chains, p3, .. } => {
+            ConcretePartition::RecurrenceChains { three_set, chains } => {
+                let (p1, p3) = (&three_set.p1, &three_set.p3);
                 let longest = longest_chain(chains);
-                let chain_iters: usize = chains.iter().map(|c| c.len()).sum();
                 let mut n_phases = 0;
                 let mut critical = 0;
                 if !p1.is_empty() {
@@ -511,7 +501,7 @@ impl ConcretePartition {
                     n_phases,
                     critical_path: critical,
                     max_width: p1.len().max(p3.len()).max(chains.len()),
-                    total_iterations: p1.len() + chain_iters + p3.len(),
+                    total_iterations: p1.len() + chains.ids().len() + p3.len(),
                 }
             }
             ConcretePartition::Dataflow { stages } => PlanStats {
@@ -537,50 +527,35 @@ impl ConcretePartition {
     /// respected by the phase/chain ordering.  Returns violated invariants.
     pub fn validate(&self, phi: &DenseSet, rd: &DenseRelation) -> Vec<String> {
         match self {
-            ConcretePartition::RecurrenceChains {
-                p1,
-                chains,
-                p3,
-                three_set,
-            } => {
+            ConcretePartition::RecurrenceChains { three_set, chains } => {
+                let p2 = &three_set.p2;
                 let mut problems = three_set.validate(phi, rd);
-                problems.extend(crate::chains::validate_chain_cover(chains, &three_set.p2));
-                for c in chains {
-                    if !c.is_monotonic(rd) {
-                        problems.push(format!("chain {:?} is not monotonic", c.iterations));
+                problems.extend(crate::chains::validate_chain_cover(chains, p2));
+                // Consecutive ids rise and are dependences.
+                let point = |id: u32| p2.point(id as usize);
+                let step = |w: &[u32]| {
+                    w[0] < w[1]
+                        && (w[1] as usize) < p2.len()
+                        && rd.contains(point(w[0]), point(w[1]))
+                };
+                for (k, c) in chains.iter().enumerate() {
+                    if !c.windows(2).all(step) {
+                        problems.push(format!("chain {k} is not monotonic"));
                     }
                 }
                 // Dependences between different chains are not allowed
-                // (Lemma 1 guarantees disjoint chains).  Owners are kept
-                // per point id of the chain iterations (the last chain
-                // listing a point owns it).
-                let on_chains = DenseSet::from_points(
-                    phi.dim(),
-                    chains
-                        .iter()
-                        .flat_map(|c| &c.iterations)
-                        .filter(|it| it.len() == phi.dim()),
-                );
-                let mut owner = vec![0usize; on_chains.len()];
-                for (k, c) in chains.iter().enumerate() {
-                    for it in &c.iterations {
-                        if let Some(id) = on_chains.index_of(it) {
-                            owner[id] = k;
-                        }
-                    }
-                }
-                for (src, dst) in rd.edges_within(&on_chains) {
+                // (Lemma 1 guarantees disjoint chains); the last chain
+                // listing a `P2` id owns it.
+                let owner = chains.owners(p2.len());
+                for (src, dst) in rd.edges_within(p2) {
                     let (a, b) = (owner[src as usize], owner[dst as usize]);
-                    if a != b {
+                    if a != b && a != NO_CHAIN && b != NO_CHAIN {
                         problems.push(format!(
                             "dependence {:?} -> {:?} crosses chains {a} and {b}",
-                            on_chains.point(src as usize),
-                            on_chains.point(dst as usize)
+                            point(src),
+                            point(dst)
                         ));
                     }
-                }
-                if p1 != &three_set.p1 || p3 != &three_set.p3 {
-                    problems.push("plan sets diverge from the three-set partition".to_string());
                 }
                 problems
             }
@@ -703,12 +678,7 @@ pub fn concrete_partition_from_dense(
     if uses_recurrence_chains(analysis) {
         let three_set = DenseThreeSet::compute(phi, rd);
         let chains = chains_in_intermediate(&three_set, rd);
-        let candidate = ConcretePartition::RecurrenceChains {
-            p1: three_set.p1.clone(),
-            chains,
-            p3: three_set.p3.clone(),
-            three_set,
-        };
+        let candidate = ConcretePartition::RecurrenceChains { three_set, chains };
         // The coupled pair's recurrence is the *syntactic* then-branch
         // condition; when the program carries dependences the recurrence
         // does not generate (a second array coupling the statements), the
@@ -750,12 +720,7 @@ pub fn concrete_partition_from_dense(
 pub fn try_chain_partition(phi: &DenseSet, rd: &DenseRelation) -> Option<ConcretePartition> {
     let three_set = DenseThreeSet::compute(phi, rd);
     let chains = crate::chains::component_chains(&three_set.p2, rd);
-    let candidate = ConcretePartition::RecurrenceChains {
-        p1: three_set.p1.clone(),
-        chains,
-        p3: three_set.p3.clone(),
-        three_set,
-    };
+    let candidate = ConcretePartition::RecurrenceChains { three_set, chains };
     if candidate.validate(phi, rd).is_empty() {
         Some(candidate)
     } else {
@@ -865,7 +830,7 @@ mod tests {
             } => {
                 assert_eq!(three_set.p2.to_vec(), vec![vec![2, 6]]);
                 assert_eq!(chains.len(), 1);
-                assert_eq!(chains[0].iterations, vec![vec![2, 6]]);
+                assert_eq!(chains.ids(), [0], "the one chain is P2's point (2, 6)");
                 // REC obtains 3 fully parallel partitions in sequence.
                 assert_eq!(part.stats().n_phases, 3);
             }
@@ -1165,10 +1130,14 @@ mod tests {
         // With 1 and 4 intermediate, each follows the initial -2 and
         // starts a chain of its own; 8 is final.
         match branching_instance(&[1, 4, 8], &[1, 4]).materialise() {
-            Ok(ConcretePartition::RecurrenceChains { chains, p3, .. }) => {
-                let chains: Vec<_> = chains.into_iter().map(|c| c.iterations).collect();
-                assert_eq!(chains, vec![vec![vec![1]], vec![vec![4]]]);
-                assert_eq!(p3.to_vec(), vec![vec![8]]);
+            Ok(ConcretePartition::RecurrenceChains { three_set, chains }) => {
+                let point = |id: &u32| three_set.p2.point(*id as usize);
+                let chains: Vec<Vec<_>> = chains
+                    .iter()
+                    .map(|c| c.iter().map(point).collect())
+                    .collect();
+                assert_eq!(chains, [[[1]], [[4]]]);
+                assert_eq!(three_set.p3.to_vec(), vec![vec![8]]);
             }
             other => panic!("expected recurrence chains, got {other:?}"),
         }
@@ -1182,12 +1151,45 @@ mod tests {
         // chains of their own.
         let instance = branching_instance(&[-2, 1, 4], &[-2, 1, 4]);
         let p2 = DenseSet::from_points(1, [[-2i64], [1], [4]]);
-        let chain = |x: i64| Chain {
-            iterations: vec![vec![x]],
-        };
+        let mut chains = Chains::default();
+        for id in 0..p2.len() {
+            chains.push(id);
+            chains.close();
+        }
         assert_eq!(
-            instance.validate_instance(&p2, &[chain(-2), chain(1), chain(4)]),
+            instance.validate_instance(&p2, &chains),
             Some("dependence [-2] -> [4] crosses chains 0 and 2".to_string())
+        );
+    }
+
+    #[test]
+    fn an_approximate_iteration_space_gates_instantiation() {
+        use rcp_presburger::{Affine, Constraint};
+        // Give example 1's `Φ` a dimension `x` with `2x − I1 ≥ 0` and
+        // `−3x + I1 + 1 ≥ 0`, then project it out: Fourier–Motzkin's real
+        // shadow `I1 ≤ 2` admits `I1 = 1`, which has no integer `x`, so the
+        // projection is flagged approximate.
+        let mut analysis = rcp_depend::DependenceAnalysis::loop_level(&example1());
+        let inexact = [
+            Constraint::geq(Affine::new(vec![2, -1, 0, 0, 0], 0)),
+            Constraint::geq(Affine::new(vec![-3, 1, 0, 0, 0], 1)),
+        ];
+        let pieces = analysis.phi.pieces().iter().map(|piece| {
+            piece
+                .insert_dims(0, 1)
+                .with_all(inexact.clone())
+                .project_out(0, 1)
+        });
+        analysis.phi = UnionSet::from_pieces(analysis.phi.space().clone(), pieces.collect());
+        assert!(analysis.phi.is_approximate());
+        let plan = symbolic_plan(&analysis).expect("example 1 takes the then-branch");
+        assert_eq!(
+            plan.instantiability(),
+            Some(&PlanUnavailable::ApproximatePartitionSets)
+        );
+        assert_eq!(
+            plan.instantiate(&[10, 10]).unwrap_err(),
+            PlanUnavailable::ApproximatePartitionSets
         );
     }
 }

@@ -71,7 +71,7 @@ pub use algorithm1::{
     PlanInstance, PlanStats, PlanUnavailable, Strategy, SymbolicPlan,
 };
 pub use chains::{
-    chains_in_intermediate, component_chains, longest_chain, monotonic_chains, Chain,
+    chains_in_intermediate, component_chains, longest_chain, monotonic_chains, Chains,
 };
 pub use dataflow::{dataflow_partition, dataflow_partition_by_peeling, DataflowPartition};
 pub use recurrence::Recurrence;

@@ -403,12 +403,11 @@ fn partition_json(
         ),
     ];
     match part {
-        ConcretePartition::RecurrenceChains { p1, chains, p3, .. } => {
+        ConcretePartition::RecurrenceChains { three_set, chains } => {
             let longest = rcp_core::longest_chain(chains);
-            let p2: usize = chains.iter().map(|c| c.len()).sum();
-            fields.push(("p1".to_string(), Json::Int(p1.len() as i64)));
-            fields.push(("p2".to_string(), Json::Int(p2 as i64)));
-            fields.push(("p3".to_string(), Json::Int(p3.len() as i64)));
+            fields.push(("p1".to_string(), Json::Int(three_set.p1.len() as i64)));
+            fields.push(("p2".to_string(), Json::Int(chains.ids().len() as i64)));
+            fields.push(("p3".to_string(), Json::Int(three_set.p3.len() as i64)));
             fields.push(("n_chains".to_string(), Json::Int(chains.len() as i64)));
             fields.push(("longest_chain".to_string(), Json::Int(longest as i64)));
         }
@@ -464,15 +463,14 @@ pub fn partition_report(
         stats.total_iterations,
     );
     match part {
-        ConcretePartition::RecurrenceChains { p1, chains, p3, .. } => {
-            let p2: usize = chains.iter().map(|c| c.len()).sum();
+        ConcretePartition::RecurrenceChains { three_set, chains } => {
             text.push_str(&format!(
                 "  three-set partition: |P1| = {}, |P2| = {} (in {} chain(s), longest {}), |P3| = {}\n",
-                p1.len(),
-                p2,
+                three_set.p1.len(),
+                chains.ids().len(),
                 chains.len(),
                 rcp_core::longest_chain(chains),
-                p3.len(),
+                three_set.p3.len(),
             ));
         }
         ConcretePartition::Dataflow { stages } => {

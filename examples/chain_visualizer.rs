@@ -29,7 +29,7 @@ fn main() {
 
     println!("\nmonotonic chains (Definition 1):");
     for chain in monotonic_chains(&rd) {
-        let path: Vec<String> = chain.iterations.iter().map(|p| p[0].to_string()).collect();
+        let path: Vec<String> = chain.iter().map(|p| p[0].to_string()).collect();
         println!("  {}", path.join(" -> "));
     }
 

@@ -38,17 +38,17 @@ fn cli_partition_of_example1_matches_the_library_pipeline() {
     let program = workloads::example1();
     let analysis = DependenceAnalysis::loop_level(&program);
     let part = concrete_partition(&analysis, &[10, 10]);
-    let ConcretePartition::RecurrenceChains { p1, chains, p3, .. } = &part else {
+    let ConcretePartition::RecurrenceChains { three_set, chains } = &part else {
         panic!("library example 1 must take the recurrence-chain branch");
     };
 
     assert_eq!(report.data["strategy"].as_str(), Some("RecurrenceChains"));
-    assert_eq!(report.data["p1"].as_u64(), Some(p1.len() as u64));
+    assert_eq!(report.data["p1"].as_u64(), Some(three_set.p1.len() as u64));
     assert_eq!(
         report.data["p2"].as_u64(),
         Some(chains.iter().map(|c| c.len()).sum::<usize>() as u64)
     );
-    assert_eq!(report.data["p3"].as_u64(), Some(p3.len() as u64));
+    assert_eq!(report.data["p3"].as_u64(), Some(three_set.p3.len() as u64));
     assert_eq!(report.data["n_chains"].as_u64(), Some(chains.len() as u64));
     assert_eq!(
         report.data["longest_chain"].as_u64(),

@@ -190,3 +190,62 @@ fn generated_listing_mentions_every_partition() {
         assert!(listing.contains(needle), "listing must contain `{needle}`");
     }
 }
+
+/// A then-branch partition stores each chain as a run of ids into its
+/// `P2`: on the paper's examples, instantiated from the symbolic plan and
+/// built from the dense relation alike, the ids rise strictly along every
+/// chain, cover `0..|P2|` exactly once, and consecutive ids resolve
+/// through `P2` to dependences of `Rd`.
+#[test]
+fn chains_are_rising_runs_of_p2_ids() {
+    use recurrence_chains::core::concrete_partition_from_dense;
+    use recurrence_chains::workloads::{figure2_n, uniform_chain};
+    let cases = [
+        (example1(), vec![vec![10i64, 10], vec![30, 40]]),
+        (example2(), vec![vec![12], vec![40]]),
+        // Figure 2 has no parameter, so its two bindings are two bounds;
+        // its P2 is empty at both.
+        (figure2(), vec![vec![]]),
+        (figure2_n(37), vec![vec![]]),
+        (uniform_chain(), vec![vec![7], vec![50]]),
+    ];
+    for (program, bindings) in cases {
+        let analysis = DependenceAnalysis::loop_level(&program);
+        let plan = symbolic_plan(&analysis).unwrap();
+        for values in &bindings {
+            let (phi, rd) = dense(&analysis, values);
+            let instantiated = plan.instantiate(values).unwrap();
+            let from_dense = concrete_partition_from_dense(&analysis, &phi, &rd);
+            for (path, partition) in [("instantiated", instantiated), ("dense", from_dense)] {
+                let ConcretePartition::RecurrenceChains { three_set, chains } = &partition else {
+                    panic!(
+                        "{} at {values:?}: the {path} partition has no chains",
+                        program.name
+                    );
+                };
+                let p2 = &three_set.p2;
+                let mut covered = vec![0usize; p2.len()];
+                for chain in chains.iter() {
+                    for &id in chain {
+                        covered[id as usize] += 1;
+                    }
+                    for w in chain.windows(2) {
+                        let (a, b) = (p2.point(w[0] as usize), p2.point(w[1] as usize));
+                        assert!(
+                            w[0] < w[1] && rd.contains(a, b),
+                            "{} at {values:?} ({path}): {a:?} -> {b:?} is no rising edge",
+                            program.name
+                        );
+                    }
+                }
+                assert!(
+                    covered.iter().all(|&n| n == 1),
+                    "{} at {values:?} ({path}): chains cover P2 unevenly: {covered:?}",
+                    program.name
+                );
+                assert_eq!(chains.ids().len(), p2.len());
+                assert!(partition.validate(&phi, &rd).is_empty());
+            }
+        }
+    }
+}

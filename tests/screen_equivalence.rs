@@ -63,21 +63,17 @@ fn assert_screen_equivalent(
     match (&part_s, &part_e) {
         (
             ConcretePartition::RecurrenceChains {
-                p1: sp1,
-                chains: sc,
-                p3: sp3,
                 three_set: st,
+                chains: sc,
             },
             ConcretePartition::RecurrenceChains {
-                p1: ep1,
-                chains: ec,
-                p3: ep3,
                 three_set: et,
+                chains: ec,
             },
         ) => {
-            assert_eq!(sp1, ep1, "{name}: P1 diverges");
+            assert_eq!(st.p1, et.p1, "{name}: P1 diverges");
             assert_eq!(st.p2, et.p2, "{name}: P2 diverges");
-            assert_eq!(sp3, ep3, "{name}: P3 diverges");
+            assert_eq!(st.p3, et.p3, "{name}: P3 diverges");
             assert_eq!(sc, ec, "{name}: chains diverge");
         }
         (

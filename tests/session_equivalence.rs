@@ -99,20 +99,16 @@ fn assert_equivalent(name: &str, program: &Program, values: &[(&str, i64)]) {
     match (stage.partition(), &legacy.partition) {
         (
             ConcretePartition::RecurrenceChains {
-                p1: sp1,
-                chains: sc,
-                p3: sp3,
                 three_set: st,
+                chains: sc,
             },
             ConcretePartition::RecurrenceChains {
-                p1: lp1,
-                chains: lc,
-                p3: lp3,
                 three_set: lt,
+                chains: lc,
             },
         ) => {
-            assert_eq!(sp1, lp1, "{name}: P1 diverges");
-            assert_eq!(sp3, lp3, "{name}: P3 diverges");
+            assert_eq!(st.p1, lt.p1, "{name}: P1 diverges");
+            assert_eq!(st.p3, lt.p3, "{name}: P3 diverges");
             assert_eq!(st.p2, lt.p2, "{name}: P2 diverges");
             assert_eq!(sc.len(), lc.len(), "{name}: chain count diverges");
             assert_eq!(sc, lc, "{name}: chains diverge");
